@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test check vet race bench bench-smoke bench-gate fmt lint validate-descriptions
+.PHONY: build test check vet race bench bench-smoke bench-gate bench-campaign bench-campaign-smoke fmt lint validate-descriptions
 
 build:
 	$(GO) build ./...
@@ -66,3 +66,15 @@ bench-gate:
 # that none of them panic or fail. Wired into CI.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+
+# bench-campaign runs the repository's campaign benchmark (BENCHMARK.json,
+# bench/README.md): every workload, untraced then traced, end-to-end and
+# per-layer metrics. It is a module of its own, so `go test ./...` and the
+# targets above do not reach it.
+bench-campaign:
+	bash bench/run.sh
+
+# bench-campaign-smoke is the campaign benchmark's own test: every workload
+# at a fraction of its size, output checks on. Wired into CI.
+bench-campaign-smoke:
+	$(GO) -C bench test ./...

@@ -379,6 +379,61 @@ func BenchmarkTableIStorageIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkLevel3OpenAnalyze measures the read side of level 3 the way
+// excovery-report and a level-4 repository use it: open the file, extract
+// R / t_R with metrics.FromDB, then analyse every run's packets. ns/run is
+// the number to watch: it must not grow with the size of the experiment
+// (50 vs 200 runs), which it did when an opened database had lost its
+// indexes and every per-run query scanned all rows.
+func BenchmarkLevel3OpenAnalyze(b *testing.B) {
+	for _, runs := range []int{50, 200} {
+		b.Run(fmt.Sprintf("runs=%d", runs), func(b *testing.B) {
+			dir := b.TempDir()
+			e := desc.OneShot(30)
+			e.Repl.Count = runs
+			x, err := core.New(e, core.Options{StoreDir: dir})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := x.Run(); err != nil {
+				b.Fatal(err)
+			}
+			db, err := x.Finalize()
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := dir + "/bench.xcdb"
+			if err := db.Save(path); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db, err := store.OpenExperimentDB(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ms, err := metrics.FromDB(db, "", "")
+				if err != nil || len(ms) != runs {
+					b.Fatalf("%d run metrics, err %v", len(ms), err)
+				}
+				ids, err := db.RunIDs()
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, id := range ids {
+					pkts, err := db.PacketsOfRun(id)
+					if err != nil || len(pkts) == 0 {
+						b.Fatalf("run %d: %d packets, err %v", id, len(pkts), err)
+					}
+					metrics.AnalyzePackets(pkts)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runs), "ns/run")
+		})
+	}
+}
+
 // BenchmarkExpACaseStudySweep reproduces the case-study factorial sweep:
 // sub-benchmarks report the t_R / responsiveness series per treatment,
 // i.e. the table the paper's evaluation would print.

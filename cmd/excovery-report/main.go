@@ -78,14 +78,20 @@ func report(rf reportFlags, arg string, stdout io.Writer) error {
 	if rf.repo {
 		return reportRepository(arg, stdout)
 	}
-	db, err := store.OpenExperimentDB(arg)
+	// With -trace the report's own store.open span (rows by table, bytes,
+	// duration) joins the exported run trace on a "store" lane.
+	var o store.Obs
+	if rf.traceOut != "" {
+		o.Tracer = obs.NewTracer(nil)
+	}
+	db, err := o.Open(arg)
 	if err != nil {
 		return err
 	}
 	// Trace export runs before the banner: with `-trace -` stdout must
 	// carry nothing but the Chrome trace JSON.
 	if rf.traceOut != "" {
-		return exportTrace(db, rf.run, rf.traceOut, stdout)
+		return exportTrace(db, rf.run, rf.traceOut, o.Tracer.Spans()[0], stdout)
 	}
 	info, err := db.Info()
 	if err != nil {
@@ -218,7 +224,7 @@ func report(rf reportFlags, arg string, stdout io.Writer) error {
 // exportTrace converts one run's trace.json level-2 artifact (recorded by
 // the master's tracer, stored as an extra run measurement) into Chrome
 // trace_event JSON loadable in chrome://tracing or Perfetto.
-func exportTrace(db *store.ExperimentDB, run int, path string, stdout io.Writer) error {
+func exportTrace(db *store.ExperimentDB, run int, path string, opened obs.Span, stdout io.Writer) error {
 	extras, err := db.ExtrasOfRun(run)
 	if err != nil {
 		return err
@@ -239,7 +245,17 @@ func exportTrace(db *store.ExperimentDB, run int, path string, stdout io.Writer)
 	if !found {
 		return fmt.Errorf("run %d has no trace.json artifact (master ran without a tracer?)", run)
 	}
-	out := obs.ChromeTrace(spans)
+	// The run's spans are on the campaign's clock, often a virtual one, the
+	// open span on this process's wall clock: it is drawn with its own
+	// duration, ending where the run's trace begins.
+	first := opened.End
+	for i, sp := range spans {
+		if i == 0 || sp.Start.Before(first) {
+			first = sp.Start
+		}
+	}
+	opened.Start, opened.End = first.Add(-opened.Duration()), first
+	out := obs.ChromeTrace(append(spans, opened))
 	if path == "-" {
 		_, err := stdout.Write(out)
 		return err

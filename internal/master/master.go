@@ -1045,6 +1045,9 @@ func (m *Master) Finalize() (*store.ExperimentDB, error) {
 	if m.cfg.Store == nil {
 		return nil, fmt.Errorf("master: no store configured")
 	}
+	// Conditioning, and Save of the database it returns, record into the
+	// master's own registry and tracer.
+	m.cfg.Store.Obs = store.Obs{Metrics: m.cfg.Metrics, Tracer: m.cfg.Tracer}
 	return store.Condition(m.cfg.Store, store.Meta{
 		ExpXML:  m.expXML,
 		Name:    m.cfg.Exp.Name,

@@ -87,6 +87,13 @@ const (
 	MSchedVtimeLagUs    MetricName = "excovery_sched_vtime_lag_us"
 	MSchedLockWait      MetricName = "excovery_sched_lock_wait_seconds"
 
+	// Level-3 storage path (internal/store, DESIGN.md §17): per call of
+	// Condition, Save and Open, labelled op; rows additionally by table.
+	MStoreOpSeconds        MetricName = "excovery_store_op_seconds"
+	MStoreRows             MetricName = "excovery_store_rows_total"
+	MStoreBytes            MetricName = "excovery_store_bytes_total"
+	MStoreDecoderFallbacks MetricName = "excovery_store_decoder_fallbacks_total"
+
 	// Campaign metric fan-in (internal/master): collection accounting plus
 	// fleet-wide rollups of the emulator families above.
 	MCampaignFanins         MetricName = "excovery_campaign_fanins_total"

@@ -8,21 +8,23 @@
 package fsio
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 )
 
-// WriteFileAtomic writes data to a sibling temp file, fsyncs it, renames
-// it over path and fsyncs the containing directory: after it returns, a
-// crash leaves either the previous file or the new one — never a torn or
-// unnamed write. The containing directory must exist.
-func WriteFileAtomic(path string, data []byte) error {
+// WriteAtomic hands write a sibling temp file, fsyncs what it wrote,
+// renames the file over path and fsyncs the containing directory: after it
+// returns, a crash leaves either the previous file or the new one — never
+// a torn or unnamed write. When write fails, the temp file is removed and
+// path is left as it was. The containing directory must exist.
+func WriteAtomic(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -41,6 +43,14 @@ func WriteFileAtomic(path string, data []byte) error {
 		return err
 	}
 	return SyncDir(filepath.Dir(path))
+}
+
+// WriteFileAtomic is WriteAtomic for data already in memory.
+func WriteFileAtomic(path string, data []byte) error {
+	return WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // SyncDir fsyncs a directory so a preceding rename/create in it is

@@ -44,6 +44,8 @@ import (
 type RunStore struct {
 	// Dir is the experiment directory.
 	Dir string
+	// Obs is where Condition records itself (zero: nowhere).
+	Obs Obs
 }
 
 // NewRunStore creates (or reuses) the experiment directory.
@@ -149,20 +151,25 @@ func (rs *RunStore) WritePackets(run int, node string, pkts []PacketRecord) erro
 	return appendJSONL(filepath.Join(rs.runDir(run, node), "packets.jsonl"), pkts)
 }
 
-// packetMeta is the subset of PacketRecord that conditioning decodes: the
-// stored line itself becomes the Packets.Data blob, so the payload, path
-// and identifier fields never need parsing.
-type packetMeta struct {
-	Time time.Time `json:"time"`
-	Src  string    `json:"src"`
+// readStats is what one pass over level-2 packet captures read: the bytes
+// of the capture files and the lines that were not of appendJSONL's shape
+// and went through encoding/json (see packetline.go).
+type readStats struct {
+	bytes     int64
+	fallbacks int64
 }
 
 // ForEachPacketLine streams a node's packet captures of one run, yielding
 // each record's capture time, source node, and the raw stored line. The
-// line is a view into a shared buffer, valid only during the call. The
-// decoder and the line scan advance in lockstep, which holds because
-// appendJSONL writes exactly one JSON value per line.
+// line is a view into a shared buffer, valid only during the call.
 func (rs *RunStore) ForEachPacketLine(run int, node string, fn func(t time.Time, src string, line []byte) error) error {
+	return rs.forEachPacketLine(run, node, &readStats{}, fn)
+}
+
+// forEachPacketLine is ForEachPacketLine that accounts what it read in st.
+// It reads each file into a buffer of its own, so its caller may keep the
+// lines.
+func (rs *RunStore) forEachPacketLine(run int, node string, st *readStats, fn func(t time.Time, src string, line []byte) error) error {
 	path := filepath.Join(rs.runDir(run, node), "packets.jsonl")
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -171,7 +178,7 @@ func (rs *RunStore) ForEachPacketLine(run int, node string, fn func(t time.Time,
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
+	st.bytes += int64(len(data))
 	for start := 0; start < len(data); {
 		var line []byte
 		if end := bytes.IndexByte(data[start:], '\n'); end < 0 {
@@ -185,11 +192,14 @@ func (rs *RunStore) ForEachPacketLine(run int, node string, fn func(t time.Time,
 		if len(line) == 0 {
 			continue
 		}
-		var m packetMeta
-		if err := dec.Decode(&m); err != nil {
+		t, src, fallback, err := decodePacketMeta(line)
+		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		if err := fn(m.Time, m.Src, line); err != nil {
+		if fallback {
+			st.fallbacks++
+		}
+		if err := fn(t, src, line); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
@@ -201,7 +211,7 @@ func (rs *RunStore) ReadPackets(run int, node string) ([]PacketRecord, error) {
 	var out []PacketRecord
 	err := rs.ForEachPacketLine(run, node, func(_ time.Time, _ string, line []byte) error {
 		var p PacketRecord
-		if err := json.Unmarshal(line, &p); err != nil {
+		if _, err := decodePacketLine(line, &p); err != nil {
 			return err
 		}
 		out = append(out, p)

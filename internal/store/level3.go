@@ -27,87 +27,138 @@ type Meta struct {
 // complete experiment, using exactly the tables and attributes of Table I.
 type ExperimentDB struct {
 	DB *reldb.DB
+	// Obs is where Save records itself; Condition and Obs.Open set it.
+	Obs Obs
+}
+
+// tableI is the level-3 schema: the tables and attributes of Table I.
+var tableI = []reldb.Schema{
+	{Name: "ExperimentInfo", Columns: []reldb.Column{
+		{Name: "ExpXML", Type: reldb.Text},
+		{Name: "EEVersion", Type: reldb.Text},
+		{Name: "Name", Type: reldb.Text},
+		{Name: "Comment", Type: reldb.Text},
+	}},
+	{Name: "Logs", Columns: []reldb.Column{
+		{Name: "NodeID", Type: reldb.Text},
+		{Name: "Log", Type: reldb.Text},
+	}},
+	{Name: "EEFiles", Columns: []reldb.Column{
+		{Name: "ID", Type: reldb.Text},
+		{Name: "File", Type: reldb.Blob},
+	}},
+	{Name: "ExperimentMeasurements", Columns: []reldb.Column{
+		{Name: "ID", Type: reldb.Int64},
+		{Name: "NodeID", Type: reldb.Text},
+		{Name: "Name", Type: reldb.Text},
+		{Name: "Content", Type: reldb.Blob},
+	}},
+	{Name: "RunInfos", Columns: []reldb.Column{
+		{Name: "RunID", Type: reldb.Int64},
+		{Name: "NodeID", Type: reldb.Text},
+		{Name: "StartTime", Type: reldb.Time},
+		{Name: "TimeDiff", Type: reldb.Float64},
+	}},
+	{Name: "ExtraRunMeasurements", Columns: []reldb.Column{
+		{Name: "RunID", Type: reldb.Int64},
+		{Name: "NodeID", Type: reldb.Text},
+		{Name: "Name", Type: reldb.Text},
+		{Name: "Content", Type: reldb.Blob},
+	}},
+	{Name: "Events", Columns: []reldb.Column{
+		{Name: "RunID", Type: reldb.Int64},
+		{Name: "NodeID", Type: reldb.Text},
+		{Name: "CommonTime", Type: reldb.Time},
+		{Name: "EventType", Type: reldb.Text},
+		{Name: "Parameter", Type: reldb.Text},
+	}},
+	{Name: "Packets", Columns: []reldb.Column{
+		{Name: "RunID", Type: reldb.Int64},
+		{Name: "NodeID", Type: reldb.Text},
+		{Name: "CommonTime", Type: reldb.Time},
+		{Name: "SrcNodeID", Type: reldb.Text},
+		{Name: "Data", Type: reldb.Blob},
+	}},
+}
+
+// tableIIndexes are the hash indexes that belong to the schema: every
+// per-run accessor selects by RunID. The file format does not carry
+// indexes, so a fresh and an opened database both declare this one list.
+var tableIIndexes = [][2]string{
+	{"Events", "RunID"}, {"Packets", "RunID"},
+	{"RunInfos", "RunID"}, {"ExtraRunMeasurements", "RunID"},
+}
+
+func declareIndexes(db *reldb.DB) error {
+	for _, idx := range tableIIndexes {
+		if err := db.CreateIndex(idx[0], idx[1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // NewExperimentDB creates an empty level-3 database with the Table I
 // schema.
 func NewExperimentDB() (*ExperimentDB, error) {
 	db := reldb.New()
-	schemas := []reldb.Schema{
-		{Name: "ExperimentInfo", Columns: []reldb.Column{
-			{Name: "ExpXML", Type: reldb.Text},
-			{Name: "EEVersion", Type: reldb.Text},
-			{Name: "Name", Type: reldb.Text},
-			{Name: "Comment", Type: reldb.Text},
-		}},
-		{Name: "Logs", Columns: []reldb.Column{
-			{Name: "NodeID", Type: reldb.Text},
-			{Name: "Log", Type: reldb.Text},
-		}},
-		{Name: "EEFiles", Columns: []reldb.Column{
-			{Name: "ID", Type: reldb.Text},
-			{Name: "File", Type: reldb.Blob},
-		}},
-		{Name: "ExperimentMeasurements", Columns: []reldb.Column{
-			{Name: "ID", Type: reldb.Int64},
-			{Name: "NodeID", Type: reldb.Text},
-			{Name: "Name", Type: reldb.Text},
-			{Name: "Content", Type: reldb.Blob},
-		}},
-		{Name: "RunInfos", Columns: []reldb.Column{
-			{Name: "RunID", Type: reldb.Int64},
-			{Name: "NodeID", Type: reldb.Text},
-			{Name: "StartTime", Type: reldb.Time},
-			{Name: "TimeDiff", Type: reldb.Float64},
-		}},
-		{Name: "ExtraRunMeasurements", Columns: []reldb.Column{
-			{Name: "RunID", Type: reldb.Int64},
-			{Name: "NodeID", Type: reldb.Text},
-			{Name: "Name", Type: reldb.Text},
-			{Name: "Content", Type: reldb.Blob},
-		}},
-		{Name: "Events", Columns: []reldb.Column{
-			{Name: "RunID", Type: reldb.Int64},
-			{Name: "NodeID", Type: reldb.Text},
-			{Name: "CommonTime", Type: reldb.Time},
-			{Name: "EventType", Type: reldb.Text},
-			{Name: "Parameter", Type: reldb.Text},
-		}},
-		{Name: "Packets", Columns: []reldb.Column{
-			{Name: "RunID", Type: reldb.Int64},
-			{Name: "NodeID", Type: reldb.Text},
-			{Name: "CommonTime", Type: reldb.Time},
-			{Name: "SrcNodeID", Type: reldb.Text},
-			{Name: "Data", Type: reldb.Blob},
-		}},
-	}
-	for _, s := range schemas {
+	for _, s := range tableI {
 		if err := db.CreateTable(s); err != nil {
 			return nil, err
 		}
 	}
-	for _, idx := range [][2]string{
-		{"Events", "RunID"}, {"Packets", "RunID"},
-		{"RunInfos", "RunID"}, {"ExtraRunMeasurements", "RunID"},
-	} {
-		if err := db.CreateIndex(idx[0], idx[1]); err != nil {
-			return nil, err
-		}
-	}
-	return &ExperimentDB{DB: db}, nil
-}
-
-// OpenExperimentDB loads a level-3 database file.
-func OpenExperimentDB(path string) (*ExperimentDB, error) {
-	db, err := reldb.OpenFile(path)
-	if err != nil {
+	if err := declareIndexes(db); err != nil {
 		return nil, err
 	}
 	return &ExperimentDB{DB: db}, nil
 }
 
+// checkTableI verifies that db carries the Table I tables with their
+// columns in place: the accessors address columns by position.
+func checkTableI(db *reldb.DB) error {
+	for _, want := range tableI {
+		got, err := db.Schema(want.Name)
+		if err != nil {
+			return fmt.Errorf("store: not a level-3 database: missing table %q", want.Name)
+		}
+		for i, c := range want.Columns {
+			if i >= len(got.Columns) || got.Columns[i] != c {
+				return fmt.Errorf("store: not a level-3 database: table %q lacks column %d %q (%s)",
+					want.Name, i, c.Name, c.Type)
+			}
+		}
+	}
+	return nil
+}
+
+// OpenExperimentDB loads a level-3 database file.
+func OpenExperimentDB(path string) (*ExperimentDB, error) { return Obs{}.Open(path) }
+
+// Open loads a level-3 database file, recording the operation in o. A
+// file that fails its checksum or lacks part of the Table I schema is
+// refused; the indexes are declared on what passed both.
+func (o Obs) Open(path string) (*ExperimentDB, error) {
+	op := o.begin("open")
+	db, err := reldb.OpenFile(path)
+	if err == nil {
+		if err = checkTableI(db); err == nil {
+			err = declareIndexes(db)
+		}
+	}
+	op.end(db, op.fileSize(path), 0, err)
+	if err != nil {
+		return nil, err
+	}
+	return &ExperimentDB{DB: db, Obs: o}, nil
+}
+
 // Save writes the database to a single file.
-func (e *ExperimentDB) Save(path string) error { return e.DB.SaveFile(path) }
+func (e *ExperimentDB) Save(path string) error {
+	op := e.Obs.begin("save")
+	err := e.DB.SaveFile(path)
+	op.end(e.DB, op.fileSize(path), 0, err)
+	return err
+}
 
 // Condition turns the level-2 store into a level-3 database: all local
 // timestamps are mapped onto the reference time base using the per-run
@@ -118,26 +169,39 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 	if err != nil {
 		return nil, err
 	}
+	e.Obs = rs.Obs
+	op := rs.Obs.begin("condition")
+	var st readStats
+	err = e.ingest(rs, meta, &st)
+	op.end(e.DB, st.bytes, st.fallbacks, err)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// ingest fills an empty database from the level-2 store.
+func (e *ExperimentDB) ingest(rs *RunStore, meta Meta, st *readStats) error {
 	if err := e.DB.Insert("ExperimentInfo", reldb.Row{
 		meta.ExpXML, EEVersion, meta.Name, meta.Comment,
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	if meta.ExpXML != "" {
 		if err := e.DB.Insert("EEFiles", reldb.Row{"description.xml", []byte(meta.ExpXML)}); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
 	runs, err := rs.Runs()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	logsByNode := map[string]string{}
 	for _, run := range runs {
 		info, err := rs.ReadRunInfo(run)
 		if err != nil {
-			return nil, fmt.Errorf("store: run %d has no runinfo: %w", run, err)
+			return fmt.Errorf("store: run %d has no runinfo: %w", run, err)
 		}
 		offsets := map[string]timesync.Measurement{}
 		for _, m := range info.Offsets {
@@ -145,7 +209,7 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 			if err := e.DB.Insert("RunInfos", reldb.Row{
 				int64(run), m.Node, info.Start.UTC(), m.Offset.Seconds(),
 			}); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		correct := func(node string, local time.Time) time.Time {
@@ -157,7 +221,7 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 
 		nodes, err := rs.RunNodes(run)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, node := range nodes {
 			err := rs.ForEachEvent(run, node, func(ev *eventlog.Event) error {
@@ -167,36 +231,37 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 				})
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			// The stored line is byte-identical to re-marshaling the decoded
 			// record (both sides are encoding/json output of PacketRecord;
 			// TestPacketLineMatchesMarshal pins this), so the raw bytes feed
-			// the Data column directly and the payload is never re-encoded.
-			err = rs.ForEachPacketLine(run, node, func(t time.Time, src string, line []byte) error {
+			// the Data column directly and the payload is never re-encoded —
+			// nor copied: the rows keep the file's one buffer alive.
+			runID, nodeID := any(int64(run)), any(node)
+			err = rs.forEachPacketLine(run, node, st, func(t time.Time, src string, line []byte) error {
 				return e.DB.Insert("Packets", reldb.Row{
-					int64(run), node, correct(node, t), src,
-					append([]byte(nil), line...),
+					runID, nodeID, correct(node, t), src, line[:len(line):len(line)],
 				})
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if log, err := rs.ReadLog(run, node); err != nil {
-				return nil, err
+				return err
 			} else if log != "" {
 				logsByNode[node] += log
 			}
 		}
 		extras, err := rs.ListExtras(run)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, x := range extras {
 			if err := e.DB.Insert("ExtraRunMeasurements", reldb.Row{
 				int64(x.Run), x.Node, x.Name, x.Content,
 			}); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
@@ -208,22 +273,22 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 	sort.Strings(nodes)
 	for _, n := range nodes {
 		if err := e.DB.Insert("Logs", reldb.Row{n, logsByNode[n]}); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
 	ems, err := rs.ListExperimentMeasurements()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i, m := range ems {
 		if err := e.DB.Insert("ExperimentMeasurements", reldb.Row{
 			int64(i), m.Node, m.Name, m.Content,
 		}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return e, nil
+	return nil
 }
 
 // DecodeParams parses a Parameter column value.
@@ -247,7 +312,7 @@ func (e *ExperimentDB) Info() (Meta, error) {
 	return Meta{ExpXML: row[0].(string), Name: row[2].(string), Comment: row[3].(string)}, nil
 }
 
-// RunIDs returns the distinct run ids in the Events table, sorted.
+// RunIDs returns the distinct run ids in the RunInfos table, sorted.
 func (e *ExperimentDB) RunIDs() ([]int, error) {
 	rows, err := e.DB.Select(reldb.Query{Table: "RunInfos"})
 	if err != nil {
@@ -326,7 +391,7 @@ func (e *ExperimentDB) PacketsOfRun(run int) ([]PacketRecord, error) {
 	out := make([]PacketRecord, len(rows))
 	for i, r := range rows {
 		var p PacketRecord
-		if err := json.Unmarshal(r[4].([]byte), &p); err != nil {
+		if _, err := decodePacketLine(r[4].([]byte), &p); err != nil {
 			return nil, err
 		}
 		p.Time = r[2].(time.Time) // conditioned common time

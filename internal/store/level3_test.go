@@ -1,0 +1,263 @@
+package store
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"excovery/internal/obs"
+	"excovery/internal/store/reldb"
+)
+
+// conditioned builds the fixture level-3 database, saves it and returns it
+// with the file's path.
+func conditioned(t *testing.T, o Obs) (*ExperimentDB, string) {
+	t.Helper()
+	rs := fillStore(t, t.TempDir())
+	rs.Obs = o
+	e, err := Condition(rs, Meta{ExpXML: "<x/>", Name: "exp1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "exp1.xcdb")
+	if err := e.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return e, path
+}
+
+// TestOpenedDBEqualsFreshDB: the file carries no indexes, so an opened
+// database must declare the ones a fresh database has, and every per-run
+// accessor must answer the same from both, order included.
+func TestOpenedDBEqualsFreshDB(t *testing.T) {
+	fresh, path := conditioned(t, Obs{})
+	opened, err := OpenExperimentDB(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := 0
+	for _, s := range tableI {
+		want, err := fresh.DB.Indexes(s.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := opened.DB.Indexes(s.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("table %s: opened database has indexes %v, a fresh one %v", s.Name, got, want)
+		}
+		indexed += len(want)
+	}
+	if indexed != len(tableIIndexes) {
+		t.Errorf("fresh database has %d indexes, the schema lists %d", indexed, len(tableIIndexes))
+	}
+
+	wantRuns, _ := fresh.RunIDs()
+	gotRuns, err := opened.RunIDs()
+	if err != nil || !reflect.DeepEqual(gotRuns, wantRuns) || len(gotRuns) != 2 {
+		t.Fatalf("RunIDs = %v, %v; want %v", gotRuns, err, wantRuns)
+	}
+	for _, run := range append(gotRuns, 99) { // 99: a run neither has
+		we, _ := fresh.EventsOfRun(run)
+		ge, err := opened.EventsOfRun(run)
+		if err != nil || !reflect.DeepEqual(ge, we) {
+			t.Errorf("run %d: EventsOfRun = %v, %v; want %v", run, ge, err, we)
+		}
+		wp, _ := fresh.PacketsOfRun(run)
+		gp, err := opened.PacketsOfRun(run)
+		if err != nil || !reflect.DeepEqual(gp, wp) {
+			t.Errorf("run %d: PacketsOfRun = %v, %v; want %v", run, gp, err, wp)
+		}
+		wx, _ := fresh.ExtrasOfRun(run)
+		gx, err := opened.ExtrasOfRun(run)
+		if err != nil || !reflect.DeepEqual(gx, wx) {
+			t.Errorf("run %d: ExtrasOfRun = %v, %v; want %v", run, gx, err, wx)
+		}
+		if run != 99 && (len(ge) != 2 || len(gp) != 2 || len(gx) != 1) {
+			t.Errorf("run %d: %d events, %d packets, %d extras", run, len(ge), len(gp), len(gx))
+		}
+	}
+}
+
+// TestOpenRefusesNonLevel3: a well-formed reldb file that is not a Table I
+// database is refused on open with one error naming what is missing, not
+// later inside an accessor.
+func TestOpenRefusesNonLevel3(t *testing.T) {
+	dir := t.TempDir()
+	save := func(name string, drop string, alter func(*reldb.Schema)) string {
+		db := reldb.New()
+		for _, s := range tableI {
+			if s.Name == drop {
+				continue
+			}
+			s.Columns = append([]reldb.Column(nil), s.Columns...)
+			if alter != nil {
+				alter(&s)
+			}
+			if err := db.CreateTable(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := filepath.Join(dir, name)
+		if err := db.SaveFile(p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	_, err := OpenExperimentDB(save("nopackets", "Packets", nil))
+	if err == nil || err.Error() != `store: not a level-3 database: missing table "Packets"` {
+		t.Errorf("missing table: err = %v", err)
+	}
+	_, err = OpenExperimentDB(save("retyped", "", func(s *reldb.Schema) {
+		if s.Name == "Events" {
+			s.Columns[2].Type = reldb.Text
+		}
+	}))
+	if err == nil || !strings.Contains(err.Error(), `not a level-3 database: table "Events" lacks column 2 "CommonTime" (time)`) {
+		t.Errorf("retyped column: err = %v", err)
+	}
+	_, err = OpenExperimentDB(save("short", "", func(s *reldb.Schema) {
+		if s.Name == "Packets" {
+			s.Columns = s.Columns[:4]
+		}
+	}))
+	if err == nil || !strings.Contains(err.Error(), `table "Packets" lacks column 4 "Data"`) {
+		t.Errorf("dropped column: err = %v", err)
+	}
+	// A column after the Table I ones does not make the file foreign.
+	if _, err := OpenExperimentDB(save("extra", "", func(s *reldb.Schema) {
+		if s.Name == "Logs" {
+			s.Columns = append(s.Columns, reldb.Column{Name: "Level", Type: reldb.Int64})
+		}
+	})); err != nil {
+		t.Errorf("additional trailing column refused: %v", err)
+	}
+}
+
+// TestOpenRefusesDamagedLevel3: damage is found by the checksum before the
+// schema is looked at or any index built.
+func TestOpenRefusesDamagedLevel3(t *testing.T) {
+	_, path := conditioned(t, Obs{})
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-40] ^= 1
+	for name, data := range map[string][]byte{"truncated": good[:len(good)/2], "flipped": flipped} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := OpenExperimentDB(path)
+		if err == nil || e != nil {
+			t.Errorf("%s file opened: %v, %v", name, e, err)
+		} else if strings.Contains(err.Error(), "level-3") {
+			t.Errorf("%s file got as far as the schema check: %v", name, err)
+		}
+	}
+}
+
+// TestLevel3OperationsAreObserved: Condition, Save and Open each leave one
+// span and one round of counter updates — rows by table, bytes, decoder
+// fallbacks — and a failed open says so in its span.
+func TestLevel3OperationsAreObserved(t *testing.T) {
+	o := Obs{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(nil)}
+	_, path := conditioned(t, o)
+	if _, err := o.Open(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Open(path + ".nope"); err == nil {
+		t.Fatal("missing file opened")
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spans := o.Tracer.Spans()
+	var names []string
+	for _, sp := range spans {
+		names = append(names, sp.Name)
+		if sp.Track != "store" || sp.End.IsZero() {
+			t.Errorf("span %s: track %q, end %v", sp.Name, sp.Track, sp.End)
+		}
+	}
+	if want := []string{"store.condition", "store.save", "store.open", "store.open"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("spans = %v, want %v", names, want)
+	}
+	for i, want := range []map[string]string{
+		{"rows_Events": "4", "rows_Packets": "4", "rows_RunInfos": "4", "decoder_fallbacks": "0"},
+		{"rows_Packets": "4", "bytes": strconv.FormatInt(fi.Size(), 10)},
+		{"rows_Events": "4", "bytes": strconv.FormatInt(fi.Size(), 10)},
+		{"bytes": "0"},
+	} {
+		for k, v := range want {
+			if got := spans[i].Args[k]; got != v {
+				t.Errorf("%s: arg %s = %q, want %q (%v)", spans[i].Name, k, got, v, spans[i].Args)
+			}
+		}
+	}
+	if spans[0].Args["bytes"] == "0" || spans[3].Args["err"] == "" || spans[2].Args["err"] != "" {
+		t.Errorf("condition bytes %q, failed open err %q, good open err %q",
+			spans[0].Args["bytes"], spans[3].Args["err"], spans[2].Args["err"])
+	}
+
+	reg := o.Metrics
+	for _, c := range []struct {
+		name   string
+		labels []string
+		want   int64
+	}{
+		{obs.MStoreRows, []string{"op", "condition", "table", "Packets"}, 4},
+		{obs.MStoreRows, []string{"op", "save", "table", "Events"}, 4},
+		{obs.MStoreRows, []string{"op", "open", "table", "ExtraRunMeasurements"}, 2},
+		{obs.MStoreBytes, []string{"op", "save"}, fi.Size()},
+		{obs.MStoreBytes, []string{"op", "open"}, fi.Size()},
+		{obs.MStoreDecoderFallbacks, []string{"op", "condition"}, 0},
+	} {
+		if got := reg.CounterValue(c.name, c.labels...); got != c.want {
+			t.Errorf("%s%v = %d, want %d", c.name, c.labels, got, c.want)
+		}
+	}
+	if n := reg.HistogramTotal(obs.MStoreOpSeconds); n != 4 {
+		t.Errorf("%s has %d observations, want 4", obs.MStoreOpSeconds, n)
+	}
+}
+
+// TestConditionCountsDecoderFallbacks: a capture line that is valid JSON
+// but not of the stored shape is conditioned all the same, through
+// encoding/json, and shows up in the fallback count.
+func TestConditionCountsDecoderFallbacks(t *testing.T) {
+	rs := fillStore(t, t.TempDir())
+	f, err := os.OpenFile(filepath.Join(rs.runDir(0, "A"), "packets.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reordered keys and white space, as a hand edit would leave them.
+	if _, err := f.WriteString(`{"src": "AA", "time": "2014-05-19T12:00:02+02:00", "dir": "tx", "id": 2, "tag": 0, "dst": "B", "data": null}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rs.Obs = Obs{Metrics: obs.NewRegistry()}
+	e, err := Condition(rs, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rs.Obs.Metrics.CounterValue(obs.MStoreDecoderFallbacks, "op", "condition"); got != 1 {
+		t.Errorf("fallbacks = %d, want 1", got)
+	}
+	pkts, err := e.PacketsOfRun(0)
+	if err != nil || len(pkts) != 3 {
+		t.Fatalf("packets = %v, %v", pkts, err)
+	}
+	if p := pkts[0]; p.Src != "AA" || p.ID != 2 || !p.Time.Equal(base.Add(-2*60*60*1e9+2e9)) {
+		t.Errorf("hand-edited line decoded as %+v", p)
+	}
+}

@@ -1,0 +1,94 @@
+package store
+
+import (
+	"os"
+	"strconv"
+	"time"
+
+	"excovery/internal/obs"
+	"excovery/internal/store/reldb"
+)
+
+// Obs is where the level-3 operations — Condition, Save, Open — record
+// themselves: one span and one set of counter updates per call, never per
+// row. The zero value records nothing and reads no clock, so an
+// uninstrumented store behaves and allocates exactly as before. A RunStore
+// hands its Obs to the database Condition builds from it.
+type Obs struct {
+	// Metrics receives duration, rows by table, bytes and decoder
+	// fallbacks, labelled by operation.
+	Metrics *obs.Registry
+	// Tracer receives one span per operation on the "store" track,
+	// carrying the same numbers as args.
+	Tracer *obs.Tracer
+}
+
+// op is one level-3 operation in flight.
+type op struct {
+	o     Obs
+	name  string
+	span  uint64
+	start time.Time
+}
+
+// begin opens the span of one operation ("condition", "save", "open").
+func (o Obs) begin(name string) op {
+	if o == (Obs{}) {
+		return op{}
+	}
+	return op{
+		o: o, name: name,
+		span: o.Tracer.Begin(0, "store", "store", "store."+name, 0, 0, nil),
+		//lint:ignore walltime operation duration is an operator metric measuring real elapsed time
+		start: time.Now(),
+	}
+}
+
+// fileSize is the size of the level-3 file an instrumented operation wrote
+// or read, 0 if there is none.
+func (p op) fileSize(path string) int64 {
+	if p.o == (Obs{}) {
+		return 0
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return fi.Size()
+}
+
+// end closes the operation: db is the database it built, wrote or read
+// (nil when it failed before there was one), bytes the level-2 capture
+// bytes read (condition) or the level-3 file size (save, open).
+func (p op) end(db *reldb.DB, bytes, fallbacks int64, err error) {
+	if p.o == (Obs{}) {
+		return
+	}
+	wall := time.Since(p.start)
+	args := map[string]string{
+		"bytes":             strconv.FormatInt(bytes, 10),
+		"decoder_fallbacks": strconv.FormatInt(fallbacks, 10),
+		// The tracer may run on a virtual clock, on which the span
+		// itself has no extent.
+		"wall_ms": strconv.FormatFloat(float64(wall.Microseconds())/1e3, 'f', 3, 64),
+	}
+	reg := p.o.Metrics
+	if err != nil {
+		args["err"] = err.Error()
+	}
+	if db != nil {
+		for _, s := range tableI {
+			n, _ := db.Count(s.Name) // a table the file lacks counts 0
+			args["rows_"+s.Name] = strconv.Itoa(n)
+			reg.Counter(obs.MStoreRows,
+				"rows conditioned, saved or opened, by table", "op", p.name, "table", s.Name).Add(int64(n))
+		}
+	}
+	reg.Counter(obs.MStoreBytes,
+		"level-2 capture bytes conditioned; level-3 file bytes saved or opened", "op", p.name).Add(bytes)
+	reg.Counter(obs.MStoreDecoderFallbacks,
+		"packet lines decoded by encoding/json because they were not of the stored shape", "op", p.name).Add(fallbacks)
+	reg.Histogram(obs.MStoreOpSeconds,
+		"wall time of one level-3 operation", nil, "op", p.name).ObserveDuration(wall)
+	p.o.Tracer.EndWith(p.span, args)
+}

@@ -1,0 +1,262 @@
+package store
+
+import (
+	"encoding/base64"
+	"encoding/json"
+	"time"
+	"unicode/utf8"
+
+	"excovery/internal/netem"
+)
+
+// Decoding of stored packet lines. Every packet of an experiment is
+// decoded twice on the way to R / t_R — once by conditioning (capture time
+// and source only) and once by PacketsOfRun — and encoding/json's
+// reflection was most of both. The lines are written by appendJSONL, that
+// is by encoding/json from PacketRecord, so they have one fixed shape:
+//
+//	line = '{"time":' time ',"dir":' str [ ',"node":' str ]
+//	       ',"id":' uint ',"tag":' uint ',"src":' str ',"dst":' str
+//	       ',"data":' ( 'null' | str )
+//	       [ ',"path":[' str { ',' str } ']' ] '}'
+//	time = '"' YYYY-MM-DD 'T' hh:mm:ss [ '.' 1*9 digit ] 'Z"'
+//	str  = '"' { valid UTF-8, no byte < 0x20, no '"', no '\' } '"'
+//	uint = '0' | digit1-9 { digit }, within the field's range
+//
+// with no white space. scanPacketLine accepts exactly this and gives what
+// json.Unmarshal gives for it. Any other line — escapes, another key order
+// or zone offset, a hand-edited or foreign file — is left to encoding/json,
+// so what is accepted, rejected and returned for it is unchanged.
+// FuzzPacketLine holds the two decoders together.
+
+// decodePacketLine decodes one stored line into p. fallback reports that
+// the line was not of the fixed shape and went through encoding/json.
+func decodePacketLine(line []byte, p *PacketRecord) (fallback bool, err error) {
+	if scanPacketLine(line, p, false) {
+		return false, nil
+	}
+	*p = PacketRecord{}
+	return true, json.Unmarshal(line, p)
+}
+
+// decodePacketMeta decodes only the capture time and the source of one
+// stored line: conditioning stores the line itself as the Packets.Data
+// blob, so the other fields are checked for shape but never built.
+func decodePacketMeta(line []byte) (t time.Time, src string, fallback bool, err error) {
+	var p PacketRecord
+	if scanPacketLine(line, &p, true) {
+		return p.Time, p.Src, false, nil
+	}
+	var m struct {
+		Time time.Time `json:"time"`
+		Src  string    `json:"src"`
+	}
+	err = json.Unmarshal(line, &m)
+	return m.Time, m.Src, true, err
+}
+
+// scanPacketLine parses a line of the fixed shape into p; with metaOnly
+// only p.Time and p.Src are set. It reports false, with p in no particular
+// state, for every other line.
+func scanPacketLine(line []byte, p *PacketRecord, metaOnly bool) bool {
+	s := lineScanner{b: line}
+	var ok bool
+	if !s.lit(`{"time":"`) {
+		return false
+	}
+	if p.Time, ok = s.time(); !ok || !s.lit(`,"dir":`) {
+		return false
+	}
+	dir, ok := s.str()
+	if !ok {
+		return false
+	}
+	var node []byte
+	if s.lit(`,"node":`) {
+		if node, ok = s.str(); !ok {
+			return false
+		}
+	}
+	if !s.lit(`,"id":`) {
+		return false
+	}
+	id, ok := s.uint(1<<64 - 1)
+	if !ok || !s.lit(`,"tag":`) {
+		return false
+	}
+	tag, ok := s.uint(1<<16 - 1)
+	if !ok || !s.lit(`,"src":`) {
+		return false
+	}
+	src, ok := s.str()
+	if !ok || !s.lit(`,"dst":`) {
+		return false
+	}
+	dst, ok := s.str()
+	if !ok || !s.lit(`,"data":`) {
+		return false
+	}
+	var data []byte
+	if !s.lit(`null`) {
+		enc, ok := s.str()
+		if !ok {
+			return false
+		}
+		if !metaOnly {
+			data = make([]byte, base64.StdEncoding.DecodedLen(len(enc)))
+			n, err := base64.StdEncoding.Decode(data, enc)
+			if err != nil {
+				return false
+			}
+			data = data[:n]
+		}
+	}
+	var path []netem.NodeID
+	if s.lit(`,"path":[`) {
+		for {
+			hop, ok := s.str()
+			if !ok {
+				return false
+			}
+			if !metaOnly {
+				path = append(path, netem.NodeID(hop))
+			}
+			if s.lit(`]`) {
+				break
+			}
+			if !s.lit(`,`) {
+				return false
+			}
+		}
+	}
+	if !s.lit(`}`) || s.i != len(s.b) {
+		return false
+	}
+	p.Src = string(src)
+	if metaOnly {
+		return true
+	}
+	p.Dir, p.Node, p.Dst = string(dir), string(node), string(dst)
+	p.ID, p.Tag = id, uint16(tag)
+	p.Data, p.Path = data, path
+	return true
+}
+
+// lineScanner is a cursor over one line.
+type lineScanner struct {
+	b []byte
+	i int
+}
+
+// lit consumes x if the input continues with it.
+func (s *lineScanner) lit(x string) bool {
+	if len(s.b)-s.i < len(x) || string(s.b[s.i:s.i+len(x)]) != x {
+		return false
+	}
+	s.i += len(x)
+	return true
+}
+
+// str consumes a quoted string without escapes and returns its content as
+// a view into the line.
+func (s *lineScanner) str() ([]byte, bool) {
+	if s.i >= len(s.b) || s.b[s.i] != '"' {
+		return nil, false
+	}
+	start := s.i + 1
+	ascii := true
+	for j := start; j < len(s.b); j++ {
+		switch c := s.b[j]; {
+		case c == '"':
+			s.i = j + 1
+			seg := s.b[start:j]
+			// encoding/json replaces invalid UTF-8 by U+FFFD.
+			return seg, ascii || utf8.Valid(seg)
+		case c == '\\' || c < 0x20:
+			return nil, false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return nil, false
+}
+
+// uint consumes a decimal number in JSON's form that is at most max.
+func (s *lineScanner) uint(max uint64) (uint64, bool) {
+	start := s.i
+	var v uint64
+	for ; s.i < len(s.b); s.i++ {
+		c := s.b[s.i]
+		if c < '0' || c > '9' {
+			break
+		}
+		d := uint64(c - '0')
+		if v > (max-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	n := s.i - start
+	return v, n > 0 && (n == 1 || s.b[start] != '0')
+}
+
+// fixedInt reads an all-digit field; -1 if it is not one.
+func fixedInt(b []byte) int {
+	n := 0
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return -1
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n
+}
+
+// time consumes an RFC 3339 UTC timestamp and its closing quote; the
+// opening quote is already consumed.
+func (s *lineScanner) time() (time.Time, bool) {
+	b := s.b[s.i:]
+	// "2006-01-02T15:04:05" is 19 bytes, then fraction, 'Z' and the quote.
+	if len(b) < 21 || b[4] != '-' || b[7] != '-' || b[10] != 'T' || b[13] != ':' || b[16] != ':' {
+		return time.Time{}, false
+	}
+	year, month, day := fixedInt(b[0:4]), fixedInt(b[5:7]), fixedInt(b[8:10])
+	hour, min, sec := fixedInt(b[11:13]), fixedInt(b[14:16]), fixedInt(b[17:19])
+	if year < 0 || month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		hour < 0 || hour > 23 || min < 0 || min > 59 || sec < 0 || sec > 59 {
+		return time.Time{}, false
+	}
+	i, nsec := 19, 0
+	if b[i] == '.' {
+		i++
+		digits := 0
+		for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+			nsec = nsec*10 + int(b[i]-'0')
+			digits++
+		}
+		if digits < 1 || digits > 9 {
+			return time.Time{}, false
+		}
+		for ; digits < 9; digits++ {
+			nsec *= 10
+		}
+	}
+	if len(b)-i < 2 || b[i] != 'Z' || b[i+1] != '"' {
+		return time.Time{}, false
+	}
+	s.i += i + 2
+	return time.Date(year, time.Month(month), day, hour, min, sec, nsec, time.UTC), true
+}
+
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
+}

@@ -1,0 +1,164 @@
+package store
+
+import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"excovery/internal/netem"
+)
+
+// encodeLine is what appendJSONL writes for one record, less the newline.
+func encodeLine(t testing.TB, p PacketRecord) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(&p); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+}
+
+// checkLine holds the packet-line decoder to encoding/json on one line:
+// same error or not, same record, same capture time and source.
+func checkLine(t *testing.T, line []byte) (fallback bool) {
+	t.Helper()
+	var want PacketRecord
+	wantErr := json.Unmarshal(line, &want)
+
+	var got PacketRecord
+	fallback, err := decodePacketLine(line, &got)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("line %q: decoder error %v, encoding/json error %v", line, err, wantErr)
+	}
+	if err != nil {
+		return fallback
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("line %q (fallback=%v):\n got %#v\nwant %#v", line, fallback, got, want)
+	}
+	tm, src, metaFallback, err := decodePacketMeta(line)
+	if err != nil || tm != want.Time || src != want.Src || metaFallback != fallback {
+		t.Fatalf("line %q: meta (%v, %q, fallback=%v, %v), want (%v, %q, fallback=%v)",
+			line, tm, src, metaFallback, err, want.Time, want.Src, fallback)
+	}
+	return fallback
+}
+
+var lineSeeds = []PacketRecord{
+	{Time: time.Unix(3, 141592653).UTC(), Dir: "rx", Node: "n1", ID: 7, Tag: 65535, Src: "a",
+		Dst: "mdns", Data: []byte{0x00, 0xff, '<', '&'}, Path: []netem.NodeID{"a", "b"}},
+	{Time: time.Unix(0, 0).UTC(), Dir: "tx", ID: 1<<64 - 1, Src: "b", Dst: "c"},                // nil data, no node, no path
+	{Time: time.Unix(1, 500).UTC(), Dir: "tx", Node: "n2", Src: "x", Dst: "y", Data: []byte{}}, // empty data
+	{Time: time.Date(2014, 2, 28, 23, 59, 59, 999999999, time.UTC), Dir: "tx", Src: "<s>&", Dst: "d e",
+		Node: "q\"uo\\te", Path: []netem.NodeID{"p ", "tab\t"}},
+	{Time: time.Date(2016, 2, 29, 0, 0, 0, 100, time.FixedZone("", 2*3600)), Dir: "rx", Src: "héllo", Dst: "実験", Data: []byte("x")},
+	{Time: time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC), Dir: "", Src: "", Dst: "", Node: "bad\xffutf8"},
+	{Time: time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), Dir: "tx", Src: "\x7f", Dst: "-", Path: []netem.NodeID{""}},
+}
+
+// TestPacketLineDecoder checks the seeds both ways: everything appendJSONL
+// can write decodes as encoding/json decodes it, and lines without an
+// escape or zone offset take the scanner, not the fallback.
+func TestPacketLineDecoder(t *testing.T) {
+	for i, p := range lineSeeds {
+		line := encodeLine(t, p)
+		fallback := checkLine(t, line)
+		plain := !bytes.ContainsRune(line, '\\') && p.Time.Location() == time.UTC
+		if fallback == plain {
+			t.Errorf("seed %d %s: fallback=%v", i, line, fallback)
+		}
+	}
+	for _, line := range foreignLines {
+		checkLine(t, []byte(line))
+	}
+}
+
+// foreignLines are not what appendJSONL writes; each is near enough to
+// tempt a scanner into a wrong answer.
+var foreignLines = []string{
+	``, `{}`, `null`, `[]`, `{"time":"`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null} `,
+	` {"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null,"path":[]}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null,"path":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null,"path":["a",]}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null,"src":"c"}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":01,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":-1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1e3,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":18446744073709551616,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":65536,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":"QQ="}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":"QR=="}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":"Q Q=="}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":"QQ==","path":["a","b"]`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"t` + "\x01" + `x","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"t` + "\xc3" + `","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","node":"","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null,"extra":1}`,
+	`{"TIME":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-02-29T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T24:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:60Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00.Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00.1234567890Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00,5Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19t12:00:00z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-5-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"+014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00-00:00","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":null,"dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":null,"dst":"b","data":null}`,
+}
+
+// FuzzPacketLine feeds arbitrary lines to the decoder: whatever it is
+// given, it answers as encoding/json answers, and never panics.
+func FuzzPacketLine(f *testing.F) {
+	for _, p := range lineSeeds {
+		f.Add(encodeLine(f, p))
+	}
+	for _, l := range foreignLines {
+		f.Add([]byte(l))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		checkLine(t, line)
+	})
+}
+
+// FuzzPacketRecord writes arbitrary records the way appendJSONL does and
+// decodes the line: the way out of level 2 and the way in must agree for
+// every record, and records without anything to escape must not need the
+// fallback.
+func FuzzPacketRecord(f *testing.F) {
+	for _, p := range lineSeeds {
+		var path string
+		for _, h := range p.Path {
+			path += string(h) + "/"
+		}
+		f.Add(p.Time.Unix(), int64(p.Time.Nanosecond()), p.Dir, p.Node, p.ID, p.Tag, p.Src, p.Dst, p.Data, p.Data == nil, path)
+	}
+	f.Fuzz(func(t *testing.T, sec, nsec int64, dir, node string, id uint64, tag uint16, src, dst string, data []byte, nilData bool, path string) {
+		p := PacketRecord{Time: time.Unix(sec, nsec).UTC(), Dir: dir, Node: node, ID: id, Tag: tag, Src: src, Dst: dst, Data: data}
+		if nilData {
+			p.Data = nil
+		}
+		if path != "" {
+			for _, h := range strings.Split(strings.TrimSuffix(path, "/"), "/") {
+				p.Path = append(p.Path, netem.NodeID(h))
+			}
+		}
+		if y := p.Time.Year(); y < 0 || y > 9999 {
+			t.Skip() // encoding/json refuses to write these
+		}
+		line := encodeLine(t, p)
+		if fallback := checkLine(t, line); fallback && !bytes.ContainsRune(line, '\\') {
+			t.Fatalf("line %s has nothing escaped, yet took the fallback", line)
+		}
+	})
+}

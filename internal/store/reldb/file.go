@@ -2,7 +2,6 @@ package reldb
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -37,6 +36,8 @@ const (
 	tagTime
 )
 
+// crcWriter sits below Save's buffer, so the checksum is updated once per
+// flushed chunk, not once per value.
 type crcWriter struct {
 	w   io.Writer
 	crc uint32
@@ -47,37 +48,41 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
+// saveBuffer is the size of Save's one buffer: a level-3 file is tens of
+// megabytes of small values, and each flush is one write to the target.
+const saveBuffer = 256 << 10
+
 // Save writes the database to w.
 func (db *DB) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if _, err := cw.Write(magic); err != nil {
-		return err
-	}
-	writeUvarint(cw, uint64(len(db.order)))
+	cw := &crcWriter{w: w}
+	bw := bufio.NewWriterSize(cw, saveBuffer)
+	// bufio keeps the first write error and returns it from Flush.
+	bw.Write(magic)
+	writeUvarint(bw, uint64(len(db.order)))
 	for _, name := range db.order {
 		t := db.tables[name]
-		writeString(cw, name)
-		writeUvarint(cw, uint64(len(t.schema.Columns)))
+		writeString(bw, name)
+		writeUvarint(bw, uint64(len(t.schema.Columns)))
 		for _, c := range t.schema.Columns {
-			writeString(cw, c.Name)
-			cw.Write([]byte{byte(c.Type)})
+			writeString(bw, c.Name)
+			bw.WriteByte(byte(c.Type))
 		}
-		writeUvarint(cw, uint64(len(t.rows)))
+		writeUvarint(bw, uint64(len(t.rows)))
 		for _, row := range t.rows {
 			for _, v := range row {
-				if err := writeValue(cw, v); err != nil {
+				if err := writeValue(bw, v); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], cw.crc)
-	if _, err := bw.Write(tail[:]); err != nil {
+	if err := bw.Flush(); err != nil {
 		return err
 	}
-	return bw.Flush()
+	var tail [4]byte
+	binary.LittleEndian.PutUint32(tail[:], cw.crc)
+	_, err := w.Write(tail[:])
+	return err
 }
 
 // Load reads a database previously written by Save.
@@ -86,6 +91,12 @@ func Load(r io.Reader) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
+	return loadBytes(data)
+}
+
+// loadBytes decodes a whole file image. It takes ownership of data: blob
+// values of the returned database are views into it, not copies.
+func loadBytes(data []byte) (*DB, error) {
 	if len(data) < len(magic)+4 {
 		return nil, fmt.Errorf("reldb: file too short")
 	}
@@ -93,7 +104,7 @@ func Load(r io.Reader) (*DB, error) {
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("reldb: checksum mismatch (corrupted file)")
 	}
-	rd := &reader{data: body}
+	rd := &reader{data: body, short: map[string]any{}}
 	if string(rd.bytes(len(magic))) != string(magic) {
 		return nil, fmt.Errorf("reldb: bad magic")
 	}
@@ -115,16 +126,26 @@ func Load(r io.Reader) (*DB, error) {
 			return nil, err
 		}
 		nRows := rd.uvarint()
-		for r := uint64(0); r < nRows && rd.err == nil; r++ {
-			row := make(Row, len(s.Columns))
+		// Every value takes at least its tag byte, which bounds what a
+		// damaged count can make Load allocate.
+		if nRows > uint64(len(body)-rd.pos)/uint64(len(s.Columns)) {
+			rd.err = io.ErrUnexpectedEOF
+			break
+		}
+		// One backing array holds all rows of the table.
+		t := db.tables[name]
+		n := len(s.Columns)
+		vals := make([]any, int(nRows)*n)
+		t.rows = make([]Row, 0, nRows)
+		for r := 0; r < int(nRows) && rd.err == nil; r++ {
+			row := Row(vals[r*n : (r+1)*n : (r+1)*n])
 			for c := range row {
 				row[c] = rd.value()
-			}
-			if rd.err == nil {
-				if err := db.Insert(name, row); err != nil {
+				if err := checkValue(s.Columns[c], row[c]); err != nil {
 					return nil, err
 				}
 			}
+			t.rows = append(t.rows, row)
 		}
 	}
 	if rd.err != nil {
@@ -136,63 +157,51 @@ func Load(r io.Reader) (*DB, error) {
 // SaveFile writes the database to path atomically and durably through the
 // store's staged-write helper (temp + fsync + rename + directory fsync): a
 // conditioned level-3 database handed to other researchers must survive a
-// crash at any point, same as the level-2 artifacts.
+// crash at any point, same as the level-2 artifacts. The encoding streams
+// into the temp file; no second copy of the database is built in memory.
 func (db *DB) SaveFile(path string) error {
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		return err
-	}
-	return fsio.WriteFileAtomic(path, buf.Bytes())
+	return fsio.WriteAtomic(path, db.Save)
 }
 
 // OpenFile loads a database from path.
 func OpenFile(path string) (*DB, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Load(f)
+	return loadBytes(data)
 }
 
-func writeUvarint(w io.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n])
+func writeUvarint(w *bufio.Writer, v uint64) {
+	w.Write(binary.AppendUvarint(w.AvailableBuffer(), v))
 }
 
-func writeString(w io.Writer, s string) {
+func writeString(w *bufio.Writer, s string) {
 	writeUvarint(w, uint64(len(s)))
-	io.WriteString(w, s)
+	w.WriteString(s)
 }
 
-func writeValue(w io.Writer, v any) error {
+func writeValue(w *bufio.Writer, v any) error {
 	switch x := v.(type) {
 	case nil:
-		w.Write([]byte{tagNil})
+		w.WriteByte(tagNil)
 	case int64:
-		w.Write([]byte{tagInt})
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(x))
-		w.Write(buf[:])
+		b := append(w.AvailableBuffer(), tagInt)
+		w.Write(binary.LittleEndian.AppendUint64(b, uint64(x)))
 	case float64:
-		w.Write([]byte{tagFloat})
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		w.Write(buf[:])
+		b := append(w.AvailableBuffer(), tagFloat)
+		w.Write(binary.LittleEndian.AppendUint64(b, math.Float64bits(x)))
 	case string:
-		w.Write([]byte{tagText})
+		w.WriteByte(tagText)
 		writeString(w, x)
 	case []byte:
-		w.Write([]byte{tagBlob})
+		w.WriteByte(tagBlob)
 		writeUvarint(w, uint64(len(x)))
 		w.Write(x)
 	case time.Time:
-		w.Write([]byte{tagTime})
-		var buf [12]byte
-		binary.LittleEndian.PutUint64(buf[:8], uint64(x.Unix()))
-		binary.LittleEndian.PutUint32(buf[8:], uint32(x.Nanosecond()))
-		w.Write(buf[:])
+		b := append(w.AvailableBuffer(), tagTime)
+		b = binary.LittleEndian.AppendUint64(b, uint64(x.Unix()))
+		w.Write(binary.LittleEndian.AppendUint32(b, uint32(x.Nanosecond())))
 	default:
 		return fmt.Errorf("reldb: cannot persist %T", v)
 	}
@@ -203,13 +212,20 @@ type reader struct {
 	data []byte
 	pos  int
 	err  error
+	// short holds each distinct short text value once, already boxed: node
+	// ids and event types repeat on every row, and a fresh string plus its
+	// interface box per occurrence was most of what Load allocated.
+	short map[string]any
 }
+
+// maxShared is the longest text value Load shares between rows.
+const maxShared = 64
 
 func (r *reader) bytes(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.pos+n > len(r.data) {
+	if n < 0 || n > len(r.data)-r.pos {
 		r.err = io.ErrUnexpectedEOF
 		return nil
 	}
@@ -261,10 +277,21 @@ func (r *reader) value() any {
 		}
 		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	case tagText:
-		return r.string()
+		b := r.bytes(int(r.uvarint()))
+		if len(b) > maxShared {
+			return string(b)
+		}
+		v, ok := r.short[string(b)]
+		if !ok {
+			v = string(b)
+			r.short[string(b)] = v
+		}
+		return v
 	case tagBlob:
-		n := r.uvarint()
-		return append([]byte(nil), r.bytes(int(n))...)
+		// A view into the file image, capped so that an append by the
+		// caller cannot reach the next value.
+		b := r.bytes(int(r.uvarint()))
+		return b[:len(b):len(b)]
 	case tagTime:
 		b := r.bytes(12)
 		if b == nil {

@@ -204,6 +204,20 @@ func (db *DB) CreateIndex(tableName, column string) error {
 	return nil
 }
 
+// Indexes returns the indexed columns of a table, sorted.
+func (db *DB) Indexes(tableName string) ([]string, error) {
+	t, ok := db.tables[tableName]
+	if !ok {
+		return nil, fmt.Errorf("reldb: no table %q", tableName)
+	}
+	cols := make([]string, 0, len(t.indexes))
+	for c := range t.indexes {
+		cols = append(cols, c)
+	}
+	sort.Strings(cols)
+	return cols, nil
+}
+
 // Count returns the number of rows in a table.
 func (db *DB) Count(tableName string) (int, error) {
 	t, ok := db.tables[tableName]
@@ -333,12 +347,30 @@ func compareBytes(a, b []byte) int {
 	return 0
 }
 
-func (p Pred) match(v any) bool {
-	// Type mismatches never match rather than panicking: a query with a
-	// wrong-typed operand selects nothing.
-	if v != nil && p.Val != nil && fmt.Sprintf("%T", v) != fmt.Sprintf("%T", p.Val) {
-		return false
+// sameType reports whether two non-nil values hold the same one of the five
+// value types a Row admits.
+func sameType(a, b any) bool {
+	switch a.(type) {
+	case int64:
+		_, ok := b.(int64)
+		return ok
+	case float64:
+		_, ok := b.(float64)
+		return ok
+	case string:
+		_, ok := b.(string)
+		return ok
+	case []byte:
+		_, ok := b.([]byte)
+		return ok
+	case time.Time:
+		_, ok := b.(time.Time)
+		return ok
 	}
+	return false
+}
+
+func (p Pred) match(v any) bool {
 	if v == nil || p.Val == nil {
 		if p.Op == OpEq {
 			return v == nil && p.Val == nil
@@ -346,6 +378,11 @@ func (p Pred) match(v any) bool {
 		if p.Op == OpNe {
 			return (v == nil) != (p.Val == nil)
 		}
+		return false
+	}
+	// Type mismatches never match rather than panicking: a query with a
+	// wrong-typed operand selects nothing.
+	if !sameType(v, p.Val) {
 		return false
 	}
 	c := compare(v, p.Val)
@@ -383,40 +420,43 @@ func (db *DB) Select(q Query) ([]Row, error) {
 		}
 	}
 
-	// Candidate row ordinals: use a hash index if an Eq predicate has
-	// one, else full scan.
+	// Resolve predicate columns once, not per row.
+	cols := make([]int, len(q.Where))
+	for i, p := range q.Where {
+		cols[i] = t.colIdx[p.Col]
+	}
+
+	// Candidate rows: the ordinals of a hash index if an Eq predicate has
+	// one (read in place, never copied), else every row.
 	var cands []int
-	useIndex := false
+	indexed := false
 	for _, p := range q.Where {
 		if p.Op != OpEq {
 			continue
 		}
 		if idx, has := t.indexes[p.Col]; has {
-			cands = append([]int(nil), idx[indexKey(p.Val)]...)
-			useIndex = true
+			cands, indexed = idx[indexKey(p.Val)], true
 			break
 		}
 	}
-	if !useIndex {
-		cands = make([]int, len(t.rows))
-		for i := range cands {
-			cands[i] = i
-		}
+	n := len(t.rows)
+	if indexed {
+		n = len(cands)
 	}
 
 	var out []Row
-	for _, ord := range cands {
-		row := t.rows[ord]
-		match := true
-		for _, p := range q.Where {
-			if !p.match(row[t.colIdx[p.Col]]) {
-				match = false
-				break
+candidates:
+	for i := 0; i < n; i++ {
+		row := t.rows[i]
+		if indexed {
+			row = t.rows[cands[i]]
+		}
+		for j, p := range q.Where {
+			if !p.match(row[cols[j]]) {
+				continue candidates
 			}
 		}
-		if match {
-			out = append(out, append(Row(nil), row...))
-		}
+		out = append(out, append(Row(nil), row...))
 	}
 
 	if q.OrderBy != "" {

@@ -378,3 +378,30 @@ func TestTypeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestSelectAllocatesPerMatch pins what a scan costs: a predicate is
+// checked without allocating, so a query allocates for the rows it
+// returns, not for the rows it looks at.
+func TestSelectAllocatesPerMatch(t *testing.T) {
+	db := New()
+	db.CreateTable(Schema{Name: "T", Columns: []Column{
+		{Name: "RunID", Type: Int64}, {Name: "V", Type: Text},
+	}})
+	for i := 0; i < 5000; i++ {
+		db.Insert("T", Row{int64(i % 50), "v"})
+	}
+	for _, indexed := range []bool{false, true} {
+		if indexed {
+			db.CreateIndex("T", "RunID")
+		}
+		none := Query{Table: "T", Where: []Pred{Eq("RunID", int64(999)), {Col: "V", Op: OpNe, Val: "x"}}}
+		if n := testing.AllocsPerRun(20, func() { db.Select(none) }); n > 4 {
+			t.Errorf("indexed=%v: %v allocs for a query over 5000 rows that matches none", indexed, n)
+		}
+		some := Query{Table: "T", Where: []Pred{Eq("RunID", int64(7))}}
+		// 100 matches: one copy each, plus the growth of the result slice.
+		if n := testing.AllocsPerRun(20, func() { db.Select(some) }); n > 100+12 {
+			t.Errorf("indexed=%v: %v allocs for a query that matches 100 rows", indexed, n)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test check vet race bench bench-smoke bench-gate bench-campaign bench-campaign-smoke fmt lint validate-descriptions
+.PHONY: build test check vet race bench bench-smoke bench-gate bench-gate-zero bench-campaign bench-campaign-smoke fmt lint validate-descriptions
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,19 @@ bench:
 # gated.
 bench-gate:
 	$(GO) test -json -run='^$$' -bench=. -benchtime=20x -benchmem ./... > BENCH_gate.json
+	@$(GO) run ./cmd/excovery-bench -check bench-thresholds.json BENCH_gate.json; \
+		rc=$$?; rm -f BENCH_gate.json; exit $$rc
+
+# bench-gate-zero is the hard part of the gate: the benchmarks whose ceiling
+# in bench-thresholds.json is zero growth from zero — the allocation-free
+# hot paths (steady-state delivery with capture off and on, registry
+# heartbeat) — at an iteration count that amortizes their one-off set-up to
+# below 1 B/op, which 20 iterations do not. Allocation counts do not depend
+# on the runner, so CI fails on a breach.
+bench-gate-zero:
+	$(GO) test -json -run='^$$' -benchtime=200000x -benchmem \
+		-bench='^(BenchmarkEmulatorDeliverySteadyState|BenchmarkRegistryHeartbeat)$$' \
+		. ./internal/discovery > BENCH_gate.json
 	@$(GO) run ./cmd/excovery-bench -check bench-thresholds.json BENCH_gate.json; \
 		rc=$$?; rm -f BENCH_gate.json; exit $$rc
 

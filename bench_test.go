@@ -857,39 +857,91 @@ func BenchmarkEmulatorShardScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkEmulatorDeliverySteadyState gates the pooled data path: after
-// pool warm-up, a handler-driven unicast ping-pong (every delivery Sends
-// the next packet — no tasks, no closures, no capture) must not allocate.
-// bench-thresholds.json pins allocs/op and B/op to zero growth.
-func BenchmarkEmulatorDeliverySteadyState(b *testing.B) {
+// steadyStateExchange builds the two-node handler-driven unicast ping-pong
+// of the steady-state benchmarks (every delivery Sends the next packet — no
+// tasks, no closures) and returns the nodes and a function that exchanges n
+// packets. With runLen > 0 the captures are cleared every runLen packets,
+// as node.Manager.PrepareRun does between runs.
+func steadyStateExchange(tb testing.TB, runLen int) (a, c *netem.Node, exchange func(n int)) {
 	s := sched.NewVirtual()
 	nw := netem.New(s, 7)
-	a := nw.AddNode("a", netem.NodeParams{})
-	c := nw.AddNode("b", netem.NodeParams{})
+	a = nw.AddNode("a", netem.NodeParams{})
+	c = nw.AddNode("b", netem.NodeParams{})
 	nw.AddLink("a", "b", netem.LinkParams{Delay: 500 * time.Microsecond, Jitter: 100 * time.Microsecond})
 	payload := make([]byte, 120)
 	remaining := 0
-	a.SetHandler(func(p *netem.Packet) {
+	next := func(from *netem.Node, to netem.NodeID) {
 		if remaining > 0 {
 			remaining--
-			a.Send(netem.Unicast("b"), "traffic", payload)
+			if runLen > 0 && remaining%runLen == 0 {
+				a.ClearCaptures()
+				c.ClearCaptures()
+			}
+			from.Send(netem.Unicast(to), "traffic", payload)
 		}
-	})
-	c.SetHandler(func(p *netem.Packet) {
-		if remaining > 0 {
-			remaining--
-			c.Send(netem.Unicast("a"), "traffic", payload)
-		}
-	})
-	warm := func(n int) {
+	}
+	a.SetHandler(func(p *netem.Packet) { next(a, "b") })
+	c.SetHandler(func(p *netem.Packet) { next(c, "a") })
+	return a, c, func(n int) {
 		remaining = n
 		s.Go("kick", func() { a.Send(netem.Unicast("b"), "traffic", payload) })
 		if err := s.Run(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	warm(512) // warm the packet pool, timer pool, rings and routes
+}
+
+// BenchmarkEmulatorDeliverySteadyState gates the pooled data path: after
+// warm-up, a delivery must not allocate — with capture off (the bare
+// transport) and with capture on, which is what every run of every campaign
+// executes (node.Manager.PrepareRun): the capture record and its path go
+// into the node's recycled buffers (DESIGN.md §18). bench-thresholds.json
+// pins allocs/op and B/op of both cases to zero; `make bench-gate-zero`
+// fails CI on either.
+func BenchmarkEmulatorDeliverySteadyState(b *testing.B) {
+	for _, capture := range []string{"off", "on"} {
+		b.Run("capture="+capture, func(b *testing.B) {
+			const runLen = 1024
+			a, c, exchange := steadyStateExchange(b, runLen)
+			a.SetCapture(capture == "on")
+			c.SetCapture(capture == "on")
+			// Warm the packet pool, timer pool, rings, routes and — over
+			// two run lengths — the capture buffers.
+			exchange(2*runLen + 512)
+			b.ReportAllocs()
+			b.ResetTimer()
+			exchange(b.N)
+		})
+	}
+}
+
+// BenchmarkLevel2WritePackets is the write end of the capture path: one
+// node's harvest of one run (512 captured packets, copied out by
+// store.FromCaptures) encoded into a staged capture file. Allocations are
+// the staging directory's and the file's, not the records'.
+func BenchmarkLevel2WritePackets(b *testing.B) {
+	a, _, exchange := steadyStateExchange(b, 0)
+	a.SetCapture(true)
+	exchange(511)
+	pkts := store.FromCaptures(a.Captures())
+	if len(pkts) != 512 {
+		b.Fatalf("harvest has %d records", len(pkts))
+	}
+	rs, err := store.NewRunStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	warm(b.N)
+	for i := 0; i < b.N; i++ {
+		sr, err := rs.StageRun(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sr.Store().WritePackets(0, "a", pkts); err != nil {
+			b.Fatal(err)
+		}
+		sr.Abort()
+	}
+	b.ReportMetric(float64(len(pkts)), "packets/op")
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -41,6 +44,51 @@ func TestLevel3BytesPinned(t *testing.T) {
 	}
 }
 
+// TestLevel2BytesPinned holds the level-2 capture files to what the commit
+// before the capture path was rebuilt (flat capture records, one harvest
+// copy, the packet-line encoder in place of encoding/json) wrote for the
+// same fixed-seed campaign: every packets.jsonl of the six case-study
+// treatments, hashed in path order with its path.
+func TestLevel2BytesPinned(t *testing.T) {
+	const (
+		pinnedFiles  = 36
+		pinnedBytes  = 9009936
+		pinnedSHA256 = "44ce1b7fde995c0675b553101cb80bdd8c33dae2f14e824d81dc0b9af29ee270"
+	)
+	dir := t.TempDir()
+	x, err := New(desc.CaseStudy(1), Options{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := x.Run(); err != nil || rep.Completed != 6 {
+		t.Fatalf("campaign: %+v, %v", rep, err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "runs", "*", "*", "packets.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	h := sha256.New()
+	total := 0
+	for _, f := range files {
+		rel, err := filepath.Rel(dir, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.ToSlash(rel), len(raw))
+		h.Write(raw)
+		total += len(raw)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedSHA256 || len(files) != pinnedFiles || total != pinnedBytes {
+		t.Errorf("level-2 captures are %d files, %d bytes, sha256 %s; pinned %d files, %d bytes, %s",
+			len(files), total, got, pinnedFiles, pinnedBytes, pinnedSHA256)
+	}
+}
+
 // TestFinalizeRecordsStoreOps: a platform given a registry exposes what
 // Finalize and Save did — the series /metrics serves on the master.
 func TestFinalizeRecordsStoreOps(t *testing.T) {
@@ -66,11 +114,30 @@ func TestFinalizeRecordsStoreOps(t *testing.T) {
 			t.Errorf("%s{op=%s,table=Events} = %d, the database has %d", obs.MStoreRows, op, got, events)
 		}
 	}
+	// The committer's share: one write_packets observation per node, with
+	// the bytes conditioning then read back — every one of them by the
+	// packet-line scanner, none by the encoding/json fallback.
+	written := reg.CounterValue(obs.MStoreBytes, "op", "write_packets")
+	if read := reg.CounterValue(obs.MStoreBytes, "op", "condition"); written != read || written == 0 {
+		t.Errorf("%s: write_packets %d bytes, condition read %d", obs.MStoreBytes, written, read)
+	}
+	if got := reg.CounterTotal(obs.MStoreDecoderFallbacks); got != 0 {
+		t.Errorf("%s = %d on a store the engine wrote", obs.MStoreDecoderFallbacks, got)
+	}
+	if got := reg.CounterTotal(obs.MNetemCaptured); got == 0 {
+		t.Errorf("%s = 0 after a run", obs.MNetemCaptured)
+	}
 	var text strings.Builder
 	if err := reg.WritePrometheus(&text); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text.String(), obs.MStoreOpSeconds+`_count{op="save"} 1`) {
-		t.Errorf("exposition lacks the save duration:\n%s", text.String())
+	for _, series := range []string{
+		obs.MStoreOpSeconds + `_count{op="save"} 1`,
+		fmt.Sprintf(`%s_count{op="write_packets"} %d`, obs.MStoreOpSeconds, len(x.Managers)),
+		obs.MNetemCaptureBufferBytes + `{node="`,
+	} {
+		if !strings.Contains(text.String(), series) {
+			t.Errorf("exposition lacks %s:\n%s", series, text.String())
+		}
 	}
 }

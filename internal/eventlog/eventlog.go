@@ -137,11 +137,19 @@ type Recorder struct {
 	run    int
 	events []Event
 	report func(Event)
+
+	// segs holds, in order, the index of the first event of every maximal
+	// stretch of events recorded under one run id: a segment ends where the
+	// next begins. byRun lists each run's segments (several after a retried
+	// attempt, or for the experiment-scoped run -1), so RunEvents copies
+	// one run's events without looking at any other run's.
+	segs  []int
+	byRun map[int][]int
 }
 
 // NewRecorder creates a recorder for a node. report may be nil.
 func NewRecorder(node string, clock vclock.Clock, report func(Event)) *Recorder {
-	return &Recorder{node: node, clock: clock, run: -1, report: report}
+	return &Recorder{node: node, clock: clock, run: -1, report: report, byRun: map[int][]int{}}
 }
 
 // SetRun sets the run identifier stamped on subsequent events. Run -1 marks
@@ -164,6 +172,10 @@ func (r *Recorder) Emit(typ string, params map[string]string) Event {
 		Type:   typ,
 		Params: params,
 	}
+	if n := len(r.events); n == 0 || r.events[n-1].Run != r.run {
+		r.byRun[r.run] = append(r.byRun[r.run], len(r.segs))
+		r.segs = append(r.segs, n)
+	}
 	r.events = append(r.events, ev)
 	if r.report != nil {
 		r.report(ev)
@@ -174,19 +186,26 @@ func (r *Recorder) Emit(typ string, params map[string]string) Event {
 // Events returns all locally recorded events.
 func (r *Recorder) Events() []Event { return r.events }
 
-// RunEvents returns the locally recorded events of one run.
+// RunEvents returns the locally recorded events of one run, in recording
+// order, as a copy. Its cost is that run's events, whatever was recorded
+// before: every node is harvested after every run of a campaign.
 func (r *Recorder) RunEvents(run int) []Event {
 	var out []Event
-	for _, ev := range r.events {
-		if ev.Run == run {
-			out = append(out, ev)
+	for _, i := range r.byRun[run] {
+		end := len(r.events)
+		if i+1 < len(r.segs) {
+			end = r.segs[i+1]
 		}
+		out = append(out, r.events[r.segs[i]:end]...)
 	}
 	return out
 }
 
 // Reset discards all locally recorded events (used between experiments).
-func (r *Recorder) Reset() { r.events = nil }
+func (r *Recorder) Reset() {
+	r.events, r.segs = nil, nil
+	r.byRun = map[int][]int{}
+}
 
 // Bus is the master-side aggregation of reported events. Processes block on
 // it with WaitFor; wait_marker corresponds to taking Marker() and passing it

@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -362,4 +363,86 @@ func TestCancelWaitersAbortsPendingWaits(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = r
+}
+
+// TestRunEventsInterleavedRuns holds the segment index to the scan it
+// replaced: run ids that come back (a retried attempt, the experiment-scoped
+// run -1 between runs), SetRun calls that record nothing, and a Reset.
+func TestRunEventsInterleavedRuns(t *testing.T) {
+	s := sched.NewVirtual()
+	r := NewRecorder("n1", vclock.Perfect{S: s}, nil)
+	emit := func(run int, types ...string) {
+		r.SetRun(run)
+		for _, typ := range types {
+			r.Emit(typ, nil)
+		}
+	}
+	check := func() {
+		t.Helper()
+		for run := -2; run <= 4; run++ {
+			var want []Event
+			for _, ev := range r.Events() {
+				if ev.Run == run {
+					want = append(want, ev)
+				}
+			}
+			got := r.RunEvents(run)
+			if len(got) != len(want) {
+				t.Fatalf("run %d: %d events, want %d", run, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Type != want[i].Type || got[i].Run != run {
+					t.Fatalf("run %d event %d = %v, want %v", run, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	emit(-1, "experiment_init")
+	emit(0, "a0", "b0")
+	emit(1, "a1")
+	emit(2) // prepared, nothing recorded
+	emit(1, "a1-retry", "b1-retry")
+	emit(-1, "run_recovered")
+	emit(3, "a3")
+	emit(3, "b3") // same run set twice: one segment
+	emit(0, "late0")
+	check()
+	if got := r.RunEvents(1); len(got) != 3 || got[1].Type != "a1-retry" {
+		t.Fatalf("retried run 1 = %v", got)
+	}
+	// The result is a copy: the recorder keeps recording into its own.
+	got := r.RunEvents(3)
+	got[0].Type = "overwritten"
+	if r.RunEvents(3)[0].Type != "a3" {
+		t.Fatal("RunEvents returned a view of the recorder's events")
+	}
+	r.Reset()
+	emit(1, "fresh")
+	check()
+}
+
+// BenchmarkRecorderRunEvents harvests the newest run of a recorder that
+// already holds the events of `prior` earlier runs: the cost must not
+// depend on prior (it grew linearly, so a campaign paid O(runs²)).
+func BenchmarkRecorderRunEvents(b *testing.B) {
+	const perRun = 12
+	for _, prior := range []int{0, 1000, 20000} {
+		b.Run("prior="+strconv.Itoa(prior), func(b *testing.B) {
+			s := sched.NewVirtual()
+			r := NewRecorder("n1", vclock.Perfect{S: s}, nil)
+			for run := 0; run <= prior; run++ {
+				r.SetRun(run)
+				for i := 0; i < perRun; i++ {
+					r.Emit("ev", nil)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := r.RunEvents(prior); len(got) != perRun {
+					b.Fatalf("%d events, want %d", len(got), perRun)
+				}
+			}
+		})
+	}
 }

@@ -9,11 +9,12 @@ import (
 
 // errdrop reports discarded error returns from durability-critical calls:
 // the fsio staged-write helpers, (*os.File).Sync, (*os.File).Close on a
-// file the function opened for writing, and the store.Journal append
-// family. A dropped error from any of these converts "the data is on
-// stable storage" into "the data is probably on stable storage" — the
-// exact failure mode the WAL and the staged-write contract exist to rule
-// out (DESIGN.md §8).
+// file the function opened for writing, the store.Journal append family,
+// and the store.RunStore level-2 writes (Write*, MarkRunDone). A dropped
+// error from any of these converts "the data is on stable storage" into
+// "the data is probably on stable storage" — the exact failure mode the
+// WAL and the staged-write contract exist to rule out (DESIGN.md §8): a
+// run whose harvest was cut short by a full disk must not be marked done.
 //
 // Discard forms: a bare expression statement, and an assignment whose
 // error position is blank (`_ = f.Sync()`, `n, _ := …`). One allowlist is
@@ -29,7 +30,7 @@ import (
 func Errdrop() *Analyzer {
 	return &Analyzer{
 		Name: "errdrop",
-		Doc:  "no discarded error returns from durability-critical calls (fsio, Sync, Close-after-write, Journal)",
+		Doc:  "no discarded error returns from durability-critical calls (fsio, Sync, Close-after-write, Journal, RunStore writes)",
 		Run:  errdropRun,
 	}
 }
@@ -198,6 +199,10 @@ func (f *File) durabilityTarget(call *ast.CallExpr, written map[types.Object]boo
 		if strings.HasSuffix(recv, "store.Journal") {
 			return "Journal." + sel.Sel.Name
 		}
+	}
+	if name := sel.Sel.Name; strings.HasSuffix(recv, "store.RunStore") &&
+		(strings.HasPrefix(name, "Write") || name == "MarkRunDone") {
+		return "RunStore." + name
 	}
 	return ""
 }

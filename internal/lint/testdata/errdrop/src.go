@@ -1,8 +1,8 @@
 // Fixture for the errdrop analyzer, loaded under the import path
 // "excovery/internal/store" so the mini Journal carries the qualified
 // name the analyzer keys on. Hits: discarded Sync, discarded and deferred
-// Close on a write-opened file, discarded Journal appends, blank-error
-// assignments. Misses: checked errors, read-side closes, and cleanup
+// Close on a write-opened file, discarded Journal appends and RunStore
+// writes, blank-error assignments. Misses: checked errors, read-side closes, and cleanup
 // discards on a path that already returns an error.
 package store
 
@@ -39,6 +39,28 @@ func journalDrop(j *Journal) {
 	j.Begin(1)    // want errdrop
 	_ = j.Done(1) // want errdrop
 	j.Close()     // want errdrop
+}
+
+// RunStore stands in for the level-2 store.
+type RunStore struct{}
+
+func (rs *RunStore) WritePackets(run int, node string) error { return nil }
+func (rs *RunStore) WriteRunInfo(run int) error              { return nil }
+func (rs *RunStore) MarkRunDone(run int) error               { return nil }
+func (rs *RunStore) RunDone(run int) bool                    { return false }
+
+func harvestDrop(rs *RunStore) {
+	rs.WritePackets(1, "a") // want errdrop
+	rs.WriteRunInfo(1)      // want errdrop
+	_ = rs.MarkRunDone(1)   // want errdrop
+	rs.RunDone(1)           // no finding: not a write
+}
+
+func harvestOK(rs *RunStore) error {
+	if err := rs.WritePackets(1, "a"); err != nil {
+		return err
+	}
+	return rs.MarkRunDone(1)
 }
 
 func checkedOK(path string, j *Journal) error {

@@ -82,35 +82,58 @@ func (m *Master) collectHarvest(run desc.Run, rr *RunResult, partial bool) *harv
 // stage-and-commit of PR 3: everything lands in a staging directory and
 // is renamed into the level-2 hierarchy in one step, so a crash
 // mid-harvest can never leave a half-written run directory for
-// conditioning to ingest. Safe to call from the committer goroutine: it
-// touches only the store and the job's own data.
+// conditioning to ingest. The first write the store refuses — a full or
+// read-only disk — aborts the stage, so a truncated harvest is never
+// committed. Safe to call from the committer goroutine: it touches only
+// the store and the job's own data.
 func (m *Master) commitHarvest(hd *harvestData) error {
 	sr, err := m.cfg.Store.StageRun(hd.run.ID)
 	if err != nil {
 		return err
 	}
-	st := sr.Store()
-	for slot, id := range m.order {
-		nh := hd.nodes[slot]
-		st.WriteEvents(hd.run.ID, id, nh.events)
-		st.WritePackets(hd.run.ID, id, nh.packets)
-		for _, x := range nh.extras {
-			st.WriteExtra(hd.run.ID, x.Node, x.Name, x.Content)
-		}
+	if err := m.stageHarvest(sr.Store(), hd); err != nil {
+		sr.Abort()
+		return err
 	}
-	st.WriteEvents(hd.run.ID, "env", hd.env)
-	if len(hd.trace) > 0 {
-		st.WriteExtra(hd.run.ID, "master", "trace.json", hd.trace)
-	}
-	if len(hd.campaign) > 0 {
-		st.WriteExtra(hd.run.ID, "master", "campaign_metrics.json", hd.campaign)
-	}
-	st.WriteRunInfo(hd.info)
 	if err := sr.Commit(); err != nil {
 		sr.Abort()
 		return err
 	}
 	return nil
+}
+
+// stageHarvest writes one run's measurements into the staging store and
+// returns the first error.
+func (m *Master) stageHarvest(st *store.RunStore, hd *harvestData) error {
+	run := hd.run.ID
+	for slot, id := range m.order {
+		nh := hd.nodes[slot]
+		if err := st.WriteEvents(run, id, nh.events); err != nil {
+			return err
+		}
+		if err := st.WritePackets(run, id, nh.packets); err != nil {
+			return err
+		}
+		for _, x := range nh.extras {
+			if err := st.WriteExtra(run, x.Node, x.Name, x.Content); err != nil {
+				return err
+			}
+		}
+	}
+	if err := st.WriteEvents(run, "env", hd.env); err != nil {
+		return err
+	}
+	if len(hd.trace) > 0 {
+		if err := st.WriteExtra(run, "master", "trace.json", hd.trace); err != nil {
+			return err
+		}
+	}
+	if len(hd.campaign) > 0 {
+		if err := st.WriteExtra(run, "master", "campaign_metrics.json", hd.campaign); err != nil {
+			return err
+		}
+	}
+	return st.WriteRunInfo(hd.info)
 }
 
 // commitQueueDepth bounds how many committed-but-unwritten runs the
@@ -163,12 +186,16 @@ func (c *committer) loop() {
 // goroutine; events are deferred to the next drain.
 func (c *committer) commit(hd *harvestData) {
 	m := c.m
-	if err := m.commitHarvest(hd); err != nil {
+	err := m.commitHarvest(hd)
+	if err == nil {
+		err = m.cfg.Store.MarkRunDone(hd.run.ID)
+	}
+	if err != nil {
+		// Neither marker nor journal Done: the run stays re-executable.
 		c.noteEvent(eventlog.EvRunHarvestFailed, map[string]string{
 			"run": fmt.Sprint(hd.run.ID), "err": err.Error()})
 		return
 	}
-	m.cfg.Store.MarkRunDone(hd.run.ID)
 	if m.cfg.Journal != nil {
 		if err := m.cfg.Journal.Done(hd.run.ID); err != nil {
 			m.counter(obs.MJournalWriteErrors,

@@ -99,29 +99,7 @@ func TestCrashRecoveryReexecutesInFlightRun(t *testing.T) {
 	// No duplicate and no lost measurements in the conditioned level-3
 	// database: every plan run is present and the re-executed run's
 	// events appear exactly once (one alpha_done from node A per run).
-	db, err := m2.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids, err := db.RunIDs()
-	if err != nil || len(ids) != 3 {
-		t.Fatalf("level-3 runs = %v (%v)", ids, err)
-	}
-	for _, run := range ids {
-		evs, err := db.EventsOfRun(run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		alphaDone := 0
-		for _, ev := range evs {
-			if ev.Type == "alpha_done" && ev.Node == "A" {
-				alphaDone++
-			}
-		}
-		if alphaDone != 1 {
-			t.Fatalf("run %d has %d alpha_done events, want exactly 1", run, alphaDone)
-		}
-	}
+	checkExactlyOnce(t, m2, 3)
 
 	// A third session has nothing left to do: the journal proves every
 	// run durably complete.
@@ -193,12 +171,23 @@ func TestCrashMidPipelineExactlyOnce(t *testing.T) {
 
 	// Exactly-once across both sessions: one alpha_done per run in the
 	// conditioned database.
-	db, err := m2.Finalize()
+	checkExactlyOnce(t, m2, 3)
+}
+
+func itoa(n int) string { return fmt.Sprint(n) }
+
+// checkExactlyOnce conditions the store and requires every plan run to be
+// present in the level-3 database with its events exactly once (one
+// alpha_done from node A per run): no duplicate and no lost measurements
+// across sessions.
+func checkExactlyOnce(t *testing.T, m *Master, runs int) {
+	t.Helper()
+	db, err := m.Finalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids, err := db.RunIDs()
-	if err != nil || len(ids) != 3 {
+	if err != nil || len(ids) != runs {
 		t.Fatalf("level-3 runs = %v (%v)", ids, err)
 	}
 	for _, run := range ids {
@@ -217,8 +206,6 @@ func TestCrashMidPipelineExactlyOnce(t *testing.T) {
 		}
 	}
 }
-
-func itoa(n int) string { return fmt.Sprint(n) }
 
 // TestJournalDoneAloneSkipsRun: the journal's run_done record is an
 // independent completion witness — even if the store's done marker is
@@ -284,4 +271,76 @@ func TestCrashFnIsInvoked(t *testing.T) {
 	if called != 1 || rep.Completed != 0 {
 		t.Fatalf("called=%d rep=%+v", called, rep)
 	}
+}
+
+// refusedExtras is a node whose plugin measurement of run badRun the
+// staging store cannot create while *bad is set: the name points below a
+// directory that does not exist, which fails for every user (the tests may
+// run as root, whom a read-only directory mode does not stop).
+type refusedExtras struct {
+	*stubNode
+	bad    *bool
+	badRun int
+}
+
+func (n refusedExtras) HarvestExtras() []store.ExtraMeasurement {
+	name := "probe.txt"
+	if *n.bad && n.rec.Run() == n.badRun {
+		name = "no/such/dir/probe.txt"
+	}
+	return []store.ExtraMeasurement{{Run: n.rec.Run(), Node: n.id, Name: name, Content: []byte("x")}}
+}
+
+// TestRefusedHarvestWriteLeavesRunReexecutable: a write the store refuses
+// in the middle of a run's harvest (full or read-only disk) must abort the
+// stage — no run directory, no done marker, no journal completion — and be
+// reported as run_harvest_failed; the resumed session re-executes exactly
+// that run, once.
+func TestRefusedHarvestWriteLeavesRunReexecutable(t *testing.T) {
+	dir := t.TempDir()
+	bad := true
+	withFault := func(m *Master, f *fixture) {
+		m.cfg.Nodes["A"] = refusedExtras{stubNode: f.a, bad: &bad, badRun: 1}
+	}
+
+	m1, f1, _ := crashFixture(t, dir, 3, false, nil)
+	withFault(m1, f1)
+	runMaster(t, m1, f1.s)
+	failed := 0
+	for _, ev := range f1.bus.Snapshot() {
+		if ev.Type == "run_harvest_failed" {
+			failed++
+			if ev.Params["run"] != "1" || !strings.Contains(ev.Params["err"], "probe.txt") {
+				t.Fatalf("run_harvest_failed params = %v", ev.Params)
+			}
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("run_harvest_failed events = %d, want 1", failed)
+	}
+	for run := 0; run < 3; run++ {
+		if got, want := m1.cfg.Store.RunDone(run), run != 1; got != want {
+			t.Fatalf("run %d done marker = %v, want %v", run, got, want)
+		}
+	}
+	for _, leftover := range []string{"1", ".staging-1"} {
+		if _, err := os.Stat(filepath.Join(dir, "runs", leftover)); !os.IsNotExist(err) {
+			t.Fatalf("runs/%s exists after the aborted stage (%v)", leftover, err)
+		}
+	}
+
+	// Session 2: the fault cleared. Runs 0 and 2 skip, run 1 is in doubt
+	// (attempt ended, never completed) and re-executes.
+	bad = false
+	m2, f2, j2 := crashFixture(t, dir, 3, true, nil)
+	withFault(m2, f2)
+	if rp := j2.Replay(); !rp.Done[0] || rp.Done[1] || !rp.Done[2] || !rp.InDoubt(1) {
+		t.Fatalf("journal replay = %+v", rp)
+	}
+	rep2 := runMaster(t, m2, f2.s)
+	if rep2.Skipped != 2 || rep2.Recovered != 1 || rep2.Completed != 1 {
+		t.Fatalf("session 2: skipped=%d recovered=%d completed=%d",
+			rep2.Skipped, rep2.Recovered, rep2.Completed)
+	}
+	checkExactlyOnce(t, m2, 3)
 }

@@ -337,6 +337,12 @@ func New(cfg Config) (*Master, error) {
 			return nil, fmt.Errorf("master: no handle for platform node %q", pn.ID)
 		}
 	}
+	if cfg.Store != nil {
+		// The committer's level-2 writes, conditioning, and Save of the
+		// database it returns record into the master's own registry and
+		// tracer.
+		cfg.Store.Obs = store.Obs{Metrics: cfg.Metrics, Tracer: cfg.Tracer}
+	}
 	m := &Master{cfg: cfg, plan: plan,
 		est:    &timesync.Estimator{Ref: cfg.Ref, Samples: 3},
 		health: map[string]int{}, quarantined: map[string]bool{},
@@ -385,7 +391,9 @@ func (m *Master) RunAll() (*Report, error) {
 		m.commits = newCommitter(m)
 		defer m.stopCommitter()
 	}
-	m.experimentInit()
+	if err := m.experimentInit(); err != nil {
+		return nil, fmt.Errorf("master: experiment init: %w", err)
+	}
 	maxAttempts := m.cfg.Retry.MaxAttempts
 	if maxAttempts < 1 {
 		maxAttempts = 1
@@ -490,7 +498,7 @@ func (m *Master) RunAll() (*Report, error) {
 	// Exit barrier: every durable commit lands (and its deferred events
 	// are emitted) before experiment_exit is recorded.
 	m.drainCommits()
-	m.experimentExit()
+	exitErr := m.experimentExit()
 	rep.HealthProbes, rep.HealthFailures = m.probes, m.probeFails
 	for id, q := range m.quarantined {
 		if q {
@@ -502,6 +510,9 @@ func (m *Master) RunAll() (*Report, error) {
 		rep.Readmitted = append(rep.Readmitted, id)
 	}
 	sort.Strings(rep.Readmitted)
+	if exitErr != nil {
+		return rep, fmt.Errorf("master: experiment exit: %w", exitErr)
+	}
 	return rep, nil
 }
 
@@ -725,31 +736,41 @@ func (m *Master) counter(name, help string) *obs.Counter {
 }
 
 // experimentInit performs the preparations before all individual runs
-// (§IV-C1 experiment_init) and records the initial topology.
-func (m *Master) experimentInit() {
+// (§IV-C1 experiment_init) and records the initial topology. A store that
+// cannot take the description cannot be conditioned, so its error ends the
+// experiment before the first run.
+func (m *Master) experimentInit() (err error) {
 	m.rec.SetRun(-1)
 	m.cfg.Status.ExperimentStarted(m.cfg.Exp.Name, len(m.plan.Runs))
 	m.expSpan = m.cfg.Tracer.Begin(0, "master", "experiment", m.cfg.Exp.Name,
 		-1, 0, map[string]string{"seed": fmt.Sprint(m.cfg.Exp.Seed)})
 	m.rec.Emit(eventlog.EvExperimentInit, map[string]string{"name": m.cfg.Exp.Name})
 	if m.cfg.Store != nil {
-		m.cfg.Store.WriteDescription(m.expXML)
-		if m.cfg.TopologyMeasure != nil {
-			m.cfg.Store.WriteExperimentMeasurement("master", "topology_before.txt",
+		err = m.cfg.Store.WriteDescription(m.expXML)
+		if err == nil && m.cfg.TopologyMeasure != nil {
+			err = m.cfg.Store.WriteExperimentMeasurement("master", "topology_before.txt",
 				[]byte(m.cfg.TopologyMeasure()))
 		}
 	}
+	if err != nil {
+		m.cfg.Tracer.End(m.expSpan)
+		m.cfg.Status.ExperimentFinished()
+	}
+	return err
 }
 
-func (m *Master) experimentExit() {
+// experimentExit closes the experiment; its error is the final topology
+// measurement's that the store did not take.
+func (m *Master) experimentExit() (err error) {
 	m.rec.SetRun(-1)
 	if m.cfg.Store != nil && m.cfg.TopologyMeasure != nil {
-		m.cfg.Store.WriteExperimentMeasurement("master", "topology_after.txt",
+		err = m.cfg.Store.WriteExperimentMeasurement("master", "topology_after.txt",
 			[]byte(m.cfg.TopologyMeasure()))
 	}
 	m.rec.Emit(eventlog.EvExperimentExit, nil)
 	m.cfg.Tracer.End(m.expSpan)
 	m.cfg.Status.ExperimentFinished()
+	return err
 }
 
 // rawTreatment flattens a run's treatment into factor → raw value for
@@ -1045,9 +1066,6 @@ func (m *Master) Finalize() (*store.ExperimentDB, error) {
 	if m.cfg.Store == nil {
 		return nil, fmt.Errorf("master: no store configured")
 	}
-	// Conditioning, and Save of the database it returns, record into the
-	// master's own registry and tracer.
-	m.cfg.Store.Obs = store.Obs{Metrics: m.cfg.Metrics, Tracer: m.cfg.Tracer}
 	return store.Condition(m.cfg.Store, store.Meta{
 		ExpXML:  m.expXML,
 		Name:    m.cfg.Exp.Name,

@@ -19,6 +19,11 @@ type nodeMetrics struct {
 	dupRule    *obs.Counter
 	queueDepth *obs.Gauge
 	dropped    [dropReasonCount]*obs.Counter
+	// captured counts capture records written; captureBytes is the size of
+	// the node's recycled capture buffers, read when a run's captures are
+	// cleared (the high-water mark of the runs so far).
+	captured     *obs.Counter
+	captureBytes *obs.Gauge
 }
 
 // ruleMetrics caches one installed rule's instruments (resolved at
@@ -61,6 +66,10 @@ func (n *Node) instrument(reg *obs.Registry) {
 		"node", id, "kind", "rule")
 	n.m.queueDepth = reg.Gauge(obs.MNetemQueueDepth,
 		"current egress queue depth", "node", id)
+	n.m.captured = reg.Counter(obs.MNetemCaptured,
+		"packet occurrences captured (tx and rx)", "node", id)
+	n.m.captureBytes = reg.Gauge(obs.MNetemCaptureBufferBytes,
+		"bytes held by the node's recycled capture buffers", "node", id)
 	for r := DropReason(0); r < dropReasonCount; r++ {
 		n.m.dropped[r] = reg.Counter(obs.MNetemDropped,
 			"packets discarded, by reason", "node", id, "reason", r.String())

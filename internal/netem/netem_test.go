@@ -496,7 +496,7 @@ func TestCapturesUseLocalClock(t *testing.T) {
 	if gap < skew || gap > skew+10*time.Millisecond {
 		t.Fatalf("capture gap = %v, want ≈ %v (skewed clock)", gap, skew)
 	}
-	if txc.Pkt.ID != rxc.Pkt.ID {
+	if txc.ID != rxc.ID {
 		t.Fatal("capture IDs differ")
 	}
 }

@@ -3,6 +3,7 @@ package netem
 import (
 	"math/rand"
 	"time"
+	"unsafe"
 
 	"excovery/internal/vclock"
 )
@@ -50,8 +51,13 @@ type Node struct {
 	tag     uint16
 	tagging bool
 
+	// captures and paths are the node's capture buffer and the slab its
+	// records' Path views point into. Both keep their backing arrays across
+	// runs (ClearCaptures truncates), so a capture in steady state is a
+	// bounded copy and no allocation.
 	capturing bool
 	captures  []Capture
+	paths     []NodeID
 
 	rules []*Rule
 	seen  map[uint64]bool // flood duplicate suppression
@@ -67,6 +73,13 @@ type Node struct {
 	// value keeps the data path uninstrumented and allocation-free.
 	m nodeMetrics
 }
+
+// Sizes of one capture record and of one path-slab element, for the
+// capture-buffer gauge.
+const (
+	captureSize = int64(unsafe.Sizeof(Capture{}))
+	hopSize     = int64(unsafe.Sizeof(NodeID("")))
+)
 
 // transmission is one queued radio transmission. The transmission owns its
 // packet: duplication rules enqueue an independent clone, never a shared
@@ -108,11 +121,19 @@ func (n *Node) SetTagging(on bool) { n.tagging = on }
 // SetCapture enables or disables packet capture on this node.
 func (n *Node) SetCapture(on bool) { n.capturing = on }
 
-// Captures returns the packets captured so far.
+// Captures returns the packets captured since the last ClearCaptures. The
+// result is a view of node-owned memory, valid until the next ClearCaptures:
+// the next run overwrites the records and the paths they point to. Whoever
+// keeps captures longer copies them out (node.Manager.HarvestRun).
 func (n *Node) Captures() []Capture { return n.captures }
 
-// ClearCaptures drops captured packets (between runs).
-func (n *Node) ClearCaptures() { n.captures = nil }
+// ClearCaptures discards the captured packets (between runs) and keeps the
+// buffers for the next run.
+func (n *Node) ClearCaptures() {
+	n.m.captureBytes.Set(int64(cap(n.captures))*captureSize + int64(cap(n.paths))*hopSize)
+	n.captures = n.captures[:0]
+	n.paths = n.paths[:0]
+}
 
 // queueLen returns the egress ring occupancy.
 func (n *Node) queueLen() int { return len(n.ring) - n.head }
@@ -249,16 +270,24 @@ func (n *Node) capture(p *Packet, dir CaptureDir) {
 	if !n.capturing {
 		return
 	}
-	c := Capture{
-		Time: n.clock.Now(),
-		Dir:  dir,
-		Node: n.id,
-		Pkt:  *p,
-	}
-	// The live packet is pooled; the capture needs its own Path copy.
-	c.Pkt.Path = append([]NodeID(nil), p.Path...)
-	c.Pkt.rcv = nil
-	n.captures = append(n.captures, c)
+	// The live packet is pooled, so its path is copied — into the slab. A
+	// slab that grows leaves earlier views on the array they were written
+	// to, which stays correct; the capped view keeps a later append from
+	// writing through this one.
+	start := len(n.paths)
+	n.paths = append(n.paths, p.Path...)
+	n.captures = append(n.captures, Capture{
+		Time:    n.clock.Now(),
+		Dir:     dir,
+		Node:    n.id,
+		ID:      p.ID,
+		Tag:     p.Tag,
+		Src:     p.Src,
+		Dst:     p.Dst,
+		Payload: p.Payload,
+		Path:    n.paths[start:len(n.paths):len(n.paths)],
+	})
+	n.m.captured.Inc()
 }
 
 // Send originates a packet from this node. For unicast destinations it is

@@ -78,8 +78,8 @@ type Packet struct {
 
 	// In-flight routing state, carried while the packet rides a scheduled
 	// delivery event so the event needs no closure allocation. Unexported:
-	// never serialized, cleared before the packet reaches a handler or a
-	// capture.
+	// never serialized or captured, cleared before the packet reaches a
+	// handler.
 	rcv   *Node // delivery / continuation target
 	rxDup bool  // rx duplication verdict across a rule-delay continuation
 }
@@ -126,7 +126,11 @@ func (d CaptureDir) String() string {
 }
 
 // Capture is one captured packet occurrence on a node, with the local
-// timestamp of that node (§IV-B2).
+// timestamp of that node (§IV-B2). It is a flat record of exactly what
+// level 2 stores — not a copy of the Packet — written in place into the
+// capturing node's recycled buffer (DESIGN.md §18). Payload is the packet's
+// immutable buffer; Path is a view into the node's path slab, so a Capture
+// is valid only as long as the Captures view it came from.
 type Capture struct {
 	// Time is the local (possibly skewed) timestamp of the capture.
 	Time time.Time
@@ -134,6 +138,13 @@ type Capture struct {
 	Dir CaptureDir
 	// Node is the capturing node.
 	Node NodeID
-	// Pkt is the captured packet as seen at this node.
-	Pkt Packet
+	// ID, Tag, Src, Dst and Payload are the packet's fields of the same
+	// name as seen at this node.
+	ID      uint64
+	Tag     uint16
+	Src     NodeID
+	Dst     Dest
+	Payload []byte
+	// Path is the nodes the packet traversed up to and including this one.
+	Path []NodeID
 }

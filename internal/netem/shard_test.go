@@ -71,7 +71,8 @@ func shardedDigest(t *testing.T, procs int, seed int64) string {
 		n := nw.Node(id)
 		fmt.Fprintf(&sb, "== %s (%d captures)\n", id, len(n.Captures()))
 		for _, c := range n.Captures() {
-			fmt.Fprintf(&sb, "%s %s %s %s\n", c.Time.Format(time.RFC3339Nano), c.Dir, c.Node, c.Pkt.String())
+			fmt.Fprintf(&sb, "%s %s %s pkt %d tag %d %s->%s %q path %v\n", c.Time.Format(time.RFC3339Nano),
+				c.Dir, c.Node, c.ID, c.Tag, c.Src, c.Dst, c.Payload, c.Path)
 		}
 	}
 	fmt.Fprintf(&sb, "stats: %+v\n", nw.Stats())

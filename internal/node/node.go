@@ -147,13 +147,13 @@ func (m *Manager) CleanupRun(run int) {
 	m.Emit(eventlog.EvRunExit, map[string]string{"run": strconv.Itoa(run)})
 }
 
-// HarvestRun returns and clears the packet captures of the current run.
+// HarvestRun returns and clears the packet captures of the current run. It
+// is the one place captures leave node-owned memory: the records are a copy
+// (store.FromCaptures), so whoever holds them — the master's committer, an
+// RPC reply being encoded — is unaffected by the next run overwriting the
+// node's buffers.
 func (m *Manager) HarvestRun() []store.PacketRecord {
-	caps := m.nd.Captures()
-	out := make([]store.PacketRecord, len(caps))
-	for i, c := range caps {
-		out[i] = store.FromCapture(c)
-	}
+	out := store.FromCaptures(m.nd.Captures())
 	m.nd.ClearCaptures()
 	return out
 }

@@ -22,6 +22,7 @@ import (
 	"excovery/internal/core"
 	"excovery/internal/eventlog"
 	"excovery/internal/obs"
+	"excovery/internal/store"
 	"excovery/internal/xmlrpc"
 )
 
@@ -575,13 +576,14 @@ func (h *Host) Server() *xmlrpc.Server {
 		if mgr == nil {
 			return nil, fmt.Errorf("no node %q", id)
 		}
-		var data []byte
-		var jerr error
-		s.InjectWait("rpc harvest_packets", func() {
-			data, jerr = json.Marshal(mgr.HarvestRun())
-		})
-		if jerr != nil {
-			return nil, jerr
+		// The harvest owns its memory (node.Manager.HarvestRun), so it is
+		// encoded here, off the scheduler: the emulation does not wait for
+		// encoding/json.
+		var pkts []store.PacketRecord
+		s.InjectWait("rpc harvest_packets", func() { pkts = mgr.HarvestRun() })
+		data, err := json.Marshal(pkts)
+		if err != nil {
+			return nil, err
 		}
 		return string(data), nil
 	}))

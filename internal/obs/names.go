@@ -78,6 +78,9 @@ const (
 	MNetemCorrupted     MetricName = "excovery_netem_packets_corrupted_total"
 	MNetemRateStalls    MetricName = "excovery_netem_rate_limiter_stalls_total"
 	MNetemQueueDepth    MetricName = "excovery_netem_queue_depth"
+	// Capture path (DESIGN.md §18), per node.
+	MNetemCaptured           MetricName = "excovery_netem_captured_total"
+	MNetemCaptureBufferBytes MetricName = "excovery_netem_capture_buffer_bytes"
 
 	// Discrete-event scheduler (internal/sched).
 	MSchedSwitches      MetricName = "excovery_sched_switches_total"

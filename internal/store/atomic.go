@@ -119,7 +119,7 @@ func (rs *RunStore) StageRun(run int) (*StagedRun, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, err
 	}
-	return &StagedRun{rs: rs, run: run, tmp: &RunStore{Dir: root}}, nil
+	return &StagedRun{rs: rs, run: run, tmp: &RunStore{Dir: root, Obs: rs.Obs}}, nil
 }
 
 // Store returns the staging store; write the run's measurements through it

@@ -19,7 +19,7 @@ func TestEncodeParamsMatchesJSON(t *testing.T) {
 		{"plain": "hello world"},
 		{"quote": `say "hi"`, "backslash": `a\b`},
 		{"newline": "a\nb", "cr": "a\rb", "tab": "a\tb"},
-		{"ctl": "a\x01b\x1fc", "nul": "\x00"},
+		{"ctl": "a\x01b\x1fc", "nul": "\x00", "bs-ff": "a\bb\fc"},
 		{"html": "<b>&amp;</b>", "angle": "1<2>3&4"},
 		{"unicode": "héllo wörld", "cjk": "実験", "emoji": "🧪"},
 		{"seps": "a\u2028b\u2029c"},

@@ -22,6 +22,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"excovery/internal/eventlog"
@@ -44,7 +45,8 @@ import (
 type RunStore struct {
 	// Dir is the experiment directory.
 	Dir string
-	// Obs is where Condition records itself (zero: nowhere).
+	// Obs is where WritePackets and Condition record themselves (zero:
+	// nowhere).
 	Obs Obs
 }
 
@@ -131,24 +133,87 @@ type PacketRecord struct {
 	Path []netem.NodeID `json:"path,omitempty"`
 }
 
-// FromCapture converts a netem capture.
-func FromCapture(c netem.Capture) PacketRecord {
-	return PacketRecord{
-		Time: c.Time,
-		Dir:  c.Dir.String(),
-		Node: string(c.Node),
-		ID:   c.Pkt.ID,
-		Tag:  c.Pkt.Tag,
-		Src:  string(c.Pkt.Src),
-		Dst:  c.Pkt.Dst.String(),
-		Data: c.Pkt.Payload,
-		Path: c.Pkt.Path,
+// FromCaptures converts a node's captures of one run into records that own
+// their memory: one record slice and one path slab for all of them, so the
+// result stays what it is when the node's capture buffers are overwritten.
+// Payloads are shared; they are immutable (netem.Packet).
+func FromCaptures(caps []netem.Capture) []PacketRecord {
+	hops := 0
+	for i := range caps {
+		hops += len(caps[i].Path)
 	}
+	out := make([]PacketRecord, len(caps))
+	paths := make([]netem.NodeID, 0, hops)
+	// A run's multicast traffic goes to a group or two: render each once.
+	var group, groupDst string
+	for i := range caps {
+		c := &caps[i]
+		var dst string
+		if c.Dst.Broadcast || c.Dst.Group == "" {
+			dst = c.Dst.String() // "*" or the node: nothing to build
+		} else {
+			if c.Dst.Group != group {
+				group, groupDst = c.Dst.Group, c.Dst.String()
+			}
+			dst = groupDst
+		}
+		start := len(paths)
+		paths = append(paths, c.Path...)
+		out[i] = PacketRecord{
+			Time: c.Time,
+			Dir:  c.Dir.String(),
+			Node: string(c.Node),
+			ID:   c.ID,
+			Tag:  c.Tag,
+			Src:  string(c.Src),
+			Dst:  dst,
+			Data: c.Payload,
+		}
+		if len(c.Path) > 0 {
+			out[i].Path = paths[start:len(paths):len(paths)]
+		}
+	}
+	return out
 }
 
-// WritePackets appends a node's packet captures of one run.
+// lineBufs recycles the buffer WritePackets encodes a capture file through.
+var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// lineBufFlush is the fill at which WritePackets hands its buffer to the
+// file: above a typical node's captures of one run, so most files are one
+// write.
+const lineBufFlush = 64 << 10
+
+// WritePackets appends a node's packet captures of one run, one line per
+// record (packetline.go).
 func (rs *RunStore) WritePackets(run int, node string, pkts []PacketRecord) error {
-	return appendJSONL(filepath.Join(rs.runDir(run, node), "packets.jsonl"), pkts)
+	start := rs.Obs.writeStart()
+	f, err := openAppend(filepath.Join(rs.runDir(run, node), "packets.jsonl"))
+	if err != nil {
+		return err
+	}
+	bp := lineBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	var written int64
+	for i := range pkts {
+		if buf, err = appendPacketLine(buf, &pkts[i]); err != nil {
+			break
+		}
+		if len(buf) >= lineBufFlush || i == len(pkts)-1 {
+			if _, err = f.Write(buf); err != nil {
+				break
+			}
+			written += int64(len(buf))
+			buf = buf[:0]
+		}
+	}
+	*bp = buf[:0]
+	lineBufs.Put(bp)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	rs.Obs.packetsWritten(start, written)
+	return err
 }
 
 // readStats is what one pass over level-2 packet captures read: the bytes
@@ -438,20 +503,25 @@ func (rs *RunStore) RunNodes(run int) ([]string, error) {
 	return out, nil
 }
 
+// openAppend opens a level-2 file for appending. It opens first and creates
+// the directory only on ENOENT: in the steady state (second and later files
+// of a run directory) this saves the MkdirAll stat chain per append.
+func openAppend(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil && os.IsNotExist(err) {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return nil, err
+		}
+		f, err = os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	}
+	return f, err
+}
+
 // appendJSONL writes one JSON value per line. Encoding through *T keeps
 // the elements from being boxed into interfaces one by one (the former
 // []any conversion heap-copied every event and packet record).
 func appendJSONL[T any](path string, items []T) error {
-	// Open first, create the directory only on ENOENT: in the steady state
-	// (second and later files of a run directory) this saves the MkdirAll
-	// stat chain per append.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil && os.IsNotExist(err) {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return err
-		}
-		f, err = os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	}
+	f, err := openAppend(path)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,8 @@ import (
 
 // Obs is where the level-3 operations — Condition, Save, Open — record
 // themselves: one span and one set of counter updates per call, never per
-// row. The zero value records nothing and reads no clock, so an
+// row. WritePackets, the level-2 write the committer spends its time in,
+// records duration and bytes only. The zero value records nothing and reads no clock, so an
 // uninstrumented store behaves and allocates exactly as before. A RunStore
 // hands its Obs to the database Condition builds from it.
 type Obs struct {
@@ -21,6 +22,32 @@ type Obs struct {
 	// Tracer receives one span per operation on the "store" track,
 	// carrying the same numbers as args.
 	Tracer *obs.Tracer
+}
+
+const (
+	helpStoreBytes     = "level-2 capture bytes written or conditioned; level-3 file bytes saved or opened"
+	helpStoreOpSeconds = "wall time of one storage operation"
+)
+
+// writeStart and packetsWritten record one WritePackets call (op
+// "write_packets") in Metrics: duration and bytes. There is one per node per
+// run, so unlike the level-3 operations it gets no span of its own, and an
+// uninstrumented store reads no clock.
+func (o Obs) writeStart() (t time.Time) {
+	if o.Metrics != nil {
+		//lint:ignore walltime operation duration is an operator metric measuring real elapsed time
+		t = time.Now()
+	}
+	return t
+}
+
+func (o Obs) packetsWritten(start time.Time, bytes int64) {
+	if o.Metrics == nil {
+		return
+	}
+	o.Metrics.Counter(obs.MStoreBytes, helpStoreBytes, "op", "write_packets").Add(bytes)
+	o.Metrics.Histogram(obs.MStoreOpSeconds, helpStoreOpSeconds, nil, "op", "write_packets").
+		ObserveDuration(time.Since(start))
 }
 
 // op is one level-3 operation in flight.
@@ -84,11 +111,9 @@ func (p op) end(db *reldb.DB, bytes, fallbacks int64, err error) {
 				"rows conditioned, saved or opened, by table", "op", p.name, "table", s.Name).Add(int64(n))
 		}
 	}
-	reg.Counter(obs.MStoreBytes,
-		"level-2 capture bytes conditioned; level-3 file bytes saved or opened", "op", p.name).Add(bytes)
+	reg.Counter(obs.MStoreBytes, helpStoreBytes, "op", p.name).Add(bytes)
 	reg.Counter(obs.MStoreDecoderFallbacks,
 		"packet lines decoded by encoding/json because they were not of the stored shape", "op", p.name).Add(fallbacks)
-	reg.Histogram(obs.MStoreOpSeconds,
-		"wall time of one level-3 operation", nil, "op", p.name).ObserveDuration(wall)
+	reg.Histogram(obs.MStoreOpSeconds, helpStoreOpSeconds, nil, "op", p.name).ObserveDuration(wall)
 	p.o.Tracer.EndWith(p.span, args)
 }

@@ -3,17 +3,19 @@ package store
 import (
 	"encoding/base64"
 	"encoding/json"
+	"strconv"
 	"time"
 	"unicode/utf8"
 
 	"excovery/internal/netem"
 )
 
-// Decoding of stored packet lines. Every packet of an experiment is
-// decoded twice on the way to R / t_R — once by conditioning (capture time
-// and source only) and once by PacketsOfRun — and encoding/json's
-// reflection was most of both. The lines are written by appendJSONL, that
-// is by encoding/json from PacketRecord, so they have one fixed shape:
+// Encoding and decoding of stored packet lines. Every packet of an
+// experiment is written once and decoded twice on the way to R / t_R — once
+// by conditioning (capture time and source only) and once by PacketsOfRun —
+// and encoding/json's reflection was most of all three. A stored line is
+// what encoding/json writes for a PacketRecord; unless a string needs an
+// escape or the capture time is not UTC it has one fixed shape:
 //
 //	line = '{"time":' time ',"dir":' str [ ',"node":' str ]
 //	       ',"id":' uint ',"tag":' uint ',"src":' str ',"dst":' str
@@ -23,11 +25,63 @@ import (
 //	str  = '"' { valid UTF-8, no byte < 0x20, no '"', no '\' } '"'
 //	uint = '0' | digit1-9 { digit }, within the field's range
 //
-// with no white space. scanPacketLine accepts exactly this and gives what
+// with no white space. appendPacketLine writes every record byte for byte
+// as json.Marshal does (FuzzPacketLineEncode), escapes included, and leaves
+// to json.Marshal only the capture times RFC 3339 has no 'Z' form for.
+// scanPacketLine accepts exactly the fixed shape and gives what
 // json.Unmarshal gives for it. Any other line — escapes, another key order
 // or zone offset, a hand-edited or foreign file — is left to encoding/json,
 // so what is accepted, rejected and returned for it is unchanged.
 // FuzzPacketLine holds the two decoders together.
+
+// appendPacketLine appends the stored line of p and its newline to dst.
+func appendPacketLine(dst []byte, p *PacketRecord) ([]byte, error) {
+	n0 := len(dst)
+	dst = append(dst, `{"time":"`...)
+	t0 := len(dst)
+	dst = p.Time.AppendFormat(dst, time.RFC3339Nano)
+	if dst[t0+len("2006")] != '-' || dst[len(dst)-1] != 'Z' {
+		// A year outside 0–9999, which encoding/json refuses, or a zone
+		// offset, for which it has checks of its own.
+		b, err := json.Marshal(p)
+		if err != nil {
+			return dst[:n0], err
+		}
+		return append(append(dst[:n0], b...), '\n'), nil
+	}
+	dst = append(dst, `","dir":`...)
+	dst = appendJSONString(dst, p.Dir)
+	if p.Node != "" {
+		dst = append(dst, `,"node":`...)
+		dst = appendJSONString(dst, p.Node)
+	}
+	dst = append(dst, `,"id":`...)
+	dst = strconv.AppendUint(dst, p.ID, 10)
+	dst = append(dst, `,"tag":`...)
+	dst = strconv.AppendUint(dst, uint64(p.Tag), 10)
+	dst = append(dst, `,"src":`...)
+	dst = appendJSONString(dst, p.Src)
+	dst = append(dst, `,"dst":`...)
+	dst = appendJSONString(dst, p.Dst)
+	if p.Data == nil {
+		dst = append(dst, `,"data":null`...)
+	} else {
+		dst = append(dst, `,"data":"`...)
+		dst = base64.StdEncoding.AppendEncode(dst, p.Data)
+		dst = append(dst, '"')
+	}
+	if len(p.Path) > 0 {
+		dst = append(dst, `,"path":`...)
+		sep := byte('[')
+		for _, hop := range p.Path {
+			dst = append(dst, sep)
+			dst = appendJSONString(dst, string(hop))
+			sep = ','
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}', '\n'), nil
+}
 
 // decodePacketLine decodes one stored line into p. fallback reports that
 // the line was not of the fixed shape and went through encoding/json.

@@ -162,3 +162,89 @@ func FuzzPacketRecord(f *testing.F) {
 		}
 	})
 }
+
+// checkEncode holds the packet-line encoder to encoding/json on one record:
+// same error or not, the same bytes after whatever the buffer already held,
+// and a line the decoder takes back — by the scanner, unless the line
+// carries an escape or a zone offset.
+func checkEncode(t *testing.T, p PacketRecord) {
+	t.Helper()
+	want, wantErr := json.Marshal(&p)
+	const held = "held\n"
+	got, err := appendPacketLine([]byte(held), &p)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("record %+v: encoder error %v, encoding/json error %v", p, err, wantErr)
+	}
+	if err != nil {
+		if string(got) != held {
+			t.Fatalf("record %+v: failed encode left %q in the buffer", p, got)
+		}
+		return
+	}
+	if string(got) != held+string(want)+"\n" {
+		t.Fatalf("record %+v:\n got %q\nwant %q", p, got[len(held):], want)
+	}
+	var back PacketRecord
+	fallback, err := decodePacketLine(want, &back)
+	if err != nil {
+		t.Fatalf("line %s does not decode: %v", want, err)
+	}
+	_, offset := p.Time.Zone()
+	if plain := !bytes.ContainsRune(want, '\\') && offset == 0; fallback == plain {
+		t.Fatalf("line %s: fallback=%v", want, fallback)
+	}
+}
+
+// encodeSeeds are the records the decoder seeds lack: whole seconds,
+// trailing zeros in the fraction, local time at offset zero, years json
+// refuses, and every escape class in every string field.
+var encodeSeeds = []PacketRecord{
+	{Time: time.Unix(1400500800, 0).UTC(), Dir: "tx", Node: "A", ID: 1, Tag: 1, Src: "A", Dst: "mcast:mdns", Data: []byte("q")},
+	{Time: time.Unix(1400500800, 120000000).UTC(), Dir: "rx", Node: "B", ID: 1, Tag: 1, Src: "A", Dst: "*", Path: []netem.NodeID{"A", "B"}},
+	{Time: time.Unix(1400500800, 1).In(time.FixedZone("GMT", 0)), Dir: "rx", Src: "a", Dst: "b"},
+	{Time: time.Unix(1400500800, 1).In(time.FixedZone("odd", -90*60)), Dir: "rx", Src: "a", Dst: "b"},
+	{Time: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), Dir: "tx", Src: "a", Dst: "b"},
+	{Time: time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC), Dir: "tx", Src: "a", Dst: "b"},
+	{Time: time.Time{}, Dir: "<>&", Node: "\u2028\u2029", Src: "\xff\xfe", Dst: "\x00\x1f\n\r\t\"\\",
+		Data: bytes.Repeat([]byte{0xfb, 0xff}, 50), Path: []netem.NodeID{"<", "\u2028", "\xc3"}},
+}
+
+// TestPacketLineEncoderMatchesMarshal: what WritePackets puts on disk is,
+// byte for byte, what encoding/json wrote there before it.
+func TestPacketLineEncoderMatchesMarshal(t *testing.T) {
+	for _, p := range lineSeeds {
+		checkEncode(t, p)
+	}
+	for _, p := range encodeSeeds {
+		checkEncode(t, p)
+	}
+}
+
+// FuzzPacketLineEncode feeds arbitrary records to the encoder.
+func FuzzPacketLineEncode(f *testing.F) {
+	for _, seeds := range [][]PacketRecord{lineSeeds, encodeSeeds} {
+		for _, p := range seeds {
+			var path string
+			for _, h := range p.Path {
+				path += string(h) + "/"
+			}
+			_, offset := p.Time.Zone()
+			f.Add(p.Time.Unix(), int64(p.Time.Nanosecond()), offset, p.Dir, p.Node, p.ID, p.Tag, p.Src, p.Dst, p.Data, p.Data == nil, path)
+		}
+	}
+	f.Fuzz(func(t *testing.T, sec, nsec int64, offset int, dir, node string, id uint64, tag uint16, src, dst string, data []byte, nilData bool, path string) {
+		p := PacketRecord{Time: time.Unix(sec, nsec).UTC(), Dir: dir, Node: node, ID: id, Tag: tag, Src: src, Dst: dst, Data: data}
+		if offset != 0 {
+			p.Time = p.Time.In(time.FixedZone("", offset))
+		}
+		if nilData {
+			p.Data = nil
+		}
+		if path != "" {
+			for _, h := range strings.Split(strings.TrimSuffix(path, "/"), "/") {
+				p.Path = append(p.Path, netem.NodeID(h))
+			}
+		}
+		checkEncode(t, p)
+	})
+}

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -395,15 +396,30 @@ func TestInfoOnEmptyDB(t *testing.T) {
 }
 
 func TestFromCapturePreservesFields(t *testing.T) {
-	c := netem.Capture{
-		Time: base, Dir: netem.CaptureRx, Node: "B",
-		Pkt: netem.Packet{ID: 7, Tag: 3, Src: "A",
+	caps := []netem.Capture{
+		{Time: base, Dir: netem.CaptureRx, Node: "B", ID: 7, Tag: 3, Src: "A",
 			Dst: netem.Multicast("mdns"), Payload: []byte("p"),
 			Path: []netem.NodeID{"A", "B"}},
+		{Time: base, Dir: netem.CaptureTx, Node: "B", ID: 8, Src: "B", Dst: netem.Unicast("A")},
+		{Time: base, Dir: netem.CaptureTx, Node: "B", ID: 9, Src: "B", Dst: netem.Broadcast(),
+			Path: []netem.NodeID{"B"}},
+		{Time: base, Dir: netem.CaptureTx, Node: "B", ID: 10, Src: "B", Dst: netem.Multicast("mdns")},
 	}
-	r := FromCapture(c)
-	if r.ID != 7 || r.Tag != 3 || r.Src != "A" || r.Node != "B" ||
-		r.Dir != "rx" || r.Dst != "mcast:mdns" || string(r.Data) != "p" {
-		t.Fatalf("record = %+v", r)
+	want := []PacketRecord{
+		{Time: base, Dir: "rx", Node: "B", ID: 7, Tag: 3, Src: "A", Dst: "mcast:mdns",
+			Data: []byte("p"), Path: []netem.NodeID{"A", "B"}},
+		{Time: base, Dir: "tx", Node: "B", ID: 8, Src: "B", Dst: "A"},
+		{Time: base, Dir: "tx", Node: "B", ID: 9, Src: "B", Dst: "*", Path: []netem.NodeID{"B"}},
+		{Time: base, Dir: "tx", Node: "B", ID: 10, Src: "B", Dst: "mcast:mdns"},
+	}
+	got := FromCaptures(caps)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records = %+v\nwant %+v", got, want)
+	}
+	// The records own their paths: overwriting the captures' leaves them.
+	caps[0].Path[0], caps[2].Path[0] = "X", "Y"
+	got[0].Path = append(got[0].Path, "C") // must not write into record 2's path
+	if got[0].Path[0] != "A" || got[2].Path[0] != "B" {
+		t.Fatalf("records share memory with the captures or each other: %+v", got)
 	}
 }

@@ -12,7 +12,6 @@ package excovery
 import (
 	"fmt"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -778,82 +777,6 @@ func TestBenchHelpersCompile(t *testing.T) {
 	}
 	if strings.Contains(e.Name, " ") {
 		t.Fatal("unexpected name")
-	}
-}
-
-// buildScalingMesh constructs the sharded emulator workload for the
-// GOMAXPROCS scaling benchmark: `shards` schedulers under one group, each
-// owning a chorded 8-node ring, joined into one mesh by a cross-shard ring
-// whose link delays equal the lookahead.
-func buildScalingMesh(shards int) (*sched.Group, *netem.Network) {
-	const lookahead = 5 * time.Millisecond
-	members := make([]*sched.Scheduler, shards)
-	for i := range members {
-		members[i] = sched.NewVirtual()
-	}
-	g := sched.NewGroup(lookahead, members...)
-	nw := netem.NewSharded(g, 99, func(id netem.NodeID) int {
-		return int(id[1]-'0')*10 + int(id[2]-'0')
-	})
-	name := func(k, i int) netem.NodeID { return netem.NodeID(fmt.Sprintf("s%02dn%d", k, i)) }
-	for k := 0; k < shards; k++ {
-		for i := 0; i < 8; i++ {
-			nw.AddNode(name(k, i), netem.NodeParams{})
-		}
-		for i := 0; i < 8; i++ {
-			nw.AddLink(name(k, i), name(k, (i+1)%8),
-				netem.LinkParams{Delay: time.Millisecond, Jitter: 200 * time.Microsecond, Loss: 0.01})
-		}
-		nw.AddLink(name(k, 0), name(k, 4), netem.LinkParams{Delay: time.Millisecond})
-	}
-	for k := 0; k < shards; k++ {
-		nw.AddLink(name(k, 0), name((k+1)%shards, 0), netem.LinkParams{Delay: lookahead})
-	}
-	return g, nw
-}
-
-// BenchmarkEmulatorShardScaling measures the sharded emulator data path at
-// GOMAXPROCS 1/2/4/8: eight shards exchange mostly shard-local traffic
-// plus a cross-shard trickle, so wall-clock time should fall near-linearly
-// with cores while the virtual-time result stays byte-identical (see
-// TestShardedDeterministicAcrossGOMAXPROCS).
-func BenchmarkEmulatorShardScaling(b *testing.B) {
-	for _, procs := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(b *testing.B) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			const shards = 8
-			g, nw := buildScalingMesh(shards)
-			members := g.Members()
-			payload := make([]byte, 200)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for it := 0; it < b.N; it++ {
-				for k := 0; k < shards; k++ {
-					m := members[k]
-					for i := 0; i < 8; i++ {
-						src := nw.Node(netem.NodeID(fmt.Sprintf("s%02dn%d", k, i)))
-						dst := netem.NodeID(fmt.Sprintf("s%02dn%d", k, (i+3)%8))
-						for r := 0; r < 40; r++ {
-							at := time.Duration(r)*time.Millisecond + time.Duration(i)*125*time.Microsecond
-							m.ScheduleEvent(at, func(time.Time, any) {
-								src.Send(netem.Unicast(dst), "traffic", payload)
-							}, nil)
-						}
-					}
-					src := nw.Node(netem.NodeID(fmt.Sprintf("s%02dn0", k)))
-					xdst := netem.NodeID(fmt.Sprintf("s%02dn4", (k+1)%shards))
-					m.ScheduleEvent(2*time.Millisecond, func(time.Time, any) {
-						src.Send(netem.Unicast(xdst), "traffic", payload)
-					}, nil)
-				}
-				if err := g.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			st := nw.Stats()
-			b.ReportMetric(float64(st.Delivered)/float64(b.N), "deliveries/op")
-		})
 	}
 }
 

@@ -116,9 +116,10 @@ func TestRegistryChurnDeterministicLevel3(t *testing.T) {
 }
 
 // TestChaosLevel3IdenticalAcrossGOMAXPROCS pins the determinism contract
-// of the sharded emulator era at the artifact level: for one seed, the
-// serialized level-3 database of a chaos scenario must be byte-identical
-// whether the process runs on one core or eight.
+// at the artifact level: task goroutines, the control-plane fan-out and the
+// committer still run concurrently, yet for one seed the serialized level-3
+// database of a chaos scenario must be byte-identical whether the process
+// runs on one core or eight.
 func TestChaosLevel3IdenticalAcrossGOMAXPROCS(t *testing.T) {
 	scenarios := map[string]func(int) *desc.Experiment{
 		"reorder":        desc.ChaosReorder,

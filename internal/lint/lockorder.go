@@ -9,11 +9,8 @@ import (
 	"strings"
 )
 
-// lockorder detects lock-order cycles across the module's five interacting
-// lock domains (master committer, fleet, registry, obs, and the sharded
-// scheduler, where the hierarchy is Group.mu above Scheduler.mu: group
-// barriers install cross-shard inboxes into member schedulers, so a member
-// must never call back into the group with its own lock held): it builds a
+// lockorder detects lock-order cycles across the module's four interacting
+// lock domains (master committer, fleet, registry, obs): it builds a
 // whole-program lock-acquisition graph whose nodes are mutex identities
 // keyed on the declaring `Type.field` — every *Fleet value's `mu` is one
 // node, so an order inversion between any two instances is caught — and

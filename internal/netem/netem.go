@@ -26,9 +26,7 @@
 // The per-packet data path runs as inline scheduler events with pooled
 // packets and precomputed per-node fan-out (see DESIGN.md §16): no
 // goroutine handoff, no allocation and no neighbor recomputation per
-// delivery. A network can further be sharded across the members of a
-// sched.Group (NewSharded) so disjoint node sets advance in parallel under
-// conservative lookahead.
+// delivery.
 package netem
 
 import (
@@ -183,42 +181,18 @@ func (st *Stats) DroppedTotal() uint64 {
 	return t
 }
 
-// add accumulates other into st (shard merge).
-func (st *Stats) add(other *Stats) {
-	st.Sent += other.Sent
-	st.Transmissions += other.Transmissions
-	st.Delivered += other.Delivered
-	st.Duplicates += other.Duplicates
-	st.RuleDuplicates += other.RuleDuplicates
-	for i := range st.Dropped {
-		st.Dropped[i] += other.Dropped[i]
-	}
-}
-
-// maxFreePackets bounds each shard's packet free list.
+// maxFreePackets bounds the network's packet free list.
 const maxFreePackets = 8192
 
-// shardState is the per-shard slice of the network's mutable hot-path
-// state: the scheduler the shard's nodes run on, the shard-local packet
-// counters and sequence, and the packet free list. Every field is written
-// only by the owning shard's controller goroutine, so shards never contend
-// — the merged view (Stats) must only be read while the group is idle.
-type shardState struct {
-	idx    int
-	s      *sched.Scheduler
-	stats  Stats
-	pktSeq uint64
-	free   []*Packet
-}
-
-// newPacket returns a zeroed packet from the shard's free list (or a fresh
-// one). The caller owns it until it is handed to exactly one of: the egress
-// ring, a scheduled delivery event, the paused-process buffer — or freed.
-func (sh *shardState) newPacket() *Packet {
-	if k := len(sh.free); k > 0 {
-		p := sh.free[k-1]
-		sh.free[k-1] = nil
-		sh.free = sh.free[:k-1]
+// newPacket returns a zeroed packet from the network's free list (or a
+// fresh one). The caller owns it until it is handed to exactly one of: the
+// egress ring, a scheduled delivery event, the paused-process buffer — or
+// freed.
+func (nw *Network) newPacket() *Packet {
+	if k := len(nw.free); k > 0 {
+		p := nw.free[k-1]
+		nw.free[k-1] = nil
+		nw.free = nw.free[:k-1]
 		return p
 	}
 	return &Packet{}
@@ -226,12 +200,12 @@ func (sh *shardState) newPacket() *Packet {
 
 // freePacket recycles p. The packet must not be referenced afterwards; its
 // Path backing array is retained for reuse.
-func (sh *shardState) freePacket(p *Packet) {
+func (nw *Network) freePacket(p *Packet) {
 	path := p.Path[:0]
 	*p = Packet{}
 	p.Path = path
-	if len(sh.free) < maxFreePackets {
-		sh.free = append(sh.free, p)
+	if len(nw.free) < maxFreePackets {
+		nw.free = append(nw.free, p)
 	}
 }
 
@@ -245,10 +219,14 @@ type edge struct {
 
 // Network is an emulated mesh network.
 type Network struct {
-	s      *sched.Scheduler // shard 0 / control scheduler
-	g      *sched.Group     // nil for a single-shard network
-	shards []*shardState
-	assign func(NodeID) int // node -> shard; nil means shard 0
+	s *sched.Scheduler
+
+	// stats, pktSeq and free are the mutable hot-path state: the packet
+	// counters, the packet ID sequence and the packet free list. Only the
+	// scheduler's controller goroutine and its tasks touch them.
+	stats  Stats
+	pktSeq uint64
+	free   []*Packet
 
 	nodes  map[NodeID]*Node
 	order  []NodeID // sorted, for deterministic iteration
@@ -257,11 +235,9 @@ type Network struct {
 	routes map[NodeID]map[NodeID]NodeID // routes[src][dst] = next hop
 	// edgesDirty/routesDirty mark the per-node edge snapshots and the
 	// next-hop tables stale after a topology mutation. Both rebuild
-	// lazily on a single-shard network; a sharded network rebuilds them
-	// at window barriers and freezes the topology while running.
+	// lazily.
 	edgesDirty  bool
 	routesDirty bool
-	started     bool // a sharded network has begun running windows
 	ruleSeq     int
 	seed        int64
 	// obs, when non-nil, makes nodes and rules resolve per-node/per-rule
@@ -275,19 +251,17 @@ type Network struct {
 	// neighbors, so background traffic steals airtime from everyone in
 	// range — the mechanism that makes generated load inflate discovery
 	// times on a real testbed. Default on; switch off for idealized
-	// point-to-point links. On a sharded network, reservations apply to
-	// same-shard neighbors only.
+	// point-to-point links.
 	Contention bool
 }
 
-// New creates an empty single-shard network. All random decisions (loss,
+// New creates an empty network. All random decisions (loss,
 // jitter) derive from seed, so two networks with equal topology, seed and
 // workload behave identically (§IV-C1: "perfect repeatability of random
 // sequences").
 func New(s *sched.Scheduler, seed int64) *Network {
 	return &Network{
 		s:          s,
-		shards:     []*shardState{{idx: 0, s: s}},
 		nodes:      make(map[NodeID]*Node),
 		links:      make(map[NodeID]map[NodeID]*LinkParams),
 		groups:     make(map[string]map[NodeID]bool),
@@ -297,90 +271,14 @@ func New(s *sched.Scheduler, seed int64) *Network {
 	}
 }
 
-// NewSharded creates a network whose nodes are distributed over the members
-// of g by assign (which must return a valid member index for every node
-// id). Cross-shard links need Delay ≥ g's lookahead — AddLink enforces it —
-// and the topology freezes once the group starts running: AddLink,
-// RemoveLink, Join, Leave, SetInterface and SetKilled panic mid-run.
-// Per-node randomness is seeded exactly as on a single-shard network, and
-// cross-shard deliveries merge deterministically (see sched.Group), so a
-// run is byte-identical at any GOMAXPROCS.
-func NewSharded(g *sched.Group, seed int64, assign func(NodeID) int) *Network {
-	members := g.Members()
-	nw := &Network{
-		s:          members[0],
-		g:          g,
-		assign:     assign,
-		nodes:      make(map[NodeID]*Node),
-		links:      make(map[NodeID]map[NodeID]*LinkParams),
-		groups:     make(map[string]map[NodeID]bool),
-		seed:       seed,
-		DefaultTTL: 8,
-		Contention: true,
-	}
-	for i, m := range members {
-		nw.shards = append(nw.shards, &shardState{idx: i, s: m})
-	}
-	g.BeforeWindow = nw.prepareWindow
-	return nw
-}
-
-// Scheduler returns the scheduler the network runs on (shard 0 when
-// sharded).
+// Scheduler returns the scheduler the network runs on.
 func (nw *Network) Scheduler() *sched.Scheduler { return nw.s }
 
-// Group returns the shard group, or nil for a single-shard network.
-func (nw *Network) Group() *sched.Group { return nw.g }
+// Stats returns a snapshot of the network counters.
+func (nw *Network) Stats() Stats { return nw.stats }
 
-// prepareWindow rebuilds the topology snapshots while every shard is idle;
-// it is the group's BeforeWindow hook. During windows the snapshots are
-// read-only, which is what makes concurrent shard execution race-free.
-func (nw *Network) prepareWindow() {
-	nw.started = true
-	nw.ensureEdges()
-	if nw.routesDirty {
-		nw.recomputeRoutes()
-	}
-}
-
-// frozenTopo panics when a sharded network mutates topology or group
-// membership mid-run: the snapshots other shards read concurrently cannot
-// be invalidated inside a window.
-func (nw *Network) frozenTopo() {
-	if nw.g != nil && nw.started {
-		panic("netem: topology mutation is not supported on a running sharded network")
-	}
-}
-
-// Stats returns a snapshot of the network counters, merged over all shards.
-// On a sharded network it must be called while the group is idle (before
-// Run, between windows, or after Run returns).
-func (nw *Network) Stats() Stats {
-	var out Stats
-	for _, sh := range nw.shards {
-		out.add(&sh.stats)
-	}
-	return out
-}
-
-// ResetStats zeroes the network counters (run preparation). Same idle-only
-// contract as Stats on a sharded network.
-func (nw *Network) ResetStats() {
-	for _, sh := range nw.shards {
-		sh.stats = Stats{}
-	}
-}
-
-func (nw *Network) shardFor(id NodeID) *shardState {
-	if nw.assign == nil {
-		return nw.shards[0]
-	}
-	i := nw.assign(id)
-	if i < 0 || i >= len(nw.shards) {
-		panic(fmt.Sprintf("netem: shard assignment %d for node %q out of range", i, id))
-	}
-	return nw.shards[i]
-}
+// ResetStats zeroes the network counters.
+func (nw *Network) ResetStats() { nw.stats = Stats{} }
 
 // AddNode creates a node. Adding an existing node panics: node identifiers
 // are host names and must be unique (§IV-E).
@@ -388,13 +286,10 @@ func (nw *Network) AddNode(id NodeID, params NodeParams) *Node {
 	if _, dup := nw.nodes[id]; dup {
 		panic(fmt.Sprintf("netem: duplicate node %q", id))
 	}
-	nw.frozenTopo()
-	sh := nw.shardFor(id)
-	params.fill(sh.s)
+	params.fill(nw.s)
 	n := &Node{
 		id:     id,
 		net:    nw,
-		sh:     sh,
 		params: params,
 		clock:  params.Clock,
 		rng:    rand.New(rand.NewSource(nw.seed ^ int64(hashID(id)))),
@@ -444,11 +339,6 @@ func (nw *Network) addDirected(from, to NodeID, p LinkParams) {
 	if from == to {
 		panic("netem: self link")
 	}
-	nw.frozenTopo()
-	if nw.g != nil && nw.nodes[from].sh != nw.nodes[to].sh && p.Delay < nw.g.Lookahead() {
-		panic(fmt.Sprintf("netem: cross-shard link %s->%s delay %s below group lookahead %s",
-			from, to, p.Delay, nw.g.Lookahead()))
-	}
 	cp := p
 	nw.links[from][to] = &cp
 	nw.edgesDirty, nw.routesDirty = true, true
@@ -463,7 +353,6 @@ func (nw *Network) Link(from, to NodeID) *LinkParams {
 // per-node edge snapshots and routes, so the very next transmission sees
 // the new topology.
 func (nw *Network) RemoveLink(a, b NodeID) {
-	nw.frozenTopo()
 	delete(nw.links[a], b)
 	delete(nw.links[b], a)
 	nw.edgesDirty, nw.routesDirty = true, true
@@ -472,7 +361,6 @@ func (nw *Network) RemoveLink(a, b NodeID) {
 // Join adds a node to a multicast group. The node's membership snapshot is
 // updated immediately, so the next flood delivery observes it.
 func (nw *Network) Join(group string, id NodeID) {
-	nw.frozenTopo()
 	if nw.groups[group] == nil {
 		nw.groups[group] = make(map[NodeID]bool)
 	}
@@ -486,7 +374,6 @@ func (nw *Network) Join(group string, id NodeID) {
 // snapshot is invalidated immediately, so the very next flood delivery no
 // longer reaches it.
 func (nw *Network) Leave(group string, id NodeID) {
-	nw.frozenTopo()
 	delete(nw.groups[group], id)
 	if n := nw.nodes[id]; n != nil {
 		delete(n.member, group)

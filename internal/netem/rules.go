@@ -208,7 +208,7 @@ func (n *Node) evalRules(p *Packet, c CaptureDir) verdict {
 			}
 		}
 		if r.RateBps > 0 {
-			if stall := r.shape(p, n.sh.s.Now()); stall > 0 {
+			if stall := r.shape(p, n.net.s.Now()); stall > 0 {
 				v.delay += stall
 				r.m.rateStalls.Inc()
 			}

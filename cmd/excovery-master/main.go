@@ -136,8 +136,8 @@ func main() {
 			fatal(err)
 		}
 		defer fleet.Close()
-		handles = fleet.Handles()
-		env = fleet.Env()
+		placed := fleet.Placement()
+		handles, env = placed.Nodes, placed.Env
 		fleetMgr = fleet
 		if *maxAtt < 2 {
 			// A failover only helps if a further attempt lands on the

@@ -81,6 +81,7 @@ type vfleet struct {
 	reg      *discovery.Registry
 	masterID string
 	byID     map[string]*vhost
+	nodes    map[string]master.NodeHandle // vnodes, one per platform node
 
 	mu     sync.Mutex
 	act    *vhost
@@ -114,8 +115,11 @@ func (f *vfleet) handoff() error {
 	return nil
 }
 
-// Failover implements master.FleetManager.
-func (f *vfleet) Failover(run int, nodeErrs map[string]string) (string, error) {
+// Failover implements master.FleetManager. Its placement is the vnode and
+// venv handles the campaign started with: they resolve the active host per
+// call, so the failover campaign keeps driving the very handles the
+// planned-handoff reference does.
+func (f *vfleet) Failover(run int, nodeErrs map[string]string) (master.Placement, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.reg.ReportDown(f.masterID, f.act.id)
@@ -128,12 +132,12 @@ func (f *vfleet) Failover(run int, nodeErrs map[string]string) (string, error) {
 			continue
 		}
 		if err := h.setMaster(epoch); err != nil {
-			return "", err
+			return master.Placement{}, err
 		}
 		f.act = h
-		return h.id, nil
+		return master.Placement{HostID: h.id, Nodes: f.nodes, Env: venv{f}}, nil
 	}
-	return "", fmt.Errorf("vfleet: no replacement for run %d", run)
+	return master.Placement{}, fmt.Errorf("vfleet: no replacement for run %d", run)
 }
 
 func (f *vfleet) active() *vhost {
@@ -142,8 +146,9 @@ func (f *vfleet) active() *vhost {
 	return f.act
 }
 
-// vnode is the stable handle the master keeps across failovers: it
-// resolves the active host per call, like discovery.FleetNode.
+// vnode is a handle that follows the fleet: it resolves the active host
+// per call, which is what lets the reference campaign migrate at a run
+// boundary without a failover.
 type vnode struct {
 	id string
 	f  *vfleet
@@ -171,7 +176,7 @@ func (n *vnode) Health() error {
 	return nil
 }
 
-// venv is the stable environment executor across failovers.
+// venv is the environment executor counterpart of vnode.
 type venv struct{ f *vfleet }
 
 func (v venv) Execute(a string, p map[string]string) error { return v.f.active().x.Env.Execute(a, p) }
@@ -223,9 +228,9 @@ func runVirtualCampaign(t *testing.T, kill bool) campaignResult {
 		t.Fatalf("initial placement on %s, want h-a", vf.active().id)
 	}
 
-	nodes := make(map[string]master.NodeHandle, len(nodeIDs))
+	vf.nodes = make(map[string]master.NodeHandle, len(nodeIDs))
 	for _, id := range nodeIDs {
-		nodes[id] = &vnode{id: id, f: vf}
+		vf.nodes[id] = &vnode{id: id, f: vf}
 	}
 
 	e := desc.OneShot(30)
@@ -244,7 +249,7 @@ func runVirtualCampaign(t *testing.T, kill bool) campaignResult {
 	moved := false
 	m, err := master.New(master.Config{
 		Exp: e, S: s, Bus: bus,
-		Nodes:   nodes,
+		Nodes:   vf.nodes,
 		Env:     venv{vf},
 		Store:   st,
 		Journal: j,

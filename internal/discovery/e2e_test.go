@@ -140,10 +140,11 @@ func TestCampaignSurvivesHostDeath(t *testing.T) {
 
 	part := fault.NewRPCPartition(a.fp)
 	killed := false
+	placed := fleet.Placement()
 	m, err := master.New(master.Config{
 		Exp: e, S: ms, Bus: bus,
-		Nodes:   fleet.Handles(),
-		Env:     fleet.Env(),
+		Nodes:   placed.Nodes,
+		Env:     placed.Env,
 		Store:   st,
 		Journal: j,
 		Retry:   master.RetryPolicy{MaxAttempts: 3, QuarantineAfter: 8},
@@ -228,8 +229,9 @@ func TestCampaignSurvivesHostDeath(t *testing.T) {
 	// higher epoch) refuses anything older.
 	part.Stop()
 	staleEpoch := 1
-	if _, err := xmlrpc.NewClient(b.http.URL).Call("host.set_master",
-		"http://stale-master", "s-stale", 60000, staleEpoch); err == nil {
+	if _, err := xmlrpc.NewClient(b.http.URL).CallMeta("host.set_master",
+		xmlrpc.Meta{FenceEpoch: int64(staleEpoch)},
+		"http://stale-master", "s-stale", 60000); err == nil {
 		t.Fatal("survivor accepted a set_master from a fenced epoch")
 	} else if !strings.Contains(err.Error(), "stale epoch") {
 		t.Fatalf("stale set_master refused with the wrong error: %v", err)

@@ -7,11 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"excovery/internal/eventlog"
 	"excovery/internal/master"
 	"excovery/internal/noderpc"
 	"excovery/internal/obs"
-	"excovery/internal/store"
 	"excovery/internal/xmlrpc"
 )
 
@@ -20,8 +18,9 @@ import (
 // the fenced control-channel proxies for the master's run loop, keeps the
 // active host leased, and — as master.FleetManager — re-places the run's
 // nodes onto a surviving or newly joined host when the active one dies
-// mid-campaign. Each adoption carries the claim's fencing epoch, so the
-// displaced host refuses any RPC from the epoch it outgrew.
+// mid-campaign. Each adoption is a fresh set of proxies carrying the
+// claim's fencing epoch, so the displaced host refuses any RPC from the
+// epoch it outgrew.
 type Fleet struct {
 	// Reg is the registry's XML-RPC endpoint.
 	Reg *xmlrpc.Client
@@ -49,8 +48,7 @@ type Fleet struct {
 	mu     sync.Mutex
 	active Host
 	spares []Host
-	nodes  map[string]*FleetNode
-	env    *switchEnv
+	placed master.Placement
 	lease  *noderpc.Lease
 }
 
@@ -64,7 +62,7 @@ func (f *Fleet) Connect() error {
 	}
 	var errs []string
 	for i, h := range claimed {
-		if err := f.adopt(h, claimed[i+1:], false); err != nil {
+		if err := f.adopt(h, claimed[i+1:]); err != nil {
 			errs = append(errs, fmt.Sprintf("%s: %v", h.ID, err))
 			continue
 		}
@@ -93,16 +91,18 @@ func (f *Fleet) claim() ([]Host, error) {
 	return hosts, nil
 }
 
-// adopt makes h the active host: register the master session under the
-// claim's fencing epoch, verify the node set, rebind every proxy and start
-// the lease heartbeat. rebind is false on the first adoption (the proxies
-// are created) and true on failover (they are re-pointed, so the master's
-// handle map stays valid mid-campaign).
-func (f *Fleet) adopt(h Host, spares []Host, rebind bool) error {
+// adopt makes h the active host: verify it serves the node set of the
+// placement it replaces, register the master session under the claim's
+// fencing epoch, build the placement's proxies and start the lease
+// heartbeat.
+func (f *Fleet) adopt(h Host, spares []Host) error {
 	c := f.NewClient(h.URL)
 	nodes, err := noderpc.FetchNodes(c, 3, 200*time.Millisecond)
 	if err != nil {
 		return err
+	}
+	if missing := missingNodes(sortedNodeIDs(f.Placement().Nodes), nodes); len(missing) > 0 {
+		return fmt.Errorf("adopt %s: host does not serve node %q", h.URL, missing[0])
 	}
 	lease := &noderpc.Lease{
 		C:         c,
@@ -116,26 +116,19 @@ func (f *Fleet) adopt(h Host, spares []Host, rebind bool) error {
 		return fmt.Errorf("adopt %s: %w", h.URL, err)
 	}
 
+	p := master.Placement{
+		HostID: h.ID,
+		Nodes:  make(map[string]master.NodeHandle, len(nodes)),
+		Env:    &noderpc.RemoteEnv{C: c, Epoch: h.Epoch},
+	}
+	for _, id := range nodes {
+		r := &noderpc.RemoteNode{NodeID: id, C: c}
+		r.SetFenceEpoch(h.Epoch)
+		p.Nodes[id] = r
+	}
+
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if rebind {
-		if missing := missingNodes(f.nodeIDsLocked(), nodes); len(missing) > 0 {
-			return fmt.Errorf("adopt %s: host does not serve node %q", h.URL, missing[0])
-		}
-	} else {
-		f.nodes = make(map[string]*FleetNode, len(nodes))
-		for _, id := range nodes {
-			f.nodes[id] = &FleetNode{id: id}
-		}
-		f.env = &switchEnv{}
-	}
-	for _, id := range f.nodeIDsLocked() {
-		n := f.nodes[id]
-		r := &noderpc.RemoteNode{NodeID: n.id, C: c}
-		r.SetFenceEpoch(h.Epoch)
-		n.rebind(r)
-	}
-	f.env.rebind(&noderpc.RemoteEnv{C: c, Epoch: h.Epoch})
 	if f.lease != nil {
 		f.lease.Stop()
 	}
@@ -143,17 +136,16 @@ func (f *Fleet) adopt(h Host, spares []Host, rebind bool) error {
 	lease.Start()
 	f.active = h
 	f.spares = append([]Host(nil), spares...)
+	f.placed = p
 	return nil
 }
 
-// nodeIDsLocked returns the run's node ids sorted: every loop that orders
-// an observable action over the node set — adoption validation, proxy
-// rebinds, handle export — iterates this slice, never the map, so
-// placement decisions and failure messages are seed-stable (§IV-C1).
-// Caller holds f.mu.
-func (f *Fleet) nodeIDsLocked() []string {
-	ids := make([]string, 0, len(f.nodes))
-	for id := range f.nodes {
+// sortedNodeIDs returns a placement's node ids sorted: adoption validation
+// iterates this slice, never the map, so placement decisions and failure
+// messages are seed-stable (§IV-C1).
+func sortedNodeIDs(nodes map[string]master.NodeHandle) []string {
+	ids := make([]string, 0, len(nodes))
+	for id := range nodes {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
@@ -176,23 +168,13 @@ func missingNodes(want, have []string) []string {
 	return missing
 }
 
-// Handles returns the master's node handle map. The handles are stable
-// across failovers — they re-point at the replacement host internally.
-func (f *Fleet) Handles() map[string]master.NodeHandle {
+// Placement returns the active host's handles and environment executor:
+// what master.Config.Nodes and Env start from after Connect, and what
+// Failover hands the master after each replacement.
+func (f *Fleet) Placement() master.Placement {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[string]master.NodeHandle, len(f.nodes))
-	for _, id := range f.nodeIDsLocked() {
-		out[id] = f.nodes[id]
-	}
-	return out
-}
-
-// Env returns the environment executor, stable across failovers.
-func (f *Fleet) Env() master.EnvExecutor {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.env
+	return f.placed
 }
 
 // ActiveHost returns the currently adopted host.
@@ -206,8 +188,8 @@ func (f *Fleet) ActiveHost() Host {
 // given run, so report it dead, then re-place the nodes onto the first
 // usable replacement — surviving spares first, then whatever the registry
 // can claim within ReplaceTimeout (this is how elastic hosts that joined
-// mid-campaign pick up work). Returns the replacement's host id.
-func (f *Fleet) Failover(run int, nodeErrs map[string]string) (string, error) {
+// mid-campaign pick up work). Returns the replacement's placement.
+func (f *Fleet) Failover(run int, nodeErrs map[string]string) (master.Placement, error) {
 	f.mu.Lock()
 	dead := f.active
 	spares := append([]Host(nil), f.spares...)
@@ -237,21 +219,21 @@ func (f *Fleet) Failover(run int, nodeErrs map[string]string) (string, error) {
 		for len(spares) > 0 {
 			h := spares[0]
 			spares = spares[1:]
-			if err := f.adopt(h, spares, true); err != nil {
+			if err := f.adopt(h, spares); err != nil {
 				f.Reg.Call("registry.release", f.MasterID, h.ID)
 				continue
 			}
 			if f.OnHostChange != nil {
 				f.OnHostChange("failover", h.ID)
 			}
-			return h.ID, nil
+			return f.Placement(), nil
 		}
 		// No spare left: poll the registry for survivors or new joiners.
 		if claimed, err := f.claim(); err == nil {
 			spares = claimed
 		}
 	}
-	return "", fmt.Errorf("fleet: no replacement host for %s within %s (run %d, %d node errors)",
+	return master.Placement{}, fmt.Errorf("fleet: no replacement host for %s within %s (run %d, %d node errors)",
 		dead.ID, timeout, run, len(nodeErrs))
 }
 
@@ -273,101 +255,3 @@ func (f *Fleet) Close() {
 		f.Reg.Call("registry.release", f.MasterID, h.ID)
 	}
 }
-
-// FleetNode is a stable node handle over a swappable noderpc.RemoteNode:
-// the master's Config.Nodes map keeps pointing at the same FleetNode while
-// a failover re-points it at the replacement host. It forwards the full
-// NodeHandle contract plus every optional extension the XML-RPC proxy
-// implements (health probe, run error accounting, trace propagation and
-// harvest, metric fan-in).
-type FleetNode struct {
-	id string
-	mu sync.Mutex
-	r  *noderpc.RemoteNode
-}
-
-func (n *FleetNode) rebind(r *noderpc.RemoteNode) {
-	n.mu.Lock()
-	n.r = r
-	n.mu.Unlock()
-}
-
-func (n *FleetNode) proxy() *noderpc.RemoteNode {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.r
-}
-
-// ID implements master.NodeHandle.
-func (n *FleetNode) ID() string { return n.id }
-
-// PrepareRun implements master.NodeHandle.
-func (n *FleetNode) PrepareRun(run int) { n.proxy().PrepareRun(run) }
-
-// CleanupRun implements master.NodeHandle.
-func (n *FleetNode) CleanupRun(run int) { n.proxy().CleanupRun(run) }
-
-// Execute implements master.NodeHandle.
-func (n *FleetNode) Execute(action string, params map[string]string) error {
-	return n.proxy().Execute(action, params)
-}
-
-// Emit implements master.NodeHandle.
-func (n *FleetNode) Emit(typ string, params map[string]string) { n.proxy().Emit(typ, params) }
-
-// LocalTime implements master.NodeHandle.
-func (n *FleetNode) LocalTime() time.Time { return n.proxy().LocalTime() }
-
-// HarvestEvents implements master.NodeHandle.
-func (n *FleetNode) HarvestEvents(run int) []eventlog.Event { return n.proxy().HarvestEvents(run) }
-
-// HarvestPackets implements master.NodeHandle.
-func (n *FleetNode) HarvestPackets() []store.PacketRecord { return n.proxy().HarvestPackets() }
-
-// HarvestExtras implements master.NodeHandle.
-func (n *FleetNode) HarvestExtras() []store.ExtraMeasurement { return n.proxy().HarvestExtras() }
-
-// Health implements master.HealthChecker.
-func (n *FleetNode) Health() error { return n.proxy().Health() }
-
-// Err reports the current run's first control-channel error (the master's
-// quarantine accounting extension).
-func (n *FleetNode) Err() error { return n.proxy().Err() }
-
-// SetTraceParent implements the master's trace-propagation extension.
-func (n *FleetNode) SetTraceParent(id uint64) { n.proxy().SetTraceParent(id) }
-
-// HarvestTrace implements the master's trace-harvest extension.
-func (n *FleetNode) HarvestTrace(run int) []obs.Span { return n.proxy().HarvestTrace(run) }
-
-// ObsSnapshot implements the master's metric fan-in extension.
-func (n *FleetNode) ObsSnapshot() ([]obs.MetricPoint, error) { return n.proxy().ObsSnapshot() }
-
-// ObsSource implements the master's metric fan-in extension.
-func (n *FleetNode) ObsSource() string { return n.proxy().ObsSource() }
-
-// switchEnv is the swappable environment executor counterpart of FleetNode.
-type switchEnv struct {
-	mu sync.Mutex
-	e  *noderpc.RemoteEnv
-}
-
-func (s *switchEnv) rebind(e *noderpc.RemoteEnv) {
-	s.mu.Lock()
-	s.e = e
-	s.mu.Unlock()
-}
-
-func (s *switchEnv) proxy() *noderpc.RemoteEnv {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.e
-}
-
-// Execute implements master.EnvExecutor.
-func (s *switchEnv) Execute(action string, params map[string]string) error {
-	return s.proxy().Execute(action, params)
-}
-
-// Reset implements master.EnvExecutor.
-func (s *switchEnv) Reset() { s.proxy().Reset() }

@@ -3,26 +3,28 @@ package discovery
 import (
 	"fmt"
 	"testing"
+
+	"excovery/internal/master"
+	"excovery/internal/noderpc"
 )
 
-// TestNodeIDsLockedIsSorted pins the fleet's determinism contract
-// (§IV-C1): every loop that orders an observable action over the node set
-// iterates nodeIDsLocked, and nodeIDsLocked is sorted regardless of map
-// insertion order or Go's randomized map iteration. Repeated rounds with
-// different insertion orders would flip a map-range implementation on most
-// runs.
-func TestNodeIDsLockedIsSorted(t *testing.T) {
+// TestSortedNodeIDs pins the fleet's determinism contract (§IV-C1):
+// adoption validation iterates sortedNodeIDs, and sortedNodeIDs is sorted
+// regardless of map insertion order or Go's randomized map iteration.
+// Repeated rounds with different insertion orders would flip a map-range
+// implementation on most runs.
+func TestSortedNodeIDs(t *testing.T) {
 	ids := []string{"node-c", "node-a", "node-10", "node-2", "node-b"}
 	want := fmt.Sprint([]string{"node-10", "node-2", "node-a", "node-b", "node-c"})
 	for round := 0; round < 50; round++ {
-		f := &Fleet{nodes: map[string]*FleetNode{}}
+		nodes := map[string]master.NodeHandle{}
 		// Rotate the insertion order each round.
 		for i := range ids {
 			id := ids[(i+round)%len(ids)]
-			f.nodes[id] = &FleetNode{id: id}
+			nodes[id] = &noderpc.RemoteNode{NodeID: id}
 		}
-		if got := fmt.Sprint(f.nodeIDsLocked()); got != want {
-			t.Fatalf("round %d: nodeIDsLocked() = %v, want %v", round, got, want)
+		if got := fmt.Sprint(sortedNodeIDs(nodes)); got != want {
+			t.Fatalf("round %d: sortedNodeIDs() = %v, want %v", round, got, want)
 		}
 	}
 }

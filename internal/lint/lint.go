@@ -39,10 +39,9 @@
 //	                staged-write contract).
 //	mutexheldio   — no network call or blocking file I/O between Lock()
 //	                and Unlock() of a mutex within a function.
-//	rpccontract   — every Client.Call("x.y", …) site module-wide matches
-//	                a registered XML-RPC handler's name and positional
-//	                arity, net of the optional trailing trace_parent /
-//	                fence_epoch markers.
+//	rpccontract   — every Client.Call / CallMeta("x.y", …) site
+//	                module-wide matches a registered XML-RPC handler's
+//	                name and positional arity.
 //	lockorder     — the cross-package lock-acquisition graph (keyed on
 //	                type.field mutex identity) is cycle-free.
 //	maporder      — no range over a map whose body reaches a

@@ -20,19 +20,18 @@ import (
 // derived from the handler body's arg/argAt accesses) and checks every
 // Client.Call site with a literal method name module-wide against that
 // table: unknown method names and arities outside [min, max] are findings.
+// Register/RegisterMeta and Call/CallMeta are checked alike — call
+// metadata travels in HTTP headers and is no positional parameter.
 //
 // The profile distinguishes required from optional positions by the
 // handler's own parsing idiom: a statement-level `v, ok := arg[T](params,
 // i)` is required (the handler rejects the call without it), while a
 // blank `v, _ :=` or an if-guarded `if v, ok := …; ok` access is optional
-// — this is how host.set_master's trailing (session, ttl_ms, epoch) and
+// — this is how host.set_master's trailing (session, ttl_ms) and
 // registry.claim's (count, region) stay optional-suffix without any
-// annotation. Call-site arity is computed net of the trailing
-// trace_parent/fence_epoch markers: WithFenceEpoch/WithTraceParent
-// wrappers are peeled (the server strips them before the handler sees
-// params), and calls through a forwarder like (*RemoteNode).call — a
+// annotation. Calls through a forwarder like (*RemoteNode).call — a
 // module function of shape (method string, params ...any) that forwards
-// to Client.Call — are checked like direct calls.
+// to Client.Call or CallMeta — are checked like direct calls.
 
 // rpcMethodRE matches the method-name vocabulary ("host.set_master",
 // "system.listMethods"); other string literals in a Call-shaped position
@@ -42,7 +41,7 @@ var rpcMethodRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0
 const (
 	rpcClientType = "excovery/internal/xmlrpc.Client"
 	rpcServerType = "excovery/internal/xmlrpc.Server"
-	rpcPkgPath    = "excovery/internal/xmlrpc"
+	rpcMetaType   = "excovery/internal/xmlrpc.Meta"
 )
 
 // rpcProfile is a handler's positional-parameter profile.
@@ -95,7 +94,7 @@ func (p *rpcProfile) merge(q *rpcProfile) {
 	p.unknown = p.unknown || q.unknown
 }
 
-// rpcHandlerFact records one srv.Register("name", handler) site.
+// rpcHandlerFact records one srv.Register[Meta]("name", handler) site.
 type rpcHandlerFact struct {
 	name    string
 	profile *rpcProfile
@@ -136,7 +135,7 @@ func rpccontractCollect(f *File, fx *Facts) {
 		if rpcIsForwarder(f, fd) {
 			fx.Put("rpccontract", "forwarder/"+obj.FullName(), true)
 		}
-		if ident := rpcParamsIdent(fd); ident != nil {
+		if ident := rpcParamsIdent(f, fd.Type); ident != nil {
 			p := rpcProfileOf(f, fd.Body, ident)
 			fx.Put("rpccontract", "helper/"+obj.FullName(), p)
 		}
@@ -148,8 +147,8 @@ func rpccontractCollect(f *File, fx *Facts) {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if ok && sel.Sel.Name == "Register" && len(call.Args) >= 2 &&
-			f.typeOf(sel.X) == rpcServerType {
+		if ok && (sel.Sel.Name == "Register" || sel.Sel.Name == "RegisterMeta") &&
+			len(call.Args) >= 2 && f.typeOf(sel.X) == rpcServerType {
 			name, ok := stringLit(call.Args[0])
 			if !ok {
 				return true
@@ -254,7 +253,7 @@ func rpccontractFinish(m *Module, fx *Facts) []Diagnostic {
 }
 
 // rpcCallSite matches a Call-shaped site with a literal method name:
-// either method "Call" on *xmlrpc.Client, or a module function call whose
+// either Call/CallMeta on *xmlrpc.Client, or a module function call whose
 // first argument is a method-name literal and whose signature ends in
 // ...any (a forwarder candidate, confirmed against the forwarder facts in
 // Finish).
@@ -266,9 +265,8 @@ func rpcCallSite(f *File, call *ast.CallExpr) (*rpcCallFact, bool) {
 	if !ok || !rpcMethodRE.MatchString(method) {
 		return nil, false
 	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Call" &&
-		f.typeOf(sel.X) == rpcClientType {
-		return &rpcCallFact{method: method, argc: rpcArgc(f, call), pos: f.pos(call.Pos())}, true
+	if fixed := rpcClientCall(f, call); fixed > 0 {
+		return &rpcCallFact{method: method, argc: rpcArgc(call, fixed), pos: f.pos(call.Pos())}, true
 	}
 	fn := f.calleeFunc(call)
 	full, inModule := f.moduleFunc(fn)
@@ -279,52 +277,39 @@ func rpcCallSite(f *File, call *ast.CallExpr) (*rpcCallFact, bool) {
 	if !ok || !sig.Variadic() || sig.Params().Len() < 2 {
 		return nil, false
 	}
-	return &rpcCallFact{method: method, argc: rpcArgc(f, call), callee: full, pos: f.pos(call.Pos())}, true
+	return &rpcCallFact{method: method, argc: rpcArgc(call, 1), callee: full, pos: f.pos(call.Pos())}, true
 }
 
-// rpcArgc computes the positional-parameter count a call puts on the wire,
-// net of trailing fence/trace markers: the plain form counts arguments
-// after the method name; the spread form Call(m, WithFenceEpoch(base,
-// e)...) peels the marker wrappers (the server strips the markers before
-// the handler sees params) down to the base slice literal. -1 when not
-// statically derivable.
-func rpcArgc(f *File, call *ast.CallExpr) int {
-	if !call.Ellipsis.IsValid() {
-		return len(call.Args) - 1
+// rpcClientCall reports how many leading arguments of a call on
+// *xmlrpc.Client are not positional parameters: 1 for Call (the method
+// name), 2 for CallMeta (method name and metadata), 0 for anything else.
+func rpcClientCall(f *File, call *ast.CallExpr) int {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || f.typeOf(sel.X) != rpcClientType {
+		return 0
 	}
-	if len(call.Args) != 2 {
+	switch sel.Sel.Name {
+	case "Call":
+		return 1
+	case "CallMeta":
+		return 2
+	}
+	return 0
+}
+
+// rpcArgc counts the positional parameters a call puts on the wire: its
+// arguments after the fixed leading ones. -1 for the spread form, which is
+// not statically derivable.
+func rpcArgc(call *ast.CallExpr, fixed int) int {
+	if call.Ellipsis.IsValid() {
 		return -1
 	}
-	e := call.Args[1]
-	for {
-		inner, ok := e.(*ast.CallExpr)
-		if !ok {
-			break
-		}
-		fn := f.calleeFunc(inner)
-		if fn == nil || fn.Pkg() == nil || len(inner.Args) == 0 {
-			return -1
-		}
-		if fn.Pkg().Path() != rpcPkgPath ||
-			(fn.Name() != "WithFenceEpoch" && fn.Name() != "WithTraceParent") {
-			return -1
-		}
-		e = inner.Args[0]
-	}
-	switch v := e.(type) {
-	case *ast.Ident:
-		if v.Name == "nil" {
-			return 0
-		}
-	case *ast.CompositeLit:
-		return len(v.Elts)
-	}
-	return -1
+	return len(call.Args) - fixed
 }
 
 // rpcIsForwarder reports whether fd has the forwarder shape: parameters
 // (method string, params ...any) and a body that passes the method
-// parameter on to Client.Call.
+// parameter on to Client.Call or CallMeta.
 func rpcIsForwarder(f *File, fd *ast.FuncDecl) bool {
 	params := fd.Type.Params
 	if params == nil || len(params.List) == 0 {
@@ -351,11 +336,7 @@ func rpcIsForwarder(f *File, fd *ast.FuncDecl) bool {
 	forwards := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || sel.Sel.Name != "Call" || f.typeOf(sel.X) != rpcClientType {
+		if !ok || len(call.Args) == 0 || rpcClientCall(f, call) == 0 {
 			return true
 		}
 		if id, ok := call.Args[0].(*ast.Ident); ok && f.Pkg.Info.Uses[id] == obj {
@@ -366,17 +347,17 @@ func rpcIsForwarder(f *File, fd *ast.FuncDecl) bool {
 	return forwards
 }
 
-// rpcParamsIdent returns the sole []any parameter of a handler-shaped
-// function ("func(params []any) …" or a helper like nodeRunArgs), or nil.
-func rpcParamsIdent(fd *ast.FuncDecl) *ast.Ident {
-	return rpcParamsIdentOf(fd.Type)
-}
-
-func rpcParamsIdentOf(ft *ast.FuncType) *ast.Ident {
-	if ft.Params == nil || len(ft.Params.List) != 1 {
+// rpcParamsIdent returns the []any parameter of a handler-shaped function
+// ("func(params []any) …", a helper like nodeRunArgs, or the MetaHandler
+// shape "func(meta xmlrpc.Meta, params []any) …"), or nil.
+func rpcParamsIdent(f *File, ft *ast.FuncType) *ast.Ident {
+	if ft.Params == nil || len(ft.Params.List) == 0 || len(ft.Params.List) > 2 {
 		return nil
 	}
-	field := ft.Params.List[0]
+	if len(ft.Params.List) == 2 && f.typeOf(ft.Params.List[0].Type) != rpcMetaType {
+		return nil
+	}
+	field := ft.Params.List[len(ft.Params.List)-1]
 	if len(field.Names) != 1 {
 		return nil
 	}
@@ -399,7 +380,7 @@ func rpcHandlerProfile(f *File, expr ast.Expr) *rpcProfile {
 	for {
 		switch v := expr.(type) {
 		case *ast.FuncLit:
-			if ident := rpcParamsIdentOf(v.Type); ident != nil {
+			if ident := rpcParamsIdent(f, v.Type); ident != nil {
 				return rpcProfileOf(f, v.Body, ident)
 			}
 			p := newRPCProfile()

@@ -1,12 +1,12 @@
 package xmlrpc
 
 // Remote mimics noderpc.RemoteNode: call is a forwarder (method string +
-// variadic params, handed to Client.Call), so its sites are checked like
-// direct Call sites.
+// variadic params, handed to Client.CallMeta), so its sites are checked
+// like direct Call sites.
 type Remote struct{ C *Client }
 
 func (r *Remote) call(method string, params ...any) (any, error) {
-	return r.C.Call(method, WithTraceParent(params, 1)...)
+	return r.C.CallMeta(method, Meta{TraceParent: 1}, params...)
 }
 
 // helper is NOT a forwarder (no Client.Call inside); its string-first
@@ -22,9 +22,11 @@ func useCalls(c *Client, r *Remote, m string) {
 	c.Call("node.wrapped", "n", 7)                         // exact
 	c.Call("host.none")                                    // zero params ok
 	c.Call("host.opaque", "anything", "goes", 1, 2, 3)     // arity unknown: name check only
-	c.Call("host.ok", WithFenceEpoch([]any{"a", 1}, 9)...) // markers peel to 2
-	c.Call("host.none", WithFenceEpoch(nil, 9)...)         // markers peel to 0
-	c.Call("host.ok", WithFenceEpoch(nil, 9)...)           // want rpccontract
+	c.CallMeta("host.ok", Meta{FenceEpoch: 9}, "a", 1)     // metadata is no param: 2
+	c.CallMeta("host.none", Meta{FenceEpoch: 9})           // metadata is no param: 0
+	c.CallMeta("host.ok", Meta{FenceEpoch: 9})             // want rpccontract
+	c.CallMeta("host.meta", Meta{FenceEpoch: 9}, "u", "s") // max
+	c.Call("host.meta")                                    // want rpccontract
 	c.Call(m, "a")                                         // non-literal method: unchecked
 	r.call("node.wrapped", "n", 7)                         // forwarder, exact
 	r.call("node.wrapped", "n")                            // want rpccontract

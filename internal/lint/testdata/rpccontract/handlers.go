@@ -4,7 +4,9 @@ import "errors"
 
 // wrap mimics the host's dataPath/fenced/traced wrappers: the analyzer
 // must look through it to the func literal's profile.
-func wrap(method string, fn Handler) Handler { return fn }
+func wrap(method string, fn Handler) MetaHandler {
+	return func(_ Meta, params []any) (any, error) { return fn(params) }
+}
 
 // pairArgs mimics nodeRunArgs: a delegated []any helper whose required
 // indices fold into the calling handler's profile.
@@ -33,7 +35,7 @@ func setup(s *Server) {
 	})
 	// node.wrapped: profile read through the wrapper and the delegated
 	// helper -> exactly 2 params.
-	s.Register("node.wrapped", wrap("node.wrapped", func(params []any) (any, error) {
+	s.RegisterMeta("node.wrapped", wrap("node.wrapped", func(params []any) (any, error) {
 		id, run, err := pairArgs(params)
 		if err != nil {
 			return nil, err
@@ -41,6 +43,16 @@ func setup(s *Server) {
 		_ = run
 		return id, nil
 	}))
+	// host.meta: a MetaHandler literal profiles like a Handler, over its
+	// second parameter -> accepts 1..2 params.
+	s.RegisterMeta("host.meta", func(meta Meta, params []any) (any, error) {
+		url, ok := arg[string](params, 0)
+		if !ok || meta.FenceEpoch < 0 {
+			return nil, errors.New("want url")
+		}
+		session, _ := arg[string](params, 1)
+		return url + session, nil
+	})
 	// host.none ignores params -> exactly 0.
 	s.Register("host.none", func(params []any) (any, error) {
 		return "pong", nil

@@ -97,7 +97,7 @@ type runErrorer interface {
 // traceParentSetter is an optional NodeHandle extension (noderpc.RemoteNode
 // implements it): the master hands the handle the span id under which its
 // next control-channel calls should parent, and the handle carries it
-// across the wire as the trailing trace_parent parameter (DESIGN.md §13).
+// across the wire as call metadata (DESIGN.md §13).
 type traceParentSetter interface {
 	SetTraceParent(id uint64)
 }
@@ -117,13 +117,23 @@ type metricSnapshotter interface {
 	ObsSource() string
 }
 
+// Placement is one host's way of serving the run's nodes: the handles and
+// environment executor the master drives until the next failover.
+type Placement struct {
+	// HostID names the backing host.
+	HostID string
+	// Nodes must hold a handle for every id of Config.Nodes.
+	Nodes map[string]NodeHandle
+	Env   EnvExecutor
+}
+
 // FleetManager is the master's hook into a discovery-backed host fleet
 // (internal/discovery.Fleet implements it). Failover re-places the run's
-// nodes onto a surviving or newly joined host after the active one died;
-// it returns the replacement's host id. The existing Config.Nodes handles
-// must remain valid — the fleet re-points them internally.
+// nodes onto a surviving or newly joined host after the active one died
+// and returns the replacement's placement, which the master drives from
+// the next attempt on.
 type FleetManager interface {
-	Failover(run int, nodeErrs map[string]string) (hostID string, err error)
+	Failover(run int, nodeErrs map[string]string) (Placement, error)
 }
 
 // setTraceParent forwards a span id to handles that propagate it.
@@ -604,23 +614,33 @@ func (m *Master) prepareDurability() (store.Replay, error) {
 
 // maybeFailover asks the fleet for a replacement host after a failed
 // attempt whose node errors implicate the control channel. On success the
-// per-node health accounting is reset — consecutive failures, quarantine
-// and probation described the dead host, not its replacement — so the
-// retry starts with a clean slate on the new host.
+// master takes the replacement's handles — nothing is in flight between
+// attempts — and resets the per-node health accounting: consecutive
+// failures, quarantine and probation described the dead host, not its
+// replacement, so the retry starts with a clean slate on the new host.
 func (m *Master) maybeFailover(run desc.Run, rr *RunResult) {
 	if m.cfg.Fleet == nil || len(rr.NodeErrs) == 0 {
 		return
 	}
 	m.rec.Emit(eventlog.EvFleetHostLost, map[string]string{
 		"run": fmt.Sprint(run.ID), "node_errs": fmt.Sprint(len(rr.NodeErrs))})
-	host, err := m.cfg.Fleet.Failover(run.ID, rr.NodeErrs)
+	p, err := m.cfg.Fleet.Failover(run.ID, rr.NodeErrs)
+	if err == nil {
+		for _, id := range m.order {
+			if p.Nodes[id] == nil {
+				err = fmt.Errorf("placement on host %s has no handle for node %q", p.HostID, id)
+				break
+			}
+		}
+	}
 	if err != nil {
 		m.counter(obs.MMasterFailoverErrors,
-			"failovers that found no replacement host").Inc()
+			"failovers that found no usable replacement host").Inc()
 		m.rec.Emit(eventlog.EvFleetFailoverFailed, map[string]string{
 			"run": fmt.Sprint(run.ID), "err": err.Error()})
 		return
 	}
+	m.cfg.Nodes, m.cfg.Env = p.Nodes, p.Env
 	for _, id := range m.order {
 		m.health[id] = 0
 		delete(m.quarantined, id)
@@ -630,7 +650,7 @@ func (m *Master) maybeFailover(run desc.Run, rr *RunResult) {
 	m.counter(obs.MMasterFailovers,
 		"mid-campaign host replacements").Inc()
 	m.rec.Emit(eventlog.EvRunReplaced, map[string]string{
-		"run": fmt.Sprint(run.ID), "host": host})
+		"run": fmt.Sprint(run.ID), "host": p.HostID})
 }
 
 // preflight verifies every node's control channel before a run attempt

@@ -380,11 +380,6 @@ func (nw *Network) Leave(group string, id NodeID) {
 	}
 }
 
-// InGroup reports group membership.
-func (nw *Network) InGroup(group string, id NodeID) bool {
-	return nw.groups[group][id]
-}
-
 // ensureEdges rebuilds every node's outgoing-edge snapshot (sorted by
 // target id) after a topology mutation. The snapshot resolves the target
 // node and link parameters once, so the per-transmission fan-out loop does

@@ -182,9 +182,6 @@ func (n *Node) ResetRunState() {
 	n.SetKilled(false)
 }
 
-// InterfaceUp reports whether the interface is administratively up.
-func (n *Node) InterfaceUp() bool { return n.up }
-
 // SetInterface activates or deactivates the node's network interface
 // (§IV-A2). A down interface neither sends, receives nor forwards, and the
 // node disappears from routing until reactivated.

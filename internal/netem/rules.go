@@ -248,9 +248,5 @@ func (n *Node) RemoveRule(r *Rule) {
 	}
 }
 
-// ClearRules removes all rules (run preparation resets the environment,
-// §IV-C1).
-func (n *Node) ClearRules() { n.rules = nil }
-
 // RuleCount returns the number of installed rules.
 func (n *Node) RuleCount() int { return len(n.rules) }

@@ -25,45 +25,39 @@ type RemoteNode struct {
 	// C is the host's XML-RPC endpoint.
 	C *xmlrpc.Client
 
-	mu          sync.Mutex
-	runErr      error
-	runErrs     int
-	totalErrs   int
-	traceParent uint64
-	fenceEpoch  int64
+	mu        sync.Mutex
+	runErr    error
+	runErrs   int
+	totalErrs int
+	meta      xmlrpc.Meta
 }
 
 // SetTraceParent sets the master-side span id attached to every subsequent
-// RPC of this proxy as the trailing trace_parent parameter, so the host's
-// request spans parent under the master's run/phase tree (DESIGN.md §13).
-// The master updates it at each broadcast site; zero detaches.
+// RPC of this proxy as call metadata, so the host's request spans parent
+// under the master's run/phase tree (DESIGN.md §13). The master updates it
+// at each broadcast site; zero detaches.
 func (r *RemoteNode) SetTraceParent(id uint64) {
 	r.mu.Lock()
-	r.traceParent = id
+	r.meta.TraceParent = id
 	r.mu.Unlock()
 }
 
 // SetFenceEpoch attaches a registry claim epoch to every subsequent RPC of
-// this proxy as the trailing fence_epoch parameter (DESIGN.md §14): the
-// host refuses the call once a newer claim has taken the host over, so a
-// master that lost its claim cannot keep driving the node. Zero (static
-// wiring) detaches.
+// this proxy as call metadata (DESIGN.md §14): the host refuses the call
+// once a newer claim has taken the host over, so a master that lost its
+// claim cannot keep driving the node. Zero (static wiring) detaches.
 func (r *RemoteNode) SetFenceEpoch(epoch int64) {
 	r.mu.Lock()
-	r.fenceEpoch = epoch
+	r.meta.FenceEpoch = epoch
 	r.mu.Unlock()
 }
 
-// call issues one control-channel RPC, folding in the current fence epoch
-// and trace parent (in that order: the host's traced wrapper strips the
-// outermost trace marker first, then the fencing check strips the epoch).
+// call issues one control-channel RPC under the proxy's current metadata.
 func (r *RemoteNode) call(method string, params ...any) (any, error) {
 	r.mu.Lock()
-	tp := r.traceParent
-	fe := r.fenceEpoch
+	meta := r.meta
 	r.mu.Unlock()
-	params = xmlrpc.WithFenceEpoch(params, fe)
-	return r.C.Call(method, xmlrpc.WithTraceParent(params, tp)...)
+	return r.C.CallMeta(method, meta, params...)
 }
 
 func (r *RemoteNode) fail(err error) {
@@ -260,13 +254,13 @@ func (r *RemoteEnv) Execute(action string, params map[string]string) error {
 	if params == nil {
 		params = map[string]string{}
 	}
-	_, err := r.C.Call("env.execute", xmlrpc.WithFenceEpoch([]any{action, params}, r.Epoch)...)
+	_, err := r.C.CallMeta("env.execute", xmlrpc.Meta{FenceEpoch: r.Epoch}, action, params)
 	return err
 }
 
 // Reset implements master.EnvExecutor.
 func (r *RemoteEnv) Reset() {
-	if _, err := r.C.Call("env.reset", xmlrpc.WithFenceEpoch(nil, r.Epoch)...); err != nil && r.Err == nil {
+	if _, err := r.C.CallMeta("env.reset", xmlrpc.Meta{FenceEpoch: r.Epoch}); err != nil && r.Err == nil {
 		r.Err = err
 	}
 }

@@ -288,14 +288,13 @@ func (h *Host) pump() {
 func (h *Host) Close() { close(h.stop) }
 
 // traced wraps a data-path handler with cross-process span recording: the
-// trailing trace_parent parameter (appended by the master's RemoteNode
-// proxy) is stripped and becomes the span's parent, so host spans slot
-// into the master's run/phase tree when the traces are merged.
-func (h *Host) traced(method string, fn xmlrpc.Handler) xmlrpc.Handler {
-	return func(params []any) (any, error) {
-		parent, params := xmlrpc.TraceParent(params)
-		sp := h.tracer.Begin(parent, h.track, "rpc", method, h.spanRun(params), 0, nil)
-		res, err := fn(params)
+// call's trace parent (set by the master's RemoteNode proxy) becomes the
+// span's parent, so host spans slot into the master's run/phase tree when
+// the traces are merged.
+func (h *Host) traced(method string, fn xmlrpc.MetaHandler) xmlrpc.MetaHandler {
+	return func(meta xmlrpc.Meta, params []any) (any, error) {
+		sp := h.tracer.Begin(meta.TraceParent, h.track, "rpc", method, h.spanRun(params), 0, nil)
+		res, err := fn(meta, params)
 		if err != nil {
 			h.tracer.EndWith(sp, map[string]string{"err": err.Error()})
 		} else {
@@ -305,31 +304,37 @@ func (h *Host) traced(method string, fn xmlrpc.Handler) xmlrpc.Handler {
 	}
 }
 
-// fenced wraps a data-path handler with the fencing check: the trailing
-// fence_epoch parameter (appended by a registry-claiming master's
-// RemoteNode proxy) is stripped and compared against the epoch of the
-// last accepted host.set_master. A stale epoch means the caller's claim
-// was superseded — the RPC is refused so two masters can never drive the
-// same node. Calls without a fence (static wiring) pass through. Compose
-// inside traced, which strips the outermost trace_parent marker first.
-func (h *Host) fenced(method string, fn xmlrpc.Handler) xmlrpc.Handler {
-	return func(params []any) (any, error) {
-		epoch, params := xmlrpc.FenceEpoch(params)
-		if epoch > 0 {
-			h.mu.Lock()
-			cur := h.epoch
-			if epoch < cur {
-				h.fencedRejects++
-			}
-			h.mu.Unlock()
-			if epoch < cur {
-				h.mFenced.Inc()
-				return nil, fmt.Errorf("%s: fenced: stale epoch %d (host claimed at epoch %d)",
-					method, epoch, cur)
-			}
+// fenced wraps a handler with the fencing check on the call's epoch.
+func (h *Host) fenced(method string, fn xmlrpc.Handler) xmlrpc.MetaHandler {
+	return func(meta xmlrpc.Meta, params []any) (any, error) {
+		if err := h.checkEpoch(method, meta.FenceEpoch); err != nil {
+			return nil, err
 		}
 		return fn(params)
 	}
+}
+
+// checkEpoch compares a call's fence epoch (set by a registry-claiming
+// master) against the epoch of the last accepted host.set_master. A stale
+// epoch means the caller's claim was superseded — the RPC is refused so
+// two masters can never drive the same node. Calls without an epoch
+// (static wiring) pass.
+func (h *Host) checkEpoch(method string, epoch int64) error {
+	if epoch <= 0 {
+		return nil
+	}
+	h.mu.Lock()
+	cur := h.epoch
+	if epoch < cur {
+		h.fencedRejects++
+	}
+	h.mu.Unlock()
+	if epoch >= cur {
+		return nil
+	}
+	h.mFenced.Inc()
+	return fmt.Errorf("%s: fenced: stale epoch %d (host claimed at epoch %d)",
+		method, epoch, cur)
 }
 
 // spanRun attributes an RPC to a run: methods carrying (node, run) use the
@@ -355,9 +360,8 @@ func (h *Host) Server() *xmlrpc.Server {
 	srv := xmlrpc.NewServer()
 	srv.Obs = h.obs
 	s := h.x.S
-	// Data-path methods are traced and fenced; the trailing markers nest
-	// as [args..., fence_epoch?, trace_parent?], so traced strips first.
-	dataPath := func(method string, fn xmlrpc.Handler) xmlrpc.Handler {
+	// Data-path methods are traced and fenced.
+	dataPath := func(method string, fn xmlrpc.Handler) xmlrpc.MetaHandler {
 		return h.traced(method, h.fenced(method, fn))
 	}
 
@@ -376,29 +380,18 @@ func (h *Host) Server() *xmlrpc.Server {
 	// the registration expires unless host.renew_lease keeps it alive. A
 	// later registration — same master restarted under a new session id,
 	// or a different master — adopts the host, superseding the old
-	// binding; queued events flow to the adopter. The optional fourth
-	// parameter is the registry claim epoch: a registration older than one
-	// already accepted is refused (the caller's claim was superseded).
-	srv.Register("host.set_master", func(params []any) (any, error) {
+	// binding; queued events flow to the adopter. The call's fence epoch is
+	// the registry claim epoch: a registration older than one already
+	// accepted is refused, a newer one raises the host's epoch.
+	srv.RegisterMeta("host.set_master", func(meta xmlrpc.Meta, params []any) (any, error) {
 		url, ok := arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("host.set_master: want url string")
 		}
 		session, _ := arg[string](params, 1)
 		ttlMS, _ := arg[int](params, 2)
-		epoch, _ := arg[int](params, 3)
-		if epoch > 0 {
-			h.mu.Lock()
-			cur := h.epoch
-			if int64(epoch) < cur {
-				h.fencedRejects++
-			}
-			h.mu.Unlock()
-			if int64(epoch) < cur {
-				h.mFenced.Inc()
-				return nil, fmt.Errorf("host.set_master: fenced: stale epoch %d (host claimed at epoch %d)",
-					epoch, cur)
-			}
+		if err := h.checkEpoch("host.set_master", meta.FenceEpoch); err != nil {
+			return nil, err
 		}
 		// Event pushes ride the same resilient transport as the master's
 		// calls: retried with backoff, deduplicated by idempotency key so
@@ -416,8 +409,8 @@ func (h *Host) Server() *xmlrpc.Server {
 		if h.leaseTTL > 0 {
 			h.leaseExpires = h.now().Add(h.leaseTTL)
 		}
-		if int64(epoch) > h.epoch {
-			h.epoch = int64(epoch)
+		if meta.FenceEpoch > h.epoch {
+			h.epoch = meta.FenceEpoch
 		}
 		h.adoptions++
 		h.mu.Unlock()
@@ -460,7 +453,7 @@ func (h *Host) Server() *xmlrpc.Server {
 
 	// node.ping is the health probe of the master's preflight check: it
 	// verifies the control channel and that the node is served here.
-	srv.Register("node.ping", dataPath("node.ping", func(params []any) (any, error) {
+	srv.RegisterMeta("node.ping", dataPath("node.ping", func(params []any) (any, error) {
 		id, ok := arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("node.ping: want node")
@@ -470,7 +463,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		return "pong", nil
 	}))
-	srv.Register("node.prepare_run", dataPath("node.prepare_run", func(params []any) (any, error) {
+	srv.RegisterMeta("node.prepare_run", dataPath("node.prepare_run", func(params []any) (any, error) {
 		id, run, err := nodeRunArgs(params)
 		if err != nil {
 			return nil, err
@@ -483,7 +476,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		s.InjectWait("rpc prepare_run", func() { mgr.PrepareRun(run) })
 		return true, nil
 	}))
-	srv.Register("node.cleanup_run", dataPath("node.cleanup_run", func(params []any) (any, error) {
+	srv.RegisterMeta("node.cleanup_run", dataPath("node.cleanup_run", func(params []any) (any, error) {
 		id, run, err := nodeRunArgs(params)
 		if err != nil {
 			return nil, err
@@ -495,7 +488,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		s.InjectWait("rpc cleanup_run", func() { mgr.CleanupRun(run) })
 		return true, nil
 	}))
-	srv.Register("node.execute", dataPath("node.execute", func(params []any) (any, error) {
+	srv.RegisterMeta("node.execute", dataPath("node.execute", func(params []any) (any, error) {
 		id, ok := arg[string](params, 0)
 		action, ok2 := arg[string](params, 1)
 		if !ok || !ok2 {
@@ -518,7 +511,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		return true, nil
 	}))
-	srv.Register("node.emit", dataPath("node.emit", func(params []any) (any, error) {
+	srv.RegisterMeta("node.emit", dataPath("node.emit", func(params []any) (any, error) {
 		id, ok := arg[string](params, 0)
 		typ, ok2 := arg[string](params, 1)
 		if !ok || !ok2 {
@@ -537,7 +530,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		s.InjectWait("rpc emit", func() { mgr.Emit(typ, pm) })
 		return true, nil
 	}))
-	srv.Register("node.local_time", dataPath("node.local_time", func(params []any) (any, error) {
+	srv.RegisterMeta("node.local_time", dataPath("node.local_time", func(params []any) (any, error) {
 		id, ok := arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("node.local_time: want node")
@@ -550,7 +543,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		s.InjectWait("rpc local_time", func() { t = mgr.LocalTime() })
 		return t.Format(time.RFC3339Nano), nil
 	}))
-	srv.Register("node.harvest_events", dataPath("node.harvest_events", func(params []any) (any, error) {
+	srv.RegisterMeta("node.harvest_events", dataPath("node.harvest_events", func(params []any) (any, error) {
 		id, run, err := nodeRunArgs(params)
 		if err != nil {
 			return nil, err
@@ -567,7 +560,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		return string(data), nil
 	}))
-	srv.Register("node.harvest_packets", dataPath("node.harvest_packets", func(params []any) (any, error) {
+	srv.RegisterMeta("node.harvest_packets", dataPath("node.harvest_packets", func(params []any) (any, error) {
 		id, ok := arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("node.harvest_packets: want node")
@@ -587,7 +580,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		return string(data), nil
 	}))
-	srv.Register("node.harvest_extras", dataPath("node.harvest_extras", func(params []any) (any, error) {
+	srv.RegisterMeta("node.harvest_extras", dataPath("node.harvest_extras", func(params []any) (any, error) {
 		id, ok := arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("node.harvest_extras: want node")
@@ -606,7 +599,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		return string(data), nil
 	}))
-	srv.Register("env.execute", dataPath("env.execute", func(params []any) (any, error) {
+	srv.RegisterMeta("env.execute", dataPath("env.execute", func(params []any) (any, error) {
 		action, ok := arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("env.execute: want (action, params)")
@@ -624,14 +617,14 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		return true, nil
 	}))
-	srv.Register("env.reset", dataPath("env.reset", func(params []any) (any, error) {
+	srv.RegisterMeta("env.reset", dataPath("env.reset", func(params []any) (any, error) {
 		s.InjectWait("rpc env reset", func() { h.x.Env.Reset() })
 		return true, nil
 	}))
 	// host.harvest_trace returns the host tracer's closed spans of one run
 	// as a trace.json document; the master merges them (dedup'd by span id)
 	// into the per-run level-2 trace artifact.
-	srv.Register("host.harvest_trace", h.fenced("host.harvest_trace", func(params []any) (any, error) {
+	srv.RegisterMeta("host.harvest_trace", h.fenced("host.harvest_trace", func(params []any) (any, error) {
 		run, ok := arg[int](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("host.harvest_trace: want run")
@@ -641,7 +634,7 @@ func (h *Host) Server() *xmlrpc.Server {
 	// host.obs_snapshot ships the host's metric registry — including the
 	// emulator data-path series of internal/netem and internal/sched — to
 	// the master's campaign fan-in as a JSON []obs.MetricPoint.
-	srv.Register("host.obs_snapshot", h.fenced("host.obs_snapshot", func(params []any) (any, error) {
+	srv.RegisterMeta("host.obs_snapshot", h.fenced("host.obs_snapshot", func(params []any) (any, error) {
 		data, err := json.Marshal(h.obs.Snapshot())
 		if err != nil {
 			return nil, err

@@ -37,8 +37,8 @@ type Lease struct {
 	// TTL is the lease duration granted per renewal.
 	TTL time.Duration
 	// Epoch, when positive, is the fencing epoch granted by the discovery
-	// registry's claim; it rides on host.set_master so the host can refuse
-	// a registration that is older than one it already accepted.
+	// registry's claim; it rides on host.set_master as call metadata so the
+	// host can refuse a registration older than one it already accepted.
 	Epoch int64
 	// Interval overrides the heartbeat period (default TTL/3).
 	Interval time.Duration
@@ -74,11 +74,8 @@ func (l *Lease) Register() error {
 	if l.RegisterFn != nil {
 		return l.RegisterFn()
 	}
-	if l.Epoch > 0 {
-		_, err := l.C.Call("host.set_master", l.MasterURL, l.Session, l.ttlMS(), int(l.Epoch))
-		return err
-	}
-	_, err := l.C.Call("host.set_master", l.MasterURL, l.Session, l.ttlMS())
+	_, err := l.C.CallMeta("host.set_master", xmlrpc.Meta{FenceEpoch: l.Epoch},
+		l.MasterURL, l.Session, l.ttlMS())
 	return err
 }
 

@@ -1,13 +1,20 @@
 package noderpc
 
 import (
+	"bytes"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"excovery/internal/core"
 	"excovery/internal/desc"
 	"excovery/internal/eventlog"
+	"excovery/internal/failpoint"
 	"excovery/internal/master"
 	"excovery/internal/sched"
 	"excovery/internal/sd"
@@ -168,21 +175,7 @@ func TestMasterServerRejectsBadPayload(t *testing.T) {
 // TestHostMethodErrors exercises the host server's argument and node
 // validation without a running master.
 func TestHostMethodErrors(t *testing.T) {
-	e := desc.OneShot(30)
-	x, err := core.New(e, core.Options{RealTime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	host := NewHost(x)
-	defer host.Close()
-	x.S.SetKeepAlive(true)
-	ts := httptest.NewServer(host.Server())
-	defer ts.Close()
-	done := make(chan error, 1)
-	go func() { done <- x.S.Run() }()
-	defer func() { x.S.Stop(); <-done }()
-
-	c := xmlrpc.NewClient(ts.URL)
+	c := xmlrpc.NewClient(serveHost(t).url)
 	if v, err := c.Call("host.ping"); err != nil || v != "pong" {
 		t.Fatalf("ping = %v, %v", v, err)
 	}
@@ -228,5 +221,140 @@ func TestHostMethodErrors(t *testing.T) {
 	}
 	if _, perr := time.Parse(time.RFC3339Nano, v.(string)); perr != nil {
 		t.Fatalf("local_time format: %v", perr)
+	}
+}
+
+// servedHost is a one-shot platform's node host on loopback with its
+// scheduler running; it keeps every request body it received.
+type servedHost struct {
+	*Host
+	srv *xmlrpc.Server
+	url string
+
+	mu     sync.Mutex
+	bodies [][]byte
+}
+
+func serveHost(t *testing.T) *servedHost {
+	t.Helper()
+	x, err := core.New(desc.OneShot(30), core.Options{RealTime: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := &servedHost{Host: NewHost(x)}
+	t.Cleanup(sh.Close)
+	x.S.SetKeepAlive(true)
+	sh.srv = sh.Server()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		body, _ := io.ReadAll(req.Body)
+		sh.mu.Lock()
+		sh.bodies = append(sh.bodies, body)
+		sh.mu.Unlock()
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		sh.srv.ServeHTTP(w, req)
+	}))
+	t.Cleanup(ts.Close)
+	sh.url = ts.URL
+	done := make(chan error, 1)
+	go func() { done <- x.S.Run() }()
+	t.Cleanup(func() { x.S.Stop(); <-done })
+	return sh
+}
+
+// TestActionParamsNamedLikeCallMetadata pins that call metadata and action
+// parameters cannot be mistaken for each other: action parameters come
+// from the description document, and one whose only parameter is called
+// trace_parent or fence_epoch used to be read as a trailing marker — the
+// plugin lost its parameter, and a fence_epoch below the host's claim
+// epoch was refused as a stale master. The master here is wired statically
+// (no epoch, no tracer); the host was claimed at epoch 5 before.
+func TestActionParamsNamedLikeCallMetadata(t *testing.T) {
+	host := serveHost(t)
+	var got map[string]string
+	host.x.Managers["A"].RegisterPlugin("plugin_x", func(p map[string]string) error {
+		got = p
+		return nil
+	})
+
+	c := xmlrpc.NewClient(host.url)
+	if _, err := c.CallMeta("host.set_master", xmlrpc.Meta{FenceEpoch: 5}, host.url); err != nil {
+		t.Fatal(err)
+	}
+	rn := &RemoteNode{NodeID: "A", C: c}
+	for _, name := range []string{"trace_parent", "fence_epoch"} {
+		for _, value := range []string{"1", "7"} {
+			got = nil
+			if err := rn.Execute("plugin_x", map[string]string{name: value}); err != nil {
+				t.Errorf("node action with sole param %s=%s: %v", name, value, err)
+			}
+			if len(got) != 1 || got[name] != value {
+				t.Errorf("plugin saw %v, want {%s: %s}", got, name, value)
+			}
+		}
+	}
+	// The environment executor ignores parameters it does not know, so all
+	// a mistaken marker could do there is get the call refused.
+	env := &RemoteEnv{C: c}
+	for _, value := range []string{"1", "7"} {
+		if err := env.Execute(eventlog.EvEnvDropAllStart, map[string]string{"fence_epoch": value}); err != nil {
+			t.Errorf("env action with sole param fence_epoch=%s: %v", value, err)
+		}
+	}
+	if st := host.Status(); st.FenceEpoch != 5 || st.FencedRejections != 0 {
+		t.Errorf("host status = %+v, want epoch 5 and no fenced rejections", st)
+	}
+}
+
+// TestCallMetadataOnTheWire pins the one carrier: a traced, fenced call's
+// body holds its positional parameters and nothing else, the host parents
+// its span under the header's trace parent, and a retry whose first
+// response was lost is answered from the idempotency cache — no second
+// span, no second fencing decision.
+func TestCallMetadataOnTheWire(t *testing.T) {
+	host := serveHost(t)
+	url := host.url
+	fp := failpoint.New(1)
+	host.srv.FP = fp
+	policy := xmlrpc.RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond}
+	if _, err := xmlrpc.NewClient(url).CallMeta("host.set_master", xmlrpc.Meta{FenceEpoch: 5}, url); err != nil {
+		t.Fatal(err)
+	}
+
+	rn := &RemoteNode{NodeID: "A", C: xmlrpc.NewRetryingClient(url, policy)}
+	rn.SetTraceParent(9)
+	rn.SetFenceEpoch(5)
+	sent := len(host.bodies)
+	fp.Enable(failpoint.SiteServerSend, failpoint.Rule{Prob: 1, Act: failpoint.Drop, Count: 1})
+	rn.PrepareRun(3)
+	if err := rn.Err(); err != nil {
+		t.Fatal(err)
+	}
+	bodies := host.bodies[sent:]
+	if len(bodies) != 2 || !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("%d request bodies, want the call and its identical retry", len(bodies))
+	}
+	method, params, err := xmlrpc.DecodeCall(bodies[0])
+	if err != nil || method != "node.prepare_run" || !reflect.DeepEqual(params, []any{"A", 3}) {
+		t.Errorf("wire call = %s%v, %v; want node.prepare_run[A 3]", method, params, err)
+	}
+	spans := host.Tracer().RunSpans(3)
+	if len(spans) != 1 || spans[0].Parent != 9 || spans[0].Name != "node.prepare_run" {
+		t.Errorf("host spans of run 3 = %+v, want one node.prepare_run under parent 9", spans)
+	}
+
+	// A master whose claim was superseded: refused once, however often the
+	// refusal has to be re-sent.
+	stale := &RemoteNode{NodeID: "A", C: xmlrpc.NewRetryingClient(url, policy)}
+	stale.SetFenceEpoch(4)
+	fp.Enable(failpoint.SiteServerSend, failpoint.Rule{Prob: 1, Act: failpoint.Drop, Count: 1})
+	stale.PrepareRun(4)
+	if err := stale.Err(); err == nil || !strings.Contains(err.Error(), "fenced: stale epoch 4 (host claimed at epoch 5)") {
+		t.Errorf("stale master's call = %v, want fenced refusal", err)
+	}
+	if st := host.Status(); st.FencedRejections != 1 {
+		t.Errorf("fenced rejections = %d, want 1", st.FencedRejections)
+	}
+	if st := host.srv.Stats(); st.DedupReplays != 2 {
+		t.Errorf("server stats = %+v, want 2 replays", st)
 	}
 }

@@ -21,8 +21,8 @@ import (
 // TestTracePropagationAndFanIn is the acceptance scenario of the
 // cross-process data-path observability: a distributed experiment must
 // produce, for every run, (a) one merged trace.json whose host-side RPC
-// spans parent under the master's span tree via the trace_parent wire
-// parameter, rendering as separate per-process tracks in the Chrome
+// spans parent under the master's span tree via the call's trace-parent
+// metadata, rendering as separate per-process tracks in the Chrome
 // export, and (b) a campaign_metrics.json fan-in artifact carrying the
 // host's emulator metrics, re-exported into the master's registry.
 func TestTracePropagationAndFanIn(t *testing.T) {

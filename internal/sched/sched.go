@@ -723,9 +723,6 @@ type Timer struct {
 	eventArg any
 }
 
-// When returns the virtual time at which the timer fires.
-func (t *Timer) When() time.Time { return t.when }
-
 // Stop cancels the timer. It reports whether the timer was still pending.
 // Safe to call multiple times and from any task.
 func (t *Timer) Stop() bool {

@@ -155,6 +155,10 @@ func DecodeResponse(data []byte) (any, error) {
 // fault response; a *Fault error preserves its code.
 type Handler func(params []any) (any, error)
 
+// MetaHandler is a registered server method that also reads the call's
+// metadata.
+type MetaHandler func(meta Meta, params []any) (any, error)
+
 // IdempotencyHeader carries the client's per-call idempotency key. A
 // server replays the cached response for a key it has already executed, so
 // a retried call is applied at most once.
@@ -190,7 +194,7 @@ const dedupCap = 4096
 // register everything before starting the HTTP server, which matches the
 // NodeManager lifecycle.
 type Server struct {
-	methods map[string]Handler
+	methods map[string]MetaHandler
 
 	// FP, if set, injects deterministic faults on the serving path
 	// (SiteServerRecv before the handler, SiteServerSend after).
@@ -212,7 +216,7 @@ type Server struct {
 // NewServer creates an empty method registry with the standard
 // introspection method system.listMethods pre-registered.
 func NewServer() *Server {
-	s := &Server{methods: make(map[string]Handler), dedup: map[string]*dedupEntry{}}
+	s := &Server{methods: make(map[string]MetaHandler), dedup: map[string]*dedupEntry{}}
 	s.Register("system.listMethods", func(params []any) (any, error) {
 		names := s.Methods()
 		out := make([]any, len(names))
@@ -231,8 +235,14 @@ func (s *Server) Stats() ServerStats {
 	return s.stats
 }
 
-// Register adds a method; registering a duplicate name panics.
+// Register adds a method that ignores call metadata; registering a
+// duplicate name panics.
 func (s *Server) Register(name string, h Handler) {
+	s.RegisterMeta(name, func(_ Meta, params []any) (any, error) { return h(params) })
+}
+
+// RegisterMeta adds a method; registering a duplicate name panics.
+func (s *Server) RegisterMeta(name string, h MetaHandler) {
 	if _, dup := s.methods[name]; dup {
 		panic("xmlrpc: duplicate method " + name)
 	}
@@ -271,6 +281,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
+	meta := metaFromHeaders(req.Header)
 	key := req.Header.Get(IdempotencyHeader)
 	if key != "" {
 		s.mu.Lock()
@@ -291,18 +302,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			s.order = s.order[1:]
 		}
 		s.mu.Unlock()
-		resp := s.dispatch(body, key)
+		resp := s.dispatch(body, key, meta)
 		e.resp = resp
 		close(e.done)
 		s.deliver(w, resp)
 		return
 	}
-	s.deliver(w, s.dispatch(body, ""))
+	s.deliver(w, s.dispatch(body, "", meta))
 }
 
 // dispatch decodes and executes one call, returning the encoded response
 // document (success or fault).
-func (s *Server) dispatch(body []byte, key string) []byte {
+func (s *Server) dispatch(body []byte, key string, meta Meta) []byte {
 	method, params, err := DecodeCall(body)
 	if err != nil {
 		return EncodeFault(&Fault{Code: -32700, String: err.Error()})
@@ -321,7 +332,7 @@ func (s *Server) dispatch(body []byte, key string) []byte {
 	}
 	//lint:ignore walltime handler latency is an operator metric measuring real elapsed time
 	start := time.Now()
-	result, err := h(params)
+	result, err := h(meta, params)
 	s.Obs.Histogram(obs.MRPCServerHandlerLatency,
 		"handler execution latency by method", nil, "method", method).
 		ObserveDuration(time.Since(start))
@@ -589,6 +600,11 @@ func (c *Client) sleep(d time.Duration) {
 // responses surface as *Fault errors. Transport failures are retried per
 // the client's RetryPolicy under a per-call idempotency key.
 func (c *Client) Call(method string, params ...any) (any, error) {
+	return c.CallMeta(method, Meta{}, params...)
+}
+
+// CallMeta is Call with metadata attached to every attempt.
+func (c *Client) CallMeta(method string, meta Meta, params ...any) (any, error) {
 	body, err := EncodeCall(method, params...)
 	if err != nil {
 		return nil, err
@@ -613,7 +629,7 @@ func (c *Client) Call(method string, params ...any) (any, error) {
 		c.attempts.Add(1)
 		c.Obs.Counter(obs.MRPCClientAttempts,
 			"HTTP exchanges by method (>= calls under retry)", "method", method).Inc()
-		res, err := c.do(method, body, key)
+		res, err := c.do(method, body, key, meta)
 		if err == nil {
 			return res, nil
 		}
@@ -637,7 +653,7 @@ func (c *Client) Call(method string, params ...any) (any, error) {
 }
 
 // do performs one HTTP exchange.
-func (c *Client) do(method string, body []byte, key string) (any, error) {
+func (c *Client) do(method string, body []byte, key string, meta Meta) (any, error) {
 	switch d := c.FP.Eval(failpoint.SiteClientSend); d.Act {
 	case failpoint.Drop:
 		return nil, &TransportError{Method: method, Err: errInjectedDrop}
@@ -660,6 +676,7 @@ func (c *Client) do(method string, body []byte, key string) (any, error) {
 	}
 	req.Header.Set("Content-Type", "text/xml")
 	req.Header.Set(IdempotencyHeader, key)
+	meta.setHeaders(req.Header)
 	resp, err := hc.Do(req)
 	if err != nil {
 		return nil, &TransportError{Method: method, Err: err}

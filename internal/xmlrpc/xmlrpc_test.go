@@ -1,13 +1,18 @@
 package xmlrpc
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"excovery/internal/failpoint"
 )
 
 func roundTrip(t *testing.T, v any) any {
@@ -315,5 +320,97 @@ func TestSystemListMethods(t *testing.T) {
 	got := v.([]any)
 	if len(got) != 2 || got[0] != "alpha" || got[1] != "system.listMethods" {
 		t.Fatalf("listMethods = %v", got)
+	}
+}
+
+// TestCallMetadata covers the header carrier of Meta: what CallMeta sends
+// arrives, header values are outside input and read as absent unless they
+// are positive decimals in range, and a retry of a call whose response was
+// lost replays the cached response without running the handler — and
+// whatever it decides from the metadata — a second time.
+func TestCallMetadata(t *testing.T) {
+	srv := NewServer()
+	var seen []Meta
+	srv.RegisterMeta("meta.echo", func(meta Meta, params []any) (any, error) {
+		seen = append(seen, meta)
+		return len(params), nil
+	})
+	fp := failpoint.New(1)
+	srv.FP = fp
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body, err := EncodeCall("meta.echo", "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxU64, maxI64 = "18446744073709551615", "9223372036854775807"
+	cases := []struct {
+		trace, fence string // raw header values; "-" leaves the header out
+		want         Meta
+	}{
+		{"-", "-", Meta{}},
+		{"7", "3", Meta{TraceParent: 7, FenceEpoch: 3}},
+		{maxU64, maxI64, Meta{TraceParent: 1<<64 - 1, FenceEpoch: 1<<63 - 1}},
+		{"", "", Meta{}},
+		{"0", "0", Meta{}},
+		{"-7", "-3", Meta{}},
+		{"seven", "0x3", Meta{}},
+		{"7 7", "3,3", Meta{}},
+		{"7.0", "3e0", Meta{}},
+		{maxU64 + "0", maxI64 + "0", Meta{}},
+		{"18446744073709551616", "9223372036854775808", Meta{}},
+		{"7", "junk", Meta{TraceParent: 7}},
+		{"junk", "3", Meta{FenceEpoch: 3}},
+	}
+	for _, tc := range cases {
+		seen = nil
+		req, err := http.NewRequest(http.MethodPost, ts.URL, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.trace != "-" {
+			req.Header[TraceParentHeader] = []string{tc.trace}
+		}
+		if tc.fence != "-" {
+			req.Header[FenceEpochHeader] = []string{tc.fence}
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		v, err := DecodeResponse(data)
+		if resp.StatusCode != http.StatusOK || err != nil || v != 1 {
+			t.Errorf("headers (%q, %q): status %d, result %v, err %v", tc.trace, tc.fence, resp.StatusCode, v, err)
+		}
+		if len(seen) != 1 || seen[0] != tc.want {
+			t.Errorf("headers (%q, %q): handler saw %+v, want %+v", tc.trace, tc.fence, seen, tc.want)
+		}
+	}
+
+	// Lose the first response: the retry carries the same key and metadata
+	// and is answered from the cache.
+	seen = nil
+	fp.Enable(failpoint.SiteServerSend, failpoint.Rule{Prob: 1, Act: failpoint.Drop, Count: 1})
+	c := NewRetryingClient(ts.URL, testPolicy(1))
+	meta := Meta{TraceParent: 42, FenceEpoch: 9}
+	if v, err := c.CallMeta("meta.echo", meta, "a", "b"); err != nil || v != 2 {
+		t.Fatalf("CallMeta = %v, %v", v, err)
+	}
+	if len(seen) != 1 || seen[0] != meta {
+		t.Errorf("handler ran with %+v, want once with %+v", seen, meta)
+	}
+	if st := c.Stats(); st.Attempts != 2 {
+		t.Errorf("client stats = %+v, want 2 attempts", st)
+	}
+	if st := srv.Stats(); st.DedupReplays != 1 {
+		t.Errorf("server stats = %+v, want 1 replay", st)
+	}
+	// Call is CallMeta without metadata.
+	seen = nil
+	if _, err := c.Call("meta.echo"); err != nil || len(seen) != 1 || seen[0] != (Meta{}) {
+		t.Errorf("Call: handler saw %+v, err %v", seen, err)
 	}
 }

@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test check vet race bench bench-smoke bench-gate bench-gate-zero bench-campaign bench-campaign-smoke fmt lint validate-descriptions
+.PHONY: build test check vet race bench bench-smoke bench-gate bench-gate-zero bench-campaign bench-campaign-smoke bench-pairs fmt lint validate-descriptions
 
 build:
 	$(GO) build ./...
@@ -95,3 +95,15 @@ bench-campaign:
 # at a fraction of its size, output checks on. Wired into CI.
 bench-campaign-smoke:
 	$(GO) -C bench test ./...
+
+# bench-pairs is the protocol behind a performance claim (bench/README.md):
+# alternating parent/change pairs of one campaign workload, untraced, the
+# side going first switched every pair. Prints every run, medians and
+# quartiles of the four end-to-end metrics, pairs won and failed counts.
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=sweep-emu [PAIRS=10] [SEED=1]
+PAIRS ?= 10
+SEED ?= 1
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { \
+		echo "usage: make bench-pairs PARENT=<ref> WORKLOAD=<name> [PAIRS=10] [SEED=1]"; exit 2; }
+	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)"

@@ -385,6 +385,7 @@ func New(e *desc.Experiment, opts Options) (*Experiment, error) {
 		// directly with node "env".
 		bus.Publish(eventlog.Event{Run: -2, Node: "env", Time: s.Now(), Type: typ, Params: params})
 	})
+	x.Env.Instrument(opts.Metrics)
 
 	var st *store.RunStore
 	if opts.StoreDir != "" {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -569,6 +570,17 @@ func TestEnvExecValidation(t *testing.T) {
 		}
 		if err := x.Env.Execute("env_traffic_start", map[string]string{"bw": "10", "choice": "9"}); err == nil {
 			t.Error("bad choice accepted")
+		}
+		// A malformed number is never read as its default: "1O" for a
+		// switch amount would silently mean "no switching".
+		for _, key := range []string{"choice", "random_seed", "random_switch_amount", "random_switch_seed", "__run"} {
+			err := x.Env.Execute("env_traffic_start", map[string]string{"bw": "10", key: "1O"})
+			if err == nil || !strings.Contains(err.Error(), key) {
+				t.Errorf("%s=1O: err = %v, want an error naming the parameter", key, err)
+			}
+			if x.Env.Traffic() != nil {
+				t.Errorf("%s=1O: traffic started", key)
+			}
 		}
 		// Drop-all start/stop cycle.
 		if err := x.Env.Execute("env_drop_all_start", nil); err != nil {

@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"excovery/internal/desc"
+	"excovery/internal/eventlog"
+	"excovery/internal/fault"
+	"excovery/internal/netem"
 	"excovery/internal/obs"
 )
 
@@ -86,6 +89,68 @@ func TestLevel2BytesPinned(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != pinnedSHA256 || len(files) != pinnedFiles || total != pinnedBytes {
 		t.Errorf("level-2 captures are %d files, %d bytes, sha256 %s; pinned %d files, %d bytes, %s",
 			len(files), total, got, pinnedFiles, pinnedBytes, pinnedSHA256)
+	}
+}
+
+// TestCaseStudyEffortPinned holds the scheduler and network effort of the
+// six case-study runs: deterministic counts, refreshed only deliberately
+// like the digests above. The timer and packet counts are what the commit
+// that still ran the traffic generator as one task per flow produced; its
+// switch count was 5341 (890 per run), nearly all of them one handoff per
+// background packet. Work that never blocks stays off tasks.
+func TestCaseStudyEffortPinned(t *testing.T) {
+	x, err := New(desc.CaseStudy(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := x.Run(); err != nil || rep.Completed != 6 {
+		t.Fatalf("campaign: %+v, %v", rep, err)
+	}
+	if got := x.S.Switches(); got > 6*100 {
+		t.Errorf("%d task switches in 6 runs, want at most 100 per run", got)
+	}
+	if got := x.S.FiredTimers(); got != 25378 {
+		t.Errorf("%d timers fired, pinned 25378", got)
+	}
+	want := netem.Stats{Sent: 5136, Transmissions: 5343, Delivered: 5060, Duplicates: 995}
+	want.Dropped[netem.DropLoss] = 75
+	if got := x.Net.Stats(); got != want {
+		t.Errorf("network stats %+v, pinned %+v", got, want)
+	}
+}
+
+// TestTrafficInstruments: with a registry, the fault layer's packet counter
+// is the sum of what every run's generator sent, and no flow is left
+// running after the campaign.
+func TestTrafficInstruments(t *testing.T) {
+	reg := obs.NewRegistry()
+	x, err := New(desc.CaseStudy(1), Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gens []*fault.Traffic
+	emit := x.Env.emit
+	x.Env.emit = func(typ string, params map[string]string) {
+		if typ == eventlog.EvEnvTrafficStart {
+			gens = append(gens, x.Env.Traffic())
+			if got, want := x.Env.trafficFlows.Value(), int64(2*len(x.Env.Traffic().Pairs())); got != want {
+				t.Errorf("run %d: %d flows on the gauge, want %d", len(gens), got, want)
+			}
+		}
+		emit(typ, params)
+	}
+	if rep, err := x.Run(); err != nil || rep.Completed != 6 {
+		t.Fatalf("campaign: %+v, %v", rep, err)
+	}
+	var sent uint64
+	for _, g := range gens {
+		sent += g.Sent()
+	}
+	if got := reg.CounterValue(obs.MFaultTrafficPackets); len(gens) != 6 || sent == 0 || uint64(got) != sent {
+		t.Errorf("counter %d, generators %d, sum of Sent() %d", got, len(gens), sent)
+	}
+	if got := x.Env.trafficFlows.Value(); got != 0 {
+		t.Errorf("%d flows on the gauge after the campaign", got)
 	}
 }
 

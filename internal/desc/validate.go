@@ -3,6 +3,7 @@ package desc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -114,6 +115,36 @@ func checkFaultAction(where string, a Action, add func(format string, args ...an
 		}
 		atLeast("steps", 1, false)
 		atLeast("step_s", 0, true)
+	case "env_traffic_start":
+		// core.EnvExec reads every one of these with strconv.Atoi and
+		// refuses what it cannot parse; say so before the first run.
+		for _, r := range []struct {
+			key    string
+			lo, hi int
+		}{
+			{"bw", 1, math.MaxInt},
+			{"random_pairs", 1, math.MaxInt},
+			{"choice", 0, 2},
+			{"random_switch_amount", 0, math.MaxInt},
+			{"random_seed", math.MinInt, math.MaxInt},
+			{"random_switch_seed", math.MinInt, math.MaxInt},
+		} {
+			s, present := a.Params[r.key]
+			if !present {
+				continue
+			}
+			switch v, err := strconv.Atoi(s); {
+			case err != nil:
+				add("%s action %s: parameter %s=%q is not an integer", where, a.Name, r.key, s)
+			case v < r.lo:
+				add("%s action %s: parameter %s=%d must be ≥ %d", where, a.Name, r.key, v, r.lo)
+			case v > r.hi:
+				add("%s action %s: parameter %s=%d must be ≤ %d", where, a.Name, r.key, v, r.hi)
+			}
+		}
+		if _, bound := a.FactorRefs["bw"]; !bound && a.Params["bw"] == "" {
+			add("%s action env_traffic_start: missing bw", where)
+		}
 	case "env_partition_start":
 		for _, key := range []string{"group_a", "group_b"} {
 			if _, bound := a.FactorRefs[key]; bound {

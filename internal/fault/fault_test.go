@@ -257,13 +257,19 @@ func TestApplyWithoutTimingStartsImmediately(t *testing.T) {
 	}
 }
 
-func TestTrafficGeneratorLoad(t *testing.T) {
+// trafficNet is a full mesh of n nodes that swallow what they receive.
+func trafficNet(n int) (*sched.Scheduler, *netem.Network, []netem.NodeID) {
 	s := sched.NewVirtual()
 	nw := netem.New(s, 5)
-	ids := netem.BuildFull(nw, "e", 4, netem.NodeParams{}, netem.LinkParams{Delay: time.Millisecond})
+	ids := netem.BuildFull(nw, "e", n, netem.NodeParams{}, netem.LinkParams{Delay: time.Millisecond})
 	for _, id := range ids {
 		nw.Node(id).SetHandler(func(p *netem.Packet) {})
 	}
+	return s, nw, ids
+}
+
+func TestTrafficGeneratorLoad(t *testing.T) {
+	s, nw, ids := trafficNet(4)
 	var tr *Traffic
 	s.Go("t", func() {
 		var err error
@@ -279,10 +285,109 @@ func TestTrafficGeneratorLoad(t *testing.T) {
 	if err := s.RunFor(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// 2 pairs × 2 directions × 100 kbit/s over 10 s = 2,000,000 bits /
-	// 4000 bits per packet = 500 packets (±10%).
-	if tr.Sent() < 450 || tr.Sent() > 550 {
-		t.Fatalf("sent %d packets, want ≈500", tr.Sent())
+	// 2 pairs × 2 directions, one 4000-bit packet every 80 ms per
+	// direction: sends at 0, 80, …, 9920 ms are 125 per flow. The send
+	// slot at 10 s comes after the driver's wake-up and finds the
+	// generator stopped.
+	if tr.Sent() != 500 {
+		t.Fatalf("sent %d packets, want 500", tr.Sent())
+	}
+	// The generator is event chains, not tasks: the only task switches of
+	// the window are the driver's own (its start and its one wake-up).
+	if got := s.Switches(); got != 2 {
+		t.Fatalf("%d task switches, want 2: the generator must not switch per packet", got)
+	}
+}
+
+// TestTrafficSendInstants: every flow sends at t0 + k·interval exactly.
+func TestTrafficSendInstants(t *testing.T) {
+	s, nw, ids := trafficNet(2)
+	const interval = 80 * time.Millisecond // 500 B at 50 kbit/s per direction
+	var t0 time.Time
+	next := map[netem.NodeID]time.Duration{}
+	for _, id := range ids {
+		nw.Node(id).SetHandler(func(p *netem.Packet) {
+			if got := p.SentAt.Sub(t0); got != next[p.Src] {
+				t.Errorf("flow from %s sent at t0+%v, want t0+%v", p.Src, got, next[p.Src])
+			}
+			next[p.Src] += interval
+		})
+	}
+	s.Go("t", func() {
+		t0 = s.Now()
+		tr, err := StartTraffic(s, nw, ids, TrafficConfig{Pairs: 1, BwKbps: 100, Seed: 1, PacketSize: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Sleep(2 * time.Second)
+		tr.Stop()
+	})
+	if err := s.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		if next[id] != 2*time.Second {
+			t.Errorf("flow from %s: next send due at t0+%v, want 25 sends up to t0+1.92s", id, next[id])
+		}
+	}
+}
+
+// TestTrafficRestartAtSameInstant: a generator stopped and replaced at one
+// virtual instant sends nothing more, not even from the first-send events
+// it had already posted; the replacement counts from zero.
+func TestTrafficRestartAtSameInstant(t *testing.T) {
+	s, nw, ids := trafficNet(2)
+	cfg := TrafficConfig{Pairs: 1, BwKbps: 100, Seed: 1, PacketSize: 500}
+	var first, second, third *Traffic
+	s.Go("t", func() {
+		first, _ = StartTraffic(s, nw, ids, cfg)
+		first.Stop() // before its posted first sends ran
+		second, _ = StartTraffic(s, nw, ids, cfg)
+		s.Sleep(time.Second)
+		atStop := second.Sent()
+		second.Stop()
+		third, _ = StartTraffic(s, nw, ids, cfg)
+		if third.Sent() != 0 {
+			t.Errorf("replacement starts at %d sent packets, want 0", third.Sent())
+		}
+		s.Sleep(time.Second)
+		third.Stop()
+		if second.Sent() != atStop {
+			t.Errorf("stopped generator went on sending: %d → %d", atStop, second.Sent())
+		}
+	})
+	if err := s.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	// Sends at 0, 80, …, 960 ms: 13 per direction and second-long window.
+	if first.Sent() != 0 || second.Sent() != 26 || third.Sent() != 26 {
+		t.Fatalf("sent %d / %d / %d packets, want 0 / 26 / 26", first.Sent(), second.Sent(), third.Sent())
+	}
+}
+
+// TestTrafficStartedFromEvent: StartTraffic needs no task context.
+func TestTrafficStartedFromEvent(t *testing.T) {
+	s, nw, ids := trafficNet(2)
+	var tr *Traffic
+	s.ScheduleEvent(time.Second, func(time.Time, any) {
+		var err error
+		tr, err = StartTraffic(s, nw, ids, TrafficConfig{Pairs: 1, BwKbps: 100, Seed: 1, PacketSize: 500})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		s.ScheduleEvent(time.Second, func(time.Time, any) { tr.Stop() }, nil)
+	}, nil)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// The stop event was armed before any flow's timer, so it precedes the
+	// send slot at 1 s: 13 sends per direction, as above.
+	if tr == nil || tr.Sent() != 26 {
+		t.Fatalf("traffic %+v, want 26 packets sent", tr)
+	}
+	if s.Switches() != 0 {
+		t.Fatalf("%d task switches without a task", s.Switches())
 	}
 }
 

@@ -54,12 +54,20 @@ type TrafficConfig struct {
 
 // Traffic is a running traffic generation manipulation.
 type Traffic struct {
-	s     *sched.Scheduler
-	nw    *netem.Network
-	cfg   TrafficConfig
-	pairs [][2]netem.NodeID
-	epoch *int // shared stop flag; incremented on Stop
-	sent  uint64
+	s        *sched.Scheduler
+	pairs    [][2]netem.NodeID
+	interval time.Duration
+	payload  []byte // shared by all packets: payloads are immutable (DESIGN.md §16.1)
+	stopped  bool
+	sent     uint64
+}
+
+// flow is one direction of one pair, the argument of its chain of
+// flowEvent events.
+type flow struct {
+	t   *Traffic
+	src *netem.Node
+	dst netem.Dest
 }
 
 // pickPairs deterministically derives the run's pair set: an initial
@@ -116,8 +124,6 @@ func StartTraffic(s *sched.Scheduler, nw *netem.Network, candidates []netem.Node
 	if err != nil {
 		return nil, err
 	}
-	epoch := new(int)
-	t := &Traffic{s: s, nw: nw, cfg: cfg, pairs: pairs, epoch: epoch}
 	// BwKbps is the pair's aggregate bidirectional rate, so each
 	// direction carries half of it.
 	perDirBps := float64(cfg.BwKbps*1000) / 2
@@ -125,21 +131,33 @@ func StartTraffic(s *sched.Scheduler, nw *netem.Network, candidates []netem.Node
 	if interval <= 0 {
 		interval = time.Millisecond
 	}
-	gen := *epoch
+	t := &Traffic{s: s, pairs: pairs, interval: interval, payload: make([]byte, cfg.PacketSize)}
+	// Each flow is a chain of inline events, not a task: a send never
+	// blocks. The first send takes a runnable-FIFO slot in pair order,
+	// forward then reverse; flowEvent re-arms every later one.
+	flows := make([]flow, 0, 2*len(pairs))
 	for _, p := range pairs {
-		for _, dirPair := range [][2]netem.NodeID{{p[0], p[1]}, {p[1], p[0]}} {
-			src, dst := dirPair[0], dirPair[1]
-			s.GoDaemon(fmt.Sprintf("traffic %s->%s", src, dst), func() {
-				payload := make([]byte, cfg.PacketSize)
-				for *epoch == gen {
-					nw.Node(src).Send(netem.Unicast(dst), TrafficProto, payload)
-					t.sent++
-					s.Sleep(interval)
-				}
-			})
-		}
+		flows = append(flows,
+			flow{t: t, src: nw.Node(p[0]), dst: netem.Unicast(p[1])},
+			flow{t: t, src: nw.Node(p[1]), dst: netem.Unicast(p[0])})
+	}
+	for i := range flows {
+		s.PostEvent(flowEvent, &flows[i])
 	}
 	return t, nil
+}
+
+// flowEvent sends one packet of a flow and schedules the flow's next send
+// one interval later, until the generator is stopped.
+func flowEvent(_ time.Time, arg any) {
+	f := arg.(*flow)
+	t := f.t
+	if t.stopped {
+		return
+	}
+	f.src.Send(f.dst, TrafficProto, t.payload)
+	t.sent++
+	t.s.ScheduleEvent(t.interval, flowEvent, f)
 }
 
 // Pairs returns the active node pairs.
@@ -150,9 +168,9 @@ func (t *Traffic) Pairs() [][2]netem.NodeID {
 // Sent returns the number of generated packets so far.
 func (t *Traffic) Sent() uint64 { return t.sent }
 
-// Stop ends traffic generation. The sender tasks terminate at their next
-// send slot.
-func (t *Traffic) Stop() { *t.epoch++ }
+// Stop ends traffic generation: no flow sends again. Each flow's pending
+// event still fires at its send slot and ends the chain there.
+func (t *Traffic) Stop() { t.stopped = true }
 
 // DropAll is the environment manipulation that makes all experiment nodes
 // stop receiving, sending and forwarding the experiment process packets

@@ -29,8 +29,7 @@ type Node struct {
 	// ring/head form the egress FIFO of queued radio transmissions; cur
 	// and curTx hold the transmission currently being serialized. pumping
 	// is true from the moment a transmission is queued on an idle radio
-	// until the ring drains — the event-driven replacement of the old
-	// per-node pump daemon task.
+	// until the ring drains: the pump's event chain is armed.
 	ring    []transmission
 	head    int
 	cur     transmission
@@ -366,8 +365,8 @@ func (n *Node) enqueue(p *Packet) bool {
 	}
 	n.m.queueDepth.Set(int64(n.queueLen()))
 	if !n.pumping {
-		// Idle radio: start the pump at the current instant, in the same
-		// runnable-FIFO position the old pump daemon's wakeup took.
+		// Idle radio: start the pump at the current instant, behind the
+		// items already in the runnable FIFO.
 		n.pumping = true
 		nw.s.PostEvent(pumpNextEvent, n)
 	}
@@ -375,11 +374,10 @@ func (n *Node) enqueue(p *Packet) bool {
 }
 
 // The pump serializes transmissions at the node's radio rate. It is a
-// per-node event chain rather than a daemon task: pumpNext pops the next
-// transmission and either defers on a busy medium (pumpRetryEvent) or
-// reserves the channel and schedules the end of serialization
-// (pumpTxDoneEvent), which transmits and continues with the next queued
-// transmission.
+// per-node event chain, not a task: pumpNext pops the next transmission and
+// either defers on a busy medium (pumpRetryEvent) or reserves the channel
+// and schedules the end of serialization (pumpTxDoneEvent), which transmits
+// and continues with the next queued transmission.
 
 func pumpNextEvent(now time.Time, arg any) {
 	arg.(*Node).pumpNext(now)

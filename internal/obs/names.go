@@ -82,6 +82,11 @@ const (
 	MNetemCaptured           MetricName = "excovery_netem_captured_total"
 	MNetemCaptureBufferBytes MetricName = "excovery_netem_capture_buffer_bytes"
 
+	// Environment manipulations (internal/fault): the background traffic
+	// generator of Fig. 7.
+	MFaultTrafficPackets MetricName = "excovery_fault_traffic_packets_total"
+	MFaultTrafficFlows   MetricName = "excovery_fault_traffic_flows"
+
 	// Discrete-event scheduler (internal/sched).
 	MSchedSwitches      MetricName = "excovery_sched_switches_total"
 	MSchedTimersFired   MetricName = "excovery_sched_timers_fired_total"

@@ -1,10 +1,10 @@
 // Package sched provides a cooperative discrete-event scheduler.
 //
-// All ExCovery components that model distributed behaviour (network links,
-// protocol agents, experiment processes, fault injectors) run as tasks on a
-// Scheduler. Exactly one task executes at any moment; a task runs until it
-// blocks on one of the scheduler primitives (Sleep, Cond.Wait, Yield). This
-// cooperative model has two important consequences:
+// ExCovery components whose code blocks (protocol agents, experiment
+// processes, timed fault windows) run as tasks on a Scheduler. Exactly one
+// task executes at any moment; a task runs until it blocks on one of the
+// scheduler primitives (Sleep, Cond.Wait, Yield). This cooperative model
+// has two important consequences:
 //
 //   - Determinism. In virtual-time mode, a run is a pure function of the
 //     task program and the seeds it uses. Timers fire in (time, sequence)
@@ -21,9 +21,11 @@
 // callbacks executed directly on the controller goroutine (ScheduleEvent,
 // PostEvent). Events skip the goroutine handoff a task costs and their
 // timers are pooled, which is what makes the emulator's per-packet path
-// allocation-free. An event shares the timer heap and the runnable FIFO
-// with tasks, so tasks and events interleave in exactly the (time, seq) /
-// FIFO order determinism requires.
+// allocation-free. Work that never blocks (netem's radio pump and link
+// delivery, the background traffic generator of internal/fault) is a chain
+// of events, each arming the next. An event shares the timer heap and the
+// runnable FIFO with tasks, so tasks and events interleave in exactly the
+// (time, seq) / FIFO order determinism requires.
 //
 // The scheduler supports two modes. In Virtual mode time jumps instantly
 // from event to event; an experiment with thousands of runs completes in
@@ -84,10 +86,6 @@ type task struct {
 	// goroutines are pooled: when a task finishes, its goroutine parks and
 	// a later spawn reuses it with a fresh id, name and fn.
 	fn func()
-	// daemon tasks (network pumps, protocol agents) do not keep Run alive:
-	// when only daemons remain and nothing is scheduled, Run returns nil
-	// instead of reporting a deadlock.
-	daemon bool
 	// timedOut reports whether the last WaitTimeout ended by timeout.
 	timedOut bool
 	// blockedOn is a human-readable description of the blocking primitive,
@@ -172,7 +170,6 @@ type Scheduler struct {
 	stopping  bool
 	panicked  *PanicError
 	running   bool // a Run* call is active
-	daemons   int  // live daemon tasks
 	keepAlive bool // RealTime: stay in Run when quiescent, awaiting Inject
 
 	// idleWorkers holds parked task goroutines for reuse; timerFree holds
@@ -262,20 +259,8 @@ func (s *Scheduler) FiredTimers() uint64 {
 // within a running task, or (rarely) from a foreign goroutine. The task does
 // not start executing until the controller schedules it.
 func (s *Scheduler) Go(name string, fn func()) {
-	s.spawn(name, fn, false)
-}
-
-// GoDaemon spawns fn as a daemon task: a long-lived service (e.g. a network
-// interface pump) that should not keep Run alive. When every live task is a
-// daemon and no timer or runnable task remains, Run returns nil — the
-// system is quiescent, not deadlocked.
-func (s *Scheduler) GoDaemon(name string, fn func()) {
-	s.spawn(name, fn, true)
-}
-
-func (s *Scheduler) spawn(name string, fn func(), daemon bool) {
 	s.mu.Lock()
-	t, fresh := s.startTaskLocked(name, fn, daemon)
+	t, fresh := s.startTaskLocked(name, fn)
 	s.runnable = append(s.runnable, runnableItem{t: t})
 	s.mu.Unlock()
 	if fresh {
@@ -285,7 +270,7 @@ func (s *Scheduler) spawn(name string, fn func(), daemon bool) {
 
 // startTaskLocked allocates or reuses a task for fn and registers it as
 // live. fresh reports whether a new worker goroutine must be started.
-func (s *Scheduler) startTaskLocked(name string, fn func(), daemon bool) (t *task, fresh bool) {
+func (s *Scheduler) startTaskLocked(name string, fn func()) (t *task, fresh bool) {
 	s.seq++
 	if k := len(s.idleWorkers); k > 0 {
 		t = s.idleWorkers[k-1]
@@ -294,7 +279,6 @@ func (s *Scheduler) startTaskLocked(name string, fn func(), daemon bool) (t *tas
 		t.id = s.seq
 		t.name = name
 		t.state = stateRunnable
-		t.daemon = daemon
 		t.timedOut = false
 		t.blockedOn = ""
 		t.cw = condWaiter{}
@@ -302,12 +286,9 @@ func (s *Scheduler) startTaskLocked(name string, fn func(), daemon bool) (t *tas
 	} else {
 		fresh = true
 		t = &task{id: s.seq, name: name, wake: make(chan struct{}, 1),
-			state: stateRunnable, daemon: daemon, fn: fn}
+			state: stateRunnable, fn: fn}
 	}
 	s.tasks[t.id] = t
-	if daemon {
-		s.daemons++
-	}
 	return t, fresh
 }
 
@@ -355,9 +336,6 @@ func (s *Scheduler) runTaskFn(t *task, fn func()) {
 func (s *Scheduler) finishTaskLocked(t *task) {
 	t.state = stateDone
 	delete(s.tasks, t.id)
-	if t.daemon {
-		s.daemons--
-	}
 	if s.current == t {
 		s.current = nil
 	}
@@ -387,7 +365,7 @@ func (s *Scheduler) Inject(name string, fn func()) {
 	} else {
 		s.mu.Lock()
 	}
-	t, fresh := s.startTaskLocked(name, fn, false)
+	t, fresh := s.startTaskLocked(name, fn)
 	s.runnable = append(s.runnable, runnableItem{t: t})
 	s.mu.Unlock()
 	if fresh {
@@ -560,7 +538,7 @@ func (s *Scheduler) run(deadline time.Time) error {
 				case tm.wake != nil:
 					s.makeRunnableLocked(tm.wake)
 				case tm.spawnFn != nil:
-					t, fresh := s.startTaskLocked(tm.spawnName, tm.spawnFn, false)
+					t, fresh := s.startTaskLocked(tm.spawnName, tm.spawnFn)
 					s.runnable = append(s.runnable, runnableItem{t: t})
 					tm.spawnFn = nil
 					if fresh {
@@ -577,11 +555,10 @@ func (s *Scheduler) run(deadline time.Time) error {
 			continue
 		}
 
-		// 3. Nothing runnable, no timers. The system is finished when
-		// only daemon tasks remain blocked — unless keep-alive mode
-		// holds the scheduler open for external injections (an RPC
-		// serving host).
-		if len(s.tasks) == s.daemons {
+		// 3. Nothing runnable, no timers. The system is finished when no
+		// task is left — unless keep-alive mode holds the scheduler open
+		// for external injections (an RPC serving host).
+		if len(s.tasks) == 0 {
 			if s.keepAlive && s.mode == RealTime {
 				s.mu.Unlock()
 				select {
@@ -627,7 +604,7 @@ func (s *Scheduler) runEvent(fn func(time.Time, any), now time.Time, arg any) {
 func (s *Scheduler) blockedNamesLocked() []string {
 	var names []string
 	for _, t := range s.tasks {
-		if t.state == stateBlocked && !t.daemon {
+		if t.state == stateBlocked {
 			on := t.blockedOn
 			if on == "sleep" {
 				on = "sleep " + t.blockedFor.String()

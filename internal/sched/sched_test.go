@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
@@ -624,46 +623,5 @@ func BenchmarkCondSignal(b *testing.B) {
 	b.ResetTimer()
 	if err := s.Run(); err != nil {
 		b.Fatal(err)
-	}
-}
-
-func TestDaemonDoesNotBlockCompletion(t *testing.T) {
-	s := NewVirtual()
-	q := NewQueue[int](s, "work")
-	served := 0
-	s.GoDaemon("server", func() {
-		for {
-			if _, ok := q.Pop(); !ok {
-				return
-			}
-			served++
-		}
-	})
-	s.Go("client", func() {
-		for i := 0; i < 3; i++ {
-			q.Push(i)
-			s.Sleep(time.Second)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatalf("Run with idle daemon: %v", err)
-	}
-	if served != 3 {
-		t.Fatalf("served = %d", served)
-	}
-}
-
-func TestDaemonExcludedFromDeadlockReport(t *testing.T) {
-	s := NewVirtual()
-	c := s.NewCond("never")
-	s.GoDaemon("pump", func() { c.Wait() })
-	s.Go("stuck", func() { c.Wait() })
-	err := s.Run()
-	de, ok := err.(*DeadlockError)
-	if !ok {
-		t.Fatalf("err = %v, want DeadlockError (non-daemon task is stuck)", err)
-	}
-	if len(de.Blocked) != 1 || !strings.Contains(de.Blocked[0], "stuck") {
-		t.Fatalf("blocked = %v, want only the non-daemon task", de.Blocked)
 	}
 }

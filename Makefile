@@ -1,7 +1,7 @@
 GO ?= go
 DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test check vet race bench bench-smoke bench-gate bench-gate-zero bench-campaign bench-campaign-smoke bench-pairs fmt lint validate-descriptions
+.PHONY: build test check vet race bench bench-smoke bench-gate bench-gate-zero bench-campaign bench-campaign-smoke bench-pairs fmt lint
 
 build:
 	$(GO) build ./...
@@ -33,19 +33,11 @@ fmt:
 lint:
 	$(GO) run ./cmd/excovery-lint ./...
 
-# validate-descriptions runs excovery-validate over every shipped
-# description, so a scenario that no longer validates fails the gate the
-# same way a broken test would ("Experiments as Code").
-validate-descriptions:
-	@set -e; for f in descriptions/*.xml; do \
-		$(GO) run ./cmd/excovery-validate $$f >/dev/null; \
-		echo "validated $$f"; \
-	done
-
 # check is the tier-1 gate (see ROADMAP.md): formatting, static analysis
-# (go vet plus the invariant linter), description validation, and the
-# full suite under the race detector.
-check: fmt vet lint validate-descriptions race
+# (go vet plus the invariant linter) and the full suite under the race
+# detector. Every shipped description is validated, planned, assembled and
+# round-tripped by TestShippedDescriptions in internal/desc.
+check: fmt vet lint race
 
 # bench records all benchmarks (with allocations) as a dated JSON stream
 # of go test events, comparable across sessions with excovery-bench or

@@ -76,7 +76,7 @@ func BenchmarkFig2ArchitectureComparison(b *testing.B) {
 		exp  func(int) *desc.Experiment
 	}{
 		{"two-party", func(seed int) *desc.Experiment { return desc.OneShot(30) }},
-		{"three-party", func(seed int) *desc.Experiment { return desc.ThreeParty(30, 1) }},
+		{"three-party", func(seed int) *desc.Experiment { return builtin(b, "threeparty", 1) }},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -464,7 +464,7 @@ func BenchmarkExpBResponsivenessVsLoss(b *testing.B) {
 		b.Run(fmt.Sprintf("loss=%.1f", loss), func(b *testing.B) {
 			var all []metrics.RunMetric
 			for i := 0; i < b.N; i++ {
-				e := lossSweepExperiment(loss, 2)
+				e := lossSweepExperiment(b, loss, 2)
 				all = append(all, runExperiment(b, e, core.Options{Seed: int64(i + 1)})...)
 			}
 			reportDiscovery(b, all, 2*time.Second)
@@ -472,27 +472,22 @@ func BenchmarkExpBResponsivenessVsLoss(b *testing.B) {
 	}
 }
 
-// lossSweepExperiment builds a one-treatment loss-injection experiment
-// (the examples/faultinjection scenario at a single level).
-func lossSweepExperiment(loss float64, reps int) *desc.Experiment {
-	e := desc.OneShot(15)
-	e.Name = "sd-loss-bench"
+// lossSweepExperiment is Exp. B (descriptions/exp-b-loss.xml) narrowed to
+// one fact_loss level.
+func lossSweepExperiment(tb testing.TB, loss float64, reps int) *desc.Experiment {
+	e := builtin(tb, "exp-b-loss", reps)
+	e.Factor("fact_loss").Levels = []desc.Level{{Raw: fmt.Sprint(loss)}}
+	return e
+}
+
+// builtin is the embedded description name with reps replications.
+func builtin(tb testing.TB, name string, reps int) *desc.Experiment {
+	tb.Helper()
+	e, err := desc.Builtin(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	e.Repl.Count = reps
-	e.Factors = append(e.Factors, desc.FloatFactor("fact_loss", desc.UsageConstant, loss))
-	e.ManipProcesses = []desc.ManipulationProcess{{
-		Actor: "actor0", NodesRef: "fact_nodes",
-		Actions: []desc.Action{
-			desc.Act("fault_msg_loss", "direction", "both", "proto", "sd").
-				WithFactorRef("prob", "fact_loss"),
-			desc.Flag("fault_armed"),
-			desc.WaitEvent(desc.WaitSpec{Event: "done"}),
-			desc.Act("fault_stop", "kind", "fault_msg_loss"),
-		},
-	}}
-	sm := &e.NodeProcesses[0]
-	sm.Actions = append([]desc.Action{
-		desc.WaitEvent(desc.WaitSpec{Event: "fault_armed"}),
-	}, sm.Actions...)
 	return e
 }
 
@@ -525,11 +520,11 @@ func BenchmarkExpCResponsivenessVsHops(b *testing.B) {
 // idle and under background load (the crossover experiment).
 func BenchmarkExpDArchitectureUnderLoad(b *testing.B) {
 	for _, arch := range []string{"two-party", "three-party"} {
-		for _, load := range []int{0, 400} {
+		for _, load := range []int{0, 200, 400} {
 			b.Run(fmt.Sprintf("%s/load=%d", arch, load), func(b *testing.B) {
 				var all []metrics.RunMetric
 				for i := 0; i < b.N; i++ {
-					e := archExperiment(arch, load, 2)
+					e := archExperiment(b, arch, load, 2)
 					all = append(all, runExperiment(b, e, core.Options{
 						Seed: int64(i + 1),
 						Node: netem.NodeParams{RateBps: 1_000_000},
@@ -541,12 +536,16 @@ func BenchmarkExpDArchitectureUnderLoad(b *testing.B) {
 	}
 }
 
-func archExperiment(arch string, loadKbps, reps int) *desc.Experiment {
+// archExperiment is Exp. D's description for one architecture at one
+// load level: the case study or the three-party description, with the
+// case study's environment nodes and traffic generator at 4 pairs ×
+// loadKbps; load 0 drops the generator and the wait for it.
+func archExperiment(tb testing.TB, arch string, loadKbps, reps int) *desc.Experiment {
 	var e *desc.Experiment
 	if arch == "two-party" {
 		e = desc.CaseStudy(reps)
 	} else {
-		e = desc.ThreeParty(30, reps)
+		e = builtin(tb, "threeparty", reps)
 		e.EnvironmentNodes = []string{"E0", "E1", "E2", "E3"}
 		e.EnvProcesses = desc.CaseStudy(1).EnvProcesses
 	}
@@ -767,11 +766,11 @@ func TestBenchHelpersCompile(t *testing.T) {
 	if maxInt(2, 1) != 2 || maxInt(1, 2) != 2 {
 		t.Fatal("maxInt")
 	}
-	e := archExperiment("three-party", 0, 1)
+	e := archExperiment(t, "three-party", 0, 1)
 	if err := desc.Validate(e); err != nil {
 		t.Fatal(err)
 	}
-	e2 := lossSweepExperiment(0.5, 1)
+	e2 := lossSweepExperiment(t, 0.5, 1)
 	if err := desc.Validate(e2); err != nil {
 		t.Fatal(err)
 	}

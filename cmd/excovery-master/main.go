@@ -15,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"excovery/internal/desc"
@@ -36,7 +37,7 @@ func main() {
 		registry   = flag.String("registry", "", "discovery registry XML-RPC endpoint: claim node hosts from the registry instead of -host, and replace dead hosts mid-campaign")
 		region     = flag.String("region", "", "preferred placement region when claiming hosts from -registry")
 		listen     = flag.String("listen", ":8801", "this master's event endpoint listen address")
-		builtin    = flag.String("builtin", "", "built-in description: casestudy, oneshot, threeparty")
+		builtin    = flag.String("builtin", "", "embedded description: "+strings.Join(desc.Builtins(), ", "))
 		reps       = flag.Int("reps", 0, "override the replication count")
 		speed      = flag.Float64("speed", 0.01, "real-time pacing factor")
 		storeDir   = flag.String("store", "", "level-2 storage directory")
@@ -61,7 +62,7 @@ func main() {
 	}
 	flag.Parse()
 
-	e, err := loadDescription(*builtin, flag.Arg(0))
+	e, err := desc.Load(*builtin, flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
@@ -292,29 +293,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-func loadDescription(builtin, path string) (*desc.Experiment, error) {
-	switch builtin {
-	case "casestudy":
-		return desc.CaseStudy(1000), nil
-	case "oneshot":
-		return desc.OneShot(30), nil
-	case "threeparty":
-		return desc.ThreeParty(30, 100), nil
-	case "":
-	default:
-		return nil, fmt.Errorf("unknown builtin %q", builtin)
-	}
-	if path == "" {
-		return nil, fmt.Errorf("need a description file or -builtin")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return desc.Parse(f)
 }
 
 func fatal(err error) {

@@ -30,7 +30,7 @@ import (
 func main() {
 	var (
 		listen    = flag.String("listen", ":8800", "XML-RPC listen address")
-		builtin   = flag.String("builtin", "", "host a built-in description: casestudy, oneshot, threeparty")
+		builtin   = flag.String("builtin", "", "host an embedded description: "+strings.Join(desc.Builtins(), ", "))
 		speed     = flag.Float64("speed", 0.01, "real-time pacing factor (wall seconds per virtual second)")
 		seed      = flag.Int64("seed", 0, "override the experiment seed")
 		leaseTTL  = flag.Duration("lease-ttl", 0, "lease imposed on session-aware masters that register without a TTL; a silent master is dropped at the deadline (0 disables)")
@@ -47,7 +47,7 @@ func main() {
 	}
 	flag.Parse()
 
-	e, err := loadDescription(*builtin, flag.Arg(0))
+	e, err := desc.Load(*builtin, flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
@@ -127,29 +127,6 @@ func main() {
 	if err := x.S.Run(); err != nil {
 		fatal(err)
 	}
-}
-
-func loadDescription(builtin, path string) (*desc.Experiment, error) {
-	switch builtin {
-	case "casestudy":
-		return desc.CaseStudy(1000), nil
-	case "oneshot":
-		return desc.OneShot(30), nil
-	case "threeparty":
-		return desc.ThreeParty(30, 100), nil
-	case "":
-	default:
-		return nil, fmt.Errorf("unknown builtin %q", builtin)
-	}
-	if path == "" {
-		return nil, fmt.Errorf("need a description file or -builtin")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return desc.Parse(f)
 }
 
 // advertiseURL derives the control endpoint masters should dial from the

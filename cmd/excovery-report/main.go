@@ -1,11 +1,14 @@
 // Command excovery-report extracts metrics from a level-3 experiment
 // database: experiment metadata, per-run discovery times, responsiveness
-// at configurable deadlines, grouped by a factor, plus packet statistics.
+// at configurable deadlines with its Wilson interval, grouped by one or more
+// factors — the per-treatment table of an experiment — plus packet
+// statistics.
 //
 // Usage:
 //
 //	excovery-report exp1.xcdb
 //	excovery-report -group fact_bw -deadlines 0.5,1,5 exp1.xcdb
+//	excovery-report -group fact_pairs,fact_bw -deadlines 1,5 exp1.xcdb
 //	excovery-report -events -run 3 exp1.xcdb
 //	excovery-report -trace trace3.json -run 3 exp1.xcdb
 package main
@@ -47,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("excovery-report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var rf reportFlags
-	fs.StringVar(&rf.group, "group", "", "group metrics by this factor id")
+	fs.StringVar(&rf.group, "group", "", "group metrics by these factor ids, comma separated (an actor_node_map factor groups by its level)")
 	fs.StringVar(&rf.deadlines, "deadlines", "1,5,30", "responsiveness deadlines in seconds, comma separated")
 	fs.BoolVar(&rf.events, "events", false, "dump the event list of -run")
 	fs.IntVar(&rf.run, "run", 0, "run id for -events/-timeline/-packets/-trace")
@@ -184,41 +187,74 @@ func report(rf reportFlags, arg string, stdout io.Writer) error {
 		dls = append(dls, time.Duration(v*float64(time.Second)))
 	}
 
-	printGroup := func(label string, ms []metrics.RunMetric) {
-		trs := metrics.TRs(ms)
-		line := fmt.Sprintf("%-12s n=%-5d complete=%-5d", label, len(ms), len(trs))
-		for _, d := range dls {
-			line += fmt.Sprintf(" R(%s)=%.3f", d, metrics.Responsiveness(ms, d))
-		}
-		if len(trs) > 0 {
-			s := metrics.Summarize(metrics.DurationsToSeconds(trs))
-			line += fmt.Sprintf("  t_R mean=%.4fs p90=%.4fs", s.Mean, s.P90)
-		}
-		fmt.Fprintln(stdout, line)
-	}
-
 	if rf.group == "" {
-		printGroup("all", ms)
+		printGroup(stdout, 12, "all", ms, dls)
 		return nil
 	}
-	groups := metrics.GroupBy(ms, rf.group)
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, erra := strconv.Atoi(keys[i])
-		b, errb := strconv.Atoi(keys[j])
-		if erra == nil && errb == nil {
-			return a < b
+	// One line per combination of the named factors' levels, ordered by
+	// the first factor, then the next; numbers compare as numbers.
+	factors := strings.Split(rf.group, ",")
+	groups := map[string][]metrics.RunMetric{}
+	levels := map[string][]string{}
+	for _, m := range ms {
+		lv := make([]string, len(factors))
+		parts := make([]string, len(factors))
+		for i, f := range factors {
+			lv[i] = m.Treatment[f]
+			parts[i] = f + "=" + lv[i]
 		}
-		return keys[i] < keys[j]
+		label := strings.Join(parts, " ")
+		groups[label] = append(groups[label], m)
+		levels[label] = lv
+	}
+	labels := make([]string, 0, len(groups))
+	width := 12
+	for l := range groups {
+		labels = append(labels, l)
+		width = max(width, len(l))
+	}
+	sort.Slice(labels, func(i, j int) bool {
+		a, b := levels[labels[i]], levels[labels[j]]
+		for k := range a {
+			if a[k] != b[k] {
+				return levelLess(a[k], b[k])
+			}
+		}
+		return false
 	})
-	fmt.Fprintf(stdout, "grouped by %s:\n", rf.group)
-	for _, k := range keys {
-		printGroup(rf.group+"="+k, groups[k])
+	fmt.Fprintf(stdout, "grouped by %s:\n", strings.Join(factors, ", "))
+	for _, l := range labels {
+		printGroup(stdout, width, l, groups[l], dls)
 	}
 	return nil
+}
+
+// printGroup writes one summary line: run counts, R at every deadline, the
+// Wilson 95 % interval of R at the first deadline, and t_R mean and p90.
+func printGroup(w io.Writer, width int, label string, ms []metrics.RunMetric, dls []time.Duration) {
+	trs := metrics.TRs(ms)
+	line := fmt.Sprintf("%-*s n=%-5d complete=%-5d", width, label, len(ms), len(trs))
+	for _, d := range dls {
+		line += fmt.Sprintf(" R(%s)=%.3f", d, metrics.Responsiveness(ms, d))
+	}
+	lo, hi := metrics.ResponsivenessCI(ms, dls[0])
+	line += fmt.Sprintf(" CI95=[%.3f,%.3f]", lo, hi)
+	if len(trs) > 0 {
+		s := metrics.Summarize(metrics.DurationsToSeconds(trs))
+		line += fmt.Sprintf("  t_R mean=%.4fs p90=%.4fs", s.Mean, s.P90)
+	}
+	fmt.Fprintln(w, line)
+}
+
+// levelLess orders two level values numerically when both are numbers,
+// else as strings.
+func levelLess(a, b string) bool {
+	x, errx := strconv.ParseFloat(a, 64)
+	y, erry := strconv.ParseFloat(b, 64)
+	if errx == nil && erry == nil {
+		return x < y
+	}
+	return a < b
 }
 
 // exportTrace converts one run's trace.json level-2 artifact (recorded by

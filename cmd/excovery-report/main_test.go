@@ -15,9 +15,14 @@ import (
 // buildFixtureDB runs the Fig. 11 one-shot experiment (virtual time,
 // fixed seed — fully deterministic) into a level-3 database file.
 func buildFixtureDB(t *testing.T) string {
+	return buildDB(t, desc.OneShot(30))
+}
+
+// buildDB runs an experiment into a level-3 database file.
+func buildDB(t *testing.T, e *desc.Experiment) string {
 	t.Helper()
 	dir := t.TempDir()
-	x, err := core.New(desc.OneShot(30), core.Options{StoreDir: filepath.Join(dir, "level2")})
+	x, err := core.New(e, core.Options{StoreDir: filepath.Join(dir, "level2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +54,65 @@ func TestReportSummary(t *testing.T) {
 		"n=1",
 		"complete=1",
 		"R(1s)=1.000",
-		"t_R mean=0.0413s", // the Fig. 11 discovery takes 41.276 ms, always
+		"CI95=[0.207,1.000]", // Wilson interval of 1 success in 1 run
+		"t_R mean=0.0413s",   // the Fig. 11 discovery takes 41.276 ms, always
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestReportGroupsByFactorList: -group takes a comma-separated factor
+// list, one line per level combination, numbers ordered as numbers.
+func TestReportGroupsByFactorList(t *testing.T) {
+	e := desc.OneShot(30)
+	e.Factors = append(e.Factors,
+		desc.IntFactor("fact_a", desc.UsageConstant, 10, 2),
+		desc.IntFactor("fact_b", desc.UsageConstant, 3, 1))
+	path := buildDB(t, e)
+	var out, errb bytes.Buffer
+	if code := run([]string{"-group", "fact_a,fact_b", "-deadlines", "1,5", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	want := []string{"fact_a=2 fact_b=1 ", "fact_a=2 fact_b=3 ", "fact_a=10 fact_b=1 ", "fact_a=10 fact_b=3 "}
+	if len(lines) != 2+len(want) || lines[1] != "grouped by fact_a, fact_b:" {
+		t.Fatalf("report:\n%s", out.String())
+	}
+	for i, w := range want {
+		if l := lines[2+i]; !strings.HasPrefix(l, w) || !strings.Contains(l, "n=1 ") ||
+			!strings.Contains(l, "R(5s)=") || !strings.Contains(l, "CI95=[") {
+			t.Errorf("line %d = %q, want %q… with n, R(5s) and CI95", i, l, w)
+		}
+	}
+}
+
+// TestReportGroupsByActorMap: an actor_node_map factor groups by its level
+// — Exp. E's SM count is the binding of actor0.
+func TestReportGroupsByActorMap(t *testing.T) {
+	e, err := desc.Builtin("exp-e-meshwide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Repl.Count = 1
+	path := buildDB(t, e)
+	var out, errb bytes.Buffer
+	if code := run([]string{"-group", "fact_nodes", "-deadlines", "1", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	want := []string{
+		"fact_nodes=actor0:M0 actor1:U ",
+		"fact_nodes=actor0:M0,M1 actor1:U ",
+		"fact_nodes=actor0:M0,M1,M2 actor1:U ",
+	}
+	if len(lines) != 2+len(want) {
+		t.Fatalf("report:\n%s", out.String())
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(lines[2+i], w) {
+			t.Errorf("line %d = %q, want prefix %q", i, lines[2+i], w)
 		}
 	}
 }

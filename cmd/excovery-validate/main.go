@@ -12,12 +12,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"excovery/internal/desc"
 )
 
 func main() {
-	builtin := flag.String("builtin", "", "validate a built-in description: casestudy, oneshot, threeparty, registry-churn")
+	builtin := flag.String("builtin", "", "validate an embedded description: "+strings.Join(desc.Builtins(), ", "))
 	dump := flag.String("dump", "", "write the (built-in or parsed) description as XML to this file (- for stdout)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: excovery-validate [-builtin name] [-dump file] [description.xml]\n")
@@ -25,7 +26,7 @@ func main() {
 	}
 	flag.Parse()
 
-	e, err := loadDescription(*builtin, flag.Arg(0))
+	e, err := desc.Load(*builtin, flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -98,36 +99,4 @@ func planKind(e *desc.Experiment) desc.PlanKind {
 		return desc.PlanOFAT
 	}
 	return e.PlanKind
-}
-
-func loadDescription(builtin, path string) (*desc.Experiment, error) {
-	switch builtin {
-	case "casestudy":
-		return desc.CaseStudy(1000), nil
-	case "oneshot":
-		return desc.OneShot(30), nil
-	case "threeparty":
-		return desc.ThreeParty(30, 1000), nil
-	case "registry-churn":
-		return desc.RegistryChurn(100), nil
-	case "":
-	default:
-		return nil, fmt.Errorf("unknown builtin %q", builtin)
-	}
-	if path == "" {
-		return nil, fmt.Errorf("need a description file or -builtin")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return desc.Parse(f)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -18,9 +18,9 @@ import (
 )
 
 func main() {
-	// Build the Fig. 11 experiment: a two-party architecture with a 30 s
-	// discovery deadline, described abstractly (the same document could
-	// be written as XML and parsed with desc.Parse).
+	// Load the Fig. 11 experiment, descriptions/oneshot.xml: a two-party
+	// architecture with a 30 s discovery deadline. desc.Builtin parses any
+	// embedded description by name, desc.Parse any document.
 	exp := desc.OneShot(30)
 
 	// Assemble the emulated platform: two nodes in radio range, default

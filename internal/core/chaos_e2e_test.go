@@ -16,6 +16,17 @@ import (
 	"excovery/internal/eventlog"
 )
 
+// builtin is the embedded description name with reps replications.
+func builtin(t testing.TB, name string, reps int) *desc.Experiment {
+	t.Helper()
+	e, err := desc.Builtin(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Repl.Count = reps
+	return e
+}
+
 // runToLevel3 executes an experiment with a level-2 store, conditions it
 // and returns the serialized level-3 database plus the first run's events.
 func runToLevel3(t *testing.T, e *desc.Experiment) ([]byte, []eventlog.Event) {
@@ -53,7 +64,7 @@ func runToLevel3(t *testing.T, e *desc.Experiment) ([]byte, []eventlog.Event) {
 }
 
 func TestChaosReorderDeterministicLevel3(t *testing.T) {
-	raw1, events := runToLevel3(t, desc.ChaosReorder(1))
+	raw1, events := runToLevel3(t, builtin(t, "casestudy-reorder", 1))
 	// The reorder fault must actually have fired through the executor.
 	if _, ok := findEvent(events, string(eventlog.EvFaultMsgReorderStart)); !ok {
 		t.Fatal("no fault_msg_reorder_start event in run 0")
@@ -61,7 +72,7 @@ func TestChaosReorderDeterministicLevel3(t *testing.T) {
 	if _, ok := findEvent(events, string(eventlog.EvFaultMsgReorderStop)); !ok {
 		t.Fatal("no fault_msg_reorder_stop event in run 0")
 	}
-	raw2, _ := runToLevel3(t, desc.ChaosReorder(1))
+	raw2, _ := runToLevel3(t, builtin(t, "casestudy-reorder", 1))
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatalf("level-3 artifacts differ across identical experiments (%d vs %d bytes)",
 			len(raw1), len(raw2))
@@ -69,13 +80,13 @@ func TestChaosReorderDeterministicLevel3(t *testing.T) {
 }
 
 func TestPartitionHealDeterministicLevel3(t *testing.T) {
-	raw1, events := runToLevel3(t, desc.PartitionHeal(1))
+	raw1, events := runToLevel3(t, builtin(t, "partition-heal", 1))
 	for _, typ := range []eventlog.Name{eventlog.EvEnvPartitionStart, eventlog.EvEnvPartitionHeal} {
 		if _, ok := findEvent(events, string(typ)); !ok {
 			t.Fatalf("no %s event in run 0", typ)
 		}
 	}
-	raw2, _ := runToLevel3(t, desc.PartitionHeal(1))
+	raw2, _ := runToLevel3(t, builtin(t, "partition-heal", 1))
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatalf("level-3 artifacts differ across identical experiments (%d vs %d bytes)",
 			len(raw1), len(raw2))
@@ -87,7 +98,7 @@ func TestPartitionHealDeterministicLevel3(t *testing.T) {
 // that publisher's node is killed at the claim, and the standby must be
 // re-discovered before the deadline. "Discovery measured by discovery."
 func TestRegistryChurnDeterministicLevel3(t *testing.T) {
-	raw1, events := runToLevel3(t, desc.RegistryChurn(1))
+	raw1, events := runToLevel3(t, builtin(t, "registry-churn", 1))
 	// The churn sequence actually happened, in order: first claim, kill,
 	// then the re-discovery completing the run.
 	claimed, ok := findEvent(events, "claimed")
@@ -108,7 +119,7 @@ func TestRegistryChurnDeterministicLevel3(t *testing.T) {
 		t.Fatalf("churn out of order: claimed #%d, kill #%d, done #%d",
 			claimed.Seq, kill.Seq, done.Seq)
 	}
-	raw2, _ := runToLevel3(t, desc.RegistryChurn(1))
+	raw2, _ := runToLevel3(t, builtin(t, "registry-churn", 1))
 	if !bytes.Equal(raw1, raw2) {
 		t.Fatalf("level-3 artifacts differ across identical experiments (%d vs %d bytes)",
 			len(raw1), len(raw2))
@@ -121,16 +132,16 @@ func TestRegistryChurnDeterministicLevel3(t *testing.T) {
 // database of a chaos scenario must be byte-identical whether the process
 // runs on one core or eight.
 func TestChaosLevel3IdenticalAcrossGOMAXPROCS(t *testing.T) {
-	scenarios := map[string]func(int) *desc.Experiment{
-		"reorder":        desc.ChaosReorder,
-		"partition-heal": desc.PartitionHeal,
+	scenarios := map[string]string{
+		"reorder":        "casestudy-reorder",
+		"partition-heal": "partition-heal",
 	}
-	for name, mk := range scenarios {
+	for name, file := range scenarios {
 		t.Run(name, func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(1)
-			raw1, _ := runToLevel3(t, mk(1))
+			raw1, _ := runToLevel3(t, builtin(t, file, 1))
 			runtime.GOMAXPROCS(8)
-			raw8, _ := runToLevel3(t, mk(1))
+			raw8, _ := runToLevel3(t, builtin(t, file, 1))
 			runtime.GOMAXPROCS(prev)
 			if !bytes.Equal(raw1, raw8) {
 				t.Fatalf("level-3 artifacts differ between GOMAXPROCS=1 (%d bytes) and 8 (%d bytes)",

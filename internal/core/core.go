@@ -49,7 +49,8 @@ const (
 	TopoChain TopologyKind = "chain"
 	// TopoGrid is a row-major grid; set GridWidth.
 	TopoGrid TopologyKind = "grid"
-	// TopoGeometric is a random geometric graph; set GeoRadius.
+	// TopoGeometric is a random geometric graph; the geo_radius eeparam
+	// sets the link radius.
 	TopoGeometric TopologyKind = "geometric"
 )
 
@@ -59,16 +60,10 @@ type Options struct {
 	Topology TopologyKind
 	// GridWidth is the grid column count (TopoGrid).
 	GridWidth int
-	// GeoRadius is the link radius in the unit square (TopoGeometric);
-	// default 0.4.
-	GeoRadius float64
 	// Link parameterizes all links; zero value means netem.DefaultLink.
 	Link netem.LinkParams
 	// Node parameterizes all radios (rate, queue).
 	Node netem.NodeParams
-	// Protocol overrides the description's sd_protocol informative
-	// parameter ("zeroconf" or "scmdir").
-	Protocol string
 	// Seed overrides the description seed for platform randomness.
 	Seed int64
 	// ClockSkew enables per-node clock deviation: offsets uniform in
@@ -104,10 +99,6 @@ type Options struct {
 	// CrashFn is invoked when a crash failpoint fires; it must not
 	// return. Nil makes the run return master.ErrCrashed instead.
 	CrashFn func()
-	// SCMNode names the platform node that hosts the SCM when the
-	// scmdir protocol needs a dedicated directory node; empty picks the
-	// first environment node.
-	SCMNode string
 	// OnRunDone observes completed runs.
 	OnRunDone func(run desc.Run, rr master.RunResult)
 	// RealTime runs the platform on a wall-clock-paced scheduler instead
@@ -170,85 +161,91 @@ func (h handle) HarvestExtras() []store.ExtraMeasurement     { return h.m.Harves
 // description file") into zero-valued options, so a document alone can
 // configure the platform. Recognized keys:
 //
-//	topology          full | chain | grid | geometric
-//	grid_width        grid column count
-//	geo_radius        geometric link radius
-//	link_delay_ms     per-link delay
-//	link_jitter_ms    per-link jitter
-//	link_loss         per-link loss probability
-//	radio_rate_bps    node transmission rate
-//	max_run_time_s    per-run execution bound
+//	topology              full | chain | grid | geometric
+//	grid_width            grid column count
+//	geo_radius            geometric link radius in the unit square (default 0.4)
+//	link_delay_ms         per-link delay
+//	link_jitter_ms        per-link jitter
+//	link_loss             per-link loss probability
+//	link_burst_p_gb       Gilbert–Elliott good→bad transition probability
+//	link_burst_p_bg       Gilbert–Elliott bad→good transition probability
+//	link_burst_loss_good  loss probability in the good state
+//	link_burst_loss_bad   loss probability in the bad state
+//	radio_rate_bps        node transmission rate
+//	max_run_time_s        per-run execution bound
 //
-// Explicit Options fields win over document parameters.
-func applyEEParams(e *desc.Experiment, opts *Options) error {
-	getF := func(key string) (float64, bool, error) {
+// Any link_burst_* key replaces the independent link loss with the
+// Gilbert–Elliott model (netem.LinkParams.Burst). Explicit Options fields
+// win over document parameters; the geometric radius, which has no
+// option, is returned.
+func applyEEParams(e *desc.Experiment, opts *Options) (geoRadius float64, err error) {
+	// set parses key into dst when the document has it.
+	set := func(key string, dst func(float64)) (bool, error) {
 		v := e.EEParam(key, "")
 		if v == "" {
-			return 0, false, nil
+			return false, nil
 		}
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			return 0, false, fmt.Errorf("core: eeparam %s: bad value %q", key, v)
+			return false, fmt.Errorf("core: eeparam %s: bad value %q", key, v)
 		}
-		return f, true, nil
+		dst(f)
+		return true, nil
 	}
+	ms := func(f float64) time.Duration { return time.Duration(f * float64(time.Millisecond)) }
 	if opts.Topology == "" {
 		opts.Topology = TopologyKind(e.EEParam("topology", ""))
 	}
-	if opts.GridWidth == 0 {
-		if f, ok, err := getF("grid_width"); err != nil {
-			return err
-		} else if ok {
-			opts.GridWidth = int(f)
-		}
+	if _, err := set("geo_radius", func(f float64) { geoRadius = f }); err != nil {
+		return 0, err
 	}
-	if opts.GeoRadius == 0 {
-		if f, ok, err := getF("geo_radius"); err != nil {
-			return err
-		} else if ok {
-			opts.GeoRadius = f
+	if opts.GridWidth == 0 {
+		if _, err := set("grid_width", func(f float64) { opts.GridWidth = int(f) }); err != nil {
+			return 0, err
 		}
 	}
 	if opts.Link == (netem.LinkParams{}) {
 		lp := netem.DefaultLink()
-		changed := false
-		if f, ok, err := getF("link_delay_ms"); err != nil {
-			return err
-		} else if ok {
-			lp.Delay = time.Duration(f * float64(time.Millisecond))
-			changed = true
+		var burst netem.BurstLoss
+		changed, bursty := false, false
+		for _, p := range []struct {
+			key   string
+			dst   func(float64)
+			burst bool
+		}{
+			{"link_delay_ms", func(f float64) { lp.Delay = ms(f) }, false},
+			{"link_jitter_ms", func(f float64) { lp.Jitter = ms(f) }, false},
+			{"link_loss", func(f float64) { lp.Loss = f }, false},
+			{"link_burst_p_gb", func(f float64) { burst.PGoodToBad = f }, true},
+			{"link_burst_p_bg", func(f float64) { burst.PBadToGood = f }, true},
+			{"link_burst_loss_good", func(f float64) { burst.LossGood = f }, true},
+			{"link_burst_loss_bad", func(f float64) { burst.LossBad = f }, true},
+		} {
+			ok, err := set(p.key, p.dst)
+			if err != nil {
+				return 0, err
+			}
+			changed = changed || ok
+			bursty = bursty || ok && p.burst
 		}
-		if f, ok, err := getF("link_jitter_ms"); err != nil {
-			return err
-		} else if ok {
-			lp.Jitter = time.Duration(f * float64(time.Millisecond))
-			changed = true
-		}
-		if f, ok, err := getF("link_loss"); err != nil {
-			return err
-		} else if ok {
-			lp.Loss = f
-			changed = true
+		if bursty {
+			lp.Burst = &burst
 		}
 		if changed {
 			opts.Link = lp
 		}
 	}
 	if opts.Node.RateBps == 0 {
-		if f, ok, err := getF("radio_rate_bps"); err != nil {
-			return err
-		} else if ok {
-			opts.Node.RateBps = int64(f)
+		if _, err := set("radio_rate_bps", func(f float64) { opts.Node.RateBps = int64(f) }); err != nil {
+			return 0, err
 		}
 	}
 	if opts.MaxRunTime == 0 {
-		if f, ok, err := getF("max_run_time_s"); err != nil {
-			return err
-		} else if ok {
-			opts.MaxRunTime = time.Duration(f * float64(time.Second))
+		if _, err := set("max_run_time_s", func(f float64) { opts.MaxRunTime = time.Duration(f * float64(time.Second)) }); err != nil {
+			return 0, err
 		}
 	}
-	return nil
+	return geoRadius, nil
 }
 
 // New assembles the emulated platform for a description.
@@ -256,7 +253,8 @@ func New(e *desc.Experiment, opts Options) (*Experiment, error) {
 	if err := desc.Validate(e); err != nil {
 		return nil, err
 	}
-	if err := applyEEParams(e, &opts); err != nil {
+	geoRadius, err := applyEEParams(e, &opts)
+	if err != nil {
 		return nil, err
 	}
 	seed := opts.Seed
@@ -310,14 +308,11 @@ func New(e *desc.Experiment, opts Options) (*Experiment, error) {
 			nd.SetClock(vclock.NewSkewed(s, off, drift))
 		}
 	}
-	if err := wireTopology(nw, all, opts, seed); err != nil {
+	if err := wireTopology(nw, all, opts, geoRadius, seed); err != nil {
 		return nil, err
 	}
 
-	proto := opts.Protocol
-	if proto == "" {
-		proto = e.ParamValue("sd_protocol")
-	}
+	proto := e.ParamValue("sd_protocol")
 	if proto == "" {
 		proto = "zeroconf"
 	}
@@ -482,8 +477,9 @@ func platformNodeIDs(e *desc.Experiment) (actors, env []string) {
 	return actors, env
 }
 
-// wireTopology connects the given nodes per the options.
-func wireTopology(nw *netem.Network, ids []string, opts Options, seed int64) error {
+// wireTopology connects the given nodes per the options; geoRadius is the
+// TopoGeometric link radius, 0 for the default.
+func wireTopology(nw *netem.Network, ids []string, opts Options, geoRadius float64, seed int64) error {
 	lp := opts.Link
 	if lp == (netem.LinkParams{}) {
 		lp = netem.DefaultLink()
@@ -515,7 +511,7 @@ func wireTopology(nw *netem.Network, ids []string, opts Options, seed int64) err
 			}
 		}
 	case TopoGeometric:
-		r := opts.GeoRadius
+		r := geoRadius
 		if r == 0 {
 			r = 0.4
 		}

@@ -11,6 +11,7 @@ import (
 	"excovery/internal/failpoint"
 	"excovery/internal/master"
 	"excovery/internal/metrics"
+	"excovery/internal/netem"
 	"excovery/internal/sd"
 	"excovery/internal/store/reldb"
 )
@@ -164,7 +165,7 @@ func TestCaseStudySmallEndToEnd(t *testing.T) {
 }
 
 func TestThreePartyEndToEnd(t *testing.T) {
-	x, err := New(desc.ThreeParty(30, 1), Options{})
+	x, err := New(builtin(t, "threeparty", 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,9 @@ func TestScmdirOnOneShotTimesOutGracefully(t *testing.T) {
 	// Forcing the three-party protocol onto a description without an SCM
 	// must not wedge: the SU's wait expires at its deadline, "done" is
 	// flagged, and the run completes with one timeout.
-	x, err := New(desc.OneShot(5), Options{Protocol: "scmdir"})
+	e := desc.OneShot(5)
+	e.SetParam("sd_protocol", "scmdir")
+	x, err := New(e, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +347,9 @@ func TestScmdirOnOneShotTimesOutGracefully(t *testing.T) {
 }
 
 func TestUnknownProtocolRejected(t *testing.T) {
-	if _, err := New(desc.OneShot(1), Options{Protocol: "quantum"}); err == nil {
+	e := desc.OneShot(1)
+	e.SetParam("sd_protocol", "quantum")
+	if _, err := New(e, Options{}); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 }
@@ -398,7 +403,9 @@ func TestOnRunDoneCallback(t *testing.T) {
 func TestHybridProtocolAdaptive(t *testing.T) {
 	// The hybrid architecture on the three-party description: the SCM
 	// exists, so discovery may complete over either path, exactly once.
-	x, err := New(desc.ThreeParty(30, 1), Options{Protocol: "hybrid"})
+	e := builtin(t, "threeparty", 1)
+	e.SetParam("sd_protocol", "hybrid")
+	x, err := New(e, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +438,9 @@ func TestHybridProtocolAdaptive(t *testing.T) {
 func TestHybridProtocolWithoutSCM(t *testing.T) {
 	// On the two-party description the hybrid agent falls back to pure
 	// multicast discovery and still completes.
-	x, err := New(desc.OneShot(30), Options{Protocol: "hybrid"})
+	e := desc.OneShot(30)
+	e.SetParam("sd_protocol", "hybrid")
+	x, err := New(e, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +479,8 @@ func TestGridTopologyRequiresWidth(t *testing.T) {
 func TestGeometricTopologyConnected(t *testing.T) {
 	e := desc.OneShot(30)
 	e.AbstractNodes = []string{"A", "n1", "n2", "n3", "n4", "n5", "B"}
-	x, err := New(e, Options{Topology: TopoGeometric, GeoRadius: 0.3, Seed: 7})
+	e.SetEEParam("geo_radius", "0.3")
+	x, err := New(e, Options{Topology: TopoGeometric, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -735,6 +745,21 @@ func TestEEParamsConfigurePlatform(t *testing.T) {
 	}
 	if hc := x2.Net.HopCount("A", "B"); hc != 1 {
 		t.Fatalf("explicit option lost: hops = %d", hc)
+	}
+
+	// The link_burst_* keys switch the links to Gilbert–Elliott loss.
+	e.EEParams = append(e.EEParams,
+		desc.Param{Key: "link_burst_p_gb", Value: "0.04"},
+		desc.Param{Key: "link_burst_p_bg", Value: "0.1"},
+		desc.Param{Key: "link_burst_loss_good", Value: "0.01"},
+		desc.Param{Key: "link_burst_loss_bad", Value: "0.85"})
+	x3, err := New(e, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := netem.BurstLoss{PGoodToBad: 0.04, PBadToGood: 0.1, LossGood: 0.01, LossBad: 0.85}
+	if lp := x3.Net.Link("A", "r0"); lp == nil || lp.Burst == nil || *lp.Burst != want || lp.Delay != 4*time.Millisecond {
+		t.Fatalf("eeparam burst loss ignored: %+v", lp)
 	}
 
 	// Bad values are rejected.

@@ -2,9 +2,10 @@ package desc
 
 import "fmt"
 
-// Builder helpers for constructing experiment descriptions in Go. The XML
-// document stays the canonical interchange form (§IV-F level 1); these
-// helpers exist for tests, examples and generated experiments.
+// Builder helpers for constructing and patching experiment descriptions in
+// Go. The XML document stays the canonical form (§IV-F level 1): every
+// canned experiment is a file under descriptions/ (see Builtin); these
+// primitives exist for tests and generated experiments.
 
 // IntFactor creates an integer factor from literal values.
 func IntFactor(id string, usage Usage, values ...int) Factor {
@@ -81,245 +82,3 @@ func WaitEvent(w WaitSpec) Action {
 
 // WaitMarker creates a wait_marker action (§IV-C2).
 func WaitMarker() Action { return Act("wait_marker") }
-
-// CaseStudy builds the paper's case-study experiment exactly as assembled
-// from Figs. 4–10: a two-party SD process between abstract nodes A (SM,
-// actor0) and B (SU, actor1), with background traffic between a random
-// number of node pairs (fact_pairs ∈ {5,20}, randomized) at a swept data
-// rate (fact_bw ∈ {10,50,100} kbit/s, held constant per sweep), and the
-// given number of replications per treatment (the paper uses 1000).
-func CaseStudy(replications int) *Experiment {
-	e := &Experiment{
-		Name:    "sd-twoparty-load",
-		Comment: "Two-party service discovery under generated background load (Figs. 4-10)",
-		Params: []Param{
-			{Key: "sd_architecture", Value: "two-party"},
-			{Key: "sd_protocol", Value: "zeroconf"},
-			{Key: "sd_scheme", Value: "active"},
-		},
-		AbstractNodes:    []string{"A", "B"},
-		EnvironmentNodes: []string{"E0", "E1", "E2", "E3"},
-		Factors: []Factor{
-			ActorMapFactor("fact_nodes", UsageBlocking, map[string][]string{
-				"actor0": {"A"},
-				"actor1": {"B"},
-			}),
-			IntFactor("fact_pairs", UsageRandom, 5, 20),
-			{
-				ID: "fact_bw", Type: TypeInt, Usage: UsageConstant,
-				Description: "datarate generated load",
-				Levels:      []Level{{Raw: "10"}, {Raw: "50"}, {Raw: "100"}},
-			},
-		},
-		Repl: Replication{ID: "fact_replication_id", Count: replications},
-		Seed: 20140519,
-	}
-
-	// Fig. 7: environment traffic-generation process.
-	e.EnvProcesses = []EnvProcess{{
-		Name: "traffic",
-		Actions: []Action{
-			Flag("ready_to_init"),
-			Act("env_traffic_start",
-				"choice", "0",
-				"random_switch_amount", "1").
-				WithFactorRef("bw", "fact_bw").
-				WithFactorRef("random_switch_seed", "fact_replication_id").
-				WithFactorRef("random_pairs", "fact_pairs").
-				WithFactorRef("random_seed", "fact_pairs"),
-			WaitEvent(WaitSpec{Event: "done"}),
-			Act("env_traffic_stop"),
-		},
-	}}
-
-	// Fig. 9: SM publisher role.
-	e.NodeProcesses = []NodeProcess{
-		{
-			Actor: "actor0", Name: "SM", NodesRef: "fact_nodes",
-			Actions: []Action{
-				Act("sd_init"),
-				Act("sd_start_publish"),
-				WaitEvent(WaitSpec{Event: "done"}),
-				Act("sd_stop_publish"),
-				Act("sd_exit"),
-			},
-		},
-		// Fig. 10: SU requester role.
-		{
-			Actor: "actor1", Name: "SU", NodesRef: "fact_nodes",
-			Actions: []Action{
-				WaitEvent(WaitSpec{
-					Event:     "sd_start_publish",
-					FromActor: "actor0", FromInstance: "all",
-				}),
-				WaitEvent(WaitSpec{Event: "ready_to_init"}),
-				// Fig. 11: the preparation phase ends a fixed time after
-				// sd_start_publish "to let unsolicited announcements of
-				// SM1 pass", so t_R measures the query/response path.
-				WaitTime(5),
-				Act("sd_init"),
-				WaitMarker(),
-				Act("sd_start_search"),
-				WaitEvent(WaitSpec{
-					Event:     "sd_service_add",
-					FromActor: "actor1", FromInstance: "all",
-					ParamActor: "actor0", ParamInstance: "all",
-					TimeoutSec: 30,
-				}),
-				Flag("done"),
-				Act("sd_stop_search"),
-				Act("sd_exit"),
-			},
-		},
-	}
-
-	// Fig. 8: platform specification — two actor nodes and four
-	// environment nodes of the DES testbed.
-	e.Platform = Platform{
-		Actors: []PlatformNode{
-			{ID: "t9-105", Abstract: "A", Address: "10.0.1.105"},
-			{ID: "t9-149", Abstract: "B", Address: "10.0.1.149"},
-		},
-		Env: []PlatformNode{
-			{ID: "t9-108", Address: "10.0.1.108"},
-			{ID: "t9-150", Address: "10.0.1.150"},
-			{ID: "t9-117", Address: "10.0.1.117"},
-			{ID: "t9-146", Address: "10.0.1.146"},
-		},
-	}
-	return e
-}
-
-// OneShot builds the minimal one-shot discovery experiment of Fig. 11: one
-// SM and one SU, a single run, no background load. deadline is the SU
-// search timeout in seconds.
-func OneShot(deadline float64) *Experiment {
-	e := &Experiment{
-		Name:    "sd-oneshot",
-		Comment: "One-shot two-party discovery (Fig. 11)",
-		Params: []Param{
-			{Key: "sd_architecture", Value: "two-party"},
-			{Key: "sd_protocol", Value: "zeroconf"},
-			{Key: "sd_scheme", Value: "active"},
-		},
-		AbstractNodes: []string{"A", "B"},
-		Factors: []Factor{
-			ActorMapFactor("fact_nodes", UsageBlocking, map[string][]string{
-				"actor0": {"A"},
-				"actor1": {"B"},
-			}),
-		},
-		Repl: Replication{ID: "fact_replication_id", Count: 1},
-		Seed: 1,
-	}
-	e.NodeProcesses = []NodeProcess{
-		{
-			Actor: "actor0", Name: "SM", NodesRef: "fact_nodes",
-			Actions: []Action{
-				Act("sd_init"),
-				Act("sd_start_publish"),
-				WaitEvent(WaitSpec{Event: "done"}),
-				Act("sd_stop_publish"),
-				Act("sd_exit"),
-			},
-		},
-		{
-			Actor: "actor1", Name: "SU", NodesRef: "fact_nodes",
-			Actions: []Action{
-				WaitEvent(WaitSpec{
-					Event:     "sd_start_publish",
-					FromActor: "actor0", FromInstance: "all",
-				}),
-				// Fig. 11: let the SM's unsolicited announcements pass
-				// before the SU initializes, so the measured t_R is the
-				// query/response time of the execution phase.
-				WaitTime(5),
-				Act("sd_init"),
-				WaitMarker(),
-				Act("sd_start_search"),
-				WaitEvent(WaitSpec{
-					Event:     "sd_service_add",
-					FromActor: "actor1", FromInstance: "all",
-					ParamActor: "actor0", ParamInstance: "all",
-					TimeoutSec: deadline,
-				}),
-				Flag("done"),
-				Act("sd_stop_search"),
-				Act("sd_exit"),
-			},
-		},
-	}
-	return e
-}
-
-// ThreeParty builds a three-party SD experiment: one SCM (actor2 on node
-// C), one SM (actor0 on A) and one SU (actor1 on B). The SU searches until
-// all SMs are found or the deadline expires (§III-B centralized
-// architecture; Exp. D in DESIGN.md).
-func ThreeParty(deadline float64, replications int) *Experiment {
-	e := &Experiment{
-		Name:    "sd-threeparty",
-		Comment: "Three-party service discovery through an SCM",
-		Params: []Param{
-			{Key: "sd_architecture", Value: "three-party"},
-			{Key: "sd_protocol", Value: "scmdir"},
-			{Key: "sd_scheme", Value: "directed"},
-		},
-		AbstractNodes: []string{"A", "B", "C"},
-		Factors: []Factor{
-			ActorMapFactor("fact_nodes", UsageBlocking, map[string][]string{
-				"actor0": {"A"},
-				"actor1": {"B"},
-				"actor2": {"C"},
-			}),
-		},
-		Repl: Replication{ID: "fact_replication_id", Count: replications},
-		Seed: 3,
-	}
-	e.NodeProcesses = []NodeProcess{
-		{
-			Actor: "actor2", Name: "SCM", NodesRef: "fact_nodes",
-			Actions: []Action{
-				Act("sd_init"),
-				WaitEvent(WaitSpec{Event: "done"}),
-				Act("sd_exit"),
-			},
-		},
-		{
-			Actor: "actor0", Name: "SM", NodesRef: "fact_nodes",
-			Actions: []Action{
-				WaitEvent(WaitSpec{
-					Event:     "scm_started",
-					FromActor: "actor2", FromInstance: "all",
-				}),
-				Act("sd_init"),
-				Act("sd_start_publish"),
-				WaitEvent(WaitSpec{Event: "done"}),
-				Act("sd_stop_publish"),
-				Act("sd_exit"),
-			},
-		},
-		{
-			Actor: "actor1", Name: "SU", NodesRef: "fact_nodes",
-			Actions: []Action{
-				WaitEvent(WaitSpec{
-					Event:     "sd_start_publish",
-					FromActor: "actor0", FromInstance: "all",
-				}),
-				Act("sd_init"),
-				WaitMarker(),
-				Act("sd_start_search"),
-				WaitEvent(WaitSpec{
-					Event:     "sd_service_add",
-					FromActor: "actor1", FromInstance: "all",
-					ParamActor: "actor0", ParamInstance: "all",
-					TimeoutSec: deadline,
-				}),
-				Flag("done"),
-				Act("sd_stop_search"),
-				Act("sd_exit"),
-			},
-		},
-	}
-	return e
-}

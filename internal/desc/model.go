@@ -8,6 +8,7 @@ package desc
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -76,8 +77,26 @@ func (l Level) Float() (float64, error) {
 	return v, nil
 }
 
-// String returns the raw scalar value.
-func (l Level) String() string { return l.Raw }
+// String returns the raw scalar value; an actor_node_map level renders as
+// its bindings, actors sorted: "actor0:M0,M1 actor1:U".
+func (l Level) String() string {
+	if l.ActorMap == nil {
+		return l.Raw
+	}
+	actors := make([]string, 0, len(l.ActorMap))
+	for a := range l.ActorMap {
+		actors = append(actors, a)
+	}
+	sort.Strings(actors)
+	var b strings.Builder
+	for i, a := range actors {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(a + ":" + strings.Join(l.ActorMap[a], ","))
+	}
+	return b.String()
+}
 
 // Equal reports deep equality of two levels.
 func (l Level) Equal(o Level) bool {
@@ -298,6 +317,24 @@ func (e *Experiment) ParamValue(key string) string {
 		}
 	}
 	return ""
+}
+
+// SetParam sets the informative parameter key, replacing its value in
+// place or appending it.
+func (e *Experiment) SetParam(key, value string) { e.Params = setParam(e.Params, key, value) }
+
+// SetEEParam sets the EE-specific parameter key, replacing its value in
+// place or appending it.
+func (e *Experiment) SetEEParam(key, value string) { e.EEParams = setParam(e.EEParams, key, value) }
+
+func setParam(ps []Param, key, value string) []Param {
+	for i := range ps {
+		if ps[i].Key == key {
+			ps[i].Value = value
+			return ps
+		}
+	}
+	return append(ps, Param{Key: key, Value: value})
 }
 
 // EEParam returns the EE-specific parameter value for key, or def.

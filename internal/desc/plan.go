@@ -3,7 +3,6 @@ package desc
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // PlanKind selects how treatments are ordered over the runs (§II-A2/3,
@@ -77,6 +76,27 @@ type Plan struct {
 // maxPlanRuns guards against accidental combinatorial explosion.
 const maxPlanRuns = 10_000_000
 
+var errPlanSize = fmt.Errorf("desc: plan exceeds %d runs", maxPlanRuns)
+
+// planRuns is the number of runs in e's plan: replications times the
+// level count of every factor, refused beyond maxPlanRuns.
+func planRuns(e *Experiment) (int, error) {
+	total := max(1, e.Repl.Count)
+	if total > maxPlanRuns {
+		return 0, errPlanSize
+	}
+	for _, f := range e.Factors {
+		if len(f.Levels) == 0 {
+			return 0, fmt.Errorf("desc: factor %q has no levels", f.ID)
+		}
+		if total > maxPlanRuns/len(f.Levels) {
+			return 0, errPlanSize
+		}
+		total *= len(f.Levels)
+	}
+	return total, nil
+}
+
 // GeneratePlan expands the experiment's factors, levels and replication
 // into the run sequence. The generation is a pure function of the
 // description (including its seed): regenerating the plan for the same
@@ -84,19 +104,10 @@ const maxPlanRuns = 10_000_000
 // property §IV-C1 demands.
 func GeneratePlan(e *Experiment) (*Plan, error) {
 	factors := e.Factors
-	repl := e.Repl.Count
-	if repl <= 0 {
-		repl = 1
-	}
-	total := repl
-	for _, f := range factors {
-		if len(f.Levels) == 0 {
-			return nil, fmt.Errorf("desc: factor %q has no levels", f.ID)
-		}
-		if total > maxPlanRuns/len(f.Levels) {
-			return nil, fmt.Errorf("desc: plan exceeds %d runs", maxPlanRuns)
-		}
-		total *= len(f.Levels)
+	repl := max(1, e.Repl.Count)
+	total, err := planRuns(e)
+	if err != nil {
+		return nil, err
 	}
 
 	// Per-factor deterministic RNG streams for level-order
@@ -198,19 +209,7 @@ func shuffleWithinBlocks(e *Experiment, p *Plan) {
 	blockKey := func(r Run) string {
 		key := ""
 		for _, id := range blocking {
-			l := r.Treatment[id]
-			key += l.Raw + "|"
-			actors := make([]string, 0, len(l.ActorMap))
-			for actor := range l.ActorMap {
-				actors = append(actors, actor)
-			}
-			sort.Strings(actors)
-			for _, actor := range actors {
-				key += actor + "="
-				for _, n := range l.ActorMap[actor] {
-					key += n + ","
-				}
-			}
+			key += r.Treatment[id].String() + "|"
 		}
 		return key
 	}

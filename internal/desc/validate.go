@@ -360,6 +360,12 @@ func Validate(e *Experiment) error {
 		}
 	}
 
+	// A factor without levels is reported above; here only the size limit
+	// GeneratePlan enforces.
+	if _, err := planRuns(e); errors.Is(err, errPlanSize) {
+		add("%v", err)
+	}
+
 	switch e.PlanKind {
 	case "", PlanOFAT, PlanRandomized, PlanBlocked:
 	default:

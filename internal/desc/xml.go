@@ -281,13 +281,6 @@ func parseAction(a *elem) Action {
 	case "event_flag":
 		act.Value = unquote(a.childText("value"))
 		return act
-	case "wait_for_time":
-		if s := a.childText("seconds"); s != "" {
-			act.Params["seconds"] = unquote(s)
-		} else if s := strings.TrimSpace(a.text); s != "" {
-			act.Params["seconds"] = unquote(s)
-		}
-		return act
 	}
 	for _, c := range a.kids {
 		if fr := c.child("factorref"); fr != nil {
@@ -295,6 +288,12 @@ func parseAction(a *elem) Action {
 			continue
 		}
 		act.Params[c.name] = unquote(c.text)
+	}
+	// wait_for_time also takes its seconds as bare text: <wait_for_time>5</…>.
+	if a.name == "wait_for_time" && act.Params["seconds"] == "" {
+		if s := strings.TrimSpace(a.text); s != "" {
+			act.Params["seconds"] = unquote(s)
+		}
 	}
 	return act
 }
@@ -444,7 +443,7 @@ func encodeLevel(b *strings.Builder, l Level, t LevelType) {
 		b.WriteString("        </level>\n")
 		return
 	}
-	fmt.Fprintf(b, "        <level>%s</level>\n", esc(l.Raw))
+	fmt.Fprintf(b, "        <level>%s</level>\n", esc(quote(l.Raw)))
 }
 
 func encodeAction(b *strings.Builder, a Action, ind string) {
@@ -458,18 +457,18 @@ func encodeAction(b *strings.Builder, a Action, ind string) {
 				if w.FromActor != "" {
 					fmt.Fprintf(b, "<node actor=\"%s\" instance=\"%s\" />", esc(w.FromActor), esc(w.FromInstance))
 				} else {
-					b.WriteString(esc(w.FromNode))
+					b.WriteString(esc(quote(w.FromNode)))
 				}
 				b.WriteString("</from_dependency>\n")
 			}
-			fmt.Fprintf(b, "%s  <event_dependency>%s</event_dependency>\n", ind, esc(w.Event))
+			fmt.Fprintf(b, "%s  <event_dependency>%s</event_dependency>\n", ind, esc(quote(w.Event)))
 			if w.ParamActor != "" {
 				fmt.Fprintf(b, "%s  <param_dependency><node actor=\"%s\" instance=\"%s\" /></param_dependency>\n",
 					ind, esc(w.ParamActor), esc(w.ParamInstance))
 			}
 			keys := sortedKeys(w.Params)
 			for _, k := range keys {
-				fmt.Fprintf(b, "%s  <param key=\"%s\">%s</param>\n", ind, esc(k), esc(w.Params[k]))
+				fmt.Fprintf(b, "%s  <param key=\"%s\">%s</param>\n", ind, esc(k), esc(quote(w.Params[k])))
 			}
 			if w.TimeoutSec > 0 {
 				fmt.Fprintf(b, "%s  <timeout>%v</timeout>\n", ind, w.TimeoutSec)
@@ -477,7 +476,7 @@ func encodeAction(b *strings.Builder, a Action, ind string) {
 		}
 		fmt.Fprintf(b, "%s</wait_for_event>\n", ind)
 	case "event_flag":
-		fmt.Fprintf(b, "%s<event_flag><value>%s</value></event_flag>\n", ind, esc(a.Value))
+		fmt.Fprintf(b, "%s<event_flag><value>%s</value></event_flag>\n", ind, esc(quote(a.Value)))
 	default:
 		if len(a.Params) == 0 && len(a.FactorRefs) == 0 {
 			fmt.Fprintf(b, "%s<%s />\n", ind, a.Name)
@@ -485,7 +484,7 @@ func encodeAction(b *strings.Builder, a Action, ind string) {
 		}
 		fmt.Fprintf(b, "%s<%s>\n", ind, a.Name)
 		for _, k := range sortedKeys(a.Params) {
-			fmt.Fprintf(b, "%s  <%s>%s</%s>\n", ind, k, esc(a.Params[k]), k)
+			fmt.Fprintf(b, "%s  <%s>%s</%s>\n", ind, k, esc(quote(a.Params[k])), k)
 		}
 		for _, k := range sortedKeys(a.FactorRefs) {
 			fmt.Fprintf(b, "%s  <%s><factorref id=\"%s\" /></%s>\n", ind, k, esc(a.FactorRefs[k]), k)
@@ -501,6 +500,16 @@ func sortedKeys(m map[string]string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// quote protects a value the parser would change: unquote trims blanks and
+// strips one pair of surrounding double quotes, so such a value is written
+// inside one more pair and parses back to itself.
+func quote(s string) string {
+	if unquote(s) != s {
+		return `"` + s + `"`
+	}
+	return s
 }
 
 func esc(s string) string {

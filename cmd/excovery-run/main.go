@@ -55,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		resume    = fs.Bool("resume", false, "skip runs already marked done in -store")
 		journal   = fs.Bool("journal", true, "write-ahead run journal in -store: crashed runs are detected and re-executed on -resume (requires -store; ignored without one)")
 		maxAtt    = fs.Int("max-attempts", 1, "run-level retry: attempts per run before it is recorded failed")
-		probation = fs.Int("probation", 0, "re-admit a quarantined node after this many consecutive healthy probes (0: quarantine is permanent)")
 		crashAt   = fs.Int("crash-after", 0, "crash the process (exit 3) at the Nth run attempt, after its journal record — durability testing (0 disables)")
 		allowFail = fs.Bool("allow-failed", false, "exit zero even when runs failed or aborted")
 		verbose   = fs.Bool("v", false, "print per-run results")
@@ -70,6 +69,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "error:", err)
 		return 1
+	}
+	if *dbPath != "" && *storeDir == "" {
+		return fail(fmt.Errorf("-db requires -store"))
 	}
 
 	e, err := desc.Load(*builtin, fs.Arg(0))
@@ -100,12 +102,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 
 	opts := core.Options{
-		Seed:            *seed,
-		StoreDir:        *storeDir,
-		Resume:          *resume,
-		Journal:         *journal && *storeDir != "",
-		MaxAttempts:     *maxAtt,
-		ProbationProbes: *probation,
+		Seed:        *seed,
+		StoreDir:    *storeDir,
+		Resume:      *resume,
+		Journal:     *journal && *storeDir != "",
+		MaxAttempts: *maxAtt,
 	}
 	if *crashAt > 0 {
 		fp := failpoint.New(1)
@@ -150,9 +151,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "recovery: %d attempts for %d runs, %d retried, %d partial harvests, %d crashed runs re-executed\n",
 			cs.Attempts, cs.Runs, cs.Retried, cs.Partial, cs.Recovered)
 	}
-	if len(rep.Readmitted) > 0 || len(rep.Quarantined) > 0 {
-		fmt.Fprintf(stdout, "nodes: readmitted=%v quarantined=%v\n", rep.Readmitted, rep.Quarantined)
-	}
 
 	ms := metrics.FromReport(e, rep, "", "")
 	if len(ms) > 0 {
@@ -173,9 +171,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		st.Dropped[netem.DropLoss], st.Dropped[netem.DropQueue])
 
 	if *dbPath != "" {
-		if *storeDir == "" {
-			return fail(fmt.Errorf("-db requires -store"))
-		}
 		db, err := x.Finalize()
 		if err != nil {
 			return fail(err)

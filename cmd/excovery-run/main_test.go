@@ -52,6 +52,19 @@ func TestDescriptionPlatformParamsApply(t *testing.T) {
 	}
 }
 
+// TestDBWithoutStoreRefusedUpFront: -db without -store cannot write a
+// database, so the command refuses before it runs anything.
+func TestDBWithoutStoreRefusedUpFront(t *testing.T) {
+	var out, errb bytes.Buffer
+	code := run([]string{"-builtin", "oneshot", "-db", filepath.Join(t.TempDir(), "x.xcdb")}, &out, &errb)
+	if code != 1 || !strings.Contains(errb.String(), "-db requires -store") {
+		t.Fatalf("exit %d, stderr %q; want 1 and the reason", code, errb.String())
+	}
+	if strings.Contains(out.String(), "experiment ") {
+		t.Fatalf("the campaign ran before the refusal:\n%s", out.String())
+	}
+}
+
 // TestOverridesStoredInDescription: the level-3 database stores the
 // document that ran, with every platform flag given written into it.
 func TestOverridesStoredInDescription(t *testing.T) {

@@ -87,12 +87,6 @@ type Options struct {
 	// MaxAttempts re-executes failed or aborted runs in place up to this
 	// many times (run-level retry); values <= 1 disable it.
 	MaxAttempts int
-	// QuarantineAfter quarantines a node after this many consecutive
-	// control-channel failures; 0 disables quarantine.
-	QuarantineAfter int
-	// ProbationProbes re-admits a quarantined node after this many
-	// consecutive healthy preflight probes; 0 keeps quarantine permanent.
-	ProbationProbes int
 	// Failpoints, if set, is consulted at the master's failpoint sites
 	// (crash injection for durability tests).
 	Failpoints *failpoint.Registry
@@ -407,11 +401,7 @@ func New(e *desc.Experiment, opts Options) (*Experiment, error) {
 		Journal:      x.j,
 		PlatformSeed: seed,
 		MaxRunTime:   opts.MaxRunTime, Resume: opts.Resume,
-		Retry: master.RetryPolicy{
-			MaxAttempts:     opts.MaxAttempts,
-			QuarantineAfter: opts.QuarantineAfter,
-			ProbationProbes: opts.ProbationProbes,
-		},
+		Retry:      master.RetryPolicy{MaxAttempts: opts.MaxAttempts},
 		Failpoints: opts.Failpoints,
 		CrashFn:    opts.CrashFn,
 		OnRunDone:  opts.OnRunDone,

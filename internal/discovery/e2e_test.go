@@ -147,7 +147,7 @@ func TestCampaignSurvivesHostDeath(t *testing.T) {
 		Env:     placed.Env,
 		Store:   st,
 		Journal: j,
-		Retry:   master.RetryPolicy{MaxAttempts: 3, QuarantineAfter: 8},
+		Retry:   master.RetryPolicy{MaxAttempts: 3},
 		Fleet:   fleet,
 		Metrics: mreg,
 		OnRunDone: func(run desc.Run, rr master.RunResult) {

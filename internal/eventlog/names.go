@@ -6,7 +6,7 @@ package eventlog
 type Name = string
 
 // Central registry of framework event types (§IV-B1). Every event the
-// framework itself emits — run lifecycle, retry and quarantine accounting,
+// framework itself emits — run lifecycle, retry and node-health accounting,
 // durability failures — must use a constant from this block: level-3
 // conditioning and the EventsOfRun queries select on these exact strings,
 // so a typo at an Emit site silently corrupts analysis instead of failing.
@@ -37,12 +37,8 @@ const (
 	EvRunPartialHarvest  Name = "run_partial_harvest"
 	EvJournalWriteFailed Name = "journal_write_failed"
 
-	// Node health accounting (DESIGN.md §6): preflight probe failures,
-	// quarantine, probation progress and re-admission.
+	// Node health accounting (DESIGN.md §6): a failed preflight probe.
 	EvNodeHealthFailed Name = "node_health_failed"
-	EvNodeQuarantined  Name = "node_quarantined"
-	EvNodeProbation    Name = "node_probation"
-	EvNodeReadmitted   Name = "node_readmitted"
 
 	// Process engine (§IV-C2): an expired wait_for_event dependency.
 	EvWaitTimeout Name = "wait_timeout"
@@ -100,7 +96,7 @@ const (
 	// Self-healing fleet (DESIGN.md §14): a backing node host lost
 	// mid-campaign, the re-placement of the in-flight run onto a
 	// replacement host, and a failover that found no replacement (the
-	// campaign then degrades through the ordinary retry/quarantine path).
+	// campaign then degrades through the ordinary run-level retry).
 	EvFleetHostLost       Name = "fleet_host_lost"
 	EvRunReplaced         Name = "run_replaced"
 	EvFleetFailoverFailed Name = "fleet_failover_failed"

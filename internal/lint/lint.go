@@ -574,10 +574,6 @@ func readFileIn(dir, name string) any {
 	return b
 }
 
-// SetReportStale toggles stale-suppression reporting (on for Load, off for
-// LoadPackage).
-func (m *Module) SetReportStale(on bool) { m.reportStale = on }
-
 // Run executes the analyzers in two passes over every loaded file —
 // pass 1: file-local checks plus fact collection; pass 2: the whole-program
 // Finish hooks over the merged fact set — filters suppressed findings,

@@ -29,8 +29,7 @@ func (f *scriptedFleet) Failover(run int, nodeErrs map[string]string) (Placement
 // placement a fleet hands back. A placement that lacks a handle for one of
 // the run's nodes is a failed failover: counted, announced, and the old
 // handles stay in charge. A complete one is driven from the very next
-// attempt, with the dead host's health record — quarantine included —
-// wiped.
+// attempt, with the dead host's /status health record wiped.
 func TestFailoverPlacementContract(t *testing.T) {
 	s, bus := newFixtureParts()
 	dead := &sickNode{stubNode: newStub("A", s, bus), healthErr: errors.New("host down")}
@@ -42,12 +41,14 @@ func TestFailoverPlacementContract(t *testing.T) {
 		{HostID: "h-new", Nodes: map[string]NodeHandle{"A": newA, "B": newB}, Env: newEnv},
 	}}
 	reg := obs.NewRegistry()
+	status := obs.NewStatus(s.Now)
 	m, err := New(Config{Exp: twoNodeExp(1), S: s, Bus: bus,
 		Nodes:   map[string]NodeHandle{"A": dead, "B": oldB},
 		Env:     oldEnv,
-		Retry:   RetryPolicy{MaxAttempts: 3, QuarantineAfter: 2},
+		Retry:   RetryPolicy{MaxAttempts: 3},
 		Fleet:   fleet,
-		Metrics: reg})
+		Metrics: reg,
+		Status:  status})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,5 +92,10 @@ func TestFailoverPlacementContract(t *testing.T) {
 	}
 	if newEnv.resets == 0 {
 		t.Error("new placement's environment was never reset")
+	}
+	// Two failed probes marked A failing; the failover cleared that, and
+	// nothing on the new host probes it again.
+	if ns := status.Snapshot().Nodes["A"]; ns != (obs.NodeState{Health: "ok"}) {
+		t.Errorf("status node A = %+v after failover, want a clean ok record", ns)
 	}
 }

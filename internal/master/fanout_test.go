@@ -149,19 +149,22 @@ func (n *errNode) Err() error { return n.err }
 
 // TestFanOutErrorAccountingMatchesSequential fails one node's control
 // channel and requires the fan-out master to produce the same error,
-// retry, and quarantine accounting as the sequential baseline.
+// retry, and node-health accounting as the sequential baseline.
 func TestFanOutErrorAccountingMatchesSequential(t *testing.T) {
-	run := func(fanout int) *Report {
+	run := func(fanout int) (*Report, obs.NodeState) {
+		status := obs.NewStatus(nil)
 		m, f := newFixture(t, twoNodeExp(2), func(c *Config) {
 			c.Fanout = fanout
-			c.Retry = RetryPolicy{MaxAttempts: 2, QuarantineAfter: 10}
+			c.Retry = RetryPolicy{MaxAttempts: 2}
+			c.Status = status
 		})
 		// Node B's proxy reports a transport error after every run.
 		m.cfg.Nodes["B"] = &errNode{stubNode: f.b,
 			err: fmt.Errorf("connection reset")}
-		return runMaster(t, m, f.s)
+		return runMaster(t, m, f.s), status.Snapshot().Nodes["B"]
 	}
-	seq, fan := run(1), run(4)
+	seq, seqB := run(1)
+	fan, fanB := run(4)
 	if seq.Completed != fan.Completed || seq.Failed != fan.Failed ||
 		seq.Retried != fan.Retried {
 		t.Fatalf("accounting mismatch: sequential %+v fanout %+v", seq, fan)
@@ -175,7 +178,7 @@ func TestFanOutErrorAccountingMatchesSequential(t *testing.T) {
 			t.Fatalf("run %d NodeErrs: sequential %v fanout %v", i, se, fe)
 		}
 	}
-	if len(seq.Quarantined) != len(fan.Quarantined) {
-		t.Fatalf("quarantine mismatch: %v vs %v", seq.Quarantined, fan.Quarantined)
+	if seqB != fanB || fanB.ConsecutiveFailures != 4 {
+		t.Fatalf("node B health: sequential %+v fanout %+v, want 4 consecutive failures in both", seqB, fanB)
 	}
 }

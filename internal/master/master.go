@@ -79,8 +79,10 @@ type EnvExecutor interface {
 }
 
 // HealthChecker is an optional NodeHandle extension. When implemented
-// (the XML-RPC proxy does), the master probes it before every run attempt
-// and quarantines nodes that keep failing.
+// (the XML-RPC proxy does), the master probes it before every run attempt;
+// a failed probe fails that attempt, which run-level retry and fleet
+// failover then handle. A node that answers again is used by the next
+// attempt.
 type HealthChecker interface {
 	// Health returns nil when the node is reachable and serviceable.
 	Health() error
@@ -89,7 +91,7 @@ type HealthChecker interface {
 // runErrorer is an optional NodeHandle extension reporting the node's
 // first control-channel error of the current run (noderpc.RemoteNode).
 // The master uses it to fail runs whose measurements silently went
-// missing and to feed quarantine accounting.
+// missing.
 type runErrorer interface {
 	Err() error
 }
@@ -149,15 +151,6 @@ type RetryPolicy struct {
 	// MaxAttempts is how often one run may be attempted before it is
 	// recorded as failed; values <= 1 mean a single attempt.
 	MaxAttempts int
-	// QuarantineAfter quarantines a node after this many consecutive
-	// control-channel failures (failed health probes or in-run transport
-	// errors); 0 disables quarantine.
-	QuarantineAfter int
-	// ProbationProbes converts quarantine from a permanent exclusion into
-	// probation: a quarantined node is re-probed at each preflight and
-	// re-admitted after this many consecutive healthy probes. 0 keeps the
-	// pre-probation behaviour (quarantined forever).
-	ProbationProbes int
 }
 
 // Config assembles a master.
@@ -192,7 +185,7 @@ type Config struct {
 	MaxRunTime time.Duration
 	// Resume skips runs already marked done in the store.
 	Resume bool
-	// Retry configures run-level retry and node quarantine.
+	// Retry configures run-level retry.
 	Retry RetryPolicy
 	// Journal, if set, is the write-ahead run journal: the master records
 	// every attempt's begin/end and every durable completion, and on
@@ -217,7 +210,7 @@ type Config struct {
 	// when a run attempt fails with control-channel node errors and
 	// attempts remain, the master asks the fleet to re-place the run's
 	// nodes onto a replacement host before the next attempt, and resets
-	// the health accounting that described the dead host.
+	// the /status health records that described the dead host.
 	Fleet FleetManager
 	// TopologyMeasure, if set, returns a serialized topology snapshot;
 	// it is recorded before and after the experiment (§IV-B4).
@@ -230,7 +223,7 @@ type Config struct {
 	// /status endpoint.
 	Status *obs.Status
 	// Metrics, if set, receives the run loop's counters (runs
-	// completed/retried/partial, health probes, quarantine).
+	// completed/retried/partial, health probes).
 	Metrics *obs.Registry
 }
 
@@ -287,13 +280,6 @@ type Report struct {
 	// HealthProbes and HealthFailures count preflight node probes.
 	HealthProbes   int
 	HealthFailures int
-	// Quarantined lists nodes still quarantined at experiment end,
-	// sorted. Nodes that served probation and returned are in Readmitted
-	// instead.
-	Quarantined []string
-	// Readmitted lists nodes that were quarantined and later re-admitted
-	// after ProbationProbes consecutive healthy probes, sorted.
-	Readmitted []string
 }
 
 // Master executes experiments.
@@ -309,13 +295,9 @@ type Master struct {
 	// (nil outside RunAll or without a store).
 	commits *committer
 
-	// Control-channel health accounting (consecutive failures per node).
-	health      map[string]int
-	quarantined map[string]bool
-	probation   map[string]int // consecutive healthy probes while quarantined
-	readmitted  map[string]bool
-	probes      int
-	probeFails  int
+	// Preflight probe accounting for the Report.
+	probes     int
+	probeFails int
 
 	// Observability: the open experiment span (parent of all run spans).
 	expSpan uint64
@@ -354,9 +336,7 @@ func New(cfg Config) (*Master, error) {
 		cfg.Store.Obs = store.Obs{Metrics: cfg.Metrics, Tracer: cfg.Tracer}
 	}
 	m := &Master{cfg: cfg, plan: plan,
-		est:    &timesync.Estimator{Ref: cfg.Ref, Samples: 3},
-		health: map[string]int{}, quarantined: map[string]bool{},
-		probation: map[string]int{}, readmitted: map[string]bool{},
+		est: &timesync.Estimator{Ref: cfg.Ref, Samples: 3},
 	}
 	// Node order and the encoded description are fixed for the master's
 	// lifetime; compute them once instead of per use (the description is
@@ -510,16 +490,6 @@ func (m *Master) RunAll() (*Report, error) {
 	m.drainCommits()
 	exitErr := m.experimentExit()
 	rep.HealthProbes, rep.HealthFailures = m.probes, m.probeFails
-	for id, q := range m.quarantined {
-		if q {
-			rep.Quarantined = append(rep.Quarantined, id)
-		}
-	}
-	sort.Strings(rep.Quarantined)
-	for id := range m.readmitted {
-		rep.Readmitted = append(rep.Readmitted, id)
-	}
-	sort.Strings(rep.Readmitted)
 	if exitErr != nil {
 		return rep, fmt.Errorf("master: experiment exit: %w", exitErr)
 	}
@@ -615,9 +585,8 @@ func (m *Master) prepareDurability() (store.Replay, error) {
 // maybeFailover asks the fleet for a replacement host after a failed
 // attempt whose node errors implicate the control channel. On success the
 // master takes the replacement's handles — nothing is in flight between
-// attempts — and resets the per-node health accounting: consecutive
-// failures, quarantine and probation described the dead host, not its
-// replacement, so the retry starts with a clean slate on the new host.
+// attempts — and resets the nodes' /status health records: their
+// consecutive failures described the dead host, not its replacement.
 func (m *Master) maybeFailover(run desc.Run, rr *RunResult) {
 	if m.cfg.Fleet == nil || len(rr.NodeErrs) == 0 {
 		return
@@ -642,9 +611,6 @@ func (m *Master) maybeFailover(run desc.Run, rr *RunResult) {
 	}
 	m.cfg.Nodes, m.cfg.Env = p.Nodes, p.Env
 	for _, id := range m.order {
-		m.health[id] = 0
-		delete(m.quarantined, id)
-		delete(m.probation, id)
 		m.cfg.Status.NodeHealthy(id)
 	}
 	m.counter(obs.MMasterFailovers,
@@ -654,22 +620,14 @@ func (m *Master) maybeFailover(run desc.Run, rr *RunResult) {
 }
 
 // preflight verifies every node's control channel before a run attempt
-// (§IV-C1 preparation, hardened). Quarantined nodes fail fast — unless
-// ProbationProbes grants them a probation probe, through which they earn
-// re-admission; probe failures count toward quarantine. On failure the
-// offending node id is returned alongside the error, so the attempt's
+// (§IV-C1 preparation, hardened). Every HealthChecker node is probed at
+// every attempt, so a node that stopped responding fails only the attempts
+// it misses, and one that answers again takes part in the next. On failure
+// the offending node id is returned alongside the error, so the attempt's
 // NodeErrs implicate the node (and its backing host) even though the run
 // never reached the wire — the fleet failover path keys off that.
 func (m *Master) preflight(run desc.Run) (string, error) {
 	for _, id := range m.nodeOrder() {
-		if m.quarantined[id] {
-			if err := m.probeProbation(run, id); err != nil {
-				return id, err
-			}
-			// The node served probation and is re-admitted; its probe
-			// already succeeded, so move on to the next node.
-			continue
-		}
 		hc, ok := m.cfg.Nodes[id].(HealthChecker)
 		if !ok {
 			continue
@@ -682,72 +640,12 @@ func (m *Master) preflight(run desc.Run) (string, error) {
 				"failed preflight node health probes").Inc()
 			m.rec.Emit(eventlog.EvNodeHealthFailed, map[string]string{
 				"node": id, "err": err.Error()})
-			m.noteNodeFailure(id, err.Error())
+			m.cfg.Status.NodeFailed(id, err.Error())
 			return id, fmt.Errorf("master: run %d: node %s unhealthy: %w", run.ID, id, err)
 		}
-		m.health[id] = 0
 		m.cfg.Status.NodeHealthy(id)
 	}
 	return "", nil
-}
-
-// probeProbation gives a quarantined node its probation probe: with
-// ProbationProbes > 0, each preflight re-probes the node; after that many
-// consecutive healthy probes it is re-admitted. Returns nil exactly when
-// the node was re-admitted; otherwise the run fails fast as before, but
-// the probe advanced (or reset) the node's probation progress.
-func (m *Master) probeProbation(run desc.Run, id string) error {
-	need := m.cfg.Retry.ProbationProbes
-	hc, isChecker := m.cfg.Nodes[id].(HealthChecker)
-	if need <= 0 || !isChecker {
-		return fmt.Errorf("master: run %d: node %s is quarantined", run.ID, id)
-	}
-	m.probes++
-	m.counter(obs.MHealthProbes, "preflight node health probes").Inc()
-	if err := hc.Health(); err != nil {
-		m.probeFails++
-		m.counter(obs.MHealthProbeFailures,
-			"failed preflight node health probes").Inc()
-		m.probation[id] = 0
-		m.cfg.Status.NodeProbation(id, 0, need)
-		return fmt.Errorf("master: run %d: node %s is quarantined (probe failed: %v)",
-			run.ID, id, err)
-	}
-	m.probation[id]++
-	if m.probation[id] < need {
-		m.cfg.Status.NodeProbation(id, m.probation[id], need)
-		m.rec.Emit(eventlog.EvNodeProbation, map[string]string{
-			"node": id, "healthy": fmt.Sprint(m.probation[id]), "need": fmt.Sprint(need)})
-		return fmt.Errorf("master: run %d: node %s on probation (%d/%d healthy probes)",
-			run.ID, id, m.probation[id], need)
-	}
-	delete(m.quarantined, id)
-	m.probation[id] = 0
-	m.health[id] = 0
-	m.readmitted[id] = true
-	m.counter(obs.MNodesReadmitted,
-		"quarantined nodes re-admitted after probation").Inc()
-	m.rec.Emit(eventlog.EvNodeReadmitted, map[string]string{
-		"node": id, "probes": fmt.Sprint(need)})
-	m.cfg.Status.NodeReadmitted(id)
-	return nil
-}
-
-// noteNodeFailure advances a node's consecutive-failure count and
-// quarantines it once the policy threshold is crossed.
-func (m *Master) noteNodeFailure(id, errStr string) {
-	m.health[id]++
-	m.cfg.Status.NodeFailed(id, errStr, m.health[id])
-	q := m.cfg.Retry.QuarantineAfter
-	if q > 0 && m.health[id] >= q && !m.quarantined[id] {
-		m.quarantined[id] = true
-		m.probation[id] = 0
-		m.cfg.Status.NodeQuarantined(id)
-		m.counter(obs.MNodesQuarantined,
-			"nodes quarantined for repeated control-channel failures").Inc()
-		m.rec.Emit(eventlog.EvNodeQuarantined, map[string]string{
-			"node": id, "failures": fmt.Sprint(m.health[id])})
-	}
 }
 
 // counter is a nil-safe shortcut into the configured metrics registry.
@@ -1035,13 +933,12 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 				rr.NodeErrs = map[string]string{}
 			}
 			rr.NodeErrs[id] = nerr.Error()
-			m.noteNodeFailure(id, nerr.Error())
+			m.cfg.Status.NodeFailed(id, nerr.Error())
 			if rr.Err == nil {
 				rr.Err = fmt.Errorf("master: run %d: control channel to node %s: %w",
 					run.ID, id, nerr)
 			}
 		} else {
-			m.health[id] = 0
 			m.cfg.Status.NodeHealthy(id)
 		}
 	}

@@ -2,7 +2,6 @@ package master
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -95,47 +94,51 @@ func TestPreflightHealthFailureRetries(t *testing.T) {
 	}
 }
 
-func TestPersistentlyFailingNodeQuarantined(t *testing.T) {
+// TestDeadNodeProbedAtEveryAttempt: under the default policy a node that
+// never answers is probed at every attempt — there is no state in which the
+// master stops asking. Every run fails as unhealthy, keeps a partial
+// harvest for the post-mortem and stays not-done, so a resumed session
+// re-executes it; /status counts the consecutive failures.
+func TestDeadNodeProbedAtEveryAttempt(t *testing.T) {
+	st, err := store.NewRunStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := twoNodeExp(3)
 	s, bus := newFixtureParts()
 	sick := &sickNode{stubNode: newStub("A", s, bus), healthErr: errors.New("dead")}
 	b := newStub("B", s, bus)
+	status := obs.NewStatus(s.Now)
 	m, err := New(Config{Exp: e, S: s, Bus: bus,
-		Nodes: map[string]NodeHandle{"A": sick, "B": b},
-		Env:   &stubEnv{},
-		Retry: RetryPolicy{MaxAttempts: 2, QuarantineAfter: 2}})
+		Nodes:  map[string]NodeHandle{"A": sick, "B": b},
+		Env:    &stubEnv{},
+		Store:  st,
+		Status: status})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := runMaster(t, m, s)
-	if rep.Completed != 0 {
-		t.Fatalf("completed = %d with a dead node", rep.Completed)
+	if rep.Completed != 0 || rep.Failed != 3 {
+		t.Fatalf("completed=%d failed=%d with a dead node, want 0/3", rep.Completed, rep.Failed)
 	}
-	if fmt.Sprint(rep.Quarantined) != "[A]" {
-		t.Fatalf("quarantined = %v", rep.Quarantined)
-	}
-	// Probed twice (run 0, attempts 1+2), quarantined on the second
-	// failure; every later attempt fails fast without touching the node.
-	if sick.probes != 2 {
-		t.Fatalf("probes = %d, want 2 (quarantine must stop probing)", sick.probes)
+	if sick.probes != 3 || rep.HealthProbes != 3 || rep.HealthFailures != 3 {
+		t.Fatalf("node probed %d times, report %d/%d; want one probe per attempt (3)",
+			sick.probes, rep.HealthFailures, rep.HealthProbes)
 	}
 	for _, rr := range rep.Results {
-		if rr.Err == nil || !strings.Contains(rr.Err.Error(), "quarantin") {
-			if !strings.Contains(rr.Err.Error(), "unhealthy") {
-				t.Fatalf("run %d err = %v", rr.Run.ID, rr.Err)
-			}
+		if rr.Err == nil || !strings.Contains(rr.Err.Error(), "node A unhealthy") {
+			t.Fatalf("run %d err = %v", rr.Run.ID, rr.Err)
+		}
+		if rr.NodeErrs["A"] == "" {
+			t.Fatalf("run %d NodeErrs = %v, want node A implicated", rr.Run.ID, rr.NodeErrs)
+		}
+		if !rr.Partial || st.RunDone(rr.Run.ID) {
+			t.Fatalf("run %d partial=%v done=%v, want a partial harvest and not done",
+				rr.Run.ID, rr.Partial, st.RunDone(rr.Run.ID))
 		}
 	}
-	// The quarantine event landed in the event trail of the attempt that
-	// crossed the threshold (run 0, attempt 2).
-	quarantined := false
-	for _, ev := range rep.Results[0].Events {
-		if ev.Type == "node_quarantined" && ev.Param("node") == "A" {
-			quarantined = true
-		}
-	}
-	if !quarantined {
-		t.Fatalf("no node_quarantined event in run 0 trail: %v", rep.Results[0].Events)
+	if ns := status.Snapshot().Nodes["A"]; ns.Health != "failing" || ns.ConsecutiveFailures != 3 || ns.LastErr != "dead" {
+		t.Fatalf("status node A = %+v", ns)
 	}
 }
 
@@ -227,12 +230,11 @@ func TestAbortedRunPartialHarvest(t *testing.T) {
 	}
 }
 
-func TestQuarantinedNodeServesProbationAndReturns(t *testing.T) {
-	// Run 0: the probe fails and node A is quarantined on the spot
-	// (QuarantineAfter: 1). With ProbationProbes: 2 the node is re-probed
-	// at every later preflight: run 1 is its first healthy probe (1/2,
-	// run still fails fast), run 2 its second — A is re-admitted and the
-	// run completes, as do runs 3 and 4.
+// TestDeadNodeAnsweringAgainRejoinsNextRun: a node whose probe fails in
+// run 0 and succeeds from then on costs exactly that run. The next
+// attempt's probe is all it takes to use the node again — one probe per
+// run, no knob.
+func TestDeadNodeAnsweringAgainRejoinsNextRun(t *testing.T) {
 	e := twoNodeExp(5)
 	s, bus := newFixtureParts()
 	sick := &sickNode{stubNode: newStub("A", s, bus), healthFail: 1}
@@ -241,70 +243,20 @@ func TestQuarantinedNodeServesProbationAndReturns(t *testing.T) {
 	m, err := New(Config{Exp: e, S: s, Bus: bus,
 		Nodes:  map[string]NodeHandle{"A": sick, "B": b},
 		Env:    &stubEnv{},
-		Status: status,
-		Retry:  RetryPolicy{MaxAttempts: 1, QuarantineAfter: 1, ProbationProbes: 2}})
+		Status: status})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := runMaster(t, m, s)
-	if rep.Completed != 3 || rep.Failed != 2 {
-		t.Fatalf("completed=%d failed=%d, want 3/2", rep.Completed, rep.Failed)
+	if rep.Completed != 4 || rep.Failed != 1 || rep.Results[0].Err == nil {
+		t.Fatalf("completed=%d failed=%d run 0 err=%v, want 4/1 with run 0 failed",
+			rep.Completed, rep.Failed, rep.Results[0].Err)
 	}
-	if fmt.Sprint(rep.Readmitted) != "[A]" || len(rep.Quarantined) != 0 {
-		t.Fatalf("readmitted=%v quarantined=%v", rep.Readmitted, rep.Quarantined)
-	}
-	// One probe per run: the quarantined node keeps being probed instead
-	// of being written off forever.
 	if sick.probes != 5 {
 		t.Fatalf("probes = %d, want 5", sick.probes)
 	}
-	// Run 1 failed with a probation progress message, not a permanent
-	// quarantine verdict.
-	if err := rep.Results[1].Err; err == nil || !strings.Contains(err.Error(), "on probation (1/2") {
-		t.Fatalf("run 1 err = %v", err)
-	}
-	// The node_readmitted event landed in the re-admitting run's trail.
-	readmitted := false
-	for _, ev := range rep.Results[2].Events {
-		if ev.Type == "node_readmitted" && ev.Param("node") == "A" {
-			readmitted = true
-		}
-	}
-	if !readmitted {
-		t.Fatalf("no node_readmitted event in run 2 trail: %v", rep.Results[2].Events)
-	}
-	// /status reflects the journey's end state.
-	ns := status.Snapshot().Nodes["A"]
-	if ns.Health != "ok" || !ns.Readmitted {
-		t.Fatalf("status node A = %+v", ns)
-	}
-}
-
-func TestFailedProbationProbeResetsProgress(t *testing.T) {
-	// The probe sequence for A is fail, fail, ok, ok, ok: run 0
-	// quarantines it, run 1's probation probe fails (progress stays 0),
-	// runs 2 and 3 serve probation, run 3 re-admits. Probation demands
-	// *consecutive* healthy probes from the start.
-	e := twoNodeExp(5)
-	s, bus := newFixtureParts()
-	sick := &sickNode{stubNode: newStub("A", s, bus), healthFail: 2}
-	b := newStub("B", s, bus)
-	m, err := New(Config{Exp: e, S: s, Bus: bus,
-		Nodes: map[string]NodeHandle{"A": sick, "B": b},
-		Env:   &stubEnv{},
-		Retry: RetryPolicy{MaxAttempts: 1, QuarantineAfter: 1, ProbationProbes: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := runMaster(t, m, s)
-	if rep.Completed != 2 || rep.Failed != 3 {
-		t.Fatalf("completed=%d failed=%d, want 2/3", rep.Completed, rep.Failed)
-	}
-	if fmt.Sprint(rep.Readmitted) != "[A]" {
-		t.Fatalf("readmitted = %v", rep.Readmitted)
-	}
-	if err := rep.Results[1].Err; err == nil || !strings.Contains(err.Error(), "probe failed") {
-		t.Fatalf("run 1 err = %v", err)
+	if ns := status.Snapshot().Nodes["A"]; ns != (obs.NodeState{Health: "ok"}) {
+		t.Fatalf("status node A = %+v, want ok with no failures", ns)
 	}
 }
 

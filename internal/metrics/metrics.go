@@ -165,9 +165,9 @@ func FromDB(db *store.ExperimentDB, smActor, suActor string) ([]RunMetric, error
 }
 
 // ControlStats summarizes the control channel's resilience behaviour of
-// one experiment execution: run-level retries, preflight health probes,
-// partial harvests and node quarantine. It complements the SD metrics —
-// a result is only as trustworthy as the control plane that produced it.
+// one experiment execution: run-level retries, preflight health probes and
+// partial harvests. It complements the SD metrics — a result is only as
+// trustworthy as the control plane that produced it.
 type ControlStats struct {
 	// Runs, Completed and Skipped mirror the report's run accounting.
 	Runs, Completed, Skipped int
@@ -184,10 +184,6 @@ type ControlStats struct {
 	Partial int
 	// HealthProbes and HealthFailures count preflight node probes.
 	HealthProbes, HealthFailures int
-	// Quarantined lists nodes still quarantined at experiment end.
-	Quarantined []string
-	// Readmitted lists nodes that served probation and returned.
-	Readmitted []string
 }
 
 // ControlSummary extracts control-channel resilience counters from a
@@ -202,8 +198,6 @@ func ControlSummary(rep *master.Report) ControlStats {
 		Recovered:      rep.Recovered,
 		HealthProbes:   rep.HealthProbes,
 		HealthFailures: rep.HealthFailures,
-		Quarantined:    append([]string(nil), rep.Quarantined...),
-		Readmitted:     append([]string(nil), rep.Readmitted...),
 	}
 	for _, rr := range rep.Results {
 		cs.Attempts += rr.Attempts

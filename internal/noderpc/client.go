@@ -25,11 +25,9 @@ type RemoteNode struct {
 	// C is the host's XML-RPC endpoint.
 	C *xmlrpc.Client
 
-	mu        sync.Mutex
-	runErr    error
-	runErrs   int
-	totalErrs int
-	meta      xmlrpc.Meta
+	mu     sync.Mutex
+	runErr error
+	meta   xmlrpc.Meta
 }
 
 // SetTraceParent sets the master-side span id attached to every subsequent
@@ -66,8 +64,6 @@ func (r *RemoteNode) fail(err error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.runErrs++
-	r.totalErrs++
 	if r.runErr == nil {
 		r.runErr = err
 	}
@@ -75,25 +71,11 @@ func (r *RemoteNode) fail(err error) {
 
 // Err returns the first transport error of the current run (nil when the
 // control channel has been healthy since the last PrepareRun). The master
-// reads it after each run for quarantine accounting.
+// reads it after each run and fails a run whose measurements went missing.
 func (r *RemoteNode) Err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.runErr
-}
-
-// ErrCount returns the transport error count of the current run.
-func (r *RemoteNode) ErrCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.runErrs
-}
-
-// TotalErrCount returns the transport error count across all runs.
-func (r *RemoteNode) TotalErrCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.totalErrs
 }
 
 // Health implements master.HealthChecker: a node-scoped ping over the
@@ -111,7 +93,6 @@ func (r *RemoteNode) ID() string { return r.NodeID }
 func (r *RemoteNode) PrepareRun(run int) {
 	r.mu.Lock()
 	r.runErr = nil
-	r.runErrs = 0
 	r.mu.Unlock()
 	_, err := r.call("node.prepare_run", r.NodeID, run)
 	r.fail(err)

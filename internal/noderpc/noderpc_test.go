@@ -137,7 +137,8 @@ func TestDistributedOneShot(t *testing.T) {
 func TestRemoteNodeErrorCollection(t *testing.T) {
 	rn := &RemoteNode{NodeID: "x", C: xmlrpc.NewClient("http://127.0.0.1:1/nope")}
 	rn.PrepareRun(0)
-	if rn.Err() == nil {
+	first := rn.Err()
+	if first == nil {
 		t.Fatal("expected transport error")
 	}
 	if evs := rn.HarvestEvents(0); evs != nil {
@@ -146,8 +147,9 @@ func TestRemoteNodeErrorCollection(t *testing.T) {
 	if err := rn.Execute("sd_init", nil); err == nil {
 		t.Fatal("Execute against dead host succeeded")
 	}
-	if rn.ErrCount() < 2 || rn.TotalErrCount() < 2 {
-		t.Fatalf("err counts = %d/%d", rn.ErrCount(), rn.TotalErrCount())
+	// Err keeps the run's first failure, not the latest one.
+	if err := rn.Err(); err != first {
+		t.Fatalf("Err() = %v after a failed harvest, want the first error %v", err, first)
 	}
 	if err := rn.Health(); err == nil {
 		t.Fatal("Health against dead host succeeded")

@@ -114,7 +114,7 @@ func TestObservabilityEndToEndUnderDrops(t *testing.T) {
 		Exp: e, S: ms, Bus: bus, Nodes: handles,
 		Env:    &RemoteEnv{C: envClient},
 		Store:  st,
-		Retry:  master.RetryPolicy{MaxAttempts: 4, QuarantineAfter: 6},
+		Retry:  master.RetryPolicy{MaxAttempts: 4},
 		Tracer: tracer, Status: status, Metrics: reg,
 	})
 	if err != nil {

@@ -63,8 +63,6 @@ const (
 	MCrashFailpoints        MetricName = "excovery_crash_failpoints_total"
 	MHealthProbes           MetricName = "excovery_health_probes_total"
 	MHealthProbeFailures    MetricName = "excovery_health_probe_failures_total"
-	MNodesReadmitted        MetricName = "excovery_nodes_readmitted_total"
-	MNodesQuarantined       MetricName = "excovery_nodes_quarantined_total"
 
 	// Network emulator data path (internal/netem). Packet counters carry a
 	// node label; drop counters additionally a reason label (the

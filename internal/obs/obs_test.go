@@ -179,8 +179,8 @@ func TestStatusLifecycle(t *testing.T) {
 	st.ExperimentStarted("exp1", 10)
 	st.RunStarted(3, 2, map[string]string{"fact_bw": "50"})
 	st.PhaseChanged("execute")
-	st.NodeFailed("A", "conn refused", 2)
-	st.NodeQuarantined("A")
+	st.NodeFailed("A", "timeout")
+	st.NodeFailed("A", "conn refused")
 	st.NodeHealthy("B")
 	snap := st.Snapshot()
 	if snap.State != "running" || snap.Run != 3 || snap.Attempt != 2 || snap.Phase != "execute" {
@@ -189,13 +189,14 @@ func TestStatusLifecycle(t *testing.T) {
 	if snap.Treatment["fact_bw"] != "50" {
 		t.Fatal("treatment missing")
 	}
-	if snap.Nodes["A"].Health != "quarantined" || snap.Nodes["B"].Health != "ok" {
+	if a := snap.Nodes["A"]; a != (NodeState{Health: "failing", ConsecutiveFailures: 2, LastErr: "conn refused"}) ||
+		snap.Nodes["B"] != (NodeState{Health: "ok"}) {
 		t.Fatalf("nodes = %+v", snap.Nodes)
 	}
-	// A quarantined node stays quarantined even after a later success.
+	// One success ends the streak.
 	st.NodeHealthy("A")
-	if st.Snapshot().Nodes["A"].Health != "quarantined" {
-		t.Fatal("quarantine cleared by NodeHealthy")
+	if a := st.Snapshot().Nodes["A"]; a != (NodeState{Health: "ok"}) {
+		t.Fatalf("node A after a success = %+v", a)
 	}
 	st.RunFinished("completed", true)
 	st.ExperimentFinished()

@@ -7,19 +7,13 @@ import (
 
 // NodeState is the live control-channel view of one participating node.
 type NodeState struct {
-	// Health is "ok", "failing", "quarantined" or "probation".
+	// Health is "ok" or "failing".
 	Health string `json:"health"`
 	// ConsecutiveFailures counts control-channel failures since the last
-	// success (mirrors the master's quarantine accounting).
+	// success.
 	ConsecutiveFailures int `json:"consecutive_failures,omitempty"`
 	// LastErr is the most recent control-channel error ("" when healthy).
 	LastErr string `json:"last_err,omitempty"`
-	// ProbationOK and ProbationNeed track a quarantined node's path back:
-	// ProbationOK consecutive healthy probes out of ProbationNeed.
-	ProbationOK   int `json:"probation_ok,omitempty"`
-	ProbationNeed int `json:"probation_need,omitempty"`
-	// Readmitted marks a node that was quarantined and later re-admitted.
-	Readmitted bool `json:"readmitted,omitempty"`
 }
 
 // Snapshot is the JSON document served on /status: what the master is
@@ -43,7 +37,7 @@ type Snapshot struct {
 	RunsSkipped   int `json:"runs_skipped,omitempty"`
 	RunsFailed    int `json:"runs_failed,omitempty"`
 	RunsRetried   int `json:"runs_retried,omitempty"`
-	// Nodes maps node ids to their health/quarantine state.
+	// Nodes maps node ids to their control-channel health.
 	Nodes map[string]NodeState `json:"nodes,omitempty"`
 	// NodesReporting is how many node hosts delivered a metric snapshot at
 	// the last campaign fan-in (0 before the first fan-in).
@@ -145,54 +139,21 @@ func (s *Status) NodeHealthy(id string) {
 		if sn.Nodes == nil {
 			sn.Nodes = map[string]NodeState{}
 		}
-		ns := sn.Nodes[id]
-		if ns.Health == "quarantined" || ns.Health == "probation" {
-			return
-		}
-		sn.Nodes[id] = NodeState{Health: "ok", Readmitted: ns.Readmitted}
+		sn.Nodes[id] = NodeState{Health: "ok"}
 	})
 }
 
-// NodeFailed records a control-channel failure.
-func (s *Status) NodeFailed(id, errStr string, consecutive int) {
+// NodeFailed records a control-channel failure: one more consecutive
+// failure since the node's last success.
+func (s *Status) NodeFailed(id, errStr string) {
 	s.update(func(sn *Snapshot) {
 		if sn.Nodes == nil {
 			sn.Nodes = map[string]NodeState{}
 		}
 		ns := sn.Nodes[id]
-		if ns.Health != "quarantined" && ns.Health != "probation" {
-			ns.Health = "failing"
-		}
-		ns.ConsecutiveFailures = consecutive
+		ns.Health = "failing"
+		ns.ConsecutiveFailures++
 		ns.LastErr = errStr
-		sn.Nodes[id] = ns
-	})
-}
-
-// NodeQuarantined marks a node quarantined.
-func (s *Status) NodeQuarantined(id string) {
-	s.update(func(sn *Snapshot) {
-		if sn.Nodes == nil {
-			sn.Nodes = map[string]NodeState{}
-		}
-		ns := sn.Nodes[id]
-		ns.Health = "quarantined"
-		ns.ProbationOK = 0
-		sn.Nodes[id] = ns
-	})
-}
-
-// NodeProbation records a quarantined node's progress toward re-admission:
-// ok consecutive healthy probes out of the need required.
-func (s *Status) NodeProbation(id string, ok, need int) {
-	s.update(func(sn *Snapshot) {
-		if sn.Nodes == nil {
-			sn.Nodes = map[string]NodeState{}
-		}
-		ns := sn.Nodes[id]
-		ns.Health = "probation"
-		ns.ProbationOK = ok
-		ns.ProbationNeed = need
 		sn.Nodes[id] = ns
 	})
 }
@@ -201,16 +162,6 @@ func (s *Status) NodeProbation(id string, ok, need int) {
 // hosts delivered a registry snapshot.
 func (s *Status) FanIn(sources int) {
 	s.update(func(sn *Snapshot) { sn.NodesReporting = sources })
-}
-
-// NodeReadmitted clears a node's quarantine after it served probation.
-func (s *Status) NodeReadmitted(id string) {
-	s.update(func(sn *Snapshot) {
-		if sn.Nodes == nil {
-			sn.Nodes = map[string]NodeState{}
-		}
-		sn.Nodes[id] = NodeState{Health: "ok", Readmitted: true}
-	})
 }
 
 // Snapshot returns a deep copy of the current state.

@@ -125,86 +125,6 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Queue is an unbounded FIFO mailbox for passing values between tasks.
-// Pop blocks; TryPop and PopTimeout do not block forever. Queue is the
-// scheduler-aware replacement for Go channels in cooperative task code.
-type Queue[T any] struct {
-	cond  *Cond
-	items []T
-	// closed marks the queue as finished: Pops drain remaining items and
-	// then report failure.
-	closed bool
-}
-
-// NewQueue creates an empty queue.
-func NewQueue[T any](s *Scheduler, name string) *Queue[T] {
-	return &Queue[T]{cond: s.NewCond("queue " + name)}
-}
-
-// Push appends v and wakes one waiter. Push on a closed queue panics, as
-// with Go channels.
-func (q *Queue[T]) Push(v T) {
-	if q.closed {
-		panic("sched: push on closed queue")
-	}
-	q.items = append(q.items, v)
-	q.cond.Signal()
-}
-
-// Close marks the queue closed and wakes all waiters.
-func (q *Queue[T]) Close() {
-	q.closed = true
-	q.cond.Broadcast()
-}
-
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
-// Pop removes and returns the head, blocking until an item is available.
-// ok is false if the queue was closed and drained.
-func (q *Queue[T]) Pop() (v T, ok bool) {
-	for len(q.items) == 0 {
-		if q.closed {
-			return v, false
-		}
-		q.cond.Wait()
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
-// TryPop removes and returns the head without blocking.
-func (q *Queue[T]) TryPop() (v T, ok bool) {
-	if len(q.items) == 0 {
-		return v, false
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
-// PopTimeout is Pop with a virtual-time deadline; ok is false on timeout or
-// closed-and-drained.
-func (q *Queue[T]) PopTimeout(d time.Duration) (v T, ok bool) {
-	deadline := q.cond.s.Now().Add(d)
-	for len(q.items) == 0 {
-		if q.closed {
-			return v, false
-		}
-		remain := deadline.Sub(q.cond.s.Now())
-		if remain <= 0 {
-			return v, false
-		}
-		if !q.cond.WaitTimeout(remain) && len(q.items) == 0 {
-			return v, false
-		}
-	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	return v, true
-}
-
 // WaitGroup is a scheduler-aware counterpart of sync.WaitGroup for joining
 // a set of tasks.
 type WaitGroup struct {

@@ -350,72 +350,6 @@ func TestYieldInterleaving(t *testing.T) {
 	}
 }
 
-func TestQueuePushPop(t *testing.T) {
-	s := NewVirtual()
-	q := NewQueue[int](s, "q")
-	var got []int
-	s.Go("consumer", func() {
-		for {
-			v, ok := q.Pop()
-			if !ok {
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	s.Go("producer", func() {
-		for i := 0; i < 5; i++ {
-			q.Push(i)
-			s.Sleep(time.Millisecond)
-		}
-		q.Close()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != "[0 1 2 3 4]" {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestQueuePopTimeout(t *testing.T) {
-	s := NewVirtual()
-	q := NewQueue[string](s, "q")
-	s.Go("consumer", func() {
-		if _, ok := q.PopTimeout(time.Second); ok {
-			t.Error("expected timeout on empty queue")
-		}
-		v, ok := q.PopTimeout(10 * time.Second)
-		if !ok || v != "x" {
-			t.Errorf("PopTimeout = %q, %v", v, ok)
-		}
-	})
-	s.Go("producer", func() {
-		s.Sleep(3 * time.Second)
-		q.Push("x")
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQueueTryPop(t *testing.T) {
-	s := NewVirtual()
-	q := NewQueue[int](s, "q")
-	s.Go("t", func() {
-		if _, ok := q.TryPop(); ok {
-			t.Error("TryPop on empty queue returned ok")
-		}
-		q.Push(7)
-		if v, ok := q.TryPop(); !ok || v != 7 {
-			t.Errorf("TryPop = %d, %v", v, ok)
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	s := NewVirtual()
 	wg := s.NewWaitGroup("wg")
@@ -466,20 +400,22 @@ func TestWaitGroupTimeout(t *testing.T) {
 
 func TestInjectFromForeignGoroutine(t *testing.T) {
 	s := New(RealTime, time.Unix(0, 0))
-	q := NewQueue[int](s, "inbox")
-	got := 0
+	inbox := s.NewCond("inbox")
+	var delivered, got int
 	// The consumer blocks with no pending timer, exercising the
 	// "wait for external input" path of the real-time controller.
 	s.Go("consumer", func() {
-		v, ok := q.Pop()
-		if !ok {
-			t.Error("queue closed unexpectedly")
+		for delivered == 0 {
+			inbox.Wait()
 		}
-		got = v
+		got = delivered
 	})
 	go func() {
 		time.Sleep(5 * time.Millisecond)
-		s.Inject("external", func() { q.Push(99) })
+		s.Inject("external", func() {
+			delivered = 99
+			inbox.Signal()
+		})
 	}()
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -491,8 +427,13 @@ func TestInjectFromForeignGoroutine(t *testing.T) {
 
 func TestInjectWait(t *testing.T) {
 	s := New(RealTime, time.Unix(0, 0))
-	q := NewQueue[struct{}](s, "quit")
-	s.Go("keeper", func() { q.Pop() })
+	quit := s.NewCond("quit")
+	quitting := false
+	s.Go("keeper", func() {
+		for !quitting {
+			quit.Wait()
+		}
+	})
 	result := 0
 	doneRun := make(chan error, 1)
 	go func() { doneRun <- s.Run() }()
@@ -500,7 +441,10 @@ func TestInjectWait(t *testing.T) {
 	if result != 42 {
 		t.Fatalf("result = %d", result)
 	}
-	s.Inject("quit", func() { q.Close() })
+	s.Inject("quit", func() {
+		quitting = true
+		quit.Broadcast()
+	})
 	if err := <-doneRun; err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rpcRetries = fs.Int("rpc-retries", 4, "control-channel RPC attempts per call")
 		rpcTimeout = fs.Duration("rpc-timeout", 30*time.Second, "control-channel per-attempt timeout")
 		rpcSeed    = fs.Int64("rpc-seed", 1, "seed of the retry-backoff jitter PRNG (replayable schedules)")
-		fanout     = fs.Int("fanout", 0, "concurrent per-node control-channel operations during the broadcast phases (0: number of nodes, 1: sequential)")
+		fanout     = fs.Int("fanout", 0, "concurrent control-channel calls during the broadcast phases: per host for preflight, prepare, time sync and clean-up, per node for harvest (0: number of nodes, 1: sequential)")
 		obsAddr    = fs.String("obs-addr", "", "serve /metrics, /healthz, /status and pprof on this address (empty disables)")
 	)
 	fs.Usage = func() {

@@ -65,7 +65,7 @@ func (m *Master) collectHarvest(run desc.Run, rr *RunResult, partial bool) *harv
 	// Campaign metric fan-in (DESIGN.md §13): collect each host's registry
 	// snapshot, fold it into the master's /metrics, and persist the run's
 	// campaign_metrics.json artifact.
-	hd.campaign = m.fanInMetrics(run.ID)
+	hd.campaign = m.fanInMetrics(run.ID).encode()
 	hd.info = store.RunInfo{Run: run.ID, Start: rr.Start, Offsets: rr.Offsets,
 		Attempts: rr.Attempts}
 	if partial {

@@ -9,27 +9,16 @@ import (
 )
 
 // harvestNodeTraces collects the node hosts' closed spans of one run via
-// the optional traceHarvester extension. One RPC per backing host (handles
-// sharing an ObsSource are collected once), with a span-id dedup as a
-// second line of defense. Must run in task context.
+// the optional traceHarvester extension: one RPC per host group, with a
+// span-id dedup as a second line of defense. Must run in task context.
 func (m *Master) harvestNodeTraces(run int) []obs.Span {
 	var out []obs.Span
-	seenSrc := map[string]bool{}
 	seenID := map[uint64]bool{}
-	for _, id := range m.order {
-		h := m.cfg.Nodes[id]
-		th, ok := h.(traceHarvester)
+	for _, g := range m.groups {
+		th, ok := g.handles[0].(traceHarvester)
 		if !ok {
 			continue
 		}
-		src := id
-		if ms, ok := h.(metricSnapshotter); ok {
-			src = ms.ObsSource()
-		}
-		if seenSrc[src] {
-			continue
-		}
-		seenSrc[src] = true
 		for _, sp := range th.HarvestTrace(run) {
 			if sp.ID == 0 || seenID[sp.ID] {
 				continue
@@ -59,22 +48,17 @@ type campaignSource struct {
 }
 
 // fanInMetrics performs the campaign metric fan-in at a run boundary: one
-// host.obs_snapshot RPC per backing host (via the optional metricSnapshotter
+// host.obs_snapshot RPC per host group (via the optional metricSnapshotter
 // extension), re-exported into the master's registry as gauges under
 // MNodePrefix with a src label, summed into MFleetPrefix rollups, surfaced
-// on /status, and returned as the campaign_metrics.json artifact (nil when
-// no handle reports). Must run in task context.
-func (m *Master) fanInMetrics(run int) []byte {
+// on /status, and returned as the run's campaign document (nil when no
+// handle reports). Must run in task context.
+func (m *Master) fanInMetrics(run int) *campaignDoc {
 	sources := map[string]*campaignSource{}
 	errs := 0
-	for _, id := range m.order {
-		ms, ok := m.cfg.Nodes[id].(metricSnapshotter)
+	for _, g := range m.groups {
+		ms, ok := g.handles[0].(metricSnapshotter)
 		if !ok {
-			continue
-		}
-		src := ms.ObsSource()
-		if rep, seen := sources[src]; seen {
-			rep.Nodes = append(rep.Nodes, id)
 			continue
 		}
 		pts, err := ms.ObsSnapshot()
@@ -84,7 +68,7 @@ func (m *Master) fanInMetrics(run int) []byte {
 				"failed node metric snapshot collections").Inc()
 			continue
 		}
-		sources[src] = &campaignSource{Nodes: []string{id}, Points: filterFanIn(pts)}
+		sources[g.key] = &campaignSource{Nodes: g.ids, Points: filterFanIn(pts)}
 	}
 	if len(sources) == 0 && errs == 0 {
 		return nil
@@ -124,8 +108,15 @@ func (m *Master) fanInMetrics(run int) []byte {
 			"fan-in rollup: the node-host series summed across all reporting hosts").
 			Set(int64(fleet[name]))
 	}
-	doc := campaignDoc{Run: run, Sources: sources, Fleet: fleet}
-	b, err := json.MarshalIndent(doc, "", " ")
+	return &campaignDoc{Run: run, Sources: sources, Fleet: fleet}
+}
+
+// encode renders the campaign_metrics.json artifact (nil for no document).
+func (d *campaignDoc) encode() []byte {
+	if d == nil {
+		return nil
+	}
+	b, err := json.MarshalIndent(d, "", " ")
 	if err != nil {
 		return nil
 	}

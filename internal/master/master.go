@@ -88,10 +88,11 @@ type HealthChecker interface {
 	Health() error
 }
 
-// runErrorer is an optional NodeHandle extension reporting the node's
-// first control-channel error of the current run (noderpc.RemoteNode).
-// The master uses it to fail runs whose measurements silently went
-// missing.
+// runErrorer is an optional NodeHandle and EnvExecutor extension
+// reporting the first control-channel error of the current run
+// (noderpc.RemoteNode, noderpc.RemoteEnv). The master uses it to fail runs
+// whose measurements silently went missing or whose environment was not
+// reset.
 type runErrorer interface {
 	Err() error
 }
@@ -112,11 +113,25 @@ type traceHarvester interface {
 
 // metricSnapshotter is an optional NodeHandle extension for the campaign
 // metric fan-in: ObsSnapshot ships the node host's registry contents over
-// the control channel, ObsSource identifies the backing host so co-hosted
-// nodes are collected once per host rather than once per node.
+// the control channel, once per host group.
 type metricSnapshotter interface {
 	ObsSnapshot() ([]obs.MetricPoint, error)
+}
+
+// hostMember is an optional NodeHandle extension (noderpc.RemoteNode
+// implements it) for handles whose node shares a backing host with others.
+// ObsSource names the host. The master groups the handles by it once, and
+// each broadcast phase of a run — preflight, prepare, time sync, clean-up —
+// then makes one control-channel call per group: on the group's first
+// handle, naming every member in node order. A failed group call counts
+// against every member. Handles without the extension are groups of one
+// and get the per-node calls of NodeHandle and HealthChecker.
+type hostMember interface {
 	ObsSource() string
+	GroupHealth(group []NodeHandle) error
+	GroupPrepareRun(group []NodeHandle, run int)
+	GroupLocalTime(group []NodeHandle) ([]time.Time, error)
+	GroupCleanupRun(group []NodeHandle, run int)
 }
 
 // Placement is one host's way of serving the run's nodes: the handles and
@@ -164,14 +179,15 @@ type Config struct {
 	// Nodes maps platform node ids to handles. Every platform actor
 	// node of the description must be present.
 	Nodes map[string]NodeHandle
-	// Fanout bounds how many per-node control-channel operations run
-	// concurrently during the broadcast phases of a run (prepare,
-	// timesync, clean-up, harvest collection). Values <= 1 keep the
-	// strictly sequential order — required for the in-process emulated
-	// platform, whose handles publish into the cooperative scheduler's
-	// event bus and are not safe for concurrent use. The distributed
-	// master sets it from -fanout (default: number of nodes); its
-	// XML-RPC proxies are goroutine-safe.
+	// Fanout bounds how many control-channel operations run concurrently
+	// during the broadcast phases of a run: one per host group for
+	// preflight, prepare, timesync and clean-up (see hostMember), one per
+	// node for harvest collection. Values <= 1 keep the strictly
+	// sequential order — required for the in-process emulated platform,
+	// whose handles publish into the cooperative scheduler's event bus
+	// and are not safe for concurrent use. The distributed master sets it
+	// from -fanout (default: number of nodes); its XML-RPC proxies are
+	// goroutine-safe.
 	Fanout int
 	// Env executes environment actions; nil disallows env processes.
 	Env EnvExecutor
@@ -290,6 +306,9 @@ type Master struct {
 	plan   *desc.Plan
 	order  []string // node ids in deterministic (sorted) order, cached
 	expXML string   // the level-1 description document, encoded once
+	// groups partitions order by backing host (hostMember); rebuilt when a
+	// failover swaps the handles.
+	groups []*hostGroup
 
 	// commits is the background commit pipeline of the current RunAll
 	// (nil outside RunAll or without a store).
@@ -347,6 +366,7 @@ func New(cfg Config) (*Master, error) {
 		m.order = append(m.order, id)
 	}
 	sort.Strings(m.order)
+	m.groupByHost()
 	xml, err := desc.EncodeString(cfg.Exp)
 	if err != nil {
 		return nil, fmt.Errorf("master: encode description: %w", err)
@@ -457,8 +477,9 @@ func (m *Master) RunAll() (*Report, error) {
 			if m.cfg.Store != nil {
 				m.commits.enqueue(m.collectHarvest(run, &rr, false))
 			} else {
-				// No store, no artifact — but the campaign fan-in still
-				// feeds the live /metrics and /status surfaces.
+				// No store, no artifact — the campaign fan-in still feeds
+				// the live /metrics and /status surfaces, but its document
+				// is not encoded.
 				m.fanInMetrics(run.ID)
 				m.journalAppend(m.cfg.Journal.Done(run.ID))
 			}
@@ -610,6 +631,7 @@ func (m *Master) maybeFailover(run desc.Run, rr *RunResult) {
 		return
 	}
 	m.cfg.Nodes, m.cfg.Env = p.Nodes, p.Env
+	m.groupByHost()
 	for _, id := range m.order {
 		m.cfg.Status.NodeHealthy(id)
 	}
@@ -620,32 +642,53 @@ func (m *Master) maybeFailover(run desc.Run, rr *RunResult) {
 }
 
 // preflight verifies every node's control channel before a run attempt
-// (§IV-C1 preparation, hardened). Every HealthChecker node is probed at
-// every attempt, so a node that stopped responding fails only the attempts
-// it misses, and one that answers again takes part in the next. On failure
-// the offending node id is returned alongside the error, so the attempt's
-// NodeErrs implicate the node (and its backing host) even though the run
-// never reached the wire — the fleet failover path keys off that.
-func (m *Master) preflight(run desc.Run) (string, error) {
-	for _, id := range m.nodeOrder() {
-		hc, ok := m.cfg.Nodes[id].(HealthChecker)
-		if !ok {
+// (§IV-C1 preparation, hardened): one probe per host group, fanned out
+// across groups under Config.Fanout. Every group is probed at every
+// attempt, so a node that stopped responding fails only the attempts it
+// misses, and one that answers again takes part in the next. A failed
+// group probe fails every member: each lands in the returned node errors,
+// so the attempt's NodeErrs implicate the nodes (and their backing host)
+// even though the run never reached the wire — the fleet failover path
+// keys off that. The error names the first unhealthy node.
+func (m *Master) preflight(run desc.Run) (map[string]string, error) {
+	probed := make([]bool, len(m.groups))
+	errs := make([]error, len(m.groups))
+	fanOut(m.cfg.Fanout, len(m.groups), func(i int) {
+		probed[i], errs[i] = m.groups[i].health()
+	})
+	var nodeErrs map[string]string
+	var first error
+	for i, g := range m.groups {
+		if !probed[i] {
 			continue
 		}
-		m.probes++
-		m.counter(obs.MHealthProbes, "preflight node health probes").Inc()
-		if err := hc.Health(); err != nil {
-			m.probeFails++
-			m.counter(obs.MHealthProbeFailures,
-				"failed preflight node health probes").Inc()
-			m.rec.Emit(eventlog.EvNodeHealthFailed, map[string]string{
-				"node": id, "err": err.Error()})
-			m.cfg.Status.NodeFailed(id, err.Error())
-			return id, fmt.Errorf("master: run %d: node %s unhealthy: %w", run.ID, id, err)
+		n := int64(len(g.ids))
+		m.probes += len(g.ids)
+		m.counter(obs.MHealthProbes, "preflight node health probes").Add(n)
+		if errs[i] == nil {
+			for _, id := range g.ids {
+				m.cfg.Status.NodeHealthy(id)
+			}
+			continue
 		}
-		m.cfg.Status.NodeHealthy(id)
+		m.probeFails += len(g.ids)
+		m.counter(obs.MHealthProbeFailures,
+			"failed preflight node health probes").Add(n)
+		if nodeErrs == nil {
+			nodeErrs = map[string]string{}
+		}
+		for _, id := range g.ids {
+			err := fmt.Errorf("master: run %d: node %s unhealthy: %w", run.ID, id, errs[i])
+			m.rec.Emit(eventlog.EvNodeHealthFailed, map[string]string{
+				"node": id, "err": errs[i].Error()})
+			m.cfg.Status.NodeFailed(id, errs[i].Error())
+			nodeErrs[id] = err.Error()
+			if first == nil {
+				first = err
+			}
+		}
 	}
-	return "", nil
+	return nodeErrs, first
 }
 
 // counter is a nil-safe shortcut into the configured metrics registry.
@@ -739,8 +782,8 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	prepSpan := m.cfg.Tracer.Begin(runSpan, "master", "phase", "prepare",
 		run.ID, attempt, nil)
 	// Preflight probes and other pre-broadcast RPCs parent under the
-	// prepare phase; each broadcast site then narrows the parent to its
-	// per-node rpc span.
+	// prepare phase; each broadcast site then narrows the parent to the
+	// rpc span of its host-group call.
 	for _, id := range m.order {
 		setTraceParent(m.cfg.Nodes[id], prepSpan)
 	}
@@ -750,11 +793,9 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 		m.rec.Emit(eventlog.EvRunRetry, map[string]string{
 			"run": fmt.Sprint(run.ID), "attempt": fmt.Sprint(attempt)})
 	}
-	if id, err := m.preflight(run); err != nil {
+	if nodeErrs, err := m.preflight(run); err != nil {
 		rr.Err = err
-		if id != "" {
-			rr.NodeErrs = map[string]string{id: err.Error()}
-		}
+		rr.NodeErrs = nodeErrs
 		rr.Duration = m.cfg.Ref.Now().Sub(rr.Start)
 		rr.Events = m.cfg.Bus.Snapshot()
 		m.cfg.Tracer.EndWith(prepSpan, map[string]string{"err": err.Error()})
@@ -764,17 +805,20 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	if m.cfg.Env != nil {
 		m.cfg.Env.Reset()
 	}
-	m.broadcast(prepSpan, "prepare", run.ID, attempt, func(slot int, id string) {
-		m.cfg.Nodes[id].PrepareRun(run.ID)
+	m.broadcast(prepSpan, "prepare", run.ID, attempt, func(g *hostGroup) {
+		g.prepareRun(run.ID)
 	})
-	// Preliminary measurements: per-node clock offsets (§IV-B3). Results
-	// land in slots indexed by node order, so the stored offsets are
-	// byte-identical to the sequential master's.
+	// Preliminary measurements: per-node clock offsets (§IV-B3), one probe
+	// per host group and sample. Results land in slots indexed by node
+	// order, so the stored offsets are byte-identical to the sequential
+	// master's; a node without a good sample gets no measurement.
 	offsets := make([]timesync.Measurement, len(m.order))
-	m.broadcast(prepSpan, "timesync", run.ID, attempt, func(slot int, id string) {
-		offsets[slot] = m.est.Measure(id, m.cfg.Nodes[id].LocalTime)
+	m.broadcast(prepSpan, "timesync", run.ID, attempt, func(g *hostGroup) {
+		for i, ms := range m.est.Measure(g.ids, g.localTime) {
+			offsets[g.slots[i]] = ms
+		}
 	})
-	rr.Offsets = offsets
+	rr.Offsets = measured(offsets)
 	m.cfg.Tracer.End(prepSpan)
 
 	// --- execution phase ---
@@ -912,8 +956,8 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	if m.cfg.Env != nil {
 		m.cfg.Env.Reset()
 	}
-	m.broadcast(cleanSpan, "cleanup", run.ID, attempt, func(slot int, id string) {
-		m.cfg.Nodes[id].CleanupRun(run.ID)
+	m.broadcast(cleanSpan, "cleanup", run.ID, attempt, func(g *hostGroup) {
+		g.cleanupRun(run.ID)
 	})
 	m.cfg.Tracer.End(cleanSpan)
 	rr.Duration = m.cfg.Ref.Now().Sub(rr.Start)
@@ -942,6 +986,20 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 			m.cfg.Status.NodeHealthy(id)
 		}
 	}
+	// The environment's proxy keeps the same per-run window: a failed
+	// reset may have left the previous run's traffic or drop rules active.
+	if re, ok := m.cfg.Env.(runErrorer); ok {
+		if eerr := re.Err(); eerr != nil {
+			if rr.NodeErrs == nil {
+				rr.NodeErrs = map[string]string{}
+			}
+			rr.NodeErrs["env"] = eerr.Error()
+			if rr.Err == nil {
+				rr.Err = fmt.Errorf("master: run %d: control channel to env: %w",
+					run.ID, eerr)
+			}
+		}
+	}
 
 	// The run span must close before harvesting so trace.json contains
 	// the complete attempt. Harvest itself happens in RunAll, where the
@@ -967,6 +1025,18 @@ func (m *Master) harvestPartial(run desc.Run, rr *RunResult) {
 	}
 	rr.Partial = true
 	m.rec.Emit(eventlog.EvRunPartialHarvest, map[string]string{"run": fmt.Sprint(run.ID)})
+}
+
+// measured drops the slots of nodes that got no clock measurement, in
+// place; with every node measured it returns offsets unchanged.
+func measured(offsets []timesync.Measurement) []timesync.Measurement {
+	out := offsets[:0]
+	for _, ms := range offsets {
+		if ms.Node != "" {
+			out = append(out, ms)
+		}
+	}
+	return out
 }
 
 // envEvents extracts the master's own events of one run.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"excovery/internal/eventlog"
+	"excovery/internal/master"
 	"excovery/internal/obs"
 	"excovery/internal/sched"
 	"excovery/internal/store"
@@ -19,6 +20,12 @@ import (
 // infallible parts of the NodeHandle contract are accounted per run:
 // PrepareRun clears the previous run's error, so one transient failure no
 // longer poisons the proxy for the rest of the experiment.
+//
+// It also implements the master's host-group extension: proxies of one
+// host (equal ObsSource) are driven together, and the four broadcast
+// phases of a run — ping, prepare, local time, clean-up — go out as one
+// call naming every node of the group. The per-node methods are the same
+// calls with a list of one.
 type RemoteNode struct {
 	// NodeID is the platform node id on the host.
 	NodeID string
@@ -28,6 +35,27 @@ type RemoteNode struct {
 	mu     sync.Mutex
 	runErr error
 	meta   xmlrpc.Meta
+}
+
+// proxied is satisfied by *RemoteNode and by every handle that embeds one
+// (a timing or recording decorator), so such handles take part in host
+// groups with their own error accounting.
+type proxied interface{ proxy() *RemoteNode }
+
+func (r *RemoteNode) proxy() *RemoteNode { return r }
+
+// members returns the node ids of a host group and the proxies whose
+// per-run error windows its calls account to.
+func members(group []master.NodeHandle) ([]string, []*RemoteNode) {
+	ids := make([]string, len(group))
+	rs := make([]*RemoteNode, 0, len(group))
+	for i, h := range group {
+		ids[i] = h.ID()
+		if p, ok := h.(proxied); ok {
+			rs = append(rs, p.proxy())
+		}
+	}
+	return ids, rs
 }
 
 // SetTraceParent sets the master-side span id attached to every subsequent
@@ -81,7 +109,13 @@ func (r *RemoteNode) Err() error {
 // Health implements master.HealthChecker: a node-scoped ping over the
 // control channel, used by the master's preflight check.
 func (r *RemoteNode) Health() error {
-	_, err := r.call("node.ping", r.NodeID)
+	return r.GroupHealth([]master.NodeHandle{r})
+}
+
+// GroupHealth pings every node of a host group in one node.ping.
+func (r *RemoteNode) GroupHealth(group []master.NodeHandle) error {
+	ids, _ := members(group)
+	_, err := r.call("node.ping", ids)
 	return err
 }
 
@@ -91,17 +125,40 @@ func (r *RemoteNode) ID() string { return r.NodeID }
 // PrepareRun implements master.NodeHandle. It opens a fresh error-
 // accounting window before touching the wire.
 func (r *RemoteNode) PrepareRun(run int) {
-	r.mu.Lock()
-	r.runErr = nil
-	r.mu.Unlock()
-	_, err := r.call("node.prepare_run", r.NodeID, run)
-	r.fail(err)
+	r.GroupPrepareRun([]master.NodeHandle{r}, run)
+}
+
+// GroupPrepareRun prepares every node of a host group in one
+// node.prepare_run. Each member's error window opens before the call, and
+// a failed call lands in every member's window.
+func (r *RemoteNode) GroupPrepareRun(group []master.NodeHandle, run int) {
+	ids, rs := members(group)
+	for _, m := range rs {
+		m.mu.Lock()
+		m.runErr = nil
+		m.mu.Unlock()
+	}
+	_, err := r.call("node.prepare_run", ids, run)
+	failAll(rs, err)
 }
 
 // CleanupRun implements master.NodeHandle.
 func (r *RemoteNode) CleanupRun(run int) {
-	_, err := r.call("node.cleanup_run", r.NodeID, run)
-	r.fail(err)
+	r.GroupCleanupRun([]master.NodeHandle{r}, run)
+}
+
+// GroupCleanupRun ends the run on every node of a host group in one
+// node.cleanup_run; a failed call lands in every member's error window.
+func (r *RemoteNode) GroupCleanupRun(group []master.NodeHandle, run int) {
+	ids, rs := members(group)
+	_, err := r.call("node.cleanup_run", ids, run)
+	failAll(rs, err)
+}
+
+func failAll(rs []*RemoteNode, err error) {
+	for _, m := range rs {
+		m.fail(err)
+	}
 }
 
 // Execute implements master.NodeHandle.
@@ -119,21 +176,50 @@ func (r *RemoteNode) Emit(typ string, params map[string]string) {
 	r.fail(err)
 }
 
-// LocalTime implements master.NodeHandle; RFC3339Nano over the wire keeps
-// sub-second resolution that plain XML-RPC dateTime lacks.
+// LocalTime implements master.NodeHandle: the zero time when the clock
+// could not be read.
 func (r *RemoteNode) LocalTime() time.Time {
-	v, err := r.call("node.local_time", r.NodeID)
+	times, err := r.GroupLocalTime([]master.NodeHandle{r})
 	if err != nil {
-		r.fail(err)
 		return time.Time{}
 	}
-	s, _ := v.(string)
-	t, err := time.Parse(time.RFC3339Nano, s)
-	if err != nil {
-		r.fail(err)
-		return time.Time{}
+	return times[0]
+}
+
+// GroupLocalTime reads the clocks of every node of a host group in one
+// node.local_time, one time per member in group order; RFC3339Nano over the
+// wire keeps sub-second resolution that plain XML-RPC dateTime lacks. A
+// failed call or a malformed reply lands in every member's error window.
+func (r *RemoteNode) GroupLocalTime(group []master.NodeHandle) ([]time.Time, error) {
+	ids, rs := members(group)
+	v, err := r.call("node.local_time", ids)
+	var times []time.Time
+	if err == nil {
+		times, err = parseTimes(v, len(ids))
 	}
-	return t
+	if err != nil {
+		failAll(rs, err)
+		return nil, err
+	}
+	return times, nil
+}
+
+// parseTimes decodes node.local_time's reply for n nodes.
+func parseTimes(v any, n int) ([]time.Time, error) {
+	raw, ok := v.([]any)
+	if !ok || len(raw) != n {
+		return nil, fmt.Errorf("node.local_time: want %d times, got %v", n, v)
+	}
+	times := make([]time.Time, n)
+	for i, x := range raw {
+		s, _ := x.(string)
+		t, err := time.Parse(time.RFC3339Nano, s)
+		if err != nil {
+			return nil, fmt.Errorf("node.local_time: %w", err)
+		}
+		times[i] = t
+	}
+	return times, nil
 }
 
 // HarvestEvents implements master.NodeHandle.
@@ -216,18 +302,24 @@ func (r *RemoteNode) ObsSnapshot() ([]obs.MetricPoint, error) {
 	return pts, nil
 }
 
-// ObsSource identifies the host behind this proxy so the master collects
-// each host registry (and trace) once even when one host serves several
-// nodes.
+// ObsSource identifies the host behind this proxy: the master groups
+// proxies by it, so the broadcast phases, the registry fan-in and the trace
+// harvest each make one call per host however many nodes it serves.
 func (r *RemoteNode) ObsSource() string { return r.C.URL }
 
 // RemoteEnv proxies environment actions to the host; it implements
-// master.EnvExecutor.
+// master.EnvExecutor. Like RemoteNode it keeps the first transport error
+// of the current run, read through Err: the master resets the environment
+// twice per attempt, to prepare the run and to clean it up, and the window
+// opens at the first of the two.
 type RemoteEnv struct {
 	C *xmlrpc.Client
 	// Epoch, when positive, fences env RPCs like RemoteNode.SetFenceEpoch.
 	Epoch int64
-	Err   error
+
+	mu       sync.Mutex
+	runErr   error
+	prepared bool // the last Reset prepared a run; the next cleans it up
 }
 
 // Execute implements master.EnvExecutor.
@@ -239,11 +331,26 @@ func (r *RemoteEnv) Execute(action string, params map[string]string) error {
 	return err
 }
 
-// Reset implements master.EnvExecutor.
+// Reset implements master.EnvExecutor. A preparing reset opens a fresh
+// error window; a failed reset of either kind lands in it.
 func (r *RemoteEnv) Reset() {
-	if _, err := r.C.CallMeta("env.reset", xmlrpc.Meta{FenceEpoch: r.Epoch}); err != nil && r.Err == nil {
-		r.Err = err
+	_, err := r.C.CallMeta("env.reset", xmlrpc.Meta{FenceEpoch: r.Epoch})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.prepared {
+		r.runErr = nil
 	}
+	r.prepared = !r.prepared
+	if err != nil && r.runErr == nil {
+		r.runErr = err
+	}
+}
+
+// Err returns the first env.reset error since the run's preparing reset.
+func (r *RemoteEnv) Err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.runErr
 }
 
 // FetchNodes lists the platform node ids a host serves (host.nodes), with

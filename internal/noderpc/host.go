@@ -21,6 +21,7 @@ import (
 
 	"excovery/internal/core"
 	"excovery/internal/eventlog"
+	"excovery/internal/node"
 	"excovery/internal/obs"
 	"excovery/internal/store"
 	"excovery/internal/xmlrpc"
@@ -337,9 +338,10 @@ func (h *Host) checkEpoch(method string, epoch int64) error {
 		method, epoch, cur)
 }
 
-// spanRun attributes an RPC to a run: methods carrying (node, run) use the
-// explicit argument; the rest (execute, emit, harvests, env actions) fall
-// back to the run of the last prepare_run.
+// spanRun attributes an RPC to a run: methods carrying (node or nodes, run)
+// use the explicit argument; the rest (ping, local_time, execute, emit,
+// packet and extra harvests, env actions) fall back to the run of the last
+// prepare_run.
 func (h *Host) spanRun(params []any) int {
 	if run, ok := arg[int](params, 1); ok {
 		return run
@@ -451,41 +453,50 @@ func (h *Host) Server() *xmlrpc.Server {
 		return true, nil
 	})
 
+	// The four broadcast methods of a run — node.ping, node.prepare_run,
+	// node.local_time and node.cleanup_run — take a list of node ids, so
+	// the master makes one call per host and phase instead of one per node
+	// (DESIGN.md §13.1). Every id is checked before any node is touched.
+	//
 	// node.ping is the health probe of the master's preflight check: it
-	// verifies the control channel and that the node is served here.
+	// verifies the control channel and that the nodes are served here.
 	srv.RegisterMeta("node.ping", dataPath("node.ping", func(params []any) (any, error) {
-		id, ok := arg[string](params, 0)
-		if !ok {
-			return nil, fmt.Errorf("node.ping: want node")
-		}
-		if h.x.Managers[id] == nil {
-			return nil, fmt.Errorf("no node %q", id)
+		if _, err := h.nodesArg(params); err != nil {
+			return nil, err
 		}
 		return "pong", nil
 	}))
 	srv.RegisterMeta("node.prepare_run", dataPath("node.prepare_run", func(params []any) (any, error) {
-		id, run, err := nodeRunArgs(params)
+		mgrs, err := h.nodesArg(params)
 		if err != nil {
 			return nil, err
 		}
-		mgr := h.x.Managers[id]
-		if mgr == nil {
-			return nil, fmt.Errorf("no node %q", id)
+		run, ok := arg[int](params, 1)
+		if !ok {
+			return nil, fmt.Errorf("node.prepare_run: want (nodes, run int)")
 		}
 		h.setRun(run)
-		s.InjectWait("rpc prepare_run", func() { mgr.PrepareRun(run) })
+		s.InjectWait("rpc prepare_run", func() {
+			for _, mgr := range mgrs {
+				mgr.PrepareRun(run)
+			}
+		})
 		return true, nil
 	}))
 	srv.RegisterMeta("node.cleanup_run", dataPath("node.cleanup_run", func(params []any) (any, error) {
-		id, run, err := nodeRunArgs(params)
+		mgrs, err := h.nodesArg(params)
 		if err != nil {
 			return nil, err
 		}
-		mgr := h.x.Managers[id]
-		if mgr == nil {
-			return nil, fmt.Errorf("no node %q", id)
+		run, ok := arg[int](params, 1)
+		if !ok {
+			return nil, fmt.Errorf("node.cleanup_run: want (nodes, run int)")
 		}
-		s.InjectWait("rpc cleanup_run", func() { mgr.CleanupRun(run) })
+		s.InjectWait("rpc cleanup_run", func() {
+			for _, mgr := range mgrs {
+				mgr.CleanupRun(run)
+			}
+		})
 		return true, nil
 	}))
 	srv.RegisterMeta("node.execute", dataPath("node.execute", func(params []any) (any, error) {
@@ -530,18 +541,24 @@ func (h *Host) Server() *xmlrpc.Server {
 		s.InjectWait("rpc emit", func() { mgr.Emit(typ, pm) })
 		return true, nil
 	}))
+	// node.local_time answers one RFC3339Nano string per listed node, in
+	// request order, all read at one instant of the host's clock.
 	srv.RegisterMeta("node.local_time", dataPath("node.local_time", func(params []any) (any, error) {
-		id, ok := arg[string](params, 0)
-		if !ok {
-			return nil, fmt.Errorf("node.local_time: want node")
+		mgrs, err := h.nodesArg(params)
+		if err != nil {
+			return nil, err
 		}
-		mgr := h.x.Managers[id]
-		if mgr == nil {
-			return nil, fmt.Errorf("no node %q", id)
+		times := make([]time.Time, len(mgrs))
+		s.InjectWait("rpc local_time", func() {
+			for i, mgr := range mgrs {
+				times[i] = mgr.LocalTime()
+			}
+		})
+		out := make([]any, len(times))
+		for i, t := range times {
+			out[i] = t.Format(time.RFC3339Nano)
 		}
-		var t time.Time
-		s.InjectWait("rpc local_time", func() { t = mgr.LocalTime() })
-		return t.Format(time.RFC3339Nano), nil
+		return out, nil
 	}))
 	srv.RegisterMeta("node.harvest_events", dataPath("node.harvest_events", func(params []any) (any, error) {
 		id, run, err := nodeRunArgs(params)
@@ -642,6 +659,29 @@ func (h *Host) Server() *xmlrpc.Server {
 		return string(data), nil
 	}))
 	return srv
+}
+
+// nodesArg resolves the node-id list the broadcast methods take first.
+// The call is refused as a whole, before any node is touched, when the
+// list is empty or names an unknown or repeated id; the error names it.
+func (h *Host) nodesArg(params []any) ([]*node.Manager, error) {
+	ids, ok := arg[[]any](params, 0)
+	if !ok || len(ids) == 0 {
+		return nil, fmt.Errorf("want a list of node ids first")
+	}
+	mgrs := make([]*node.Manager, len(ids))
+	seen := make(map[string]bool, len(ids))
+	for i, v := range ids {
+		id, _ := v.(string)
+		if mgrs[i] = h.x.Managers[id]; mgrs[i] == nil {
+			return nil, fmt.Errorf("no node %q", id)
+		}
+		if seen[id] {
+			return nil, fmt.Errorf("node %q listed twice", id)
+		}
+		seen[id] = true
+	}
+	return mgrs, nil
 }
 
 func nodeRunArgs(params []any) (string, int, error) {

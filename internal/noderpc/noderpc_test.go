@@ -154,6 +154,14 @@ func TestRemoteNodeErrorCollection(t *testing.T) {
 	if err := rn.Health(); err == nil {
 		t.Fatal("Health against dead host succeeded")
 	}
+	// A failed host-group call opens and fails every member's window, also
+	// for a member behind a decorator that embeds its proxy.
+	type decorated struct{ *RemoteNode }
+	peer := &RemoteNode{NodeID: "y", C: rn.C}
+	rn.GroupPrepareRun([]master.NodeHandle{rn, decorated{peer}}, 1)
+	if rn.Err() == first || peer.Err() == nil {
+		t.Fatalf("after a failed group prepare: Err() = %v and %v, want fresh errors in both windows", rn.Err(), peer.Err())
+	}
 }
 
 func TestMasterServerRejectsBadPayload(t *testing.T) {
@@ -185,13 +193,18 @@ func TestHostMethodErrors(t *testing.T) {
 		method string
 		args   []any
 	}{
-		{"node.prepare_run", []any{"ghost", 0}},
-		{"node.prepare_run", []any{42, "not-an-int"}},
-		{"node.cleanup_run", []any{"ghost", 0}},
+		{"node.ping", []any{[]any{"ghost"}}},
+		{"node.ping", []any{"A"}}, // an id, not a list of ids
+		{"node.ping", []any{[]any{}}},
+		{"node.prepare_run", []any{[]any{"ghost"}, 0}},
+		{"node.prepare_run", []any{[]any{"A"}, "not-an-int"}},
+		{"node.prepare_run", []any{42, 0}},
+		{"node.cleanup_run", []any{[]any{"ghost"}, 0}},
+		{"node.cleanup_run", []any{[]any{"A", "A"}, 0}},
 		{"node.execute", []any{"ghost", "sd_init", map[string]any{}}},
 		{"node.execute", []any{"A"}}, // missing action
 		{"node.emit", []any{"ghost", "x", map[string]any{}}},
-		{"node.local_time", []any{"ghost"}},
+		{"node.local_time", []any{[]any{"ghost"}}},
 		{"node.local_time", []any{}},
 		{"node.harvest_events", []any{"ghost", 0}},
 		{"node.harvest_packets", []any{"ghost"}},
@@ -214,15 +227,68 @@ func TestHostMethodErrors(t *testing.T) {
 		t.Errorf("env.reset: %v", err)
 	}
 	// Valid calls work.
-	if _, err := c.Call("node.prepare_run", "A", 0); err != nil {
+	if _, err := c.Call("node.prepare_run", []string{"A"}, 0); err != nil {
 		t.Errorf("prepare_run: %v", err)
 	}
-	v, err := c.Call("node.local_time", "A")
+	v, err := c.Call("node.local_time", []string{"A"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, perr := time.Parse(time.RFC3339Nano, v.(string)); perr != nil {
-		t.Fatalf("local_time format: %v", perr)
+	if _, err := parseTimes(v, 1); err != nil {
+		t.Fatalf("local_time reply: %v", err)
+	}
+}
+
+// TestHostGroupCalls pins the list form of the broadcast methods: a list
+// with an unknown or repeated id is refused, naming it, before any node is
+// prepared, and node.local_time answers in request order.
+func TestHostGroupCalls(t *testing.T) {
+	var opts core.Options
+	opts.ClockSkew.MaxOffset = time.Second
+	host := serveHostOpts(t, opts)
+	c := xmlrpc.NewClient(host.url)
+	runOf := func(id string) int { return host.x.Managers[id].Recorder().Run() }
+	a0, b0 := runOf("A"), runOf("B")
+	for _, tc := range []struct {
+		ids  []string
+		want string
+	}{
+		{[]string{"A", "ghost"}, `no node "ghost"`},
+		{[]string{"A", "B", "A"}, `node "A" listed twice`},
+	} {
+		if _, err := c.Call("node.prepare_run", tc.ids, 7); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("prepare_run%v = %v, want refusal %q", tc.ids, err, tc.want)
+		}
+	}
+	if a, b := runOf("A"), runOf("B"); a != a0 || b != b0 {
+		t.Fatalf("refused calls prepared nodes: runs A %d→%d, B %d→%d", a0, a, b0, b)
+	}
+	if _, err := c.Call("node.prepare_run", []string{"A", "B"}, 7); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := runOf("A"), runOf("B"); a != 7 || b != 7 {
+		t.Fatalf("runs after prepare_run[A B] 7 = %d, %d", a, b)
+	}
+
+	// Both clocks are read at one instant of the host, so the difference
+	// between them is exact and flips sign with the request order.
+	diff := func(ids ...string) time.Duration {
+		v, err := c.Call("node.local_time", ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		times, err := parseTimes(v, len(ids))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return times[1].Sub(times[0])
+	}
+	ab, ba := diff("A", "B"), diff("B", "A")
+	if ab == 0 {
+		t.Fatal("skewed clocks of A and B read equal; the order check needs them apart")
+	}
+	if ba != -ab {
+		t.Errorf("local_time[B A] differs by %v, local_time[A B] by %v: reply not in request order", ba, ab)
 	}
 }
 
@@ -239,7 +305,14 @@ type servedHost struct {
 
 func serveHost(t *testing.T) *servedHost {
 	t.Helper()
-	x, err := core.New(desc.OneShot(30), core.Options{RealTime: true})
+	return serveHostOpts(t, core.Options{})
+}
+
+// serveHostOpts is serveHost with platform options (always real time).
+func serveHostOpts(t *testing.T, opts core.Options) *servedHost {
+	t.Helper()
+	opts.RealTime = true
+	x, err := core.New(desc.OneShot(30), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,8 +409,8 @@ func TestCallMetadataOnTheWire(t *testing.T) {
 		t.Fatalf("%d request bodies, want the call and its identical retry", len(bodies))
 	}
 	method, params, err := xmlrpc.DecodeCall(bodies[0])
-	if err != nil || method != "node.prepare_run" || !reflect.DeepEqual(params, []any{"A", 3}) {
-		t.Errorf("wire call = %s%v, %v; want node.prepare_run[A 3]", method, params, err)
+	if err != nil || method != "node.prepare_run" || !reflect.DeepEqual(params, []any{[]any{"A"}, 3}) {
+		t.Errorf("wire call = %s%v, %v; want node.prepare_run[[A] 3]", method, params, err)
 	}
 	spans := host.Tracer().RunSpans(3)
 	if len(spans) != 1 || spans[0].Parent != 9 || spans[0].Name != "node.prepare_run" {

@@ -1,6 +1,9 @@
 package noderpc
 
 import (
+	"bytes"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -38,6 +41,91 @@ func TestRemoteNodeRecoversAfterTransientError(t *testing.T) {
 	rn.PrepareRun(1)
 	if err := rn.Err(); err != nil {
 		t.Fatalf("error stuck across runs: %v", err)
+	}
+}
+
+// TestFailedEnvResetRetriesRun: an env.reset that fails leaves the
+// previous run's traffic or drop rules possibly active, so the run it
+// prepared must not be committed. The host refuses the first env.reset;
+// the run is retried, and completes on its second attempt.
+func TestFailedEnvResetRetriesRun(t *testing.T) {
+	e := desc.OneShot(30)
+	var host *Host
+	x, err := core.New(e, core.Options{
+		RealTime: true,
+		Speed:    0.002,
+		OnEvent:  func(ev eventlog.Event) { host.ForwardEvent(ev) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host = NewHost(x)
+	defer host.Close()
+	srv := host.Server()
+	var mu sync.Mutex
+	resets := 0
+	hostHTTP := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		body, _ := io.ReadAll(req.Body)
+		if method, _, err := xmlrpc.DecodeCall(body); err == nil && method == "env.reset" {
+			mu.Lock()
+			resets++
+			first := resets == 1
+			mu.Unlock()
+			if first {
+				w.Write(xmlrpc.EncodeFault(&xmlrpc.Fault{Code: 1, String: "env.reset: refused"}))
+				return
+			}
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		srv.ServeHTTP(w, req)
+	}))
+	defer hostHTTP.Close()
+	x.S.SetKeepAlive(true)
+	hostDone := make(chan error, 1)
+	go func() { hostDone <- x.S.Run() }()
+	defer func() {
+		x.S.Stop()
+		<-hostDone
+	}()
+
+	ms := sched.New(sched.RealTime, time.Unix(0, 0))
+	ms.SetSpeed(0.002)
+	bus := eventlog.NewBus(ms)
+	masterHTTP := httptest.NewServer(MasterServer(ms, bus))
+	defer masterHTTP.Close()
+	if _, err := xmlrpc.NewClient(hostHTTP.URL).Call("host.set_master", masterHTTP.URL); err != nil {
+		t.Fatal(err)
+	}
+	handles := map[string]master.NodeHandle{}
+	for id := range x.Managers {
+		handles[id] = &RemoteNode{NodeID: id, C: xmlrpc.NewClient(hostHTTP.URL)}
+	}
+	m, err := master.New(master.Config{
+		Exp: e, S: ms, Bus: bus, Nodes: handles,
+		Env:   &RemoteEnv{C: xmlrpc.NewClient(hostHTTP.URL)},
+		Retry: master.RetryPolicy{MaxAttempts: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep *master.Report
+	var runErr error
+	ms.Go("experimaster", func() { rep, runErr = m.RunAll() })
+	if err := ms.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	rr := rep.Results[0]
+	if rep.Completed != 1 || rep.Retried != 1 || rr.Attempts != 2 || rr.Err != nil {
+		t.Fatalf("completed=%d retried=%d attempts=%d err=%v, want the run retried once and then completed",
+			rep.Completed, rep.Retried, rr.Attempts, rr.Err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if resets != 4 {
+		t.Errorf("env.reset calls = %d, want 4 (prepare and clean-up of two attempts)", resets)
 	}
 }
 

@@ -158,38 +158,38 @@ func TestTracePropagationAndFanIn(t *testing.T) {
 				rr.Run.ID, masterSpans, hostSpans)
 		}
 
-		// Cross-RPC parent links: every host-side node.prepare_run span of
-		// this run must parent under the master's matching per-node rpc
-		// span ("prepare <id>"), and host execute spans under the master's
-		// execute phase span.
-		prepLinked, execLinked := 0, 0
+		// Cross-RPC parent links: the one host call of each broadcast phase
+		// names every node and parents under the master's rpc span of that
+		// call ("prepare A,B"), time sync is one call per sample, and host
+		// execute spans parent under the master's execute phase span.
+		group := strings.Join(nodeIDs, ",")
+		wantParent := map[string]string{
+			"node.prepare_run": "rpc prepare " + group,
+			"node.local_time":  "rpc timesync " + group,
+			"node.cleanup_run": "rpc cleanup " + group,
+			"node.execute":     "phase execute",
+		}
+		linked := map[string]int{}
 		for _, sp := range spans {
-			if !strings.HasPrefix(sp.Track, "host") {
+			want, checked := wantParent[sp.Name]
+			if !strings.HasPrefix(sp.Track, "host") || !checked {
 				continue
 			}
 			parent, ok := byID[sp.Parent]
-			switch sp.Name {
-			case "node.prepare_run":
-				if !ok || parent.Track != "master" || parent.Cat != "rpc" ||
-					!strings.HasPrefix(parent.Name, "prepare ") {
-					t.Fatalf("run %d: host span %q parent=%d does not link to a master prepare rpc span (parent=%+v)",
-						rr.Run.ID, sp.Name, sp.Parent, parent)
-				}
-				prepLinked++
-			case "node.execute":
-				if !ok || parent.Track != "master" || parent.Cat != "phase" ||
-					parent.Name != "execute" {
-					t.Fatalf("run %d: host execute span parent=%d is not the master execute phase (parent=%+v)",
-						rr.Run.ID, sp.Parent, parent)
-				}
-				execLinked++
+			if got := parent.Cat + " " + parent.Name; !ok || parent.Track != "master" || got != want {
+				t.Fatalf("run %d: host span %q parent=%d is %q, want the master's %q",
+					rr.Run.ID, sp.Name, sp.Parent, got, want)
+			}
+			linked[sp.Name]++
+		}
+		for method, n := range map[string]int{"node.prepare_run": 1,
+			"node.local_time": 3, "node.cleanup_run": 1} {
+			if linked[method] != n {
+				t.Fatalf("run %d: %d linked %s host spans, want %d (one per host call)",
+					rr.Run.ID, linked[method], method, n)
 			}
 		}
-		if prepLinked < len(nodeIDs) {
-			t.Fatalf("run %d: only %d/%d node.prepare_run spans linked",
-				rr.Run.ID, prepLinked, len(nodeIDs))
-		}
-		if execLinked == 0 {
+		if linked["node.execute"] == 0 {
 			t.Fatalf("run %d: no host execute spans linked under the execute phase", rr.Run.ID)
 		}
 

@@ -15,6 +15,10 @@
 // bound and filters control-channel jitter. The platform requirement to
 // "support quantification of the synchronization error" (§IV-A3) is met by
 // reporting that bound alongside the estimate.
+//
+// Nodes served by one host are sampled together: one request reads every
+// listed node's clock, and the shared round trip applies to each of them.
+// A single node is the same measurement with a list of one.
 package timesync
 
 import (
@@ -24,10 +28,11 @@ import (
 	"excovery/internal/vclock"
 )
 
-// Probe asks a node for its current local time. Implementations go over
-// the control channel (in-process call, or XML-RPC in the distributed
-// deployment). The call must be synchronous.
-type Probe func() time.Time
+// Probe reads the local clocks of a list of nodes in one synchronous
+// control-channel request (in-process call, or XML-RPC in the distributed
+// deployment): one time per node, in list order. A failed request returns
+// an error. The returned slice is read before the next call and not kept.
+type Probe func() ([]time.Time, error)
 
 // Measurement is one node's estimated clock deviation.
 type Measurement struct {
@@ -55,24 +60,38 @@ type Estimator struct {
 	Samples int
 }
 
-// Measure estimates the clock offset of one node.
-func (e *Estimator) Measure(node string, probe Probe) Measurement {
+// Measure estimates the clock offsets of the nodes one probe samples
+// together and returns one Measurement per node, in list order. A sample
+// whose request failed, or that answered for a different number of nodes,
+// never wins; when no sample succeeded Measure returns nil, so the nodes
+// get no Measurement and conditioning keeps their local times.
+func (e *Estimator) Measure(nodes []string, probe Probe) []Measurement {
 	n := e.Samples
 	if n <= 0 {
 		n = 5
 	}
-	best := Measurement{Node: node, Samples: n, ErrorBound: time.Duration(1<<63 - 1)}
+	var best []Measurement
+	bestBound := time.Duration(1<<63 - 1)
 	for i := 0; i < n; i++ {
 		t0 := e.Ref.Now()
-		tn := probe()
+		times, err := probe()
 		t1 := e.Ref.Now()
+		if err != nil || len(times) != len(nodes) {
+			continue
+		}
 		rtt := t1.Sub(t0)
-		mid := t0.Add(rtt / 2)
-		offset := tn.Sub(mid)
-		if bound := rtt / 2; bound < best.ErrorBound {
-			best.Offset = offset
-			best.ErrorBound = bound
-			best.MeasuredAt = mid
+		bound := rtt / 2
+		if bound >= bestBound {
+			continue
+		}
+		bestBound = bound
+		if best == nil {
+			best = make([]Measurement, len(nodes))
+		}
+		mid := t0.Add(bound)
+		for j, node := range nodes {
+			best[j] = Measurement{Node: node, Offset: times[j].Sub(mid),
+				ErrorBound: bound, Samples: n, MeasuredAt: mid}
 		}
 	}
 	return best

@@ -429,26 +429,34 @@ type sdWireHeader struct {
 }
 
 // QueryPairs scans one node's packet captures for SD queries it sent and
-// the responses it received, matching them by the echoed query id.
+// the responses it received, matching them by the echoed query id. A
+// capture is filtered by node and direction before its payload is decoded:
+// most captures of a run are other nodes', and the report calls this once
+// per node.
 func QueryPairs(pkts []store.PacketRecord, node string) []QueryPair {
 	var out []QueryPair
 	index := map[uint32]int{}
-	for _, p := range pkts {
-		var h sdWireHeader
-		if err := json.Unmarshal(p.Data, &h); err != nil || h.QID == 0 {
-			continue
-		}
+	for i := range pkts {
+		p := &pkts[i]
 		// Only captures taken at the querying node count; a relay's tx
 		// capture of a forwarded query keeps the original Src and must
 		// not be misattributed.
 		if p.Node != "" && p.Node != node {
 			continue
 		}
+		sent := p.Dir == "tx" && p.Src == node
+		if !sent && p.Dir != "rx" {
+			continue
+		}
+		var h sdWireHeader
+		if err := json.Unmarshal(p.Data, &h); err != nil || h.QID == 0 {
+			continue
+		}
 		switch {
-		case p.Dir == "tx" && h.Kind == "query" && p.Src == node:
+		case sent && h.Kind == "query":
 			index[h.QID] = len(out)
 			out = append(out, QueryPair{QID: h.QID, Node: node, SentAt: p.Time})
-		case p.Dir == "rx" && (h.Kind == "response" || h.Kind == "query_resp"):
+		case !sent && (h.Kind == "response" || h.Kind == "query_resp"):
 			if i, ok := index[h.QID]; ok && !out[i].Answered {
 				out[i].Answered = true
 				out[i].AnsweredAt = p.Time

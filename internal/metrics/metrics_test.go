@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -410,5 +412,89 @@ func TestControlSummaryMixedOutcomeAggregation(t *testing.T) {
 	}
 	if cs.HealthProbes != 0 || cs.HealthFailures != 0 {
 		t.Fatalf("zero-value health fields: %+v", cs)
+	}
+}
+
+// queryPairsDecodeFirst is QueryPairs as it was before it filtered by node
+// and direction ahead of decoding: every capture's payload decoded first.
+// It is the reference TestQueryPairsMatchesDecodeFirst holds QueryPairs to.
+func queryPairsDecodeFirst(pkts []store.PacketRecord, node string) []QueryPair {
+	var out []QueryPair
+	index := map[uint32]int{}
+	for _, p := range pkts {
+		var h sdWireHeader
+		if err := json.Unmarshal(p.Data, &h); err != nil || h.QID == 0 {
+			continue
+		}
+		if p.Node != "" && p.Node != node {
+			continue
+		}
+		switch {
+		case p.Dir == "tx" && h.Kind == "query" && p.Src == node:
+			index[h.QID] = len(out)
+			out = append(out, QueryPair{QID: h.QID, Node: node, SentAt: p.Time})
+		case p.Dir == "rx" && (h.Kind == "response" || h.Kind == "query_resp"):
+			if i, ok := index[h.QID]; ok && !out[i].Answered {
+				out[i].Answered = true
+				out[i].AnsweredAt = p.Time
+			}
+		}
+	}
+	return out
+}
+
+// TestQueryPairsMatchesDecodeFirst: filtering before decoding gives the
+// pairs decoding everything gave, for every node of every run of two
+// stored campaigns — the mesh, whose relays forward queries with the
+// original Src, and the case study.
+func TestQueryPairsMatchesDecodeFirst(t *testing.T) {
+	mesh, err := desc.Builtin("exp-e-meshwide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh.Repl.Count = 1
+	for _, c := range []struct {
+		name string
+		exp  *desc.Experiment
+	}{{"exp-e-meshwide", mesh}, {"casestudy", desc.CaseStudy(1)}} {
+		x, err := core.New(c.exp, core.Options{StoreDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Run(); err != nil {
+			t.Fatal(err)
+		}
+		db, err := x.Finalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := db.RunIDs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, forwarded := 0, 0
+		for _, id := range ids {
+			pkts, err := db.PacketsOfRun(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := map[string]bool{}
+			for _, p := range pkts {
+				nodes[p.Src], nodes[p.Node] = true, true
+				if p.Dir == "tx" && p.Node != p.Src {
+					forwarded++
+				}
+			}
+			for n := range nodes {
+				got, want := QueryPairs(pkts, n), queryPairsDecodeFirst(pkts, n)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s run %d node %s:\n got %+v\nwant %+v", c.name, id, n, got, want)
+				}
+				pairs += len(got)
+			}
+		}
+		if pairs == 0 || (c.name == "exp-e-meshwide" && forwarded == 0) {
+			t.Errorf("%s: %d pairs, %d forwarded tx captures — the comparison saw nothing", c.name, pairs, forwarded)
+		}
 	}
 }

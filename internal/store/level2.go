@@ -79,28 +79,30 @@ func (rs *RunStore) WriteEvents(run int, node string, events []eventlog.Event) e
 }
 
 // ForEachEvent streams a node's events of one run in file order. The
-// pointed-to Event is reused between calls; callers that retain it must
-// copy the value. A single decoder is shared across the whole file, which
-// keeps conditioning from paying encoding/json's per-call scanner setup
-// for every line.
+// pointed-to Event may be reused between calls; callers that retain it
+// must copy the value.
 func (rs *RunStore) ForEachEvent(run int, node string, fn func(ev *eventlog.Event) error) error {
+	return rs.forEachEvent(run, node, &readStats{}, fn)
+}
+
+// forEachEvent is ForEachEvent that counts in st a file that went through
+// encoding/json (eventline.go).
+func (rs *RunStore) forEachEvent(run int, node string, st *readStats, fn func(ev *eventlog.Event) error) error {
 	path := filepath.Join(rs.runDir(run, node), "events.jsonl")
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	dec := json.NewDecoder(bufio.NewReader(f))
-	var ev eventlog.Event
-	for dec.More() {
-		ev = eventlog.Event{}
-		if err := dec.Decode(&ev); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if err := fn(&ev); err != nil {
+	evs, ok := scanEvents(data)
+	if !ok {
+		st.eventFallbacks++
+		return decodeEvents(path, data, fn)
+	}
+	for i := range evs {
+		if err := fn(&evs[i]); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 	}
@@ -216,12 +218,14 @@ func (rs *RunStore) WritePackets(run int, node string, pkts []PacketRecord) erro
 	return err
 }
 
-// readStats is what one pass over level-2 packet captures read: the bytes
-// of the capture files and the lines that were not of appendJSONL's shape
-// and went through encoding/json (see packetline.go).
+// readStats is what one pass over level 2 read: the bytes of the packet
+// capture files, and what went through encoding/json because it was not of
+// the stored shape — capture lines (packetline.go) and whole event files
+// (eventline.go).
 type readStats struct {
-	bytes     int64
-	fallbacks int64
+	bytes           int64
+	packetFallbacks int64
+	eventFallbacks  int64
 }
 
 // ForEachPacketLine streams a node's packet captures of one run, yielding
@@ -262,7 +266,7 @@ func (rs *RunStore) forEachPacketLine(run int, node string, st *readStats, fn fu
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		if fallback {
-			st.fallbacks++
+			st.packetFallbacks++
 		}
 		if err := fn(t, src, line); err != nil {
 			return fmt.Errorf("%s: %w", path, err)

@@ -145,7 +145,7 @@ func (o Obs) Open(path string) (*ExperimentDB, error) {
 			err = declareIndexes(db)
 		}
 	}
-	op.end(db, op.fileSize(path), 0, err)
+	op.end(db, readStats{bytes: op.fileSize(path)}, err)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +156,7 @@ func (o Obs) Open(path string) (*ExperimentDB, error) {
 func (e *ExperimentDB) Save(path string) error {
 	op := e.Obs.begin("save")
 	err := e.DB.SaveFile(path)
-	op.end(e.DB, op.fileSize(path), 0, err)
+	op.end(e.DB, readStats{bytes: op.fileSize(path)}, err)
 	return err
 }
 
@@ -173,7 +173,7 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 	op := rs.Obs.begin("condition")
 	var st readStats
 	err = e.ingest(rs, meta, &st)
-	op.end(e.DB, st.bytes, st.fallbacks, err)
+	op.end(e.DB, st, err)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +224,7 @@ func (e *ExperimentDB) ingest(rs *RunStore, meta Meta, st *readStats) error {
 			return err
 		}
 		for _, node := range nodes {
-			err := rs.ForEachEvent(run, node, func(ev *eventlog.Event) error {
+			err := rs.forEachEvent(run, node, st, func(ev *eventlog.Event) error {
 				return e.DB.Insert("Events", reldb.Row{
 					int64(run), ev.Node, correct(ev.Node, ev.Time),
 					ev.Type, encodeParams(ev.Params),
@@ -291,13 +291,20 @@ func (e *ExperimentDB) ingest(rs *RunStore, meta Meta, st *readStats) error {
 	return nil
 }
 
-// DecodeParams parses a Parameter column value.
+// DecodeParams parses a Parameter column value: nil for "" and for a value
+// encoding/json does not take as an object of strings. A value of the
+// stored shape is scanned (eventline.go), any other goes to encoding/json.
 func DecodeParams(s string) map[string]string {
 	if s == "" {
 		return nil
 	}
+	b := []byte(s)
+	sc := lineScanner{b: b}
+	if m, ok := sc.params(); ok && sc.i == len(b) {
+		return m
+	}
 	var m map[string]string
-	if err := json.Unmarshal([]byte(s), &m); err != nil {
+	if err := json.Unmarshal(b, &m); err != nil {
 		return nil
 	}
 	return m
@@ -312,19 +319,23 @@ func (e *ExperimentDB) Info() (Meta, error) {
 	return Meta{ExpXML: row[0].(string), Name: row[2].(string), Comment: row[3].(string)}, nil
 }
 
-// RunIDs returns the distinct run ids in the RunInfos table, sorted.
+// RunIDs returns the distinct run ids of the RunInfos and Events tables,
+// sorted. RunInfos has one row per clock-offset measurement, so a run
+// whose time probes all failed is known by its events alone.
 func (e *ExperimentDB) RunIDs() ([]int, error) {
-	rows, err := e.DB.Select(reldb.Query{Table: "RunInfos"})
-	if err != nil {
-		return nil, err
-	}
 	seen := map[int]bool{}
 	var out []int
-	for _, r := range rows {
-		id := int(r[0].(int64))
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+	for _, table := range []string{"RunInfos", "Events"} {
+		rows, err := e.DB.Select(reldb.Query{Table: table})
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range rows {
+			id := int(r[0].(int64))
+			if !seen[id] {
+				seen[id] = true
+				out = append(out, id)
+			}
 		}
 	}
 	sort.Ints(out)

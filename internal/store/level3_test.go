@@ -10,6 +10,7 @@ import (
 
 	"excovery/internal/obs"
 	"excovery/internal/store/reldb"
+	"excovery/internal/timesync"
 )
 
 // conditioned builds the fixture level-3 database, saves it and returns it
@@ -218,7 +219,8 @@ func TestLevel3OperationsAreObserved(t *testing.T) {
 		{obs.MStoreRows, []string{"op", "open", "table", "ExtraRunMeasurements"}, 2},
 		{obs.MStoreBytes, []string{"op", "save"}, fi.Size()},
 		{obs.MStoreBytes, []string{"op", "open"}, fi.Size()},
-		{obs.MStoreDecoderFallbacks, []string{"op", "condition"}, 0},
+		{obs.MStoreDecoderFallbacks, []string{"op", "condition", "record", "packet"}, 0},
+		{obs.MStoreDecoderFallbacks, []string{"op", "condition", "record", "event"}, 0},
 	} {
 		if got := reg.CounterValue(c.name, c.labels...); got != c.want {
 			t.Errorf("%s%v = %d, want %d", c.name, c.labels, got, c.want)
@@ -250,8 +252,10 @@ func TestConditionCountsDecoderFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rs.Obs.Metrics.CounterValue(obs.MStoreDecoderFallbacks, "op", "condition"); got != 1 {
-		t.Errorf("fallbacks = %d, want 1", got)
+	for record, want := range map[string]int64{"packet": 1, "event": 0} {
+		if got := rs.Obs.Metrics.CounterValue(obs.MStoreDecoderFallbacks, "op", "condition", "record", record); got != want {
+			t.Errorf("%s fallbacks = %d, want %d", record, got, want)
+		}
 	}
 	pkts, err := e.PacketsOfRun(0)
 	if err != nil || len(pkts) != 3 {
@@ -259,5 +263,72 @@ func TestConditionCountsDecoderFallbacks(t *testing.T) {
 	}
 	if p := pkts[0]; p.Src != "AA" || p.ID != 2 || !p.Time.Equal(base.Add(-2*60*60*1e9+2e9)) {
 		t.Errorf("hand-edited line decoded as %+v", p)
+	}
+}
+
+// TestConditionCountsEventFallbacks: an events file with one hand-edited
+// line goes through encoding/json as a whole, is counted once under
+// record=event, and conditions to the same rows as the file it was.
+func TestConditionCountsEventFallbacks(t *testing.T) {
+	clean, err := Condition(fillStore(t, t.TempDir()), Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := fillStore(t, t.TempDir())
+	path := filepath.Join(rs.runDir(0, "A"), "events.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// White space after the key, as a hand edit would leave it.
+	edited := strings.Replace(string(data), `"Node":"A"`, `"Node": "A"`, 1)
+	if edited == string(data) {
+		t.Fatalf("fixture line changed shape: %s", data)
+	}
+	if err := os.WriteFile(path, []byte(edited), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rs.Obs = Obs{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(nil)}
+	e, err := Condition(rs, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for record, want := range map[string]int64{"packet": 0, "event": 1} {
+		if got := rs.Obs.Metrics.CounterValue(obs.MStoreDecoderFallbacks, "op", "condition", "record", record); got != want {
+			t.Errorf("%s fallbacks = %d, want %d", record, got, want)
+		}
+	}
+	if got := rs.Obs.Tracer.Spans()[0].Args["decoder_fallbacks"]; got != "1" {
+		t.Errorf("condition span decoder_fallbacks = %q, want 1", got)
+	}
+	for run := 0; run < 2; run++ {
+		want, _ := clean.EventsOfRun(run)
+		got, err := e.EventsOfRun(run)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d: events %v, %v; want %v", run, got, err, want)
+		}
+	}
+}
+
+// TestRunWithoutOffsetsIsListed: a run whose time probes all failed has no
+// RunInfos row, yet its events are in level 3, so it is one of the runs.
+func TestRunWithoutOffsetsIsListed(t *testing.T) {
+	rs := fillStore(t, t.TempDir())
+	if err := rs.WriteRunInfo(RunInfo{Run: 0, Start: base, Offsets: []timesync.Measurement{}}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Condition(rs, Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := e.DB.Count("RunInfos"); n != 2 {
+		t.Fatalf("RunInfos has %d rows, want run 1's two", n)
+	}
+	ids, err := e.RunIDs()
+	if err != nil || !reflect.DeepEqual(ids, []int{0, 1}) {
+		t.Fatalf("RunIDs = %v, %v; want [0 1]", ids, err)
+	}
+	if evs, err := e.EventsOfRun(0); err != nil || len(evs) != 2 {
+		t.Fatalf("run 0 events = %v, %v", evs, err)
 	}
 }

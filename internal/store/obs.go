@@ -17,7 +17,7 @@ import (
 // hands its Obs to the database Condition builds from it.
 type Obs struct {
 	// Metrics receives duration, rows by table, bytes and decoder
-	// fallbacks, labelled by operation.
+	// fallbacks (by record: packet or event), labelled by operation.
 	Metrics *obs.Registry
 	// Tracer receives one span per operation on the "store" track,
 	// carrying the same numbers as args.
@@ -27,6 +27,8 @@ type Obs struct {
 const (
 	helpStoreBytes     = "level-2 capture bytes written or conditioned; level-3 file bytes saved or opened"
 	helpStoreOpSeconds = "wall time of one storage operation"
+	helpStoreFallbacks = "level-2 records decoded by encoding/json because they were not of the stored shape: " +
+		"packet lines (record=packet), whole event files (record=event)"
 )
 
 // writeStart and packetsWritten record one WritePackets call (op
@@ -85,16 +87,17 @@ func (p op) fileSize(path string) int64 {
 }
 
 // end closes the operation: db is the database it built, wrote or read
-// (nil when it failed before there was one), bytes the level-2 capture
-// bytes read (condition) or the level-3 file size (save, open).
-func (p op) end(db *reldb.DB, bytes, fallbacks int64, err error) {
+// (nil when it failed before there was one), st.bytes the level-2 capture
+// bytes read (condition) or the level-3 file size (save, open), and the
+// fallbacks what conditioning left to encoding/json.
+func (p op) end(db *reldb.DB, st readStats, err error) {
 	if p.o == (Obs{}) {
 		return
 	}
 	wall := time.Since(p.start)
 	args := map[string]string{
-		"bytes":             strconv.FormatInt(bytes, 10),
-		"decoder_fallbacks": strconv.FormatInt(fallbacks, 10),
+		"bytes":             strconv.FormatInt(st.bytes, 10),
+		"decoder_fallbacks": strconv.FormatInt(st.packetFallbacks+st.eventFallbacks, 10),
 		// The tracer may run on a virtual clock, on which the span
 		// itself has no extent.
 		"wall_ms": strconv.FormatFloat(float64(wall.Microseconds())/1e3, 'f', 3, 64),
@@ -111,9 +114,9 @@ func (p op) end(db *reldb.DB, bytes, fallbacks int64, err error) {
 				"rows conditioned, saved or opened, by table", "op", p.name, "table", s.Name).Add(int64(n))
 		}
 	}
-	reg.Counter(obs.MStoreBytes, helpStoreBytes, "op", p.name).Add(bytes)
-	reg.Counter(obs.MStoreDecoderFallbacks,
-		"packet lines decoded by encoding/json because they were not of the stored shape", "op", p.name).Add(fallbacks)
+	reg.Counter(obs.MStoreBytes, helpStoreBytes, "op", p.name).Add(st.bytes)
+	reg.Counter(obs.MStoreDecoderFallbacks, helpStoreFallbacks, "op", p.name, "record", "packet").Add(st.packetFallbacks)
+	reg.Counter(obs.MStoreDecoderFallbacks, helpStoreFallbacks, "op", p.name, "record", "event").Add(st.eventFallbacks)
 	reg.Histogram(obs.MStoreOpSeconds, helpStoreOpSeconds, nil, "op", p.name).ObserveDuration(wall)
 	p.o.Tracer.EndWith(p.span, args)
 }

@@ -2,7 +2,9 @@ package store
 
 import (
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"slices"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -11,11 +13,12 @@ import (
 )
 
 // Encoding and decoding of stored packet lines. Every packet of an
-// experiment is written once and decoded twice on the way to R / t_R — once
-// by conditioning (capture time and source only) and once by PacketsOfRun —
-// and encoding/json's reflection was most of all three. A stored line is
-// what encoding/json writes for a PacketRecord; unless a string needs an
-// escape or the capture time is not UTC it has one fixed shape:
+// experiment is written once, scanned by conditioning (capture time and
+// source are built, the rest only checked for shape) and decoded in full
+// once more by PacketsOfRun; encoding/json's reflection was most of all
+// three. A stored line is what encoding/json writes for a PacketRecord;
+// unless a string needs an escape or the capture time is not UTC it has
+// one fixed shape:
 //
 //	line = '{"time":' time ',"dir":' str [ ',"node":' str ]
 //	       ',"id":' uint ',"tag":' uint ',"src":' str ',"dst":' str
@@ -167,13 +170,17 @@ func scanPacketLine(line []byte, p *PacketRecord, metaOnly bool) bool {
 	}
 	var path []netem.NodeID
 	if s.lit(`,"path":[`) {
+		// A path is a few hops: gather them on the stack and give the
+		// record one slice of the path's length, not a grown one.
+		var buf [8]netem.NodeID
+		hops := buf[:0]
 		for {
 			hop, ok := s.str()
 			if !ok {
 				return false
 			}
 			if !metaOnly {
-				path = append(path, netem.NodeID(hop))
+				hops = append(hops, netem.NodeID(hop))
 			}
 			if s.lit(`]`) {
 				break
@@ -181,6 +188,9 @@ func scanPacketLine(line []byte, p *PacketRecord, metaOnly bool) bool {
 			if !s.lit(`,`) {
 				return false
 			}
+		}
+		if !metaOnly {
+			path = slices.Clone(hops)
 		}
 	}
 	if !s.lit(`}`) || s.i != len(s.b) {
@@ -190,7 +200,15 @@ func scanPacketLine(line []byte, p *PacketRecord, metaOnly bool) bool {
 	if metaOnly {
 		return true
 	}
-	p.Dir, p.Node, p.Dst = string(dir), string(node), string(dst)
+	switch string(dir) {
+	case "tx":
+		p.Dir = "tx"
+	case "rx":
+		p.Dir = "rx"
+	default:
+		p.Dir = string(dir)
+	}
+	p.Node, p.Dst = string(node), string(dst)
 	p.ID, p.Tag = id, uint16(tag)
 	p.Data, p.Path = data, path
 	return true
@@ -212,14 +230,22 @@ func (s *lineScanner) lit(x string) bool {
 }
 
 // str consumes a quoted string without escapes and returns its content as
-// a view into the line.
+// a view into the line. A payload is hundreds of base64 bytes, so it steps
+// a word at a time while no byte of the word needs a look, and byte by
+// byte from the first word that has one.
 func (s *lineScanner) str() ([]byte, bool) {
 	if s.i >= len(s.b) || s.b[s.i] != '"' {
 		return nil, false
 	}
 	start := s.i + 1
-	ascii := true
-	for j := start; j < len(s.b); j++ {
+	j := start
+	for ; len(s.b)-j >= 8; j += 8 {
+		if special(binary.LittleEndian.Uint64(s.b[j:])) {
+			break
+		}
+	}
+	ascii := true // every byte the words above skipped is ASCII
+	for ; j < len(s.b); j++ {
 		switch c := s.b[j]; {
 		case c == '"':
 			s.i = j + 1
@@ -233,6 +259,22 @@ func (s *lineScanner) str() ([]byte, bool) {
 		}
 	}
 	return nil, false
+}
+
+const (
+	ones  = 0x0101010101010101
+	highs = 0x8080808080808080
+)
+
+// special reports whether any of the eight bytes of w is one str must look
+// at: '"', '\\', a control byte below 0x20 or a byte of 0x80 and above. A
+// byte x is '"' when x^'"' is zero, and x-1 borrows into the high bit only
+// for zero; x < 0x20 when x-0x20 borrows. A borrow that runs on into the
+// bytes above only ever follows a byte that is flagged itself.
+func special(w uint64) bool {
+	q := w ^ (ones * '"')
+	b := w ^ (ones * '\\')
+	return (w|((q-ones)&^q)|((b-ones)&^b)|((w-ones*0x20)&^w))&highs != 0
 }
 
 // uint consumes a decimal number in JSON's form that is at most max.

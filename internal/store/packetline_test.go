@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -247,4 +248,25 @@ func FuzzPacketLineEncode(f *testing.F) {
 		}
 		checkEncode(t, p)
 	})
+}
+
+// TestSpecialFlagsExactly: special flags a word exactly when one of its
+// bytes is one str must look at, whatever the other seven hold — a borrow
+// out of a flagged byte may only add to a word already flagged.
+func TestSpecialFlagsExactly(t *testing.T) {
+	needsLook := func(c byte) bool { return c == '"' || c == '\\' || c < 0x20 || c >= 0x80 }
+	for _, fill := range []byte{'A', ' ', '!', '#', '[', ']', 0x7f, 0x21} {
+		for pos := 0; pos < 8; pos++ {
+			for c := 0; c < 256; c++ {
+				var b [8]byte
+				for i := range b {
+					b[i] = fill
+				}
+				b[pos] = byte(c)
+				if got := special(binary.LittleEndian.Uint64(b[:])); got != needsLook(byte(c)) {
+					t.Fatalf("word %q: special = %v", b, got)
+				}
+			}
+		}
+	}
 }

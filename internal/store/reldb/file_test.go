@@ -98,7 +98,7 @@ func TestEmptyDatabaseRoundTrip(t *testing.T) {
 
 // blobDB has the value kinds Load treats specially: blobs are views into
 // the file image, so neighbours must be out of an append's reach.
-func blobDB(t *testing.T) *DB {
+func blobDB(t testing.TB) *DB {
 	t.Helper()
 	db := New()
 	if err := db.CreateTable(Schema{Name: "B", Columns: []Column{
@@ -219,4 +219,40 @@ func TestLoadBoundsCounts(t *testing.T) {
 			t.Errorf("%s: lying file loaded", name)
 		}
 	}
+}
+
+// FuzzOpenFile: whatever the file holds, OpenFile returns a database or an
+// error, never panics, and refuses a file whose checksum does not match.
+// Each input is also tried with its checksum made to match, so the parser
+// behind the checksum sees the damage too.
+func FuzzOpenFile(f *testing.F) {
+	var buf bytes.Buffer
+	if err := blobDB(f).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(sealed(append([]byte(nil), good[:len(good)-9]...)))
+	db := sampleDB(f)
+	buf.Reset()
+	if err := db.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "f.xcdb")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		valid := len(data) >= 4 &&
+			crc32.ChecksumIEEE(data[:len(data)-4]) == binary.LittleEndian.Uint32(data[len(data)-4:])
+		if got, err := OpenFile(path); !valid && (err == nil || got != nil) {
+			t.Fatalf("file with a wrong checksum opened: %v", got)
+		}
+		if len(data) >= 4 {
+			Load(bytes.NewReader(sealed(append([]byte(nil), data[:len(data)-4]...))))
+		}
+	})
 }

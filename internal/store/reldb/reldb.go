@@ -10,6 +10,7 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -460,14 +461,14 @@ candidates:
 	}
 
 	if q.OrderBy != "" {
+		// Stable: rows with equal keys keep insertion order, in both
+		// directions.
 		ci := t.colIdx[q.OrderBy]
-		sort.SliceStable(out, func(i, j int) bool {
-			c := compare(out[i][ci], out[j][ci])
-			if q.Desc {
-				return c > 0
-			}
-			return c < 0
-		})
+		if q.Desc {
+			slices.SortStableFunc(out, func(a, b Row) int { return compare(b[ci], a[ci]) })
+		} else {
+			slices.SortStableFunc(out, func(a, b Row) int { return compare(a[ci], b[ci]) })
+		}
 	} else if q.Desc {
 		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
 			out[i], out[j] = out[j], out[i]

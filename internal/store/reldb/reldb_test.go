@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-func sampleDB(t *testing.T) *DB {
+func sampleDB(t testing.TB) *DB {
 	t.Helper()
 	db := New()
 	if err := db.CreateTable(Schema{Name: "Events", Columns: []Column{
@@ -403,5 +403,39 @@ func TestSelectAllocatesPerMatch(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { db.Select(some) }); n > 100+12 {
 			t.Errorf("indexed=%v: %v allocs for a query that matches 100 rows", indexed, n)
 		}
+	}
+}
+
+// TestSelectOrderByIsStable: rows with equal OrderBy keys keep their
+// insertion order, ascending and descending alike; nil sorts first.
+func TestSelectOrderByIsStable(t *testing.T) {
+	db := New()
+	if err := db.CreateTable(Schema{Name: "T", Columns: []Column{
+		{Name: "k", Type: Int64}, {Name: "seq", Type: Int64},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	keys := []any{int64(2), int64(1), nil, int64(2), int64(1), int64(3), nil, int64(2), int64(1), int64(3)}
+	for i, k := range keys {
+		if err := db.Insert("T", Row{k, int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	order := func(desc bool) []int64 {
+		rows, err := db.Select(Query{Table: "T", OrderBy: "k", Desc: desc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqs []int64
+		for _, r := range rows {
+			seqs = append(seqs, r[1].(int64))
+		}
+		return seqs
+	}
+	if got, want := order(false), []int64{2, 6, 1, 4, 8, 0, 3, 7, 5, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ascending: %v, want %v", got, want)
+	}
+	if got, want := order(true), []int64{5, 9, 0, 3, 7, 1, 4, 8, 2, 6}; !reflect.DeepEqual(got, want) {
+		t.Errorf("descending: %v, want %v", got, want)
 	}
 }

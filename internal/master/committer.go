@@ -79,10 +79,11 @@ func (m *Master) collectHarvest(run desc.Run, rr *RunResult, partial bool) *harv
 }
 
 // commitHarvest writes collected measurements through the atomic
-// stage-and-commit of PR 3: everything lands in a staging directory and
-// is renamed into the level-2 hierarchy in one step, so a crash
-// mid-harvest can never leave a half-written run directory for
-// conditioning to ingest. The first write the store refuses — a full or
+// stage-and-commit: everything, the done marker of a completed run
+// included, lands in a staging directory and is renamed into the level-2
+// hierarchy in one step, so a crash mid-harvest can never leave a
+// half-written run directory for conditioning to ingest, nor a committed
+// run without its marker. The first write the store refuses — a full or
 // read-only disk — aborts the stage, so a truncated harvest is never
 // committed. Safe to call from the committer goroutine: it touches only
 // the store and the job's own data.
@@ -102,8 +103,9 @@ func (m *Master) commitHarvest(hd *harvestData) error {
 	return nil
 }
 
-// stageHarvest writes one run's measurements into the staging store and
-// returns the first error.
+// stageHarvest writes one run's measurements into the staging store, and
+// the done marker unless the harvest is partial, and returns the first
+// error.
 func (m *Master) stageHarvest(st *store.RunStore, hd *harvestData) error {
 	run := hd.run.ID
 	for slot, id := range m.order {
@@ -133,7 +135,13 @@ func (m *Master) stageHarvest(st *store.RunStore, hd *harvestData) error {
 			return err
 		}
 	}
-	return st.WriteRunInfo(hd.info)
+	if err := st.WriteRunInfo(hd.info); err != nil {
+		return err
+	}
+	if hd.info.Partial {
+		return nil
+	}
+	return st.MarkRunDone(run)
 }
 
 // commitQueueDepth bounds how many committed-but-unwritten runs the
@@ -151,10 +159,11 @@ type pendingEvent struct {
 }
 
 // committer is the single background goroutine that performs the durable
-// tail of a successful run: staged level-2 commit, done marker, then the
-// journal's completion record — in that order, preserving the PR 3 crash
-// contract (a done marker without a journal Done resumes as skipped; a
-// journal End without either resumes as in-doubt and is re-executed).
+// tail of a successful run: the staged level-2 commit, whose rename
+// publishes the data and the done marker together, then the journal's
+// completion record. A crash leaves a run either without data and marker
+// (a journal End without Done resumes as in-doubt and is re-executed) or
+// with both (resumes as skipped, with or without the journal Done).
 // Run N+1's preparation overlaps run N's disk commit; the run loop
 // drains the queue on retry, failure, crash and experiment exit.
 type committer struct {
@@ -186,11 +195,7 @@ func (c *committer) loop() {
 // goroutine; events are deferred to the next drain.
 func (c *committer) commit(hd *harvestData) {
 	m := c.m
-	err := m.commitHarvest(hd)
-	if err == nil {
-		err = m.cfg.Store.MarkRunDone(hd.run.ID)
-	}
-	if err != nil {
+	if err := m.commitHarvest(hd); err != nil {
 		// Neither marker nor journal Done: the run stays re-executable.
 		c.noteEvent(eventlog.EvRunHarvestFailed, map[string]string{
 			"run": fmt.Sprint(hd.run.ID), "err": err.Error()})

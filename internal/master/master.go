@@ -469,8 +469,9 @@ func (m *Master) RunAll() (*Report, error) {
 				"runs that needed more than one attempt").Inc()
 		}
 		if rr.Err == nil && !rr.Aborted {
-			// Commit the run durably: staged harvest renamed into place,
-			// fsync'd done marker, then the journal's completion record.
+			// Commit the run durably: staged harvest and done marker
+			// renamed into place together, then the journal's completion
+			// record.
 			// Collection happens here, in task context, before the next
 			// run's PrepareRun resets node state; the disk commit itself
 			// is pipelined onto the committer.

@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
+	"time"
 
 	"excovery/internal/store/fsio"
 )
@@ -101,60 +104,97 @@ func (rs *RunStore) VerifyManifest(want PlanManifest) error {
 // StagedRun collects one run's harvest in a staging directory and commits
 // it into the level-2 hierarchy with a single rename, so a crash anywhere
 // during harvest leaves either the previous state or nothing — never a
-// half-written run directory that conditioning could ingest.
+// half-written run directory that conditioning could ingest. A done
+// marker written into the staged run rides in the same rename.
 type StagedRun struct {
-	rs   *RunStore
-	run  int
-	tmp  *RunStore
-	done bool
+	rs    *RunStore
+	run   int
+	tmp   *RunStore
+	start time.Time // for Obs: zero when uninstrumented
+	done  bool
+}
+
+// stagedTree is what a staging store wrote below its run directory: the
+// directories it made, the run directory first and every directory after
+// its parent, and the bytes of its files, each fsynced as it was closed.
+type stagedTree struct {
+	dirs  []string
+	bytes int64
+}
+
+// mkdir makes dir and the missing directories above it, up to the run
+// directory, with one os.Mkdir each, and records them.
+func (t *stagedTree) mkdir(dir string) error {
+	if slices.Contains(t.dirs, dir) {
+		return nil
+	}
+	if !strings.HasPrefix(dir, t.dirs[0]+string(filepath.Separator)) {
+		return fmt.Errorf("store: %s is outside the staged run directory %s", dir, t.dirs[0])
+	}
+	if err := t.mkdir(filepath.Dir(dir)); err != nil {
+		return err
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		return err
+	}
+	t.dirs = append(t.dirs, dir)
+	return nil
 }
 
 // StageRun opens a staging area for one run's harvest. Leftover staging
 // directories of earlier crashed harvests for the same run are discarded.
+// The staging store takes writes for this run only.
 func (rs *RunStore) StageRun(run int) (*StagedRun, error) {
+	start := rs.Obs.writeStart()
 	root := filepath.Join(rs.Dir, "runs", ".staging-"+strconv.Itoa(run))
 	if err := os.RemoveAll(root); err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	dir := filepath.Join(root, "runs", strconv.Itoa(run))
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &StagedRun{rs: rs, run: run, tmp: &RunStore{Dir: root, Obs: rs.Obs}}, nil
+	tmp := &RunStore{Dir: root, Obs: rs.Obs, staged: &stagedTree{dirs: []string{dir}}}
+	return &StagedRun{rs: rs, run: run, tmp: tmp, start: start}, nil
 }
 
 // Store returns the staging store; write the run's measurements through it
 // with the normal RunStore API.
 func (sr *StagedRun) Store() *RunStore { return sr.tmp }
 
-// Commit fsyncs the staged tree and renames it into place, superseding any
-// partial directory a previous attempt (or crashed session) left behind.
+// Commit renames the staged run into place, superseding any partial
+// directory a previous attempt (or crashed session) left behind. Every
+// file was fsynced when it was written; Commit fsyncs the directories,
+// deepest first, before the rename and the level-2 runs directory after
+// it.
 func (sr *StagedRun) Commit() error {
 	if sr.done {
 		return nil
 	}
-	src := filepath.Join(sr.tmp.Dir, "runs", strconv.Itoa(sr.run))
-	if _, err := os.Stat(src); os.IsNotExist(err) {
-		// Nothing was harvested; commit to an empty run directory so the
-		// run still appears in the store.
-		if err := os.MkdirAll(src, 0o755); err != nil {
+	t := sr.tmp.staged
+	for i := len(t.dirs) - 1; i >= 0; i-- {
+		if err := syncDir(t.dirs[i]); err != nil {
 			return err
 		}
-	}
-	if err := syncTree(src); err != nil {
-		return err
 	}
 	dst := filepath.Join(sr.rs.Dir, "runs", strconv.Itoa(sr.run))
 	if err := os.RemoveAll(dst); err != nil {
 		return err
 	}
-	if err := os.Rename(src, dst); err != nil {
+	if err := os.Rename(t.dirs[0], dst); err != nil {
 		return err
 	}
 	if err := syncDir(filepath.Dir(dst)); err != nil {
 		return err
 	}
 	sr.done = true
-	return os.RemoveAll(sr.tmp.Dir)
+	// What is left of the staging area is two empty directories.
+	err := os.Remove(filepath.Dir(t.dirs[0]))
+	if err == nil {
+		err = os.Remove(sr.tmp.Dir)
+	}
+	sr.rs.Obs.wrote("commit_run", sr.start, t.bytes)
+	return err
 }
 
 // Abort discards the staged harvest.
@@ -197,21 +237,4 @@ func atomicWriteFile(path string, data []byte) error {
 // durable.
 func syncDir(dir string) error {
 	return fsio.SyncDir(dir)
-}
-
-// syncTree fsyncs every file and directory below root (harvest trees are
-// small: a handful of JSONL files per node).
-func syncTree(root string) error {
-	return filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		serr := f.Sync()
-		f.Close()
-		return serr
-	})
 }

@@ -5,13 +5,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
+	"time"
 
 	"excovery/internal/eventlog"
 )
 
-// Decoding of stored event lines. WriteEvents writes each event with
-// encoding/json; unless a string needs an escape or the time is not UTC,
-// what it writes for an eventlog.Event has one fixed shape:
+// Encoding and decoding of stored event lines. A stored line is what
+// encoding/json writes for an eventlog.Event; unless a string needs an
+// escape or the time is not UTC it has one fixed shape:
 //
 //	line   = '{"Run":' int ',"Node":' str ',"Time":"' time ',"Type":' str
 //	         ',"Params":' ( 'null' | params ) ',"Seq":' uint '}'
@@ -19,15 +21,50 @@ import (
 //	int    = [ '-' ] uint, within int's range
 //
 // with time, str and uint as in packetline.go and no white space.
-// scanEventLine accepts exactly that and gives what json.Unmarshal gives
-// for it; FuzzEventLine holds the two together. A Parameter column value
-// is a params object (encodeParams), so DecodeParams scans it the same way.
+// appendEventLine writes every event byte for byte as json.Marshal does
+// (FuzzEventLineEncode), escapes included, and leaves to json.Marshal only
+// the times RFC 3339 has no 'Z' form for. scanEventLine accepts exactly the
+// fixed shape and gives what json.Unmarshal gives for it; FuzzEventLine
+// holds the two together. A Parameter column value is a params object
+// (encodeParams), so DecodeParams scans it the same way.
 //
 // The json.Decoder that read event files before took a stream of values,
 // not lines, so the fallback is by file: scanEvents scans a whole file
 // before anything is yielded, and a file with one line of another shape —
 // escapes, another key order, a hand edit — goes through that decoder from
 // its first byte. What is accepted, rejected and yielded does not change.
+
+// appendEventLine appends the stored line of ev and its newline to dst.
+func appendEventLine(dst []byte, ev *eventlog.Event) ([]byte, error) {
+	n0 := len(dst)
+	dst = append(dst, `{"Run":`...)
+	dst = strconv.AppendInt(dst, int64(ev.Run), 10)
+	dst = append(dst, `,"Node":`...)
+	dst = appendJSONString(dst, ev.Node)
+	dst = append(dst, `,"Time":"`...)
+	t0 := len(dst)
+	dst = ev.Time.AppendFormat(dst, time.RFC3339Nano)
+	if dst[t0+len("2006")] != '-' || dst[len(dst)-1] != 'Z' {
+		// A year outside 0–9999, which encoding/json refuses, or a zone
+		// offset, for which it has checks of its own.
+		b, err := json.Marshal(ev)
+		if err != nil {
+			return dst[:n0], err
+		}
+		return append(append(dst[:n0], b...), '\n'), nil
+	}
+	dst = append(dst, `","Type":`...)
+	dst = appendJSONString(dst, ev.Type)
+	if ev.Params == nil {
+		dst = append(dst, `,"Params":null`...)
+	} else {
+		dst = append(dst, `,"Params":`...)
+		dst = appendParams(dst, ev.Params)
+	}
+	dst = append(dst, `,"Seq":`...)
+	dst = strconv.AppendUint(dst, ev.Seq, 10)
+	return append(dst, '}', '\n'), nil
+}
 
 // scanEvents scans a whole events file. It reports false when any
 // non-blank line is not of the fixed shape.

@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,4 +197,134 @@ func TestReadEventsMatchesDecoder(t *testing.T) {
 	if evs, ok := scanEvents([]byte(a + "\n" + b + "\n")); !ok || len(evs) != 2 {
 		t.Errorf("plain file: scanned=%v, %d events", ok, len(evs))
 	}
+}
+
+// checkEventEncode holds the event-line encoder to encoding/json on one
+// event: same error or not, the same bytes after whatever the buffer
+// already held, and a line the scanner takes back unless it carries an
+// escape or a zone offset.
+func checkEventEncode(t *testing.T, ev eventlog.Event) {
+	t.Helper()
+	want, wantErr := json.Marshal(&ev)
+	const held = "held\n"
+	got, err := appendEventLine([]byte(held), &ev)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("event %#v: encoder error %v, encoding/json error %v", ev, err, wantErr)
+	}
+	if err != nil {
+		if string(got) != held {
+			t.Fatalf("event %#v: failed encode left %q in the buffer", ev, got)
+		}
+		return
+	}
+	if string(got) != held+string(want)+"\n" {
+		t.Fatalf("event %#v:\n got %q\nwant %q", ev, got[len(held):], want)
+	}
+	_, offset := ev.Time.Zone()
+	if plain := !bytes.ContainsRune(want, '\\') && offset == 0; checkEventLine(t, want) != plain {
+		t.Fatalf("line %s: scanned=%v", want, !plain)
+	}
+}
+
+// eventEncodeSeeds are the events the scanner seeds lack: HTML and line
+// separator escapes in every string, years encoding/json refuses, a
+// negative run with a zone offset.
+var eventEncodeSeeds = []eventlog.Event{
+	{Run: 2, Node: "a<b>&c", Time: time.Unix(5, 0).UTC(), Type: "\u2028\u2029",
+		Params: map[string]string{"<k>": "v&\u2028", "\n": "\x00\"\\", "z": "", "a": "\xff"}},
+	{Run: -7, Node: "n", Time: time.Unix(5, 999999999).In(time.FixedZone("", -90*60)), Type: "t",
+		Params: map[string]string{}},
+	{Run: 1, Node: "n", Time: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), Type: "t"},
+	{Run: 1, Node: "n", Time: time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC), Type: "t"},
+	{Run: 1, Node: "n", Time: time.Time{}, Type: "t", Params: map[string]string{"b": "1", "a": "2", "c": "3",
+		"d": "4", "e": "5", "f": "6", "g": "7", "h": "8", "i": "9", "j": "10"}},
+}
+
+// encodeEventsBefore is how WriteEvents wrote an events file before the
+// line encoder: json.Encoder through a bufio.Writer, nothing written when
+// an event fails to encode.
+func encodeEventsBefore(events []eventlog.Event) ([]byte, error) {
+	var out bytes.Buffer
+	w := bufio.NewWriter(&out)
+	enc := json.NewEncoder(w)
+	for i := range events {
+		if err := enc.Encode(&events[i]); err != nil {
+			return out.Bytes(), err
+		}
+	}
+	err := w.Flush()
+	return out.Bytes(), err
+}
+
+// TestWriteEventsMatchesEncoder: the file WriteEvents writes — appended to,
+// or refused — is byte for byte the json.Encoder loop's.
+func TestWriteEventsMatchesEncoder(t *testing.T) {
+	rs, err := NewRunStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := append(append([]eventlog.Event{}, eventSeeds...), eventEncodeSeeds[0], eventEncodeSeeds[1], eventEncodeSeeds[4])
+	for name, calls := range map[string][][]eventlog.Event{
+		"seeds":       {ok},
+		"appended":    {ok[:3], nil, ok[3:]},
+		"none":        {nil},
+		"year 10000":  {ok[:2], {eventEncodeSeeds[2]}},
+		"year -1":     {{eventEncodeSeeds[3]}},
+		"bad in list": {{ok[0], eventEncodeSeeds[2], ok[1]}},
+	} {
+		var want []byte
+		var wantErr, gotErr error
+		for _, evs := range calls {
+			b, err := encodeEventsBefore(evs)
+			if err != nil {
+				wantErr = err
+				break
+			}
+			want = append(want, b...)
+		}
+		for _, evs := range calls {
+			if gotErr = rs.WriteEvents(0, name, evs); gotErr != nil {
+				break
+			}
+		}
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: error %v, the encoder's %v", name, gotErr, wantErr)
+		}
+		got, err := os.ReadFile(filepath.Join(rs.runDir(0, name), "events.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s:\n got %q\nwant %q", name, got, want)
+		}
+	}
+}
+
+// FuzzEventLineEncode feeds arbitrary events to the encoder. params holds
+// alternating keys and values, one per line.
+func FuzzEventLineEncode(f *testing.F) {
+	for _, seeds := range [][]eventlog.Event{eventSeeds, eventEncodeSeeds} {
+		for _, ev := range seeds {
+			var params string
+			for k, v := range ev.Params {
+				params += k + "\n" + v + "\n"
+			}
+			_, offset := ev.Time.Zone()
+			f.Add(ev.Run, ev.Node, ev.Time.Unix(), int64(ev.Time.Nanosecond()), offset, ev.Type, params, ev.Params == nil, ev.Seq)
+		}
+	}
+	f.Fuzz(func(t *testing.T, run int, node string, sec, nsec int64, offset int, typ, params string, nilParams bool, seq uint64) {
+		ev := eventlog.Event{Run: run, Node: node, Time: time.Unix(sec, nsec).UTC(), Type: typ, Seq: seq}
+		if offset != 0 {
+			ev.Time = ev.Time.In(time.FixedZone("", offset))
+		}
+		if !nilParams {
+			ev.Params = map[string]string{}
+			kv := strings.Split(params, "\n")
+			for i := 0; i+1 < len(kv); i += 2 {
+				ev.Params[kv[i]] = kv[i+1]
+			}
+		}
+		checkEventEncode(t, ev)
+	})
 }

@@ -1,8 +1,9 @@
 package store
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -68,7 +69,8 @@ type Replay struct {
 	// Attempts is the highest attempt number seen per run.
 	Attempts map[int]int
 	// Truncated reports that the journal's final line was cut off
-	// mid-write (the crash interrupted an append) and was ignored.
+	// mid-write (the crash interrupted an append); it was ignored, and
+	// OpenJournal cut it off the file.
 	Truncated bool
 }
 
@@ -98,14 +100,20 @@ type Journal struct {
 func JournalPath(dir string) string { return filepath.Join(dir, "journal.jsonl") }
 
 // OpenJournal replays an existing journal (if any) and opens it for
-// appending. A truncated final line — the signature of a crash during an
-// append — is tolerated and dropped; corruption anywhere else is an error.
+// appending. A torn final line — the signature of a crash during an append
+// — is tolerated and cut off, so the next record starts a line of its own;
+// corruption anywhere else is an error.
 func OpenJournal(dir string) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	path := JournalPath(dir)
-	rp, seq, err := replayJournal(path)
+	data, err := os.ReadFile(path)
+	fresh := os.IsNotExist(err)
+	if err != nil && !fresh {
+		return nil, err
+	}
+	rp, seq, end, err := replayJournal(path, data)
 	if err != nil {
 		return nil, err
 	}
@@ -113,46 +121,61 @@ func OpenJournal(dir string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
+	switch {
+	case fresh:
+		// The new file's directory entry must be durable before the first
+		// record's append returns.
+		err = syncDir(dir)
+	case rp.Truncated:
+		if err = f.Truncate(end); err == nil {
+			err = f.Sync()
+		}
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: journal %s: %w", path, err)
+	}
 	return &Journal{f: f, path: path, seq: seq, replay: rp}, nil
 }
 
-func replayJournal(path string) (Replay, int64, error) {
-	rp := Replay{
+// replayJournal replays the journal's bytes. A record is its line and the
+// newline ending it: a final line without one, or one that does not decode,
+// is the torn tail of an append that never returned. end is the offset
+// just past the last intact record.
+func replayJournal(path string, data []byte) (rp Replay, seq, end int64, err error) {
+	rp = Replay{
 		Done:     map[int]bool{},
 		Dangling: map[int]bool{},
 		Ended:    map[int]bool{},
 		Attempts: map[int]int{},
 	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return rp, 0, nil
-	}
-	if err != nil {
-		return rp, 0, err
-	}
-	defer f.Close()
-
-	var seq int64
 	var pendingErr error
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
+	for start := 0; start < len(data); {
+		line, next := data[start:], len(data)
+		nl := bytes.IndexByte(line, '\n')
+		if nl >= 0 {
+			line, next = line[:nl], start+nl+1
+		}
+		start = next
+		if line = bytes.TrimSuffix(line, []byte{'\r'}); len(line) == 0 {
 			continue
 		}
 		if pendingErr != nil {
 			// A bad line followed by more data is real corruption, not a
 			// torn tail.
-			return rp, 0, pendingErr
+			return rp, 0, 0, pendingErr
 		}
 		var rec JournalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		err := json.Unmarshal(line, &rec)
+		if err == nil && nl < 0 {
+			err = errors.New("no end of line")
+		}
+		if err != nil {
 			pendingErr = fmt.Errorf("store: journal %s: record %d: %w", path, rp.Records+1, err)
 			continue
 		}
 		rp.Records++
-		seq = rec.Seq
+		seq, end = rec.Seq, int64(next)
 		switch rec.Type {
 		case RecAttemptBegin:
 			rp.Dangling[rec.Run] = true
@@ -172,12 +195,7 @@ func replayJournal(path string) (Replay, int64, error) {
 			rp.Ended[rec.Run] = false
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return rp, 0, err
-	}
-	if pendingErr != nil {
-		rp.Truncated = true
-	}
+	rp.Truncated = pendingErr != nil
 	for run, d := range rp.Dangling {
 		if !d {
 			delete(rp.Dangling, run)
@@ -188,7 +206,7 @@ func replayJournal(path string) (Replay, int64, error) {
 			delete(rp.Ended, run)
 		}
 	}
-	return rp, seq, nil
+	return rp, seq, end, nil
 }
 
 // Replay returns the state recovered when the journal was opened.

@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,6 +92,60 @@ func TestJournalToleratesTornTail(t *testing.T) {
 	rp := j2.Replay()
 	if !rp.Truncated || rp.Records != 3 || !rp.Done[0] {
 		t.Fatalf("replay = %+v", rp)
+	}
+}
+
+// TestJournalResumesTwiceAfterTornTail: records appended after a torn tail
+// start a line of their own, so the journal still opens — with every one
+// of them — after the next crash. The tail is cut off mid-record, or right
+// before its newline: a record whose append never returned.
+func TestJournalResumesTwiceAfterTornTail(t *testing.T) {
+	for name, tail := range map[string]string{
+		"mid-record":     `{"seq":4,"type":"run_attempt_beg`,
+		"before newline": `{"seq":4,"type":"run_attempt_begin","run":1,"attempt":1,"time":"2014-05-19T12:00:00Z"}`,
+	} {
+		dir := t.TempDir()
+		j, err := OpenJournal(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Begin(0, 1, 1, 0)
+		j.End(0, 1, "ok", "")
+		j.Done(0)
+		j.Close()
+		f, err := os.OpenFile(JournalPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.WriteString(tail)
+		f.Close()
+
+		j2, err := OpenJournal(dir)
+		if err != nil {
+			t.Fatalf("%s: first resume: %v", name, err)
+		}
+		if rp := j2.Replay(); !rp.Truncated || rp.Records != 3 {
+			t.Fatalf("%s: first resume replay = %+v", name, rp)
+		}
+		for _, err := range []error{j2.Begin(1, 1, 2, 0), j2.End(1, 1, "ok", ""), j2.Done(1)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		j2.Close()
+
+		j3, err := OpenJournal(dir)
+		if err != nil {
+			t.Fatalf("%s: second resume: %v", name, err)
+		}
+		rp := j3.Replay()
+		j3.Close()
+		if rp.Truncated || rp.Records != 6 || !rp.Done[0] || !rp.Done[1] || rp.InDoubt(1) {
+			t.Fatalf("%s: second resume replay = %+v", name, rp)
+		}
+		if j3.Records() != 6 {
+			t.Fatalf("%s: sequence continues at %d, want 6", name, j3.Records())
+		}
 	}
 }
 
@@ -235,5 +290,75 @@ func TestDiscardRunRefusesDone(t *testing.T) {
 	}
 	if runs, _ := rs.Runs(); len(runs) != 1 || runs[0] != 0 {
 		t.Fatalf("runs after discard = %v", runs)
+	}
+}
+
+// TestStagedStoreRecordsEveryDirectory: after each write method, the
+// directories a staging store recorded — each after its parent, for
+// Commit to fsync deepest first — are exactly those of the staged tree.
+// The done marker is staged with the data and appears with it.
+func TestStagedStoreRecordsEveryDirectory(t *testing.T) {
+	rs, err := NewRunStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := rs.StageRun(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sr.Store()
+	ev := []eventlog.Event{{Node: "A", Type: "ev"}}
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"StageRun", func() error { return nil }},
+		{"WriteEvents", func() error { return st.WriteEvents(5, "A", ev) }},
+		{"WriteEvents again", func() error { return st.WriteEvents(5, "A", ev) }},
+		{"WritePackets", func() error { return st.WritePackets(5, "B", []PacketRecord{{Dir: "tx"}}) }},
+		{"WriteExtra", func() error { return st.WriteExtra(5, "A", "x.json", []byte("{}")) }},
+		{"WriteExtra new node", func() error { return st.WriteExtra(5, "C", "y.json", []byte("{}")) }},
+		{"AppendLog", func() error { return st.AppendLog(5, "D", "line\n") }},
+		{"WriteRunInfo", func() error { return st.WriteRunInfo(RunInfo{Run: 5}) }},
+		{"MarkRunDone", func() error { return st.MarkRunDone(5) }},
+	} {
+		if err := w.write(); err != nil {
+			t.Fatalf("%s: %v", w.name, err)
+		}
+		var walked []string
+		err := filepath.WalkDir(st.staged.dirs[0], func(path string, d os.DirEntry, err error) error {
+			if err == nil && d.IsDir() {
+				walked = append(walked, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recorded := append([]string{}, st.staged.dirs...)
+		for i, dir := range recorded[1:] {
+			if !slices.Contains(recorded[:i+1], filepath.Dir(dir)) {
+				t.Errorf("%s: %s recorded before its parent: %v", w.name, dir, recorded)
+			}
+		}
+		slices.Sort(recorded)
+		if !slices.Equal(walked, recorded) {
+			t.Errorf("%s: recorded %v, the tree has %v", w.name, recorded, walked)
+		}
+	}
+	if err := st.WriteEvents(6, "A", ev); err == nil {
+		t.Error("a staging store for run 5 took a write for run 6")
+	}
+	if rs.RunDone(5) {
+		t.Fatal("done marker visible before commit")
+	}
+	if err := sr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !rs.RunDone(5) {
+		t.Fatal("no done marker after commit")
+	}
+	if entries, err := os.ReadDir(filepath.Join(rs.Dir, "runs")); err != nil || len(entries) != 1 {
+		t.Fatalf("runs/ after commit: %v, %v", entries, err)
 	}
 }

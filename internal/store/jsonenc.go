@@ -1,7 +1,7 @@
 package store
 
 import (
-	"sort"
+	"slices"
 	"unicode/utf8"
 )
 
@@ -77,14 +77,22 @@ func encodeParams(p map[string]string) string {
 	if len(p) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(p))
 	n := 2 // braces
+	for k, v := range p {
+		n += len(k) + len(v) + 6 // quotes, colon, comma; escapes grow on demand
+	}
+	return string(appendParams(make([]byte, 0, n), p))
+}
+
+// appendParams appends p as json.Marshal writes a map[string]string: an
+// object with its keys in sorted order, "{}" when p is empty.
+func appendParams(dst []byte, p map[string]string) []byte {
+	var small [8]string
+	keys := small[:0]
 	for k := range p {
 		keys = append(keys, k)
-		n += len(k) + len(p[k]) + 6 // quotes, colon, comma; escapes grow on demand
 	}
-	sort.Strings(keys)
-	dst := make([]byte, 0, n)
+	slices.Sort(keys)
 	dst = append(dst, '{')
 	for i, k := range keys {
 		if i > 0 {
@@ -94,6 +102,5 @@ func encodeParams(p map[string]string) string {
 		dst = append(dst, ':')
 		dst = appendJSONString(dst, p[k])
 	}
-	dst = append(dst, '}')
-	return string(dst)
+	return append(dst, '}')
 }

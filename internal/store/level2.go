@@ -14,7 +14,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -45,9 +44,12 @@ import (
 type RunStore struct {
 	// Dir is the experiment directory.
 	Dir string
-	// Obs is where WritePackets and Condition record themselves (zero:
-	// nowhere).
+	// Obs is where WritePackets, a staged run's commit and Condition record
+	// themselves (zero: nowhere).
 	Obs Obs
+	// staged is what a staging store (StageRun) wrote; nil for a plain
+	// store.
+	staged *stagedTree
 }
 
 // NewRunStore creates (or reuses) the experiment directory.
@@ -73,9 +75,27 @@ func (rs *RunStore) ReadDescription() (string, error) {
 	return string(b), err
 }
 
-// WriteEvents appends a node's recorded events of one run.
+// WriteEvents appends a node's recorded events of one run, one line per
+// event (eventline.go).
 func (rs *RunStore) WriteEvents(run int, node string, events []eventlog.Event) error {
-	return appendJSONL(filepath.Join(rs.runDir(run, node), "events.jsonl"), events)
+	f, err := rs.openFile(rs.runDir(run, node), "events.jsonl", os.O_APPEND)
+	if err != nil {
+		return err
+	}
+	lb := lineBufs.Get().(*lineBuf)
+	buf := lb.buf[:0]
+	for i := range events {
+		if buf, err = appendEventLine(buf, &events[i]); err != nil {
+			break
+		}
+	}
+	if err == nil && len(buf) > 0 {
+		_, err = f.Write(buf)
+	}
+	err = rs.closeFile(f, len(buf), err)
+	lb.buf = buf[:0]
+	lineBufs.Put(lb)
+	return err
 }
 
 // ForEachEvent streams a node's events of one run in file order. The
@@ -178,8 +198,15 @@ func FromCaptures(caps []netem.Capture) []PacketRecord {
 	return out
 }
 
-// lineBufs recycles the buffer WritePackets encodes a capture file through.
-var lineBufs = sync.Pool{New: func() any { return new([]byte) }}
+// lineBuf is what WriteEvents and WritePackets encode a file through: the
+// lines, and the last capture payload with its base64.
+type lineBuf struct {
+	buf     []byte
+	payload payloadMemo
+}
+
+// lineBufs recycles the lineBuf of each level-2 file write.
+var lineBufs = sync.Pool{New: func() any { return new(lineBuf) }}
 
 // lineBufFlush is the fill at which WritePackets hands its buffer to the
 // file: above a typical node's captures of one run, so most files are one
@@ -190,31 +217,29 @@ const lineBufFlush = 64 << 10
 // record (packetline.go).
 func (rs *RunStore) WritePackets(run int, node string, pkts []PacketRecord) error {
 	start := rs.Obs.writeStart()
-	f, err := openAppend(filepath.Join(rs.runDir(run, node), "packets.jsonl"))
+	f, err := rs.openFile(rs.runDir(run, node), "packets.jsonl", os.O_APPEND)
 	if err != nil {
 		return err
 	}
-	bp := lineBufs.Get().(*[]byte)
-	buf := (*bp)[:0]
-	var written int64
+	lb := lineBufs.Get().(*lineBuf)
+	buf := lb.buf[:0]
+	written := 0
 	for i := range pkts {
-		if buf, err = appendPacketLine(buf, &pkts[i]); err != nil {
+		if buf, err = appendPacketLine(buf, &pkts[i], &lb.payload); err != nil {
 			break
 		}
 		if len(buf) >= lineBufFlush || i == len(pkts)-1 {
 			if _, err = f.Write(buf); err != nil {
 				break
 			}
-			written += int64(len(buf))
+			written += len(buf)
 			buf = buf[:0]
 		}
 	}
-	*bp = buf[:0]
-	lineBufs.Put(bp)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	rs.Obs.packetsWritten(start, written)
+	lb.buf = buf[:0]
+	lineBufs.Put(lb)
+	err = rs.closeFile(f, written, err)
+	rs.Obs.wrote("write_packets", start, int64(written))
 	return err
 }
 
@@ -291,19 +316,7 @@ func (rs *RunStore) ReadPackets(run int, node string) ([]PacketRecord, error) {
 
 // AppendLog appends to a node's free-form log file for a run.
 func (rs *RunStore) AppendLog(run int, node, text string) error {
-	dir := rs.runDir(run, node)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(filepath.Join(dir, "log.txt"), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.WriteString(text); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return rs.writeFile(rs.runDir(run, node), "log.txt", os.O_APPEND, []byte(text))
 }
 
 // ReadLog returns a node's log file for a run ("" if none).
@@ -318,16 +331,7 @@ func (rs *RunStore) ReadLog(run int, node string) (string, error) {
 // WriteExtra stores a plugin measurement for a run (§IV-B5: plugins have a
 // separate storage location).
 func (rs *RunStore) WriteExtra(run int, node, name string, content []byte) error {
-	dir := filepath.Join(rs.runDir(run, node), "extra")
-	path := filepath.Join(dir, name)
-	err := os.WriteFile(path, content, 0o644)
-	if err != nil && os.IsNotExist(err) {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		err = os.WriteFile(path, content, 0o644)
-	}
-	return err
+	return rs.writeFile(filepath.Join(rs.runDir(run, node), "extra"), name, os.O_TRUNC, content)
 }
 
 // ExtraMeasurement is one plugin measurement.
@@ -439,20 +443,11 @@ type RunInfo struct {
 
 // WriteRunInfo stores the run metadata and time-sync measurements.
 func (rs *RunStore) WriteRunInfo(info RunInfo) error {
-	dir := filepath.Join(rs.Dir, "runs", strconv.Itoa(info.Run))
 	b, err := json.MarshalIndent(info, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(dir, "runinfo.json")
-	err = os.WriteFile(path, b, 0o644)
-	if err != nil && os.IsNotExist(err) {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		err = os.WriteFile(path, b, 0o644)
-	}
-	return err
+	return rs.writeFile(filepath.Join(rs.Dir, "runs", strconv.Itoa(info.Run)), "runinfo.json", os.O_TRUNC, b)
 }
 
 // ReadRunInfo loads a run's metadata.
@@ -507,41 +502,56 @@ func (rs *RunStore) RunNodes(run int) ([]string, error) {
 	return out, nil
 }
 
-// openAppend opens a level-2 file for appending. It opens first and creates
-// the directory only on ENOENT: in the steady state (second and later files
-// of a run directory) this saves the MkdirAll stat chain per append.
-func openAppend(path string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil && os.IsNotExist(err) {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+// openFile opens the file name in dir, a directory of a run, for writing:
+// appending with flag os.O_APPEND, from empty with os.O_TRUNC. A staging
+// store makes each missing directory with one os.Mkdir and records it for
+// Commit to fsync (atomic.go). A plain store opens first and makes the
+// directories only when that fails: the second and later files of a
+// directory cost no stat.
+func (rs *RunStore) openFile(dir, name string, flag int) (*os.File, error) {
+	path := filepath.Join(dir, name)
+	flag |= os.O_CREATE | os.O_WRONLY
+	if rs.staged != nil {
+		if err := rs.staged.mkdir(dir); err != nil {
 			return nil, err
 		}
-		f, err = os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		return os.OpenFile(path, flag, 0o644)
+	}
+	f, err := os.OpenFile(path, flag, 0o644)
+	if err != nil && os.IsNotExist(err) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+		f, err = os.OpenFile(path, flag, 0o644)
 	}
 	return f, err
 }
 
-// appendJSONL writes one JSON value per line. Encoding through *T keeps
-// the elements from being boxed into interfaces one by one (the former
-// []any conversion heap-copied every event and packet record).
-func appendJSONL[T any](path string, items []T) error {
-	f, err := openAppend(path)
+// closeFile closes a file openFile gave after n bytes were written to it,
+// or after a write failed with err, which it returns first. A staging
+// store fsyncs the file before closing it, so Commit has only directories
+// left to sync.
+func (rs *RunStore) closeFile(f *os.File, n int, err error) error {
+	if err == nil && rs.staged != nil {
+		err = f.Sync()
+		rs.staged.bytes += int64(n)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeFile writes data to the file name in dir in one write (openFile).
+func (rs *RunStore) writeFile(dir, name string, flag int, data []byte) error {
+	f, err := rs.openFile(dir, name, flag)
 	if err != nil {
 		return err
 	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for i := range items {
-		if err := enc.Encode(&items[i]); err != nil {
-			f.Close()
-			return err
-		}
+	if len(data) > 0 {
+		_, err = f.Write(data)
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return rs.closeFile(f, len(data), err)
 }
 
 // MarkRunDone records that a run completed, enabling resume-after-abort:
@@ -554,13 +564,22 @@ func appendJSONL[T any](path string, items []T) error {
 // crash *during* the call may lose it, in which case a resumed session
 // re-executes the run — after the journal replay discards its partial
 // state — rather than skipping work that may not be durable.
+//
+// On a staging store the marker is a plain fsynced file of the staged run:
+// Commit's rename publishes it together with the data.
 func (rs *RunStore) MarkRunDone(run int) error {
 	dir := filepath.Join(rs.Dir, "runs", strconv.Itoa(run))
+	if rs.staged != nil {
+		return rs.writeFile(dir, "done", os.O_TRUNC, []byte(doneMarker))
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return atomicWriteFile(filepath.Join(dir, "done"), []byte("done\n"))
+	return atomicWriteFile(filepath.Join(dir, "done"), []byte(doneMarker))
 }
+
+// doneMarker is the content of a run's done file.
+const doneMarker = "done\n"
 
 // RunDone reports whether a run was marked done.
 func (rs *RunStore) RunDone(run int) bool {

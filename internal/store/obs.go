@@ -11,10 +11,11 @@ import (
 
 // Obs is where the level-3 operations — Condition, Save, Open — record
 // themselves: one span and one set of counter updates per call, never per
-// row. WritePackets, the level-2 write the committer spends its time in,
-// records duration and bytes only. The zero value records nothing and reads no clock, so an
-// uninstrumented store behaves and allocates exactly as before. A RunStore
-// hands its Obs to the database Condition builds from it.
+// row. The committer's level-2 writes — each WritePackets, and each staged
+// run from StageRun to its Commit — record duration and bytes only. The
+// zero value records nothing and reads no clock, so an uninstrumented
+// store behaves and allocates exactly as before. A RunStore hands its Obs
+// to the database Condition builds from it.
 type Obs struct {
 	// Metrics receives duration, rows by table, bytes and decoder
 	// fallbacks (by record: packet or event), labelled by operation.
@@ -25,16 +26,17 @@ type Obs struct {
 }
 
 const (
-	helpStoreBytes     = "level-2 capture bytes written or conditioned; level-3 file bytes saved or opened"
+	helpStoreBytes     = "level-2 capture bytes written or conditioned, level-2 bytes of committed runs; level-3 file bytes saved or opened"
 	helpStoreOpSeconds = "wall time of one storage operation"
 	helpStoreFallbacks = "level-2 records decoded by encoding/json because they were not of the stored shape: " +
 		"packet lines (record=packet), whole event files (record=event)"
 )
 
-// writeStart and packetsWritten record one WritePackets call (op
-// "write_packets") in Metrics: duration and bytes. There is one per node per
-// run, so unlike the level-3 operations it gets no span of its own, and an
-// uninstrumented store reads no clock.
+// writeStart and wrote record one WritePackets call (op "write_packets") or
+// one staged run (op "commit_run") in Metrics: duration and bytes. There is
+// one per node per run or one per run, so unlike the level-3 operations
+// they get no span of their own, and an uninstrumented store reads no
+// clock.
 func (o Obs) writeStart() (t time.Time) {
 	if o.Metrics != nil {
 		//lint:ignore walltime operation duration is an operator metric measuring real elapsed time
@@ -43,12 +45,12 @@ func (o Obs) writeStart() (t time.Time) {
 	return t
 }
 
-func (o Obs) packetsWritten(start time.Time, bytes int64) {
+func (o Obs) wrote(op string, start time.Time, bytes int64) {
 	if o.Metrics == nil {
 		return
 	}
-	o.Metrics.Counter(obs.MStoreBytes, helpStoreBytes, "op", "write_packets").Add(bytes)
-	o.Metrics.Histogram(obs.MStoreOpSeconds, helpStoreOpSeconds, nil, "op", "write_packets").
+	o.Metrics.Counter(obs.MStoreBytes, helpStoreBytes, "op", op).Add(bytes)
+	o.Metrics.Histogram(obs.MStoreOpSeconds, helpStoreOpSeconds, nil, "op", op).
 		ObserveDuration(time.Since(start))
 }
 

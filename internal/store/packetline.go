@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -37,8 +38,9 @@ import (
 // so what is accepted, rejected and returned for it is unchanged.
 // FuzzPacketLine holds the two decoders together.
 
-// appendPacketLine appends the stored line of p and its newline to dst.
-func appendPacketLine(dst []byte, p *PacketRecord) ([]byte, error) {
+// appendPacketLine appends the stored line of p and its newline to dst,
+// taking the payload's base64 from memo when it holds the same bytes.
+func appendPacketLine(dst []byte, p *PacketRecord, memo *payloadMemo) ([]byte, error) {
 	n0 := len(dst)
 	dst = append(dst, `{"time":"`...)
 	t0 := len(dst)
@@ -70,7 +72,7 @@ func appendPacketLine(dst []byte, p *PacketRecord) ([]byte, error) {
 		dst = append(dst, `,"data":null`...)
 	} else {
 		dst = append(dst, `,"data":"`...)
-		dst = base64.StdEncoding.AppendEncode(dst, p.Data)
+		dst = append(dst, memo.base64(p.Data)...)
 		dst = append(dst, '"')
 	}
 	if len(p.Path) > 0 {
@@ -84,6 +86,23 @@ func appendPacketLine(dst []byte, p *PacketRecord) ([]byte, error) {
 		dst = append(dst, ']')
 	}
 	return append(dst, '}', '\n'), nil
+}
+
+// payloadMemo is the last payload a capture file encoded, copied, and its
+// base64. A run's captures carry a handful of distinct payloads, each on
+// many lines in a row, so most lines reuse the encoding of the one before.
+type payloadMemo struct {
+	raw, b64 []byte
+}
+
+// base64 returns the base64 of data, encoding it only when its bytes differ
+// from the memo's. The zero memo holds the empty payload.
+func (m *payloadMemo) base64(data []byte) []byte {
+	if !bytes.Equal(data, m.raw) {
+		m.raw = append(m.raw[:0], data...)
+		m.b64 = base64.StdEncoding.AppendEncode(m.b64[:0], data)
+	}
+	return m.b64
 }
 
 // decodePacketLine decodes one stored line into p. fallback reports that

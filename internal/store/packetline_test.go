@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,7 +14,7 @@ import (
 	"excovery/internal/netem"
 )
 
-// encodeLine is what appendJSONL writes for one record, less the newline.
+// encodeLine is what json.Encoder writes for one record, less the newline.
 func encodeLine(t testing.TB, p PacketRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -60,7 +62,7 @@ var lineSeeds = []PacketRecord{
 	{Time: time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), Dir: "tx", Src: "\x7f", Dst: "-", Path: []netem.NodeID{""}},
 }
 
-// TestPacketLineDecoder checks the seeds both ways: everything appendJSONL
+// TestPacketLineDecoder checks the seeds both ways: everything json.Encoder
 // can write decodes as encoding/json decodes it, and lines without an
 // escape or zone offset take the scanner, not the fallback.
 func TestPacketLineDecoder(t *testing.T) {
@@ -77,7 +79,7 @@ func TestPacketLineDecoder(t *testing.T) {
 	}
 }
 
-// foreignLines are not what appendJSONL writes; each is near enough to
+// foreignLines are not what json.Encoder writes; each is near enough to
 // tempt a scanner into a wrong answer.
 var foreignLines = []string{
 	``, `{}`, `null`, `[]`, `{"time":"`,
@@ -132,7 +134,7 @@ func FuzzPacketLine(f *testing.F) {
 	})
 }
 
-// FuzzPacketRecord writes arbitrary records the way appendJSONL does and
+// FuzzPacketRecord writes arbitrary records the way json.Encoder does and
 // decodes the line: the way out of level 2 and the way in must agree for
 // every record, and records without anything to escape must not need the
 // fallback.
@@ -172,7 +174,7 @@ func checkEncode(t *testing.T, p PacketRecord) {
 	t.Helper()
 	want, wantErr := json.Marshal(&p)
 	const held = "held\n"
-	got, err := appendPacketLine([]byte(held), &p)
+	got, err := appendPacketLine([]byte(held), &p, &payloadMemo{})
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("record %+v: encoder error %v, encoding/json error %v", p, err, wantErr)
 	}
@@ -268,5 +270,52 @@ func TestSpecialFlagsExactly(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWritePacketsPayloadMemo: reusing the last payload's base64 changes
+// no byte — for repeated, equal, alternating, overlapping, nil and empty
+// payloads, and for a buffer edited in place between two writes. The file
+// is one json.Marshal per line.
+func TestWritePacketsPayloadMemo(t *testing.T) {
+	rs, err := NewRunStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := bytes.Repeat([]byte("a"), 300), []byte("bb")
+	slab := []byte("0123456789")
+	edited := []byte("edit me")
+	rec := func(data []byte) PacketRecord {
+		return PacketRecord{Time: time.Unix(1, 0).UTC(), Dir: "tx", Src: "s", Dst: "d", Data: data}
+	}
+	calls := [][]PacketRecord{
+		{rec(a), rec(a), rec(bytes.Clone(a)), rec(b), rec(a), rec(b), rec(b)},
+		{rec(nil), rec([]byte{}), rec(nil), rec(b), rec([]byte{}), rec([]byte{}), rec(nil)},
+		{rec(slab[:4]), rec(slab[1:5]), rec(slab[:4]), rec(slab[:5]), rec(slab[:0])},
+		{rec(edited), rec(edited)},
+		{rec(edited)}, // after the edit below
+	}
+	var want []byte
+	for i, pkts := range calls {
+		if i == len(calls)-1 {
+			edited[0] = 'E'
+		}
+		for j := range pkts {
+			line, err := json.Marshal(&pkts[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(append(want, line...), '\n')
+		}
+		if err := rs.WritePackets(0, "A", pkts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(rs.runDir(0, "A"), "packets.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("packets.jsonl:\n got %s\nwant %s", got, want)
 	}
 }

@@ -24,12 +24,12 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# lint runs the repo's invariant linter (DESIGN.md §10, §15): the
-# whole-program fact-based driver type-checks dependency-ready packages in
-# parallel and runs all ten checks module-wide. Exit 1 on any finding,
-# exit 2 when any package fails to load (partial analysis never passes).
-# TestLoadTimingGuard in internal/lint keeps the whole-module run inside
-# its time budget and asserts the driver actually runs parallel.
+# lint runs the repo's invariant linter (DESIGN.md §10, §15): the driver
+# type-checks the module's packages serially in dependency order and runs
+# all ten checks module-wide. Exit 1 on any finding, exit 2 when any
+# package fails to load (partial analysis never passes).
+# TestLoadTimingGuard in internal/lint keeps the whole-module load inside
+# its time budget and requires every package type-checked.
 lint:
 	$(GO) run ./cmd/excovery-lint ./...
 

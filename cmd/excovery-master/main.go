@@ -58,7 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rpcRetries = fs.Int("rpc-retries", 4, "control-channel RPC attempts per call")
 		rpcTimeout = fs.Duration("rpc-timeout", 30*time.Second, "control-channel per-attempt timeout")
 		rpcSeed    = fs.Int64("rpc-seed", 1, "seed of the retry-backoff jitter PRNG (replayable schedules)")
-		fanout     = fs.Int("fanout", 0, "concurrent control-channel calls during the broadcast phases: per host for preflight, prepare, time sync and clean-up, per node for harvest (0: number of nodes, 1: sequential)")
 		obsAddr    = fs.String("obs-addr", "", "serve /metrics, /healthz, /status and pprof on this address (empty disables)")
 	)
 	fs.Usage = func() {
@@ -200,13 +199,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "excovery-master: %d remote nodes at %s, events at %s\n",
 			len(handles), *hostURL, selfURL)
 	}
-	// The XML-RPC node proxies are goroutine-safe, so the distributed
-	// master defaults to full fan-out across the nodes.
-	fo := *fanout
-	if fo <= 0 {
-		fo = len(handles)
-	}
-
 	var st *store.RunStore
 	var jnl *store.Journal
 	if *storeDir != "" {
@@ -236,7 +228,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	m, err := master.New(master.Config{
 		Exp: e, S: s, Bus: bus, Nodes: handles,
-		Fanout:     fo,
+		// The XML-RPC node proxies are goroutine-safe: fan out fully.
+		Fanout:     len(handles),
 		Env:        env,
 		Fleet:      fleetMgr,
 		Store:      st,

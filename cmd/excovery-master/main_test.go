@@ -33,6 +33,8 @@ func TestRefusedBeforeAnyDial(t *testing.T) {
 		{"bad flag", []string{"-no-such-flag"}, 2, "flag provided but not defined: -no-such-flag"},
 		{gone1 + " is gone", []string{gone1, "3"}, 2, "flag provided but not defined: " + gone1},
 		{gone2 + " is gone", []string{gone2, "2"}, 2, "flag provided but not defined: " + gone2},
+		// The fan-out bound is always the node count.
+		{"-fanout is gone", []string{"-fanout", "1"}, 2, "flag provided but not defined: -fanout"},
 		{"-db without -store", []string{"-db", db}, 1, "-db requires -store"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,17 +7,15 @@
 // that survives code review for months and then breaks silently in an
 // unrelated refactor; the analyzers here fail `make check` instead.
 //
-// The driver is a whole-program, fact-based two-pass pipeline (DESIGN.md
-// §15). Loading parses every non-test package of the module and
-// type-checks dependency-ready packages in parallel; a package that fails
-// to parse or type-check is isolated — its facts never poison dependents,
-// which are skipped with a driver diagnostic instead of a panic. Analysis
-// then runs in two passes: pass 1 walks every file, running the
-// file-local checks and collecting per-package facts (registered RPC
-// handlers, lock-acquisition regions, call edges, map-iteration sites);
-// pass 2 hands the merged module-wide fact set to each analyzer's Finish
-// hook for cross-package checking (RPC contract verification, lock-order
-// cycle detection, determinism-sink reachability).
+// The driver is one path (DESIGN.md §15). Loading parses every non-test
+// package of the module and type-checks them serially, each after its
+// module-internal dependencies; a package that fails to parse or
+// type-check is isolated — its dependents are skipped with a driver
+// diagnostic instead of a panic, and it contributes nothing to analysis.
+// Each analyzer has up to two hooks over the healthy files: Run checks one
+// file at a time, RunModule checks the whole module at once (RPC contract
+// verification and lock-order cycle detection, which cross package
+// boundaries). Every finding of either hook passes one suppression filter.
 //
 // Ten repo-specific analyzers run over every non-test file of the module:
 //
@@ -25,8 +23,10 @@
 //	                sites; deterministic paths read an injected
 //	                vclock.Clock.
 //	seededrand    — no global math/rand functions and no wall-clock PRNG
-//	                seeds; randomness flows through plumbed seeded
-//	                *rand.Rand values.
+//	                seeds. It does not check where a seed comes from:
+//	                fault injections are seeded from a constant default
+//	                and the per-run seed seeds nothing yet (ROADMAP items
+//	                1 and 12).
 //	eventnames    — event types at Emit sites and journal record
 //	                constructors come from the central registries
 //	                (eventlog.Ev*, sd.Ev*, store.Rec*), never string
@@ -63,17 +63,18 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one finding, reported as "file:line: [check] message".
@@ -91,47 +92,9 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Check, d.Message)
 }
 
-// Facts is the module-wide fact store of a two-pass run: pass 1 (Collect)
-// records per-package observations under (analyzer, key); pass 2 (Finish)
-// reads the merged set for cross-package checking. Keys are
-// analyzer-chosen; Keys returns them sorted so finishing passes iterate
-// deterministically. The store is written and read on one goroutine.
-type Facts struct {
-	m map[string]map[string]any
-}
-
-func newFacts() *Facts { return &Facts{m: map[string]map[string]any{}} }
-
-// Put records a fact for an analyzer under key, replacing any previous
-// value.
-func (fx *Facts) Put(analyzer, key string, v any) {
-	byKey := fx.m[analyzer]
-	if byKey == nil {
-		byKey = map[string]any{}
-		fx.m[analyzer] = byKey
-	}
-	byKey[key] = v
-}
-
-// Get returns the fact an analyzer stored under key.
-func (fx *Facts) Get(analyzer, key string) (any, bool) {
-	v, ok := fx.m[analyzer][key]
-	return v, ok
-}
-
-// Keys returns an analyzer's fact keys sorted.
-func (fx *Facts) Keys(analyzer string) []string {
-	out := make([]string, 0, len(fx.m[analyzer]))
-	for k := range fx.m[analyzer] {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Analyzer is one invariant check. Run is the file-local pass; Collect and
-// Finish form the whole-program pass: Collect gathers facts file by file,
-// Finish checks the merged module-wide fact set. Any hook may be nil.
+// Analyzer is one invariant check. Run checks one file; RunModule checks
+// the whole module at once, for contracts that cross package boundaries,
+// and walks the module's files itself. Either hook may be nil.
 type Analyzer struct {
 	// Name is the check identifier used in diagnostics and suppressions.
 	Name string
@@ -139,11 +102,9 @@ type Analyzer struct {
 	Doc string
 	// Run reports a file's findings (before suppression filtering).
 	Run func(f *File) []Diagnostic
-	// Collect records per-file facts into the module-wide store (pass 1).
-	Collect func(f *File, fx *Facts)
-	// Finish checks the merged facts and reports module-wide findings
-	// (pass 2).
-	Finish func(m *Module, fx *Facts) []Diagnostic
+	// RunModule reports module-wide findings (before suppression
+	// filtering).
+	RunModule func(m *Module) []Diagnostic
 }
 
 // All returns the full ten-analyzer suite in stable order.
@@ -210,10 +171,6 @@ type LoadStats struct {
 	Packages int
 	// TypeChecked is the number of packages successfully type-checked.
 	TypeChecked int
-	// MaxParallel is the high-water mark of concurrently type-checking
-	// packages — the timing guard in the test suite asserts it stays > 1
-	// so the parallel driver cannot silently regress to serial.
-	MaxParallel int
 }
 
 // Module is a loaded source tree, type-checked as far as its packages
@@ -227,7 +184,7 @@ type Module struct {
 	Fset *token.FileSet
 	// Pkgs are the module's packages sorted by import path.
 	Pkgs []*Package
-	// Stats describes the load (package counts, type-check parallelism).
+	// Stats describes the load (package counts).
 	Stats LoadStats
 
 	errs        []Diagnostic
@@ -247,12 +204,13 @@ func (m *Module) LoadErrors() []Diagnostic {
 // directories are skipped, as are _test.go files: the invariants guard
 // production paths, and tests legitimately fake clocks and event names.
 //
-// Dependency-ready packages type-check in parallel. A package that fails
-// to parse or type-check does not abort the load and does not poison its
-// dependents: it (and every package importing it) is marked broken with a
-// driver diagnostic in LoadErrors, and the healthy remainder is analyzed
-// normally. Load itself errors only on infrastructure failures (unreadable
-// go.mod, filesystem walk errors).
+// Packages type-check one at a time, each after its module-internal
+// dependencies. A package that fails to parse or type-check does not
+// abort the load and does not poison its dependents: it (and every
+// package importing it) is marked broken with a driver diagnostic in
+// LoadErrors, and the healthy remainder is analyzed normally. Load itself
+// errors only on infrastructure failures (unreadable go.mod, filesystem
+// walk errors).
 func Load(root string) (*Module, error) {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
@@ -263,10 +221,6 @@ func Load(root string) (*Module, error) {
 		return nil, err
 	}
 	mod := &Module{Path: modPath, Root: absRoot, Fset: token.NewFileSet(), reportStale: true}
-
-	// Pass 1: parse every package directory. Parse failures are recorded
-	// as driver diagnostics and mark the package broken; the walk
-	// continues.
 	byPath := map[string]*Package{}
 	err = filepath.WalkDir(absRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -280,7 +234,7 @@ func Load(root string) (*Module, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !isSource(path) {
 			return nil
 		}
 		rel, err := filepath.Rel(absRoot, path)
@@ -292,153 +246,151 @@ func Load(root string) (*Module, error) {
 		if dir != "." {
 			ipath = modPath + "/" + dir
 		}
-		pkg := byPath[ipath]
-		if pkg == nil {
-			pkg = &Package{Path: ipath, mod: mod}
-			byPath[ipath] = pkg
-		}
-		// Read via the absolute path but register the module-relative name:
-		// diagnostics stay stable regardless of the caller's working
-		// directory.
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		relName := filepath.ToSlash(rel)
-		af, perr := parser.ParseFile(mod.Fset, relName, src, parser.ParseComments|parser.SkipObjectResolution)
-		if perr != nil {
-			pkg.broken = true
-			mod.errs = append(mod.errs, parseDiagnostic(relName, perr))
-			return nil
-		}
-		f := &File{Pkg: pkg, Ast: af, Name: relName}
-		f.parseSuppressions(mod.Fset)
-		pkg.Files = append(pkg.Files, f)
-		return nil
+		return mod.parseFile(byPath, ipath, path, filepath.ToSlash(rel))
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, pkg := range byPath {
-		sort.Slice(pkg.Files, func(i, j int) bool { return pkg.Files[i].Name < pkg.Files[j].Name })
-		mod.Pkgs = append(mod.Pkgs, pkg)
-	}
-	sort.Slice(mod.Pkgs, func(i, j int) bool { return mod.Pkgs[i].Path < mod.Pkgs[j].Path })
-	mod.Stats.Packages = len(mod.Pkgs)
-
-	// Pass 2: type-check dependency-ready packages in parallel.
 	mod.typecheckAll(byPath)
-	sortDiagnostics(mod.errs)
 	return mod, nil
 }
 
-// typecheckAll runs go/types over the module in dependency levels: every
-// package whose internal imports are already checked runs concurrently
-// with its peers (Kahn levels, so no locking on the package cache is
-// needed — imports resolve strictly to earlier levels). Packages whose
-// dependencies are broken are skipped with a driver diagnostic instead of
-// being fed partial facts.
-func (m *Module) typecheckAll(byPath map[string]*Package) {
-	// Internal dependency edges, restricted to packages that exist.
-	deps := map[string][]string{}
-	for _, p := range m.Pkgs {
-		seen := map[string]bool{}
-		for _, d := range p.internalImports() {
-			if d == p.Path || byPath[d] == nil || seen[d] {
-				continue
-			}
-			seen[d] = true
-			deps[p.Path] = append(deps[p.Path], d)
+// LoadPackage parses and type-checks the .go files of one directory as a
+// single package under an explicit import path. It backs the analyzer
+// golden tests: the import path places a testdata package inside (or
+// outside) an analyzer's scope, and the files may import the standard
+// library only. Stale-suppression reporting stays off — fixtures carry
+// suppressions for the one analyzer under test, which other-analyzer runs
+// would misreport as stale. A package that fails to load is an error.
+func LoadPackage(dir, importPath string) (*Module, error) {
+	absDir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	mod := &Module{Path: importPath, Root: absDir, Fset: token.NewFileSet()}
+	byPath := map[string]*Package{}
+	entries, err := os.ReadDir(absDir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if e.IsDir() || !isSource(e.Name()) {
+			continue
+		}
+		if err := mod.parseFile(byPath, importPath, filepath.Join(absDir, e.Name()), e.Name()); err != nil {
+			return nil, err
 		}
 	}
-
-	imp := newStdImporter(m.Fset)
-	done := map[string]bool{}
-	var mu sync.Mutex // guards m.errs and the parallelism high-water mark
-	inFlight := 0
-	for {
-		var ready []*Package
-		for _, p := range m.Pkgs {
-			if done[p.Path] {
-				continue
-			}
-			ok := true
-			for _, d := range deps[p.Path] {
-				if !done[d] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				ready = append(ready, p)
-			}
-		}
-		if len(ready) == 0 {
-			break
-		}
-		var run []*Package
-		for _, p := range ready {
-			done[p.Path] = true
-			if p.broken {
-				continue // parse failure already diagnosed
-			}
-			if bad := firstBrokenDep(p, deps[p.Path], byPath); bad != "" {
-				p.broken = true
-				m.errs = append(m.errs, Diagnostic{
-					Pos:   p.anchorPos(),
-					Check: "driver",
-					Message: fmt.Sprintf("package %s not analyzed: dependency %s failed to load",
-						p.Path, bad),
-				})
-				continue
-			}
-			run = append(run, p)
-		}
-		var wg sync.WaitGroup
-		for _, p := range run {
-			wg.Add(1)
-			go func(p *Package) {
-				defer wg.Done()
-				mu.Lock()
-				inFlight++
-				if inFlight > m.Stats.MaxParallel {
-					m.Stats.MaxParallel = inFlight
-				}
-				mu.Unlock()
-				err := p.typecheck(imp, byPath)
-				mu.Lock()
-				inFlight--
-				if err != nil {
-					p.broken = true
-					m.errs = append(m.errs, typecheckDiagnostic(m, p, err))
-				} else {
-					m.Stats.TypeChecked++
-				}
-				mu.Unlock()
-			}(p)
-		}
-		wg.Wait()
+	mod.typecheckAll(byPath)
+	if len(mod.errs) > 0 {
+		return nil, fmt.Errorf("lint: %s", mod.errs[0])
 	}
-	// Anything still pending sits on an import cycle (invalid Go, but the
-	// driver must degrade to a diagnostic, not a hang).
-	for _, p := range m.Pkgs {
-		if !done[p.Path] && !p.broken {
-			p.broken = true
-			m.errs = append(m.errs, Diagnostic{
-				Pos:     p.anchorPos(),
-				Check:   "driver",
-				Message: fmt.Sprintf("package %s not analyzed: import cycle", p.Path),
-			})
-		}
-	}
+	return mod, nil
 }
 
-// firstBrokenDep returns the first (sorted) broken dependency of p, or "".
-func firstBrokenDep(p *Package, deps []string, byPath map[string]*Package) string {
-	sorted := append([]string(nil), deps...)
-	sort.Strings(sorted)
-	for _, d := range sorted {
-		if dp := byPath[d]; dp != nil && dp.broken {
+// isSource reports whether a file is a non-test Go source file.
+func isSource(name string) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+}
+
+// parseFile parses one source file into the package at import path ipath,
+// creating the package on first use. The file is read from path but
+// registered under name, so diagnostics stay stable regardless of the
+// caller's working directory. A parse failure marks the package broken
+// with a driver diagnostic; only an unreadable file is an error.
+func (m *Module) parseFile(byPath map[string]*Package, ipath, path, name string) error {
+	pkg := byPath[ipath]
+	if pkg == nil {
+		pkg = &Package{Path: ipath, mod: m}
+		byPath[ipath] = pkg
+	}
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	af, err := parser.ParseFile(m.Fset, name, src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		pkg.broken = true
+		m.errs = append(m.errs, parseDiagnostic(name, err))
+		return nil
+	}
+	f := &File{Pkg: pkg, Ast: af, Name: name}
+	f.parseSuppressions(m.Fset)
+	pkg.Files = append(pkg.Files, f)
+	return nil
+}
+
+// typecheckAll sorts the parsed packages and runs go/types over them
+// serially, depth first over module-internal imports: each package is
+// checked after its dependencies. A package whose dependency is broken is
+// skipped with a driver diagnostic instead of being fed partial types, and
+// a package on (or depending on) an import cycle — invalid Go, but the
+// driver must degrade to a diagnostic, not a hang — likewise.
+func (m *Module) typecheckAll(byPath map[string]*Package) {
+	for _, pkg := range byPath {
+		sort.Slice(pkg.Files, func(i, j int) bool { return pkg.Files[i].Name < pkg.Files[j].Name })
+		m.Pkgs = append(m.Pkgs, pkg)
+	}
+	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Path < m.Pkgs[j].Path })
+	m.Stats.Packages = len(m.Pkgs)
+
+	imp := &stdImporter{gc: importer.Default(), src: importer.ForCompiler(m.Fset, "source", nil)}
+	const (
+		onStack = 1
+		done    = 2
+	)
+	state := map[*Package]int{}
+	cyclic := map[*Package]bool{}
+	// visit checks p after its dependencies and reports whether p lies on
+	// or depends on an import cycle.
+	var visit func(p *Package) bool
+	visit = func(p *Package) bool {
+		switch state[p] {
+		case onStack:
+			return true
+		case done:
+			return cyclic[p]
+		}
+		state[p] = onStack
+		deps := p.internalImports(byPath)
+		for _, d := range deps {
+			if visit(byPath[d]) {
+				cyclic[p] = true
+			}
+		}
+		state[p] = done
+		if p.broken {
+			return cyclic[p] // parse failure already diagnosed
+		}
+		msg := ""
+		if cyclic[p] {
+			msg = fmt.Sprintf("package %s not analyzed: import cycle", p.Path)
+		} else if bad := firstBroken(deps, byPath); bad != "" {
+			msg = fmt.Sprintf("package %s not analyzed: dependency %s failed to load", p.Path, bad)
+		}
+		if msg != "" {
+			p.broken = true
+			m.errs = append(m.errs, Diagnostic{Pos: p.anchorPos(), Check: "driver", Message: msg})
+			return cyclic[p]
+		}
+		if err := p.typecheck(imp, byPath); err != nil {
+			p.broken = true
+			m.errs = append(m.errs, typecheckDiagnostic(m, p, err))
+		} else {
+			m.Stats.TypeChecked++
+		}
+		return false
+	}
+	for _, p := range m.Pkgs {
+		visit(p)
+	}
+	sortDiagnostics(m.errs)
+}
+
+// firstBroken returns the first broken package of deps (sorted), or "".
+func firstBroken(deps []string, byPath map[string]*Package) string {
+	for _, d := range deps {
+		if byPath[d].broken {
 			return d
 		}
 	}
@@ -459,13 +411,13 @@ func (p *Package) anchorPos() token.Position {
 // first error's position.
 func parseDiagnostic(file string, err error) Diagnostic {
 	d := Diagnostic{Pos: token.Position{Filename: file, Line: 1}, Check: "driver"}
-	// parser returns a scanner.ErrorList; avoid importing go/scanner for
-	// one type switch by parsing the "file:line:col: msg" prefix instead.
 	msg := err.Error()
-	if i := strings.Index(msg, ": "); i > 0 {
-		if f, line, ok := splitPosPrefix(msg[:i]); ok && f == file {
-			d.Pos.Line = line
-			msg = msg[i+2:]
+	var list scanner.ErrorList
+	if errors.As(err, &list) && len(list) > 0 && list[0].Pos.Line > 0 {
+		d.Pos.Line = list[0].Pos.Line
+		msg = list[0].Msg
+		if len(list) > 1 {
+			msg += fmt.Sprintf(" (and %d more errors)", len(list)-1)
 		}
 	}
 	d.Message = "cannot parse: " + firstLine(msg)
@@ -476,10 +428,8 @@ func parseDiagnostic(file string, err error) Diagnostic {
 func typecheckDiagnostic(m *Module, p *Package, err error) Diagnostic {
 	d := Diagnostic{Pos: p.anchorPos(), Check: "driver"}
 	var terr types.Error
-	if e, ok := errAsTypes(err); ok {
-		terr = e
-		pos := m.Fset.Position(terr.Pos)
-		if pos.IsValid() {
+	if errors.As(err, &terr) {
+		if pos := m.Fset.Position(terr.Pos); pos.IsValid() {
 			d.Pos = pos
 		}
 		d.Message = fmt.Sprintf("package %s failed to type-check: %s", p.Path, terr.Msg)
@@ -489,35 +439,6 @@ func typecheckDiagnostic(m *Module, p *Package, err error) Diagnostic {
 	return d
 }
 
-// errAsTypes unwraps err to a types.Error.
-func errAsTypes(err error) (types.Error, bool) {
-	for err != nil {
-		if te, ok := err.(types.Error); ok {
-			return te, true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			break
-		}
-		err = u.Unwrap()
-	}
-	return types.Error{}, false
-}
-
-// splitPosPrefix parses "file:line" or "file:line:col" into (file, line).
-func splitPosPrefix(s string) (string, int, bool) {
-	parts := strings.Split(s, ":")
-	if len(parts) < 2 {
-		return "", 0, false
-	}
-	// The line number is the first numeric component after the filename.
-	var line int
-	if _, err := fmt.Sscanf(parts[1], "%d", &line); err != nil || line <= 0 {
-		return "", 0, false
-	}
-	return parts[0], line, true
-}
-
 func firstLine(s string) string {
 	if i := strings.IndexByte(s, '\n'); i >= 0 {
 		return s[:i]
@@ -525,146 +446,76 @@ func firstLine(s string) string {
 	return s
 }
 
-// LoadPackage parses and type-checks the .go files of one directory as a
-// single package under an explicit import path. It backs the analyzer
-// golden tests: the import path places a testdata package inside (or
-// outside) an analyzer's scope, and the files may import the standard
-// library only. Stale-suppression reporting stays off — fixtures carry
-// suppressions for the one analyzer under test, which other-analyzer runs
-// would misreport as stale.
-func LoadPackage(dir, importPath string) (*Module, error) {
-	absDir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	mod := &Module{Path: importPath, Root: absDir, Fset: token.NewFileSet()}
-	pkg := &Package{Path: importPath, mod: mod}
-	entries, err := os.ReadDir(absDir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+// files returns the files of every healthy package, in package and file
+// order. It is the one place analysis reaches source: a broken package
+// contributes nothing, to file-local and module-wide checks alike.
+func (m *Module) files() []*File {
+	var out []*File
+	for _, pkg := range m.Pkgs {
+		if !pkg.broken {
+			out = append(out, pkg.Files...)
 		}
-		af, err := parser.ParseFile(mod.Fset, e.Name(), readFileIn(absDir, e.Name()), parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		f := &File{Pkg: pkg, Ast: af, Name: e.Name()}
-		f.parseSuppressions(mod.Fset)
-		pkg.Files = append(pkg.Files, f)
 	}
-	sort.Slice(pkg.Files, func(i, j int) bool { return pkg.Files[i].Name < pkg.Files[j].Name })
-	mod.Pkgs = []*Package{pkg}
-	mod.Stats = LoadStats{Packages: 1, TypeChecked: 1, MaxParallel: 1}
-	if err := pkg.typecheck(newStdImporter(mod.Fset), map[string]*Package{}); err != nil {
-		return nil, err
-	}
-	return mod, nil
+	return out
 }
 
-// readFileIn reads dir/name, returning the source or nil (letting the
-// parser report the open error with the right filename).
-func readFileIn(dir, name string) any {
-	b, err := os.ReadFile(filepath.Join(dir, name))
-	if err != nil {
-		return nil
-	}
-	return b
-}
-
-// Run executes the analyzers in two passes over every loaded file —
-// pass 1: file-local checks plus fact collection; pass 2: the whole-program
-// Finish hooks over the merged fact set — filters suppressed findings,
+// Run executes the analyzers — each file-local hook over every healthy
+// file, then each module-wide hook once — filters suppressed findings,
 // reports malformed and (on whole-module runs) stale suppressions, and
 // returns the diagnostics sorted by file, line and check. Broken packages
 // are skipped; their driver diagnostics live in LoadErrors.
 func (m *Module) Run(analyzers []*Analyzer) []Diagnostic {
-	fx := newFacts()
+	files := m.files()
+	byName := map[string]*File{}
+	var out []Diagnostic
+	for _, f := range files {
+		byName[f.Name] = f
+		for i := range f.suppressions {
+			f.suppressions[i].used = false
+			if f.suppressions[i].reason == "" {
+				out = append(out, Diagnostic{
+					Pos:     token.Position{Filename: f.Name, Line: f.suppressions[i].line},
+					Check:   "lint",
+					Message: "suppression without a reason: //lint:ignore <check> <reason>",
+				})
+			}
+		}
+	}
 	enabled := map[string]bool{}
 	for _, a := range analyzers {
 		enabled[a.Name] = true
-	}
-	var out []Diagnostic
-	for _, pkg := range m.Pkgs {
-		if pkg.broken || pkg.Types == nil {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for i := range f.suppressions {
-				f.suppressions[i].used = false
-				if f.suppressions[i].reason == "" {
-					out = append(out, Diagnostic{
-						Pos:     token.Position{Filename: f.Name, Line: f.suppressions[i].line},
-						Check:   "lint",
-						Message: "suppression without a reason: //lint:ignore <check> <reason>",
-					})
-				}
-			}
-			for _, a := range analyzers {
-				if a.Collect != nil {
-					a.Collect(f, fx)
-				}
-				if a.Run == nil {
-					continue
-				}
-				for _, d := range a.Run(f) {
-					if f.suppress(a.Name, d.Pos.Line) {
-						continue
-					}
-					out = append(out, d)
-				}
+		var found []Diagnostic
+		if a.Run != nil {
+			for _, f := range files {
+				found = append(found, a.Run(f)...)
 			}
 		}
-	}
-	files := m.fileIndex()
-	for _, a := range analyzers {
-		if a.Finish == nil {
-			continue
+		if a.RunModule != nil {
+			found = append(found, a.RunModule(m)...)
 		}
-		for _, d := range a.Finish(m, fx) {
-			if f := files[d.Pos.Filename]; f != nil && f.suppress(a.Name, d.Pos.Line) {
-				continue
+		for _, d := range found {
+			if f := byName[d.Pos.Filename]; f == nil || !f.suppress(a.Name, d.Pos.Line) {
+				out = append(out, d)
 			}
-			out = append(out, d)
 		}
 	}
 	if m.reportStale {
-		for _, pkg := range m.Pkgs {
-			if pkg.broken || pkg.Types == nil {
-				continue
-			}
-			for _, f := range pkg.Files {
-				for i := range f.suppressions {
-					s := &f.suppressions[i]
-					if s.reason == "" || s.used || !enabled[s.check] {
-						continue
-					}
-					out = append(out, Diagnostic{
-						Pos:   token.Position{Filename: f.Name, Line: s.line},
-						Check: "lint",
-						Message: fmt.Sprintf("stale suppression: no %s finding on this "+
-							"or the next line; remove the //lint:ignore", s.check),
-					})
+		for _, f := range files {
+			for _, s := range f.suppressions {
+				if s.reason == "" || s.used || !enabled[s.check] {
+					continue
 				}
+				out = append(out, Diagnostic{
+					Pos:   token.Position{Filename: f.Name, Line: s.line},
+					Check: "lint",
+					Message: fmt.Sprintf("stale suppression: no %s finding on this "+
+						"or the next line; remove the //lint:ignore", s.check),
+				})
 			}
 		}
 	}
 	sortDiagnostics(out)
 	return out
-}
-
-// fileIndex maps module-relative filenames to files, for applying
-// suppressions to whole-program (Finish) diagnostics.
-func (m *Module) fileIndex() map[string]*File {
-	idx := map[string]*File{}
-	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.Files {
-			idx[f.Name] = f
-		}
-	}
-	return idx
 }
 
 func sortDiagnostics(ds []Diagnostic) {
@@ -683,13 +534,16 @@ func sortDiagnostics(ds []Diagnostic) {
 	})
 }
 
-// internalImports returns the package's module-internal dependencies.
-func (p *Package) internalImports() []string {
+// internalImports returns the package's module-internal dependencies that
+// exist in the module, sorted and without p itself.
+func (p *Package) internalImports(byPath map[string]*Package) []string {
+	seen := map[string]bool{}
 	var out []string
 	for _, f := range p.Files {
 		for _, imp := range f.Ast.Imports {
 			path := strings.Trim(imp.Path.Value, `"`)
-			if path == p.mod.Path || strings.HasPrefix(path, p.mod.Path+"/") {
+			if path != p.Path && byPath[path] != nil && !seen[path] {
+				seen[path] = true
 				out = append(out, path)
 			}
 		}
@@ -710,7 +564,7 @@ func (p *Package) typecheck(std types.Importer, byPath map[string]*Package) erro
 		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{
-		Importer: &modImporter{mod: p.mod, std: std, byPath: byPath},
+		Importer: &modImporter{std: std, byPath: byPath},
 	}
 	tp, err := conf.Check(p.Path, p.mod.Fset, files, info)
 	if err != nil {
@@ -723,7 +577,6 @@ func (p *Package) typecheck(std types.Importer, byPath map[string]*Package) erro
 // modImporter resolves module-internal imports from the already-checked
 // package cache and delegates everything else to the stdlib importer.
 type modImporter struct {
-	mod    *Module
 	std    types.Importer
 	byPath map[string]*Package
 }
@@ -738,24 +591,14 @@ func (im *modImporter) Import(path string) (*types.Package, error) {
 	return im.std.Import(path)
 }
 
-// newStdImporter builds the standard-library importer: compiled export
-// data when available (fast), with a from-source fallback for toolchains
-// that ship no precompiled standard library. Imports are serialized behind
-// a mutex — the go/importer caches are not safe for the driver's parallel
-// type-checking, but completed *types.Package values are immutable and
-// shared freely.
-func newStdImporter(fset *token.FileSet) types.Importer {
-	return &stdImporter{gc: importer.Default(), src: importer.ForCompiler(fset, "source", nil)}
-}
-
+// stdImporter imports the standard library from compiled export data when
+// available (fast), falling back to source for toolchains that ship no
+// precompiled standard library.
 type stdImporter struct {
-	mu      sync.Mutex
 	gc, src types.Importer
 }
 
 func (im *stdImporter) Import(path string) (*types.Package, error) {
-	im.mu.Lock()
-	defer im.mu.Unlock()
 	if p, err := im.gc.Import(path); err == nil {
 		return p, nil
 	}
@@ -910,4 +753,43 @@ func (f *File) moduleFunc(fn *types.Func) (string, bool) {
 		return "", false
 	}
 	return fn.FullName(), true
+}
+
+// lockOp matches mu.Lock(), mu.Unlock(), mu.RLock() and mu.RUnlock() on a
+// sync.Mutex or sync.RWMutex and returns the mutex expression and the
+// method name, or nil.
+func (f *File) lockOp(call *ast.CallExpr) (ast.Expr, string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || len(call.Args) != 0 {
+		return nil, ""
+	}
+	switch sel.Sel.Name {
+	case "Lock", "Unlock", "RLock", "RUnlock":
+	default:
+		return nil, ""
+	}
+	switch f.typeOf(sel.X) {
+	case "sync.Mutex", "sync.RWMutex":
+		return sel.X, sel.Sel.Name
+	}
+	return nil, ""
+}
+
+// lockWalk visits the calls of one function body in source order: visit
+// gets each Lock-family call with its mutex and operation (see lockOp),
+// and every other call with a nil mutex. Function literals, defer and go
+// statements are not entered — they run outside the current hold — so a
+// deferred Unlock never releases, which models "held to the end of the
+// function".
+func (f *File) lockWalk(body *ast.BlockStmt, visit func(call *ast.CallExpr, mu ast.Expr, op string)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
+			return false
+		case *ast.CallExpr:
+			mu, op := f.lockOp(v)
+			visit(v, mu, op)
+		}
+		return true
+	})
 }

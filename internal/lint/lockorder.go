@@ -26,132 +26,79 @@ import (
 // type is a different hazard (an ordering convention over instance
 // identity) that this pass cannot check without value tracking.
 
-// lockFnFact is the per-function fact of pass 1.
-type lockFnFact struct {
-	name     string         // types.Func full name
-	acquires map[string]int // mutex identity -> line of first acquisition
-	calls    []lockCall     // module functions called (anywhere in the body)
-	edges    []lockEdge     // direct nested acquisitions
-	held     []lockCall     // module calls made while holding a mutex
-	file     string
+// lockFn is what one function (all init functions of a package count as
+// one) contributes to the lock graph.
+type lockFn struct {
+	acquires map[string]bool // mutex identities the function locks itself
+	calls    []string        // module functions called (anywhere in the body)
+	edges    []lockEdge      // direct nestings and calls made while holding a mutex
 }
 
-type lockCall struct {
-	callee string // for held entries: the held mutex is in `from`
-	from   string
-	line   int
-}
-
+// lockEdge is one edge source: from is held while the function locks to
+// (at.via == "") or calls at.via, which adds an edge to every mutex the
+// callee acquires.
 type lockEdge struct {
 	from, to string
-	line     int
+	at       edgeInfo
 }
 
 // Lockorder returns the cross-package lock-order cycle analyzer.
 func Lockorder() *Analyzer {
 	return &Analyzer{
-		Name:    "lockorder",
-		Doc:     "the module-wide lock-acquisition graph (Type.field identities) must be cycle-free",
-		Collect: lockorderCollect,
-		Finish:  lockorderFinish,
-	}
-}
-
-func lockorderCollect(f *File, fx *Facts) {
-	for _, decl := range f.Ast.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
-		}
-		name := f.declFullName(fd)
-		if name == "" {
-			continue
-		}
-		fact := &lockFnFact{name: name, acquires: map[string]int{}, file: f.Name}
-		f.scanLockEvents(fd.Body, fact)
-		if len(fact.acquires) == 0 && len(fact.calls) == 0 {
-			continue
-		}
-		pos := f.pos(fd.Pos())
-		fx.Put("lockorder", fmt.Sprintf("fn/%s@%s:%d", name, pos.Filename, pos.Line), fact)
+		Name:      "lockorder",
+		Doc:       "the module-wide lock-acquisition graph (Type.field identities) must be cycle-free",
+		RunModule: lockorderRun,
 	}
 }
 
 // scanLockEvents walks a body in source order, tracking the held-mutex
-// set: Lock/RLock pushes (emitting a direct edge per already-held mutex),
+// set: Lock/RLock pushes (recording a direct edge per already-held mutex),
 // Unlock/RUnlock pops, and any module-function call is recorded both as a
-// call-graph edge and — per held mutex — as a held call. Deferred
-// statements, go statements and func literals are not entered; a deferred
-// Unlock therefore never pops, which models "held to end of function".
-func (f *File) scanLockEvents(body *ast.BlockStmt, fact *lockFnFact) {
-	var held []lockEdge // from = identity, line = acquisition line
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		ast.Inspect(n, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.FuncLit, *ast.DeferStmt, *ast.GoStmt:
-				return false
-			case *ast.CallExpr:
-				line := f.pos(v.Pos()).Line
-				if id, op := f.lockIdentity(v); id != "" {
-					switch op {
-					case "Lock", "RLock":
-						for _, h := range held {
-							if h.from != id {
-								fact.edges = append(fact.edges, lockEdge{from: h.from, to: id, line: line})
-							}
-						}
-						held = append(held, lockEdge{from: id, line: line})
-						if _, seen := fact.acquires[id]; !seen {
-							fact.acquires[id] = line
-						}
-					case "Unlock", "RUnlock":
-						for i := len(held) - 1; i >= 0; i-- {
-							if held[i].from == id {
-								held = append(held[:i], held[i+1:]...)
-								break
-							}
-						}
+// call-graph edge and — per held mutex — as a held call.
+func (f *File) scanLockEvents(body *ast.BlockStmt, fn *lockFn) {
+	var held []string // identities, in acquisition order
+	f.lockWalk(body, func(call *ast.CallExpr, mu ast.Expr, op string) {
+		at := edgeInfo{file: f.Name, line: f.pos(call.Pos()).Line}
+		if mu != nil {
+			id := f.lockIdentity(mu)
+			switch op {
+			case "Lock", "RLock":
+				for _, h := range held {
+					if h != id {
+						fn.edges = append(fn.edges, lockEdge{from: h, to: id, at: at})
 					}
-					return true
 				}
-				if full, ok := f.moduleFunc(f.calleeFunc(v)); ok {
-					fact.calls = append(fact.calls, lockCall{callee: full, line: line})
-					for _, h := range held {
-						fact.held = append(fact.held, lockCall{callee: full, from: h.from, line: line})
+				held = append(held, id)
+				fn.acquires[id] = true
+			case "Unlock", "RUnlock":
+				for i := len(held) - 1; i >= 0; i-- {
+					if held[i] == id {
+						held = append(held[:i], held[i+1:]...)
+						break
 					}
 				}
 			}
-			return true
-		})
-	}
-	walk(body)
+			return
+		}
+		if full, ok := f.moduleFunc(f.calleeFunc(call)); ok {
+			fn.calls = append(fn.calls, full)
+			at.via = full
+			for _, h := range held {
+				fn.edges = append(fn.edges, lockEdge{from: h, at: at})
+			}
+		}
+	})
 }
 
-// lockIdentity matches mu.Lock()/mu.Unlock()/RLock/RUnlock where mu is a
-// sync.Mutex or sync.RWMutex, and returns the mutex's declaration-keyed
-// identity: "pkg.Type.field" for a struct field, "pkg.name" otherwise.
-func (f *File) lockIdentity(call *ast.CallExpr) (string, string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || len(call.Args) != 0 {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", ""
-	}
-	switch f.typeOf(sel.X) {
-	case "sync.Mutex", "sync.RWMutex":
-	default:
-		return "", ""
-	}
-	if inner, ok := sel.X.(*ast.SelectorExpr); ok {
+// lockIdentity returns a mutex's declaration-keyed identity:
+// "pkg.Type.field" for a struct field, "pkg.name" otherwise.
+func (f *File) lockIdentity(mu ast.Expr) string {
+	if inner, ok := mu.(*ast.SelectorExpr); ok {
 		if owner := f.typeOf(inner.X); owner != "" && !strings.Contains(owner, " ") {
-			return owner + "." + inner.Sel.Name, sel.Sel.Name
+			return owner + "." + inner.Sel.Name
 		}
 	}
-	return f.Pkg.Path + "." + exprText(sel.X), sel.Sel.Name
+	return f.Pkg.Path + "." + exprText(mu)
 }
 
 // exprText renders a short expression for identity/reporting purposes.
@@ -186,23 +133,24 @@ type edgeInfo struct {
 	via  string // "" for a direct nesting; callee name otherwise
 }
 
-func lockorderFinish(m *Module, fx *Facts) []Diagnostic {
-	// Merge per-function facts (multiple init functions share a name).
-	fns := map[string]*lockFnFact{}
-	for _, key := range fx.Keys("lockorder") {
-		v, _ := fx.Get("lockorder", key)
-		fact := v.(*lockFnFact)
-		if cur := fns[fact.name]; cur != nil {
-			for id, line := range fact.acquires {
-				if _, ok := cur.acquires[id]; !ok {
-					cur.acquires[id] = line
-				}
+func lockorderRun(m *Module) []Diagnostic {
+	fns := map[string]*lockFn{} // by types.Func full name
+	for _, f := range m.files() {
+		for _, decl := range f.Ast.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
-			cur.calls = append(cur.calls, fact.calls...)
-			cur.edges = append(cur.edges, fact.edges...)
-			cur.held = append(cur.held, fact.held...)
-		} else {
-			fns[fact.name] = fact
+			name := f.declFullName(fd)
+			if name == "" {
+				continue
+			}
+			fn := fns[name]
+			if fn == nil {
+				fn = &lockFn{acquires: map[string]bool{}}
+				fns[name] = fn
+			}
+			f.scanLockEvents(fd.Body, fn)
 		}
 	}
 
@@ -226,7 +174,7 @@ func lockorderFinish(m *Module, fx *Facts) []Diagnostic {
 			out[id] = true
 		}
 		for _, c := range fn.calls {
-			for id := range reach(c.callee, stack) {
+			for id := range reach(c, stack) {
 				out[id] = true
 			}
 		}
@@ -257,13 +205,13 @@ func lockorderFinish(m *Module, fx *Facts) []Diagnostic {
 	}
 	sort.Strings(fnNames)
 	for _, n := range fnNames {
-		fn := fns[n]
-		for _, e := range fn.edges {
-			addEdge(e.from, e.to, edgeInfo{file: fn.file, line: e.line})
-		}
-		for _, hc := range fn.held {
-			for id := range reach(hc.callee, map[string]bool{}) {
-				addEdge(hc.from, id, edgeInfo{file: fn.file, line: hc.line, via: hc.callee})
+		for _, e := range fns[n].edges {
+			if e.at.via == "" {
+				addEdge(e.from, e.to, e.at)
+				continue
+			}
+			for id := range reach(e.at.via, map[string]bool{}) {
+				addEdge(e.from, id, e.at)
 			}
 		}
 	}

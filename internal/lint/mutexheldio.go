@@ -15,11 +15,12 @@ import (
 // into a framework-wide stall (every Emit blocks behind the host mutex).
 // The scan is linear per function: a call is "held" when it appears
 // between X.Lock() and the matching X.Unlock() in source order, with
-// defer X.Unlock() holding to the end of the function. Function literals
-// are analyzed as separate functions: their bodies usually run on another
-// goroutine (go / defer / scheduler task), outside the caller's critical
-// section. Deliberate exceptions — the journal's write+fsync ordering —
-// carry //lint:ignore mutexheldio comments stating the reason.
+// defer X.Unlock() holding to the end of the function. Deferred calls and
+// go statements do not block the lock holder and are skipped. Function
+// literals are analyzed as separate functions: their bodies usually run on
+// another goroutine (go / defer / scheduler task), outside the caller's
+// critical section. Deliberate exceptions — the journal's write+fsync
+// ordering — carry //lint:ignore mutexheldio comments stating the reason.
 func Mutexheldio() *Analyzer {
 	return &Analyzer{
 		Name: "mutexheldio",
@@ -74,62 +75,29 @@ func functionBodies(file *ast.File) []*ast.BlockStmt {
 func scanLockedRegions(f *File, body *ast.BlockStmt) []Diagnostic {
 	var out []Diagnostic
 	locked := map[string]int{} // mutex expr → Lock line
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch node := n.(type) {
-		case *ast.FuncLit:
-			// Analyzed separately with its own lock state.
-			return false
-		case *ast.DeferStmt:
-			// defer mu.Unlock() keeps the lock to the end of the function:
-			// leave the map untouched and do not treat it as a release.
-			// Other deferred calls are skipped too — they run at return,
-			// outside this linear scan's notion of "between".
-			return false
-		case *ast.CallExpr:
-			if mu, op := mutexOp(f, node); mu != "" {
-				switch op {
-				case "Lock", "RLock":
-					locked[mu] = f.pos(node.Pos()).Line
-				case "Unlock", "RUnlock":
-					delete(locked, mu)
-				}
-				return true
-			}
-			if len(locked) == 0 {
-				return true
-			}
-			if desc := blockingCall(f, node); desc != "" {
-				mu, line := firstHeld(locked)
-				out = append(out, Diagnostic{
-					Pos:   f.pos(node.Pos()),
-					Check: "mutexheldio",
-					Message: fmt.Sprintf("%s while holding %s (locked at line %d); "+
-						"release the mutex before blocking I/O", desc, mu, line),
-				})
-			}
+	f.lockWalk(body, func(call *ast.CallExpr, mu ast.Expr, op string) {
+		switch op {
+		case "Lock", "RLock":
+			locked[types.ExprString(mu)] = f.pos(call.Pos()).Line
+			return
+		case "Unlock", "RUnlock":
+			delete(locked, types.ExprString(mu))
+			return
 		}
-		return true
+		if len(locked) == 0 {
+			return
+		}
+		if desc := blockingCall(f, call); desc != "" {
+			mu, line := firstHeld(locked)
+			out = append(out, Diagnostic{
+				Pos:   f.pos(call.Pos()),
+				Check: "mutexheldio",
+				Message: fmt.Sprintf("%s while holding %s (locked at line %d); "+
+					"release the mutex before blocking I/O", desc, mu, line),
+			})
+		}
 	})
 	return out
-}
-
-// mutexOp matches mu.Lock/Unlock/RLock/RUnlock calls on sync mutexes and
-// returns the mutex expression string and the operation.
-func mutexOp(f *File, call *ast.CallExpr) (mutex, op string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", ""
-	}
-	switch f.typeOf(sel.X) {
-	case "sync.Mutex", "sync.RWMutex":
-		return types.ExprString(sel.X), sel.Sel.Name
-	}
-	return "", ""
 }
 
 // blockingCall classifies a call as network or file I/O, returning a short

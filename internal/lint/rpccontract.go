@@ -94,17 +94,17 @@ func (p *rpcProfile) merge(q *rpcProfile) {
 	p.unknown = p.unknown || q.unknown
 }
 
-// rpcHandlerFact records one srv.Register[Meta]("name", handler) site.
-type rpcHandlerFact struct {
-	name    string
+// rpcHandler is the merged profile of every registration of one method
+// name; pos is the registration cited in findings.
+type rpcHandler struct {
 	profile *rpcProfile
 	pos     token.Position
 }
 
-// rpcCallFact records one Call site with a literal method name. callee is
-// "" for a direct Client.Call and the forwarder's full name otherwise;
-// argc is -1 when the argument count is not statically derivable.
-type rpcCallFact struct {
+// rpcCall records one Call site with a literal method name. callee is ""
+// for a direct Client.Call and the forwarder's full name otherwise; argc
+// is -1 when the argument count is not statically derivable.
+type rpcCall struct {
 	method string
 	argc   int
 	callee string
@@ -114,81 +114,62 @@ type rpcCallFact struct {
 // Rpccontract returns the XML-RPC client/server drift analyzer.
 func Rpccontract() *Analyzer {
 	return &Analyzer{
-		Name:    "rpccontract",
-		Doc:     "Client.Call sites must match a registered XML-RPC handler's name and positional arity",
-		Collect: rpccontractCollect,
-		Finish:  rpccontractFinish,
+		Name:      "rpccontract",
+		Doc:       "Client.Call sites must match a registered XML-RPC handler's name and positional arity",
+		RunModule: rpccontractRun,
 	}
 }
 
-func rpccontractCollect(f *File, fx *Facts) {
-	// Function-level facts: Call forwarders and []any-param helpers.
-	for _, decl := range f.Ast.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
+func rpccontractRun(m *Module) []Diagnostic {
+	handlers := map[string]*rpcHandler{}
+	helpers := map[string]*rpcProfile{} // []any-param helpers by full name
+	forwarders := map[string]bool{}     // Call forwarders by full name
+	var calls []*rpcCall
+	for _, f := range m.files() {
+		for _, decl := range f.Ast.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			obj, ok := f.Pkg.Info.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			if rpcIsForwarder(f, fd) {
+				forwarders[obj.FullName()] = true
+			}
+			if ident := rpcParamsIdent(f, fd.Type); ident != nil {
+				helpers[obj.FullName()] = rpcProfileOf(f, fd.Body, ident)
+			}
 		}
-		obj, ok := f.Pkg.Info.Defs[fd.Name].(*types.Func)
-		if !ok {
-			continue
-		}
-		if rpcIsForwarder(f, fd) {
-			fx.Put("rpccontract", "forwarder/"+obj.FullName(), true)
-		}
-		if ident := rpcParamsIdent(f, fd.Type); ident != nil {
-			p := rpcProfileOf(f, fd.Body, ident)
-			fx.Put("rpccontract", "helper/"+obj.FullName(), p)
-		}
-	}
-
-	ast.Inspect(f.Ast, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if ok && (sel.Sel.Name == "Register" || sel.Sel.Name == "RegisterMeta") &&
-			len(call.Args) >= 2 && f.typeOf(sel.X) == rpcServerType {
-			name, ok := stringLit(call.Args[0])
+		ast.Inspect(f.Ast, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			pos := f.pos(call.Pos())
-			fx.Put("rpccontract", fmt.Sprintf("handler/%s@%s:%d", name, pos.Filename, pos.Line),
-				&rpcHandlerFact{name: name, profile: rpcHandlerProfile(f, call.Args[1]), pos: pos})
-			return true
-		}
-		if fact, ok := rpcCallSite(f, call); ok {
-			fx.Put("rpccontract", fmt.Sprintf("call/%s:%d", fact.pos.Filename, fact.pos.Line), fact)
-		}
-		return true
-	})
-}
-
-func rpccontractFinish(m *Module, fx *Facts) []Diagnostic {
-	handlers := map[string]*rpcHandlerFact{}
-	helpers := map[string]*rpcProfile{}
-	forwarders := map[string]bool{}
-	var calls []*rpcCallFact
-	for _, key := range fx.Keys("rpccontract") {
-		v, _ := fx.Get("rpccontract", key)
-		switch {
-		case strings.HasPrefix(key, "handler/"):
-			h := v.(*rpcHandlerFact)
-			if cur := handlers[h.name]; cur != nil {
-				cur.profile.merge(h.profile)
-			} else {
-				cp := newRPCProfile()
-				cp.merge(h.profile)
-				handlers[h.name] = &rpcHandlerFact{name: h.name, profile: cp, pos: h.pos}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if ok && (sel.Sel.Name == "Register" || sel.Sel.Name == "RegisterMeta") &&
+				len(call.Args) >= 2 && f.typeOf(sel.X) == rpcServerType {
+				name, ok := stringLit(call.Args[0])
+				if !ok {
+					return true
+				}
+				pos := f.pos(call.Pos())
+				h := handlers[name]
+				if h == nil {
+					h = &rpcHandler{profile: newRPCProfile(), pos: pos}
+					handlers[name] = h
+				} else if posKey(pos) < posKey(h.pos) {
+					h.pos = pos
+				}
+				h.profile.merge(rpcHandlerProfile(f, call.Args[1]))
+				return true
 			}
-		case strings.HasPrefix(key, "helper/"):
-			helpers[strings.TrimPrefix(key, "helper/")] = v.(*rpcProfile)
-		case strings.HasPrefix(key, "forwarder/"):
-			forwarders[strings.TrimPrefix(key, "forwarder/")] = true
-		case strings.HasPrefix(key, "call/"):
-			calls = append(calls, v.(*rpcCallFact))
-		}
+			if c, ok := rpcCallSite(f, call); ok {
+				calls = append(calls, c)
+			}
+			return true
+		})
 	}
 	// Fold delegated helpers (e.g. nodeRunArgs) into the handler profiles;
 	// helpers may in turn delegate, so iterate to a fixed point (depth is
@@ -252,12 +233,18 @@ func rpccontractFinish(m *Module, fx *Facts) []Diagnostic {
 	return out
 }
 
+// posKey renders a position as "file:line". A method registered more than
+// once is cited at the registration whose key sorts first as a string.
+func posKey(pos token.Position) string {
+	return fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+}
+
 // rpcCallSite matches a Call-shaped site with a literal method name:
 // either Call/CallMeta on *xmlrpc.Client, or a module function call whose
 // first argument is a method-name literal and whose signature ends in
-// ...any (a forwarder candidate, confirmed against the forwarder facts in
-// Finish).
-func rpcCallSite(f *File, call *ast.CallExpr) (*rpcCallFact, bool) {
+// ...any (a forwarder candidate, confirmed against the module's forwarders
+// once every file is read).
+func rpcCallSite(f *File, call *ast.CallExpr) (*rpcCall, bool) {
 	if len(call.Args) == 0 {
 		return nil, false
 	}
@@ -266,7 +253,7 @@ func rpcCallSite(f *File, call *ast.CallExpr) (*rpcCallFact, bool) {
 		return nil, false
 	}
 	if fixed := rpcClientCall(f, call); fixed > 0 {
-		return &rpcCallFact{method: method, argc: rpcArgc(call, fixed), pos: f.pos(call.Pos())}, true
+		return &rpcCall{method: method, argc: rpcArgc(call, fixed), pos: f.pos(call.Pos())}, true
 	}
 	fn := f.calleeFunc(call)
 	full, inModule := f.moduleFunc(fn)
@@ -277,7 +264,7 @@ func rpcCallSite(f *File, call *ast.CallExpr) (*rpcCallFact, bool) {
 	if !ok || !sig.Variadic() || sig.Params().Len() < 2 {
 		return nil, false
 	}
-	return &rpcCallFact{method: method, argc: rpcArgc(call, 1), callee: full, pos: f.pos(call.Pos())}, true
+	return &rpcCall{method: method, argc: rpcArgc(call, 1), callee: full, pos: f.pos(call.Pos())}, true
 }
 
 // rpcClientCall reports how many leading arguments of a call on
@@ -415,7 +402,7 @@ func rpcHandlerProfile(f *File, expr ast.Expr) *rpcProfile {
 // []any parameter. Recognized accesses: `v, ok := arg[T](params, i)` at
 // statement level (required), the same with a blank ok or as an if-guard
 // init (optional), len(params), and delegation `helper(params)` to a
-// single-[]any-param function (profile merged in Finish). Any other use
+// single-[]any-param function (profile merged once every file is read). Any other use
 // of params makes the arity unknown — the name check still applies, the
 // arity check is skipped.
 func rpcProfileOf(f *File, body *ast.BlockStmt, params *ast.Ident) *rpcProfile {

@@ -19,10 +19,12 @@ var randConstructors = map[string]bool{
 // schedules and fault timings): no calls to global math/rand functions —
 // rand.Intn, rand.Seed, rand.Float64, rand.Shuffle, … share hidden
 // process-global state that makes runs order-dependent — and no PRNG
-// seeded from the wall clock. Every random draw flows through a *rand.Rand
-// built from a seed derived from the experiment seed. crypto/rand is not
-// restricted: it feeds identifiers (session ids, idempotency key bases),
-// never measurements.
+// seeded from the wall clock. That is all it enforces: it does not check
+// that a seed derives from the experiment seed, and today not all do —
+// fault injections are seeded from the action's randomseed parameter
+// (default 1) and the per-run seed seeds nothing (ROADMAP items 1 and 12).
+// crypto/rand is not restricted: it feeds identifiers (session ids,
+// idempotency key bases), never measurements.
 func Seededrand() *Analyzer {
 	return &Analyzer{
 		Name: "seededrand",

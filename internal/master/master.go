@@ -186,8 +186,7 @@ type Config struct {
 	// sequential order — required for the in-process emulated platform,
 	// whose handles publish into the cooperative scheduler's event bus
 	// and are not safe for concurrent use. The distributed master sets it
-	// from -fanout (default: number of nodes); its XML-RPC proxies are
-	// goroutine-safe.
+	// to the number of nodes; its XML-RPC proxies are goroutine-safe.
 	Fanout int
 	// Env executes environment actions; nil disallows env processes.
 	Env EnvExecutor

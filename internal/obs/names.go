@@ -34,6 +34,10 @@ const (
 	MRPCClientRetries  MetricName = "excovery_rpc_client_retries_total"
 	MRPCClientErrors   MetricName = "excovery_rpc_client_errors_total"
 
+	// Control channel codec (internal/xmlrpc): documents that missed the
+	// one-pass decoder, by doc (call or response).
+	MRPCDecodeFallbacks MetricName = "excovery_rpc_decode_fallbacks_total"
+
 	// Node host (internal/noderpc).
 	MHostEventsForwarded MetricName = "excovery_host_events_forwarded_total"
 	MHostEventBatches    MetricName = "excovery_host_event_batches_total"

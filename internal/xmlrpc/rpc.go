@@ -43,7 +43,7 @@ func EncodeCall(method string, params ...any) ([]byte, error) {
 	b := encBuf.Get().(*bytes.Buffer)
 	b.WriteString(xml.Header)
 	b.WriteString("<methodCall><methodName>")
-	xml.EscapeText(b, []byte(method))
+	escapeString(b, method)
 	b.WriteString("</methodName><params>")
 	for _, p := range params {
 		b.WriteString("<param>")
@@ -72,22 +72,22 @@ func EncodeResponse(result any) ([]byte, error) {
 	return finishEnc(b), nil
 }
 
-// EncodeFault serializes a fault methodResponse.
+// EncodeFault serializes a fault methodResponse: a struct with faultCode
+// and faultString members, written as encodeValue writes that struct. The
+// code is written as it is, whatever its range: a fault always encodes.
 func EncodeFault(f *Fault) []byte {
 	b := encBuf.Get().(*bytes.Buffer)
 	b.WriteString(xml.Header)
-	b.WriteString("<methodResponse><fault>")
-	// A fault is a struct with faultCode and faultString members.
-	if err := encodeValue(b, map[string]any{
-		"faultCode":   f.Code,
-		"faultString": f.String,
-	}); err != nil {
-		// The fault struct contains only int and string; cannot fail.
-		panic(err)
-	}
-	b.WriteString("</fault></methodResponse>")
+	b.WriteString("<methodResponse><fault><value><struct><member><name>faultCode</name><value>")
+	writeInt(b, int64(f.Code))
+	b.WriteString("</value></member><member><name>faultString</name><value><string>")
+	escapeString(b, f.String)
+	b.WriteString("</string></value></member></struct></value></fault></methodResponse>")
 	return finishEnc(b)
 }
+
+// The encoding/xml path: every document the one-pass scan (scan.go) does
+// not read.
 
 type xCall struct {
 	XMLName xml.Name `xml:"methodCall"`
@@ -103,6 +103,21 @@ type xResponse struct {
 
 // DecodeCall parses a methodCall document into method name and parameters.
 func DecodeCall(data []byte) (method string, params []any, err error) {
+	method, params, _, err = decodeCall(data)
+	return method, params, err
+}
+
+// decodeCall is DecodeCall that also reports whether the document missed
+// the one-pass scan and went through encoding/xml.
+func decodeCall(data []byte) (method string, params []any, fallback bool, err error) {
+	if method, params, ok := scanCall(data); ok {
+		return method, params, false, nil
+	}
+	method, params, err = unmarshalCall(data)
+	return method, params, true, err
+}
+
+func unmarshalCall(data []byte) (method string, params []any, err error) {
 	var c xCall
 	if err := xml.Unmarshal(data, &c); err != nil {
 		return "", nil, fmt.Errorf("xmlrpc: parse call: %w", err)
@@ -123,6 +138,24 @@ func DecodeCall(data []byte) (method string, params []any, err error) {
 // DecodeResponse parses a methodResponse. A fault is returned as *Fault in
 // err with a nil result.
 func DecodeResponse(data []byte) (any, error) {
+	v, _, err := decodeResponse(data)
+	return v, err
+}
+
+// decodeResponse is DecodeResponse that also reports whether the document
+// missed the one-pass scan and went through encoding/xml.
+func decodeResponse(data []byte) (result any, fallback bool, err error) {
+	if v, f, ok := scanResponse(data); ok {
+		if f != nil {
+			return nil, false, f
+		}
+		return v, false, nil
+	}
+	result, err = unmarshalResponse(data)
+	return result, true, err
+}
+
+func unmarshalResponse(data []byte) (any, error) {
 	var r xResponse
 	if err := xml.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("xmlrpc: parse response: %w", err)
@@ -132,16 +165,9 @@ func DecodeResponse(data []byte) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, ok := fv.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("xmlrpc: malformed fault")
-		}
-		f := &Fault{}
-		if c, ok := m["faultCode"].(int); ok {
-			f.Code = c
-		}
-		if s, ok := m["faultString"].(string); ok {
-			f.String = s
+		f, err := faultOf(fv)
+		if err != nil {
+			return nil, err
 		}
 		return nil, f
 	}
@@ -158,6 +184,10 @@ type Handler func(params []any) (any, error)
 // MetaHandler is a registered server method that also reads the call's
 // metadata.
 type MetaHandler func(meta Meta, params []any) (any, error)
+
+// helpDecodeFallbacks describes obs.MRPCDecodeFallbacks.
+const helpDecodeFallbacks = "XML-RPC documents decoded by encoding/xml because they were not of the shape " +
+	"this package writes, by document (call or response)"
 
 // IdempotencyHeader carries the client's per-call idempotency key. A
 // server replays the cached response for a key it has already executed, so
@@ -314,7 +344,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // dispatch decodes and executes one call, returning the encoded response
 // document (success or fault).
 func (s *Server) dispatch(body []byte, key string, meta Meta) []byte {
-	method, params, err := DecodeCall(body)
+	method, params, fallback, err := decodeCall(body)
+	if fallback {
+		s.Obs.Counter(obs.MRPCDecodeFallbacks, helpDecodeFallbacks, "doc", "call").Inc()
+	}
 	if err != nil {
 		return EncodeFault(&Fault{Code: -32700, String: err.Error()})
 	}
@@ -690,5 +723,9 @@ func (c *Client) do(method string, body []byte, key string, meta Meta) (any, err
 		return nil, &TransportError{Method: method, Status: resp.StatusCode,
 			Err: fmt.Errorf("%s", strings.TrimSpace(string(data)))}
 	}
-	return DecodeResponse(data)
+	res, fallback, err := decodeResponse(data)
+	if fallback {
+		c.Obs.Counter(obs.MRPCDecodeFallbacks, helpDecodeFallbacks, "doc", "response").Inc()
+	}
+	return res, err
 }

@@ -13,18 +13,20 @@
 //	<struct>              map[string]any
 //	<array>               []any
 //
-// Nil parameters are rejected: XML-RPC has no nil in its base spec.
+// Nil parameters are rejected: XML-RPC has no nil in its base spec. An int
+// or int64 outside XML-RPC's four-byte signed range is refused on encoding;
+// decoding is lenient and reads any <int> that fits a Go int.
 package xmlrpc
 
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/xml"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // iso8601 is the dateTime layout mandated by the XML-RPC specification.
@@ -69,18 +71,78 @@ func writeInt(b *bytes.Buffer, x int64) {
 	b.WriteString("</int>")
 }
 
+// checkInt refuses an integer outside XML-RPC's four-byte signed range.
+func checkInt(typ string, x int64) error {
+	if x > 1<<31-1 || x < -(1<<31) {
+		return fmt.Errorf("xmlrpc: %s %d overflows XML-RPC int", typ, x)
+	}
+	return nil
+}
+
+// escapeString writes s as xml.EscapeText writes []byte(s), without the
+// copy the conversion costs: the markup characters, tab, newline and
+// carriage return as references, invalid UTF-8 and runes XML cannot carry
+// as U+FFFD.
+func escapeString(b *bytes.Buffer, s string) {
+	last := 0
+	for i := 0; i < len(s); {
+		var esc string
+		if c := s[i]; c < utf8.RuneSelf {
+			i++
+			switch c {
+			case '"':
+				esc = "&#34;"
+			case '\'':
+				esc = "&#39;"
+			case '&':
+				esc = "&amp;"
+			case '<':
+				esc = "&lt;"
+			case '>':
+				esc = "&gt;"
+			case '\t':
+				esc = "&#x9;"
+			case '\n':
+				esc = "&#xA;"
+			case '\r':
+				esc = "&#xD;"
+			default:
+				if c >= 0x20 {
+					continue
+				}
+				esc = "\uFFFD"
+			}
+			b.WriteString(s[last : i-1])
+		} else {
+			r, width := utf8.DecodeRuneInString(s[i:])
+			i += width
+			if isXMLChar(r) && (r != utf8.RuneError || width != 1) {
+				continue
+			}
+			esc = "\uFFFD"
+			b.WriteString(s[last : i-width])
+		}
+		b.WriteString(esc)
+		last = i
+	}
+	b.WriteString(s[last:])
+}
+
 // encodeValue writes a Go value as an XML-RPC <value> element.
 func encodeValue(b *bytes.Buffer, v any) error {
 	v = normalize(v)
 	b.WriteString("<value>")
 	switch x := v.(type) {
 	case int:
+		if err := checkInt("int", int64(x)); err != nil {
+			return err
+		}
 		writeInt(b, int64(x))
 	case int32:
 		writeInt(b, int64(x))
 	case int64:
-		if x > 1<<31-1 || x < -(1<<31) {
-			return fmt.Errorf("xmlrpc: int64 %d overflows XML-RPC int", x)
+		if err := checkInt("int64", x); err != nil {
+			return err
 		}
 		writeInt(b, x)
 	case bool:
@@ -91,7 +153,7 @@ func encodeValue(b *bytes.Buffer, v any) error {
 		}
 	case string:
 		b.WriteString("<string>")
-		xml.EscapeText(b, []byte(x))
+		escapeString(b, x)
 		b.WriteString("</string>")
 	case float64:
 		b.WriteString("<double>")
@@ -118,7 +180,7 @@ func encodeValue(b *bytes.Buffer, v any) error {
 		sort.Strings(keys) // deterministic wire format
 		for _, k := range keys {
 			b.WriteString("<member><name>")
-			xml.EscapeText(b, []byte(k))
+			escapeString(b, k)
 			b.WriteString("</name>")
 			if err := encodeValue(b, x[k]); err != nil {
 				return err
@@ -170,30 +232,61 @@ type xArray struct {
 	Values []xValue `xml:"data>value"`
 }
 
-// decodeValue converts a parsed xValue into a Go value.
-func decodeValue(v xValue) (any, error) {
-	switch {
-	case v.Int != nil:
-		return strconv.Atoi(strings.TrimSpace(*v.Int))
-	case v.I4 != nil:
-		return strconv.Atoi(strings.TrimSpace(*v.I4))
-	case v.Boolean != nil:
-		switch strings.TrimSpace(*v.Boolean) {
+// scalarKind is the type of a scalar element.
+type scalarKind uint8
+
+const (
+	kindInt scalarKind = iota
+	kindBoolean
+	kindString
+	kindDouble
+	kindDateTime
+	kindBase64
+)
+
+// scalarValue converts the text of a scalar element. Both decoders convert
+// through it, so the one-pass scan and encoding/xml agree on every value.
+func scalarValue(kind scalarKind, text string) (any, error) {
+	switch kind {
+	case kindInt:
+		return strconv.Atoi(strings.TrimSpace(text))
+	case kindBoolean:
+		switch strings.TrimSpace(text) {
 		case "1", "true":
 			return true, nil
 		case "0", "false":
 			return false, nil
 		default:
-			return nil, fmt.Errorf("xmlrpc: bad boolean %q", *v.Boolean)
+			return nil, fmt.Errorf("xmlrpc: bad boolean %q", text)
 		}
+	case kindDouble:
+		return strconv.ParseFloat(strings.TrimSpace(text), 64)
+	case kindDateTime:
+		return time.ParseInLocation(iso8601, strings.TrimSpace(text), time.UTC)
+	case kindBase64:
+		return base64.StdEncoding.DecodeString(strings.TrimSpace(text))
+	default:
+		return text, nil
+	}
+}
+
+// decodeValue converts a parsed xValue into a Go value.
+func decodeValue(v xValue) (any, error) {
+	switch {
+	case v.Int != nil:
+		return scalarValue(kindInt, *v.Int)
+	case v.I4 != nil:
+		return scalarValue(kindInt, *v.I4)
+	case v.Boolean != nil:
+		return scalarValue(kindBoolean, *v.Boolean)
 	case v.Str != nil:
-		return *v.Str, nil
+		return scalarValue(kindString, *v.Str)
 	case v.Double != nil:
-		return strconv.ParseFloat(strings.TrimSpace(*v.Double), 64)
+		return scalarValue(kindDouble, *v.Double)
 	case v.DateTime != nil:
-		return time.ParseInLocation(iso8601, strings.TrimSpace(*v.DateTime), time.UTC)
+		return scalarValue(kindDateTime, *v.DateTime)
 	case v.Base64 != nil:
-		return base64.StdEncoding.DecodeString(strings.TrimSpace(*v.Base64))
+		return scalarValue(kindBase64, *v.Base64)
 	case v.Struct != nil:
 		m := make(map[string]any, len(v.Struct.Members))
 		for _, mem := range v.Struct.Members {
@@ -218,4 +311,21 @@ func decodeValue(v xValue) (any, error) {
 		// Untyped <value>text</value> is a string per the spec.
 		return v.Raw, nil
 	}
+}
+
+// faultOf reads a fault response's value: a struct with faultCode and
+// faultString members.
+func faultOf(v any) (*Fault, error) {
+	m, ok := v.(map[string]any)
+	if !ok {
+		return nil, fmt.Errorf("xmlrpc: malformed fault")
+	}
+	f := &Fault{}
+	if c, ok := m["faultCode"].(int); ok {
+		f.Code = c
+	}
+	if s, ok := m["faultString"].(string); ok {
+		f.String = s
+	}
+	return f, nil
 }

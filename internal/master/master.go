@@ -97,6 +97,17 @@ type runErrorer interface {
 	Err() error
 }
 
+// eventCarrier is an optional NodeHandle and EnvExecutor extension
+// (noderpc.RemoteNode, noderpc.RemoteEnv) for handles whose node events come
+// back in the replies of the calls that recorded them (DESIGN.md §20).
+// TakeEvents returns those not taken yet, in record order. The master
+// publishes them on its bus right after each Execute, Emit and environment
+// call and after each broadcast phase, in node order. In-process handles
+// publish as they record and do not implement it.
+type eventCarrier interface {
+	TakeEvents() []eventlog.Event
+}
+
 // traceParentSetter is an optional NodeHandle extension (noderpc.RemoteNode
 // implements it): the master hands the handle the span id under which its
 // next control-channel calls should parent, and the handle carries it
@@ -804,10 +815,12 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	}
 	if m.cfg.Env != nil {
 		m.cfg.Env.Reset()
+		m.publishCarried(m.cfg.Env)
 	}
 	m.broadcast(prepSpan, "prepare", run.ID, attempt, func(g *hostGroup) {
 		g.prepareRun(run.ID)
 	})
+	m.publishNodesCarried(false)
 	// Preliminary measurements: per-node clock offsets (§IV-B3), one probe
 	// per host group and sample. Results land in slots indexed by node
 	// order, so the stored offsets are byte-identical to the sequential
@@ -874,7 +887,9 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 			m.rec.Emit(typ, params)
 			return
 		}
-		m.cfg.Nodes[nodeID].Emit(typ, params)
+		h := m.cfg.Nodes[nodeID]
+		h.Emit(typ, params)
+		m.publishCarried(h)
 	}
 
 	for _, np := range m.cfg.Exp.NodeProcesses {
@@ -890,7 +905,9 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 				if action == "sd_init" && params["role"] == "" {
 					params["role"] = np.Name
 				}
-				return h.Execute(action, params)
+				err := h.Execute(action, params)
+				m.publishCarried(h)
+				return err
 			})
 			ctx := &process.Ctx{S: s, Bus: m.cfg.Bus, Run: run, Roles: roles,
 				Node: nodeID, Emit: emit, Exec: exec}
@@ -906,7 +923,9 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 				continue
 			}
 			exec := process.ExecutorFunc(func(_, action string, params map[string]string) error {
-				return h.Execute(action, params)
+				err := h.Execute(action, params)
+				m.publishCarried(h)
+				return err
 			})
 			ctx := &process.Ctx{S: s, Bus: m.cfg.Bus, Run: run, Roles: roles,
 				Node: nodeID, Emit: emit, Exec: exec}
@@ -920,7 +939,9 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 				return fmt.Errorf("master: no environment executor for %q", action)
 			}
 			params["__run"] = fmt.Sprint(run.ID)
-			return m.cfg.Env.Execute(action, params)
+			err := m.cfg.Env.Execute(action, params)
+			m.publishCarried(m.cfg.Env)
+			return err
 		})
 		ctx := &process.Ctx{S: s, Bus: m.cfg.Bus, Run: run, Roles: roles,
 			Node: "", Emit: emit, Exec: exec}
@@ -955,10 +976,14 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 		run.ID, attempt, nil)
 	if m.cfg.Env != nil {
 		m.cfg.Env.Reset()
+		m.publishCarried(m.cfg.Env)
 	}
 	m.broadcast(cleanSpan, "cleanup", run.ID, attempt, func(g *hostGroup) {
 		g.cleanupRun(run.ID)
 	})
+	// The clean-up replies are the run's barrier: every event a node
+	// recorded before them, carried or pushed, is published by now.
+	m.publishNodesCarried(true)
 	m.cfg.Tracer.End(cleanSpan)
 	rr.Duration = m.cfg.Ref.Now().Sub(rr.Start)
 	rr.Events = m.cfg.Bus.Snapshot()
@@ -1006,6 +1031,33 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	// staged level-2 commit and journal completion are sequenced.
 	endRun()
 	return rr
+}
+
+// publishCarried publishes the node events that h's calls carried back
+// (eventCarrier); a no-op for other handles. It runs before the task can
+// block, so a push injected meanwhile, which holds later events, publishes
+// after them.
+func (m *Master) publishCarried(h any) {
+	if c, ok := h.(eventCarrier); ok {
+		for _, ev := range c.TakeEvents() {
+			m.cfg.Bus.Publish(ev)
+		}
+	}
+}
+
+// publishNodesCarried publishes the events the calls of a broadcast phase
+// carried back, in node order. As the run's barrier it first yields once,
+// so that every push delivered before the replies — a clean-up reply waits
+// for the push on the wire, whose events are older — publishes first.
+func (m *Master) publishNodesCarried(barrier bool) {
+	for _, id := range m.order {
+		h := m.cfg.Nodes[id]
+		if _, ok := h.(eventCarrier); ok && barrier {
+			m.cfg.S.Yield()
+			barrier = false
+		}
+		m.publishCarried(h)
+	}
 }
 
 // harvestPartial salvages measurements of a run that failed all its

@@ -19,9 +19,10 @@ import (
 // TestOwnTrafficDecodesInOnePass: every document the control plane writes
 // is of the shape the one-pass decoder reads. A stored, traced campaign
 // over loopback — host registration under a fence epoch, the broadcast
-// phases, execute, the event pushes to the master, every harvest and the
-// metric fan-in — then a refused fenced call, a handler fault and an
-// unknown method leave the decode-fallback counter at zero on both sides.
+// phases, execute, the replies that carry node events, every harvest and
+// the metric fan-in — then an event pushed to the master, a refused fenced
+// call, a handler fault and an unknown method leave the decode-fallback
+// counter at zero on both sides.
 func TestOwnTrafficDecodesInOnePass(t *testing.T) {
 	e := desc.OneShot(30)
 	e.Repl.Count = 3
@@ -103,6 +104,21 @@ func TestOwnTrafficDecodesInOnePass(t *testing.T) {
 	}
 	if rep.Completed != len(rep.Results) {
 		t.Fatalf("completed %d of %d runs", rep.Completed, len(rep.Results))
+	}
+
+	// Events recorded during a call ride in its reply, and whether one the
+	// campaign recorded between calls was pushed depends on timing. One
+	// forwarded while no call is in flight is pushed.
+	if hostReg.CounterTotal(obs.MHostEventsCarried) == 0 {
+		t.Fatal("no reply carried an event")
+	}
+	batches := hostReg.CounterTotal(obs.MHostEventBatches)
+	host.ForwardEvent(eventlog.Event{Run: 2, Node: "A", Time: x.S.Now(), Type: "pushed",
+		Params: map[string]string{"note": "a<b & c>\"d\""}})
+	for deadline := time.Now().Add(5 * time.Second); hostReg.CounterTotal(obs.MHostEventBatches) == batches; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the event forwarded between calls was not pushed")
+		}
 	}
 
 	c := newClient()

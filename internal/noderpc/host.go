@@ -4,11 +4,20 @@
 //
 // The node-host process serves the platform — the emulated network and one
 // NodeManager per platform node — behind an XML-RPC server whose methods
-// mirror the NodeHandle contract. Node events are pushed asynchronously to
-// the master's own XML-RPC endpoint (the paper's nodes report measurements
-// over the control channel). The master process runs the treatment plan
+// mirror the NodeHandle contract. The master process runs the treatment plan
 // and the experiment processes, issuing every action as a synchronous RPC,
 // exactly like the prototype's xmlrpclib-based ExperiMaster.
+//
+// Node events take one path to the master (DESIGN.md §20; the paper's nodes
+// report measurements over the control channel). An event recorded while
+// the host serves a data-path call — node.prepare_run, node.execute,
+// node.emit, node.cleanup_run, env.execute, env.reset — comes back in that
+// call's reply, and the master publishes it when the call returns. Only
+// events recorded between calls, such as SD traffic while the master waits
+// for an event, are pushed to the master's own XML-RPC endpoint. The reply
+// to node.cleanup_run is the run's barrier: every event recorded before it
+// is on the master's bus. Replies, pushes and node.harvest_events all carry
+// the text of a level-2 events file (store.AppendEventLine).
 package noderpc
 
 import (
@@ -35,9 +44,16 @@ type Host struct {
 
 	mu     sync.Mutex
 	outbox []eventlog.Event
-	kick   chan struct{}
-	master *xmlrpc.Client
-	stop   chan struct{}
+	// calls counts the event-carrying calls in flight (carrying): events
+	// recorded meanwhile wait in the outbox for a reply to take them.
+	calls int
+	// pushing is set while the pump has a batch on the wire; pushDone (on
+	// mu) wakes the replies that wait for it.
+	pushing  bool
+	pushDone *sync.Cond
+	kick     chan struct{}
+	master   *xmlrpc.Client
+	stop     chan struct{}
 
 	// Master session lease (§IV-A1 control channel, hardened): the host
 	// tracks which master session owns it and until when. A master that
@@ -71,6 +87,7 @@ type Host struct {
 	// Event-pump instrumentation (nil-safe without Instrument).
 	obs        *obs.Registry
 	mForwarded *obs.Counter
+	mCarried   *obs.Counter
 	mBatches   *obs.Counter
 	mPushErrs  *obs.Counter
 	mOutbox    *obs.Gauge
@@ -93,8 +110,10 @@ func NewHost(x *core.Experiment) *Host {
 	fh := fnv.New32a()
 	fh.Write([]byte(track))
 	tr.SeedIDs((uint64(fh.Sum32()) | 1) << 32)
-	return &Host{x: x, kick: make(chan struct{}, 1), stop: make(chan struct{}),
+	h := &Host{x: x, kick: make(chan struct{}, 1), stop: make(chan struct{}),
 		now: time.Now, tracer: tr, track: track, curRun: -1}
+	h.pushDone = sync.NewCond(&h.mu)
+	return h
 }
 
 // Tracer returns the host's span tracer (never nil).
@@ -112,13 +131,15 @@ func (h *Host) SetDefaultLeaseTTL(ttl time.Duration) { h.defaultTTL = ttl }
 func (h *Host) Instrument(reg *obs.Registry) {
 	h.obs = reg
 	h.mForwarded = reg.Counter(obs.MHostEventsForwarded,
-		"node events queued for push to the master")
+		"node events queued for the master")
+	h.mCarried = reg.Counter(obs.MHostEventsCarried,
+		"node events returned in the reply of a call in flight when they were recorded")
 	h.mBatches = reg.Counter(obs.MHostEventBatches,
-		"event batches delivered to the master endpoint")
+		"event batches pushed to the master endpoint (events recorded between calls)")
 	h.mPushErrs = reg.Counter(obs.MHostEventPushErrors,
-		"failed event pushes (batch requeued for redelivery)")
+		"failed event pushes (batch requeued for redelivery) and events dropped because they cannot be encoded")
 	h.mOutbox = reg.Gauge(obs.MHostOutboxLen,
-		"events waiting in the push outbox")
+		"events waiting in the outbox for a reply or a push")
 	h.mAdopt = reg.Counter(obs.MHostMasterAdoptions,
 		"master sessions that registered or re-adopted this host")
 	h.mRenew = reg.Counter(obs.MHostLeaseRenewals,
@@ -161,7 +182,7 @@ type HostStatus struct {
 	FenceEpoch int64 `json:"fence_epoch,omitempty"`
 	// FencedRejections counts RPCs refused for carrying a stale epoch.
 	FencedRejections int `json:"fenced_rejections,omitempty"`
-	// OutboxLen is the number of events awaiting push.
+	// OutboxLen is the number of events awaiting a reply or a push.
 	OutboxLen int `json:"outbox_len"`
 	// VirtualTime is the host scheduler's current time.
 	VirtualTime time.Time `json:"virtual_time"`
@@ -226,22 +247,33 @@ func (h *Host) watchLease() {
 	}
 }
 
-// ForwardEvent queues an event for asynchronous delivery to the master.
-// It is safe to call from scheduler task context: queuing never blocks.
+// ForwardEvent queues an event for the master. While an event-carrying
+// call is in flight the event waits for that call's reply; otherwise the
+// pump pushes it. It is safe to call from scheduler task context: queuing
+// never blocks.
 func (h *Host) ForwardEvent(ev eventlog.Event) {
 	h.mu.Lock()
 	h.outbox = append(h.outbox, ev)
 	h.mOutbox.Set(int64(len(h.outbox)))
+	idle := h.calls == 0
 	h.mu.Unlock()
 	h.mForwarded.Inc()
+	if idle {
+		h.wake()
+	}
+}
+
+// wake kicks the pump without blocking.
+func (h *Host) wake() {
 	select {
 	case h.kick <- struct{}{}:
 	default:
 	}
 }
 
-// pump drains the outbox to the master endpoint. Runs on a plain
-// goroutine: HTTP calls must not block the cooperative scheduler.
+// pump pushes the events recorded between calls to the master endpoint.
+// Runs on a plain goroutine: HTTP calls must not block the cooperative
+// scheduler.
 func (h *Host) pump() {
 	for {
 		select {
@@ -251,38 +283,99 @@ func (h *Host) pump() {
 		}
 		for {
 			h.mu.Lock()
-			if len(h.outbox) == 0 || h.master == nil {
+			if len(h.outbox) == 0 || h.master == nil || h.calls > 0 {
 				h.mu.Unlock()
 				break
 			}
 			batch := h.outbox
 			h.outbox = nil
 			h.mOutbox.Set(0)
+			h.pushing = true
 			c := h.master
 			h.mu.Unlock()
-			data, err := json.Marshal(batch)
-			if err != nil {
-				continue
+			batch, doc := h.eventLines(batch)
+			var err error
+			if len(batch) > 0 {
+				_, err = c.Call("master.events", doc)
 			}
-			if _, err := c.Call("master.events", string(data)); err != nil {
-				// Redeliver on the next kick; the control channel is
-				// expected to be reliable (§IV-A1), so transient HTTP
-				// errors only delay events.
-				h.mPushErrs.Inc()
-				h.mu.Lock()
+			h.mu.Lock()
+			h.pushing = false
+			h.pushDone.Broadcast()
+			if err != nil {
+				// Redeliver on the next kick, or in the next reply; the
+				// control channel is expected to be reliable (§IV-A1), so
+				// transient HTTP errors only delay events.
 				h.outbox = append(batch, h.outbox...)
 				h.mOutbox.Set(int64(len(h.outbox)))
-				h.mu.Unlock()
+			}
+			h.mu.Unlock()
+			if err != nil {
+				h.mPushErrs.Inc()
 				time.Sleep(50 * time.Millisecond)
-				select {
-				case h.kick <- struct{}{}:
-				default:
-				}
+				h.wake()
 				break
 			}
-			h.mBatches.Inc()
+			if len(batch) > 0 {
+				h.mBatches.Inc()
+			}
 		}
 	}
+}
+
+// carrying makes a data-path handler answer the events recorded while it
+// ran. Events recorded during the call stay in the outbox. A successful
+// call first waits for a push already on the wire, then takes the whole
+// outbox, in record order, as its reply: a string of event lines, empty
+// when there are none. A failed call leaves the events to the pump. A
+// retried call is answered from the idempotency cache, so its events still
+// reach the master once.
+func (h *Host) carrying(fn func(params []any) error) xmlrpc.Handler {
+	return func(params []any) (any, error) {
+		h.mu.Lock()
+		h.calls++
+		h.mu.Unlock()
+		err := fn(params)
+		var evs []eventlog.Event
+		h.mu.Lock()
+		if err == nil {
+			for h.pushing {
+				h.pushDone.Wait()
+			}
+			evs = h.outbox
+			h.outbox = nil
+			h.mOutbox.Set(0)
+		}
+		h.calls--
+		idle := h.calls == 0 && len(h.outbox) > 0
+		h.mu.Unlock()
+		if err != nil {
+			if idle {
+				h.wake()
+			}
+			return nil, err
+		}
+		evs, doc := h.eventLines(evs)
+		h.mCarried.Add(int64(len(evs)))
+		return doc, nil
+	}
+}
+
+// eventLines encodes events as the lines of a level-2 events file, the
+// text of every event document on the control channel. An event that
+// cannot be encoded — a time whose year is outside 0–9999 — is dropped and
+// counted as a push error; kept is events without it.
+func (h *Host) eventLines(events []eventlog.Event) (kept []eventlog.Event, doc string) {
+	buf := make([]byte, 0, 160*len(events))
+	kept = events[:0]
+	for i := range events {
+		var err error
+		if buf, err = store.AppendEventLine(buf, &events[i]); err != nil {
+			h.mPushErrs.Inc()
+			continue
+		}
+		kept = append(kept, events[i])
+	}
+	return kept, string(buf)
 }
 
 // Close stops the event pump.
@@ -362,7 +455,8 @@ func (h *Host) Server() *xmlrpc.Server {
 	srv := xmlrpc.NewServer()
 	srv.Obs = h.obs
 	s := h.x.S
-	// Data-path methods are traced and fenced.
+	// Data-path methods are traced and fenced. The six that act on the
+	// platform answer the events recorded while they ran (carrying).
 	dataPath := func(method string, fn xmlrpc.Handler) xmlrpc.MetaHandler {
 		return h.traced(method, h.fenced(method, fn))
 	}
@@ -423,10 +517,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		// Wake the pump: a re-adopting master must receive events queued
 		// while no master was bound.
-		select {
-		case h.kick <- struct{}{}:
-		default:
-		}
+		h.wake()
 		return true, nil
 	})
 	// host.renew_lease extends the registered master session's deadline.
@@ -466,14 +557,14 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		return "pong", nil
 	}))
-	srv.RegisterMeta("node.prepare_run", dataPath("node.prepare_run", func(params []any) (any, error) {
+	srv.RegisterMeta("node.prepare_run", dataPath("node.prepare_run", h.carrying(func(params []any) error {
 		mgrs, err := h.nodesArg(params)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		run, ok := arg[int](params, 1)
 		if !ok {
-			return nil, fmt.Errorf("node.prepare_run: want (nodes, run int)")
+			return fmt.Errorf("node.prepare_run: want (nodes, run int)")
 		}
 		h.setRun(run)
 		s.InjectWait("rpc prepare_run", func() {
@@ -481,29 +572,29 @@ func (h *Host) Server() *xmlrpc.Server {
 				mgr.PrepareRun(run)
 			}
 		})
-		return true, nil
-	}))
-	srv.RegisterMeta("node.cleanup_run", dataPath("node.cleanup_run", func(params []any) (any, error) {
+		return nil
+	})))
+	srv.RegisterMeta("node.cleanup_run", dataPath("node.cleanup_run", h.carrying(func(params []any) error {
 		mgrs, err := h.nodesArg(params)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		run, ok := arg[int](params, 1)
 		if !ok {
-			return nil, fmt.Errorf("node.cleanup_run: want (nodes, run int)")
+			return fmt.Errorf("node.cleanup_run: want (nodes, run int)")
 		}
 		s.InjectWait("rpc cleanup_run", func() {
 			for _, mgr := range mgrs {
 				mgr.CleanupRun(run)
 			}
 		})
-		return true, nil
-	}))
-	srv.RegisterMeta("node.execute", dataPath("node.execute", func(params []any) (any, error) {
+		return nil
+	})))
+	srv.RegisterMeta("node.execute", dataPath("node.execute", h.carrying(func(params []any) error {
 		id, ok := arg[string](params, 0)
 		action, ok2 := arg[string](params, 1)
 		if !ok || !ok2 {
-			return nil, fmt.Errorf("node.execute: want (node, action, params)")
+			return fmt.Errorf("node.execute: want (node, action, params)")
 		}
 		pm := map[string]string{}
 		if raw, ok := arg[map[string]any](params, 2); ok {
@@ -513,20 +604,17 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		mgr := h.x.Managers[id]
 		if mgr == nil {
-			return nil, fmt.Errorf("no node %q", id)
+			return fmt.Errorf("no node %q", id)
 		}
 		var execErr error
 		s.InjectWait("rpc execute "+action, func() { execErr = mgr.Execute(action, pm) })
-		if execErr != nil {
-			return nil, execErr
-		}
-		return true, nil
-	}))
-	srv.RegisterMeta("node.emit", dataPath("node.emit", func(params []any) (any, error) {
+		return execErr
+	})))
+	srv.RegisterMeta("node.emit", dataPath("node.emit", h.carrying(func(params []any) error {
 		id, ok := arg[string](params, 0)
 		typ, ok2 := arg[string](params, 1)
 		if !ok || !ok2 {
-			return nil, fmt.Errorf("node.emit: want (node, type, params)")
+			return fmt.Errorf("node.emit: want (node, type, params)")
 		}
 		pm := map[string]string{}
 		if raw, ok := arg[map[string]any](params, 2); ok {
@@ -536,11 +624,11 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		mgr := h.x.Managers[id]
 		if mgr == nil {
-			return nil, fmt.Errorf("no node %q", id)
+			return fmt.Errorf("no node %q", id)
 		}
 		s.InjectWait("rpc emit", func() { mgr.Emit(typ, pm) })
-		return true, nil
-	}))
+		return nil
+	})))
 	// node.local_time answers one RFC3339Nano string per listed node, in
 	// request order, all read at one instant of the host's clock.
 	srv.RegisterMeta("node.local_time", dataPath("node.local_time", func(params []any) (any, error) {
@@ -571,11 +659,13 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		var events []eventlog.Event
 		s.InjectWait("rpc harvest_events", func() { events = mgr.Recorder().RunEvents(run) })
-		data, err := json.Marshal(events)
-		if err != nil {
-			return nil, err
+		var buf []byte
+		for i := range events {
+			if buf, err = store.AppendEventLine(buf, &events[i]); err != nil {
+				return nil, err
+			}
 		}
-		return string(data), nil
+		return string(buf), nil
 	}))
 	srv.RegisterMeta("node.harvest_packets", dataPath("node.harvest_packets", func(params []any) (any, error) {
 		id, ok := arg[string](params, 0)
@@ -616,10 +706,10 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		return string(data), nil
 	}))
-	srv.RegisterMeta("env.execute", dataPath("env.execute", func(params []any) (any, error) {
+	srv.RegisterMeta("env.execute", dataPath("env.execute", h.carrying(func(params []any) error {
 		action, ok := arg[string](params, 0)
 		if !ok {
-			return nil, fmt.Errorf("env.execute: want (action, params)")
+			return fmt.Errorf("env.execute: want (action, params)")
 		}
 		pm := map[string]string{}
 		if raw, ok := arg[map[string]any](params, 1); ok {
@@ -629,15 +719,12 @@ func (h *Host) Server() *xmlrpc.Server {
 		}
 		var execErr error
 		s.InjectWait("rpc env "+action, func() { execErr = h.x.Env.Execute(action, pm) })
-		if execErr != nil {
-			return nil, execErr
-		}
-		return true, nil
-	}))
-	srv.RegisterMeta("env.reset", dataPath("env.reset", func(params []any) (any, error) {
+		return execErr
+	})))
+	srv.RegisterMeta("env.reset", dataPath("env.reset", h.carrying(func(params []any) error {
 		s.InjectWait("rpc env reset", func() { h.x.Env.Reset() })
-		return true, nil
-	}))
+		return nil
+	})))
 	// host.harvest_trace returns the host tracer's closed spans of one run
 	// as a trace.json document; the master merges them (dedup'd by span id)
 	// into the per-run level-2 trace artifact.

@@ -1,7 +1,6 @@
 package noderpc
 
 import (
-	"encoding/json"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"excovery/internal/core"
 	"excovery/internal/desc"
 	"excovery/internal/eventlog"
+	"excovery/internal/store"
 	"excovery/internal/xmlrpc"
 )
 
@@ -140,9 +140,8 @@ func TestReadoptionDeliversQueuedEvents(t *testing.T) {
 	received := 0
 	msrv := xmlrpc.NewServer()
 	msrv.Register("master.events", func(params []any) (any, error) {
-		data := params[0].(string)
-		var evs []eventlog.Event
-		if err := json.Unmarshal([]byte(data), &evs); err != nil {
+		evs, err := store.ParseEventLines([]byte(params[0].(string)))
+		if err != nil {
 			return nil, err
 		}
 		mu.Lock()

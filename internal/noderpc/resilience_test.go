@@ -24,7 +24,7 @@ import (
 // next PrepareRun.
 func TestRemoteNodeRecoversAfterTransientError(t *testing.T) {
 	srv := xmlrpc.NewServer()
-	srv.Register("node.prepare_run", func(params []any) (any, error) { return true, nil })
+	srv.Register("node.prepare_run", func(params []any) (any, error) { return "", nil }) // no events
 	fp := failpoint.New(1)
 	// Sever exactly the first request before it reaches the handler.
 	fp.Enable(failpoint.SiteServerRecv, failpoint.Rule{Prob: 1, Act: failpoint.Drop, Count: 1})

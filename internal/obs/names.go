@@ -40,6 +40,7 @@ const (
 
 	// Node host (internal/noderpc).
 	MHostEventsForwarded MetricName = "excovery_host_events_forwarded_total"
+	MHostEventsCarried   MetricName = "excovery_host_events_carried_total"
 	MHostEventBatches    MetricName = "excovery_host_event_batches_total"
 	MHostEventPushErrors MetricName = "excovery_host_event_push_errors_total"
 	MHostOutboxLen       MetricName = "excovery_host_outbox_len"

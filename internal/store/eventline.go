@@ -21,7 +21,7 @@ import (
 //	int    = [ '-' ] uint, within int's range
 //
 // with time, str and uint as in packetline.go and no white space.
-// appendEventLine writes every event byte for byte as json.Marshal does
+// AppendEventLine writes every event byte for byte as json.Marshal does
 // (FuzzEventLineEncode), escapes included, and leaves to json.Marshal only
 // the times RFC 3339 has no 'Z' form for. scanEventLine accepts exactly the
 // fixed shape and gives what json.Unmarshal gives for it; FuzzEventLine
@@ -34,8 +34,9 @@ import (
 // escapes, another key order, a hand edit — goes through that decoder from
 // its first byte. What is accepted, rejected and yielded does not change.
 
-// appendEventLine appends the stored line of ev and its newline to dst.
-func appendEventLine(dst []byte, ev *eventlog.Event) ([]byte, error) {
+// AppendEventLine appends the stored line of ev and its newline to dst. On
+// error — a time whose year is outside 0–9999 — dst is returned unchanged.
+func AppendEventLine(dst []byte, ev *eventlog.Event) ([]byte, error) {
 	n0 := len(dst)
 	dst = append(dst, `{"Run":`...)
 	dst = strconv.AppendInt(dst, int64(ev.Run), 10)
@@ -90,6 +91,22 @@ func scanEvents(data []byte) ([]eventlog.Event, bool) {
 		}
 	}
 	return out, true
+}
+
+// ParseEventLines decodes a document of event lines as AppendEventLine
+// writes them: a level-2 events file, or an event document on the control
+// channel (noderpc). A document with a line of another shape is decoded by
+// encoding/json as a whole, as an events file is.
+func ParseEventLines(data []byte) ([]eventlog.Event, error) {
+	if evs, ok := scanEvents(data); ok {
+		return evs, nil
+	}
+	var out []eventlog.Event
+	err := decodeEvents("event lines", data, func(ev *eventlog.Event) error {
+		out = append(out, *ev)
+		return nil
+	})
+	return out, err
 }
 
 // decodeEvents is the fallback: encoding/json's stream decoder over the

@@ -147,10 +147,10 @@ func readEventsBefore(t *testing.T, path string) ([]eventlog.Event, bool) {
 	return out, true
 }
 
-// TestReadEventsMatchesDecoder: ReadEvents yields, accepts and refuses what
-// the stream decoder did, for files of the stored shape and for files that
-// are not — several values on one line, one value over two lines, blank
-// lines, a broken second line, a stray bracket.
+// TestReadEventsMatchesDecoder: ReadEvents and ParseEventLines yield, accept
+// and refuse what the stream decoder did, for files of the stored shape and
+// for files that are not — several values on one line, one value over two
+// lines, blank lines, a broken second line, a stray bracket.
 func TestReadEventsMatchesDecoder(t *testing.T) {
 	rs, err := NewRunStore(t.TempDir())
 	if err != nil {
@@ -188,6 +188,10 @@ func TestReadEventsMatchesDecoder(t *testing.T) {
 		if (err == nil) != wantOK || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: ReadEvents = %v, %v; the decoder gave %v, ok=%v", name, got, err, want, wantOK)
 		}
+		// The control channel's event documents are the same text.
+		if got, err := ParseEventLines([]byte(file)); (err == nil) != wantOK || len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: ParseEventLines = %v, %v; the decoder gave %v, ok=%v", name, got, err, want, wantOK)
+		}
 	}
 	// The seeds include escapes and zone offsets, so their file is the
 	// decoder's; two plain lines are the scanner's.
@@ -207,7 +211,7 @@ func checkEventEncode(t *testing.T, ev eventlog.Event) {
 	t.Helper()
 	want, wantErr := json.Marshal(&ev)
 	const held = "held\n"
-	got, err := appendEventLine([]byte(held), &ev)
+	got, err := AppendEventLine([]byte(held), &ev)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("event %#v: encoder error %v, encoding/json error %v", ev, err, wantErr)
 	}

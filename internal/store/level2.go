@@ -85,7 +85,7 @@ func (rs *RunStore) WriteEvents(run int, node string, events []eventlog.Event) e
 	lb := lineBufs.Get().(*lineBuf)
 	buf := lb.buf[:0]
 	for i := range events {
-		if buf, err = appendEventLine(buf, &events[i]); err != nil {
+		if buf, err = AppendEventLine(buf, &events[i]); err != nil {
 			break
 		}
 	}

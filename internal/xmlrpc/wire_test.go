@@ -2,10 +2,14 @@ package xmlrpc
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"excovery/internal/eventlog"
+	"excovery/internal/store"
 )
 
 // wireGolden holds the exact bytes of every document in wireDocs, each as a
@@ -13,6 +17,12 @@ import (
 // A document's only raw newline is the one that ends xml.Header: the encoder
 // escapes every newline of a string.
 const wireGolden = "testdata/wire.golden"
+
+// updateWire rewrites wireGolden from wireDocs, after a deliberate change
+// to what a method sends or answers:
+//
+//	go test ./internal/xmlrpc -run WireBytesPinned -update
+var updateWire = flag.Bool("update", false, "rewrite "+wireGolden+" from the current encoders")
 
 // tricky is a string with every byte the escaper has to replace.
 const tricky = "a<b & c>\"d\" 'e'\n\tf\r"
@@ -33,6 +43,23 @@ func wireDocs(t testing.TB) []wireDoc {
 	t.Helper()
 	nodes := []any{"A", "B"}
 	when := time.Date(2014, 5, 19, 13, 37, 42, 0, time.UTC)
+	// lines is an event document: the text of a level-2 events file, which
+	// the six event-carrying replies, master.events and
+	// node.harvest_events carry.
+	lines := func(evs ...eventlog.Event) string {
+		var b []byte
+		for i := range evs {
+			var err error
+			if b, err = store.AppendEventLine(b, &evs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return string(b)
+	}
+	at := when.Add(500 * time.Millisecond)
+	ev := func(node, typ string, params map[string]string, seq uint64) eventlog.Event {
+		return eventlog.Event{Run: 17, Node: node, Time: at, Type: typ, Params: params, Seq: seq}
+	}
 	calls := []struct {
 		method string
 		params []any
@@ -44,25 +71,30 @@ func wireDocs(t testing.TB) []wireDoc {
 		{"host.set_master", []any{"http://127.0.0.1:18801/RPC2", "m-1a2b", 15000}, true},
 		{"host.renew_lease", []any{"m-1a2b", 15000}, true},
 		{"node.ping", []any{nodes}, "pong"},
-		{"node.prepare_run", []any{nodes, 17}, true},
-		{"node.cleanup_run", []any{nodes, 17}, true},
+		{"node.prepare_run", []any{nodes, 17},
+			lines(ev("A", "run_init", nil, 1), ev("B", "run_init", nil, 2))},
+		{"node.cleanup_run", []any{nodes, 17},
+			lines(ev("A", "run_exit", nil, 9), ev("B", "run_exit", nil, 10))},
 		{"node.execute", []any{"A", "sd_start_search", map[string]string{
-			"note": tricky, "service": "_excovery._udp"}}, true},
-		{"node.emit", []any{"B", "ready_to_init", map[string]string{}}, true},
+			"note": tricky, "service": "_excovery._udp"}},
+			lines(ev("A", "sd_start_search", map[string]string{"note": tricky, "service": "_excovery._udp"}, 3),
+				ev("B", "sd_service_add", map[string]string{"node": "A"}, 4))},
+		{"node.emit", []any{"B", "ready_to_init", map[string]string{}},
+			lines(ev("B", "ready_to_init", map[string]string{}, 5))},
 		{"node.local_time", []any{nodes}, []any{
 			"2014-05-19T13:37:42.123456789Z", "2014-05-19T13:37:42.123456789Z"}},
 		{"node.harvest_events", []any{"A", 17},
-			`[{"seq":1,"time":"2014-05-19T13:37:42.5Z","node":"A","type":"sd_start_search","params":{"service":"_excovery._udp"}}]`},
+			lines(ev("A", "sd_start_search", map[string]string{"service": "_excovery._udp"}, 3))},
 		{"node.harvest_packets", []any{"A"},
 			`[{"time":"2014-05-19T13:37:42.5Z","dir":"tx","id":3,"tag":1,"src":"A","dst":"B","data":"AAEC"}]`},
 		{"node.harvest_extras", []any{"A"}, `[{"node":"A","name":"route.txt","content":"A B 1\n"}]`},
-		{"env.execute", []any{"env_traffic_start", map[string]string{"bw": "50", "pairs": "5"}}, true},
-		{"env.reset", nil, true},
+		{"env.execute", []any{"env_traffic_start", map[string]string{"bw": "50", "pairs": "5"}}, lines()},
+		{"env.reset", nil, lines()},
 		{"host.harvest_trace", []any{17}, `{"spans":[{"id":9,"parent":4,"name":"node.execute","cat":"rpc"}]}`},
 		{"host.obs_snapshot", nil, `[{"name":"excovery_host_events_forwarded_total","value":25}]`},
 		{"system.listMethods", nil, []any{"host.nodes", "host.ping", "system.listMethods"}},
 		// Master.
-		{"master.events", []any{`[{"seq":4,"time":"2014-05-19T13:37:42.5Z","node":"B","type":"sd_service_add","params":{"name":"` + tricky + `"}}]`}, true},
+		{"master.events", []any{lines(ev("B", "sd_service_add", map[string]string{"name": tricky}, 4))}, true},
 		{"master.ping", nil, "pong"},
 		// Registry.
 		{"registry.ping", nil, "pong"},
@@ -131,7 +163,19 @@ func readWireGolden(t testing.TB) []wireDoc {
 // value is written, escaped or ordered shows here, whatever the decoders
 // still accept.
 func TestWireBytesPinned(t *testing.T) {
-	got, want := wireDocs(t), readWireGolden(t)
+	got := wireDocs(t)
+	if *updateWire {
+		var b bytes.Buffer
+		for _, d := range got {
+			b.WriteString("== " + d.name + "\n")
+			b.Write(d.doc)
+			b.WriteByte('\n')
+		}
+		if err := os.WriteFile(wireGolden, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := readWireGolden(t)
 	if len(got) != len(want) {
 		t.Fatalf("%d documents, %s has %d", len(got), wireGolden, len(want))
 	}

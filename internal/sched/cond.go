@@ -35,15 +35,13 @@ func (s *Scheduler) NewCond(name string) *Cond {
 
 // Wait blocks the current task until Signal or Broadcast wakes it.
 func (c *Cond) Wait() {
-	c.s.mu.Lock()
-	t := c.s.mustCurrentLocked("Cond.Wait")
+	t := c.s.mustCurrent("Cond.Wait")
 	t.state = stateBlocked
 	t.blockedOn = c.blocked
 	t.timedOut = false
 	c.s.current = nil
 	t.cw = condWaiter{t: t}
 	c.waiters = append(c.waiters, &t.cw)
-	c.s.mu.Unlock()
 	c.s.block(t)
 }
 
@@ -52,8 +50,7 @@ func (c *Cond) Wait() {
 // and false on timeout. A non-positive d times out at the current instant
 // (after yielding), which still allows an already-pending Broadcast to win.
 func (c *Cond) WaitTimeout(d time.Duration) bool {
-	c.s.mu.Lock()
-	t := c.s.mustCurrentLocked("Cond.WaitTimeout")
+	t := c.s.mustCurrent("Cond.WaitTimeout")
 	t.state = stateBlocked
 	t.blockedOn = c.blocked
 	t.timedOut = false
@@ -63,22 +60,21 @@ func (c *Cond) WaitTimeout(d time.Duration) bool {
 	if d < 0 {
 		d = 0
 	}
-	w.timer = c.s.addTimerLocked(c.s.now.Add(d), func() {
+	w.timer = c.s.addTimer(c.s.now.Add(d), func() {
 		if w.fired {
 			return
 		}
 		w.fired = true
 		t.timedOut = true
-		c.removeWaiterLocked(w)
-		c.s.makeRunnableLocked(t)
+		c.removeWaiter(w)
+		c.s.makeRunnable(t)
 	})
 	c.waiters = append(c.waiters, w)
-	c.s.mu.Unlock()
 	c.s.block(t)
 	return !t.timedOut
 }
 
-func (c *Cond) removeWaiterLocked(w *condWaiter) {
+func (c *Cond) removeWaiter(w *condWaiter) {
 	for i, x := range c.waiters {
 		if x == w {
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
@@ -90,8 +86,6 @@ func (c *Cond) removeWaiterLocked(w *condWaiter) {
 // Signal wakes the longest-waiting task, if any. It must be called from a
 // task or injected closure.
 func (c *Cond) Signal() {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
 	for len(c.waiters) > 0 {
 		w := c.waiters[0]
 		c.waiters = c.waiters[1:]
@@ -102,15 +96,13 @@ func (c *Cond) Signal() {
 		if w.timer != nil {
 			w.timer.stopped = true
 		}
-		c.s.makeRunnableLocked(w.t)
+		c.s.makeRunnable(w.t)
 		return
 	}
 }
 
 // Broadcast wakes all waiting tasks in FIFO order.
 func (c *Cond) Broadcast() {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
 	ws := c.waiters
 	c.waiters = nil
 	for _, w := range ws {
@@ -121,7 +113,7 @@ func (c *Cond) Broadcast() {
 		if w.timer != nil {
 			w.timer.stopped = true
 		}
-		c.s.makeRunnableLocked(w.t)
+		c.s.makeRunnable(w.t)
 	}
 }
 

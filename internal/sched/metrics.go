@@ -21,14 +21,13 @@ type schedMetrics struct {
 // Instrument attaches a metrics registry to the scheduler: context
 // switches, dispatched timers, event-queue and runnable-queue depths, the
 // realtime pacing lag, and the wall time foreign goroutines spend waiting
-// to enter the scheduler via Inject. Call it before Run; a nil registry is
-// valid and leaves the scheduler uninstrumented.
+// to enter the scheduler's inbox via Inject. Like SetSpeed it is set-up:
+// call it before Run (core.New does); it takes no lock. A
+// nil registry is valid and leaves the scheduler uninstrumented.
 func (s *Scheduler) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.m.switches = reg.Counter(obs.MSchedSwitches,
 		"task resumptions (context switches)")
 	s.m.fired = reg.Counter(obs.MSchedTimersFired,
@@ -40,14 +39,14 @@ func (s *Scheduler) Instrument(reg *obs.Registry) {
 	s.m.vtimeLag = reg.Gauge(obs.MSchedVtimeLagUs,
 		"microseconds the virtual clock trails the realtime pacing target")
 	s.lockWait.Store(reg.Histogram(obs.MSchedLockWait,
-		"wall time foreign goroutines wait to enter the scheduler", nil))
+		"wall time foreign goroutines wait for the scheduler's inbox lock", nil))
 }
 
-// observeVtimeLagLocked updates the pacing-lag gauge: how far the virtual
+// observeVtimeLag updates the pacing-lag gauge: how far the virtual
 // clock trails where the wall clock says it should be. Realtime mode only,
 // and only on an instrumented scheduler — the uninstrumented run loop must
 // not touch the wall clock.
-func (s *Scheduler) observeVtimeLagLocked(wallBase time.Time, virtBase time.Time) {
+func (s *Scheduler) observeVtimeLag(wallBase time.Time, virtBase time.Time) {
 	if s.m.vtimeLag == nil || s.mode != RealTime {
 		return
 	}

@@ -13,9 +13,19 @@
 //     platform (§IV-A).
 //
 //   - Lock freedom. Task code never runs concurrently with other task code,
-//     so shared state touched only by tasks needs no mutexes. The only entry
-//     point for foreign goroutines is Inject, which hands a closure to the
-//     scheduler to be run as a task.
+//     so shared state touched only by tasks needs no mutexes — and neither
+//     does the scheduler's own state. It belongs to whoever holds the
+//     baton: the controller goroutine inside Run, or the one task the
+//     controller has resumed and is waiting for (the wake/ctrl channel
+//     handoff orders their accesses). Between Run calls it belongs to the
+//     goroutine that sets the scheduler up and calls Run. Exactly three
+//     entry points are safe from foreign goroutines, and only they
+//     synchronize: Inject/InjectWait append to a mutex-guarded inbox and
+//     raise an atomic flag, which the controller checks at the top of
+//     every loop iteration and drains into the runnable FIFO; Stop sets an
+//     atomic flag; Now reads an atomic mirror of the virtual time. The
+//     counters behind Switches and FiredTimers are atomic for the same
+//     readers, and are written by the owner alone.
 //
 // Besides tasks, the scheduler runs inline events: small non-blocking
 // callbacks executed directly on the controller goroutine (ScheduleEvent,
@@ -157,8 +167,13 @@ const maxFreeTimers = 1024
 type Scheduler struct {
 	mode   Mode
 	factor float64 // wall seconds per virtual second in RealTime mode
+	// epoch and epochNS never change after New; Now rebuilds the virtual
+	// time from them and nowOff.
+	epoch   time.Time
+	epochNS int64
 
-	mu        sync.Mutex
+	// Owner state: touched only by the baton holder (package doc), so no
+	// lock guards it.
 	now       time.Time
 	seq       uint64
 	timers    timerHeap
@@ -166,27 +181,41 @@ type Scheduler struct {
 	tasks     map[uint64]*task // live tasks
 	current   *task
 	ctrl      chan struct{} // task -> controller: "I blocked or exited"
-	inject    chan struct{} // foreign goroutine -> controller: "new work"
-	stopping  bool
 	panicked  *PanicError
-	running   bool // a Run* call is active
 	keepAlive bool // RealTime: stay in Run when quiescent, awaiting Inject
 
 	// idleWorkers holds parked task goroutines for reuse; timerFree holds
-	// recycled event timers. Both are touched only under mu.
+	// recycled event timers.
 	idleWorkers []*task
 	timerFree   []*Timer
 
-	// stats
-	switches uint64
-	fired    uint64
-
 	// m holds the scheduler's pre-resolved instruments (metrics.go); the
 	// zero value keeps the run loop uninstrumented and allocation-free.
-	// lockWait lives outside m so Inject can consult it before taking
-	// s.mu without racing Instrument.
-	m        schedMetrics
+	m schedMetrics
+
+	// Foreign-goroutine state, each field synchronized on its own.
+	// nowOff mirrors now as nanoseconds since epoch, stored by the
+	// controller wherever it advances now. switches and fired are written
+	// by the owner only. inbox holds injected work under inboxMu, pending
+	// says it is non-empty, and wakeup pokes a controller that is
+	// waiting in RealTime mode. lockWait lives outside m so Inject can
+	// consult it without racing Instrument.
+	nowOff   atomic.Int64
+	switches atomic.Uint64
+	fired    atomic.Uint64
+	running  atomic.Bool // a Run* call is active
+	stopping atomic.Bool
+	pending  atomic.Bool
+	inboxMu  sync.Mutex
+	inbox    []injected
+	wakeup   chan struct{}
 	lockWait atomic.Pointer[obs.Histogram]
+}
+
+// injected is one Inject call waiting in the inbox for the controller.
+type injected struct {
+	name string
+	fn   func()
 }
 
 // New creates a scheduler starting at the given epoch. The epoch becomes the
@@ -194,12 +223,14 @@ type Scheduler struct {
 // timestamps are stable across runs.
 func New(mode Mode, epoch time.Time) *Scheduler {
 	return &Scheduler{
-		mode:   mode,
-		factor: 1.0,
-		now:    epoch,
-		tasks:  make(map[uint64]*task),
-		ctrl:   make(chan struct{}),
-		inject: make(chan struct{}, 1),
+		mode:    mode,
+		factor:  1.0,
+		epoch:   epoch,
+		epochNS: epoch.UnixNano(),
+		now:     epoch,
+		tasks:   make(map[uint64]*task),
+		ctrl:    make(chan struct{}),
+		wakeup:  make(chan struct{}, 1),
 	}
 }
 
@@ -211,66 +242,60 @@ func NewVirtual() *Scheduler {
 
 // SetSpeed sets the real-time pacing factor: wall-clock seconds slept per
 // virtual second. A factor of 0.1 runs ten times faster than real time. It
-// has no effect in Virtual mode. SetSpeed must be called before Run.
+// has no effect in Virtual mode. SetSpeed is set-up, not an entry point:
+// call it before Run (cmd/excovery-master and core.New do); it takes no lock.
 func (s *Scheduler) SetSpeed(factor float64) {
 	if factor <= 0 {
 		panic("sched: speed factor must be positive")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.factor = factor
 }
 
-// Mode reports the scheduler's time mode.
-func (s *Scheduler) Mode() Mode { return s.mode }
-
 // SetKeepAlive makes a RealTime Run call stay active when the system is
 // quiescent, waiting for Inject instead of returning. RPC-serving node
-// hosts need this; Stop still terminates the Run.
+// hosts need this; Stop still terminates the Run. Like SetSpeed it is
+// set-up: call it before Run (cmd/excovery-node does); it takes no lock.
 func (s *Scheduler) SetKeepAlive(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.keepAlive = on
 }
 
-// Now returns the current virtual time. It may be called from any goroutine.
+// Now returns the current virtual time, in the epoch's location. It may be
+// called from any goroutine: it reads an atomic mirror the controller
+// stores wherever virtual time advances.
 func (s *Scheduler) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
+	return s.epoch.Add(time.Duration(s.nowOff.Load()))
+}
+
+// advance moves virtual time forward to when (whenNS is when.UnixNano())
+// and publishes it to Now's mirror. Owner only.
+func (s *Scheduler) advance(when time.Time, whenNS int64) {
+	s.now = when
+	s.nowOff.Store(whenNS - s.epochNS)
 }
 
 // Switches returns the number of task resumptions performed so far. It is a
-// cheap proxy for simulation effort, used by benchmarks.
-func (s *Scheduler) Switches() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.switches
-}
+// cheap proxy for simulation effort, used by benchmarks. It may be called
+// from any goroutine.
+func (s *Scheduler) Switches() uint64 { return s.switches.Load() }
 
-// FiredTimers returns the number of timers fired so far.
-func (s *Scheduler) FiredTimers() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired
-}
+// FiredTimers returns the number of timers fired so far. It may be called
+// from any goroutine.
+func (s *Scheduler) FiredTimers() uint64 { return s.fired.Load() }
 
-// Go spawns fn as a new tracked task. It may be called before Run, from
-// within a running task, or (rarely) from a foreign goroutine. The task does
-// not start executing until the controller schedules it.
+// Go spawns fn as a new tracked task. It may be called before Run and from
+// within a running task or event; a foreign goroutine uses Inject instead.
+// The task does not start executing until the controller schedules it.
 func (s *Scheduler) Go(name string, fn func()) {
-	s.mu.Lock()
-	t, fresh := s.startTaskLocked(name, fn)
+	t, fresh := s.startTask(name, fn)
 	s.runnable = append(s.runnable, runnableItem{t: t})
-	s.mu.Unlock()
 	if fresh {
 		go s.workerBody(t)
 	}
 }
 
-// startTaskLocked allocates or reuses a task for fn and registers it as
-// live. fresh reports whether a new worker goroutine must be started.
-func (s *Scheduler) startTaskLocked(name string, fn func()) (t *task, fresh bool) {
+// startTask allocates or reuses a task for fn and registers it as live.
+// fresh reports whether a new worker goroutine must be started.
+func (s *Scheduler) startTask(name string, fn func()) (t *task, fresh bool) {
 	s.seq++
 	if k := len(s.idleWorkers); k > 0 {
 		t = s.idleWorkers[k-1]
@@ -304,13 +329,13 @@ func (s *Scheduler) workerBody(t *task) {
 		}
 		t.fn = nil
 		s.runTaskFn(t, fn)
-		s.mu.Lock()
-		s.finishTaskLocked(t)
+		// Still holding the baton: finish the task and park in the pool
+		// before handing control back.
+		s.finishTask(t)
 		pooled := len(s.idleWorkers) < maxIdleWorkers
 		if pooled {
 			s.idleWorkers = append(s.idleWorkers, t)
 		}
-		s.mu.Unlock()
 		s.ctrl <- struct{}{}
 		if !pooled {
 			return
@@ -322,18 +347,14 @@ func (s *Scheduler) workerBody(t *task) {
 // scheduler's PanicError.
 func (s *Scheduler) runTaskFn(t *task, fn func()) {
 	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			if s.panicked == nil {
-				s.panicked = &PanicError{Task: t.name, Value: r, Stack: string(debug.Stack())}
-			}
-			s.mu.Unlock()
+		if r := recover(); r != nil && s.panicked == nil {
+			s.panicked = &PanicError{Task: t.name, Value: r, Stack: string(debug.Stack())}
 		}
 	}()
 	fn()
 }
 
-func (s *Scheduler) finishTaskLocked(t *task) {
+func (s *Scheduler) finishTask(t *task) {
 	t.state = stateDone
 	delete(s.tasks, t.id)
 	if s.current == t {
@@ -341,40 +362,44 @@ func (s *Scheduler) finishTaskLocked(t *task) {
 	}
 }
 
-// drainWorkersLocked releases all parked worker goroutines. Called (with mu
-// held) when Run returns, so a scheduler that is dropped between runs does
-// not pin goroutines.
-func (s *Scheduler) drainWorkersLocked() []*task {
-	ws := s.idleWorkers
-	s.idleWorkers = nil
-	return ws
-}
-
 // Inject hands fn to the scheduler from a foreign goroutine; fn will run as
-// a regular task. Inject is the only scheduler entry point that is safe to
-// call from goroutines not managed by the scheduler (e.g. RPC handlers). If
-// the scheduler is between Run calls the work is queued until the next Run.
+// a regular task. Inject (with InjectWait, Stop and Now) is one of the
+// scheduler entry points that are safe to call from goroutines not managed
+// by the scheduler (e.g. RPC handlers). Injected work waits in an inbox
+// until the controller drains it into the runnable FIFO at the top of its
+// next loop iteration, so injects run in the order they were made; if the
+// scheduler is between Run calls the work waits for the next Run.
 func (s *Scheduler) Inject(name string, fn func()) {
 	if h := s.lockWait.Load(); h != nil {
 		// Instrumented path only: the uninstrumented scheduler must not
 		// read the wall clock.
 		//lint:ignore walltime the lock-wait histogram measures wall time by definition
 		t0 := time.Now()
-		s.mu.Lock()
+		s.inboxMu.Lock()
 		h.Observe(time.Since(t0).Seconds())
 	} else {
-		s.mu.Lock()
+		s.inboxMu.Lock()
 	}
-	t, fresh := s.startTaskLocked(name, fn)
-	s.runnable = append(s.runnable, runnableItem{t: t})
-	s.mu.Unlock()
-	if fresh {
-		go s.workerBody(t)
-	}
+	s.inbox = append(s.inbox, injected{name: name, fn: fn})
+	s.pending.Store(true)
+	s.inboxMu.Unlock()
 	// Poke the controller in case it is idle-waiting (RealTime mode).
 	select {
-	case s.inject <- struct{}{}:
+	case s.wakeup <- struct{}{}:
 	default:
+	}
+}
+
+// drainInbox moves injected work into the runnable FIFO as fresh tasks, in
+// injection order. Controller only.
+func (s *Scheduler) drainInbox() {
+	s.inboxMu.Lock()
+	in := s.inbox
+	s.inbox = nil
+	s.pending.Store(false)
+	s.inboxMu.Unlock()
+	for _, it := range in {
+		s.Go(it.name, it.fn)
 	}
 }
 
@@ -391,13 +416,12 @@ func (s *Scheduler) InjectWait(name string, fn func()) {
 }
 
 // Stop requests that the active Run call return as soon as the currently
-// executing task blocks. Pending work remains queued.
+// executing task blocks. Pending work remains queued. Stop may be called
+// from any goroutine.
 func (s *Scheduler) Stop() {
-	s.mu.Lock()
-	s.stopping = true
-	s.mu.Unlock()
+	s.stopping.Store(true)
 	select {
-	case s.inject <- struct{}{}:
+	case s.wakeup <- struct{}{}:
 	default:
 	}
 }
@@ -418,46 +442,41 @@ func (s *Scheduler) RunUntil(deadline time.Time) error { return s.run(deadline) 
 
 // RunFor is RunUntil(Now().Add(d)).
 func (s *Scheduler) RunFor(d time.Duration) error {
-	s.mu.Lock()
-	deadline := s.now.Add(d)
-	s.mu.Unlock()
-	return s.run(deadline)
+	return s.run(s.now.Add(d))
 }
 
+// run makes the calling goroutine the controller: it owns the scheduler's
+// state until it returns.
 func (s *Scheduler) run(deadline time.Time) error {
-	s.mu.Lock()
-	if s.running {
-		s.mu.Unlock()
+	if !s.running.CompareAndSwap(false, true) {
 		panic("sched: concurrent Run calls")
 	}
-	s.running = true
-	s.mu.Unlock()
 	defer func() {
-		s.mu.Lock()
-		s.running = false
-		ws := s.drainWorkersLocked()
-		s.mu.Unlock()
-		for _, t := range ws {
+		// Release the parked worker goroutines, so a scheduler that is
+		// dropped between runs does not pin them.
+		for _, t := range s.idleWorkers {
 			t.fn = nil
 			t.wake <- struct{}{}
 		}
+		s.idleWorkers = nil
+		s.running.Store(false)
 	}()
 
 	//lint:ignore walltime realtime mode anchors the virtual timeline to one wall reading by design
 	wallBase := time.Now()
-	virtBase := s.Now()
+	virtBase := s.now
 
 	for {
-		s.mu.Lock()
+		if s.pending.Load() {
+			s.drainInbox()
+		}
 		if s.panicked != nil {
 			pe := s.panicked
 			s.panicked = nil
-			s.mu.Unlock()
 			return pe
 		}
-		if s.stopping {
-			s.stopping = false
-			s.mu.Unlock()
+		if s.stopping.Load() {
+			s.stopping.Store(false)
 			return ErrStopped
 		}
 
@@ -471,17 +490,14 @@ func (s *Scheduler) run(deadline time.Time) error {
 				t := it.t
 				t.state = stateRunning
 				s.current = t
-				s.switches++
+				s.switches.Add(1)
 				s.m.switches.Inc()
 				s.m.runnable.Set(int64(len(s.runnable)))
-				s.mu.Unlock()
-				t.wake <- struct{}{}
-				<-s.ctrl // wait until t blocks or exits
+				t.wake <- struct{}{} // hand the baton to t
+				<-s.ctrl             // and take it back when t blocks or exits
 			} else {
-				now := s.now
 				s.m.runnable.Set(int64(len(s.runnable)))
-				s.mu.Unlock()
-				s.runEvent(it.fn, now, it.arg)
+				s.runEvent(it.fn, s.now, it.arg)
 			}
 			continue
 		}
@@ -491,14 +507,12 @@ func (s *Scheduler) run(deadline time.Time) error {
 			tm := s.timers[0]
 			if tm.stopped {
 				s.timers.pop()
-				s.mu.Unlock()
 				continue
 			}
 			if !deadline.IsZero() && tm.when.After(deadline) {
 				if s.now.Before(deadline) {
-					s.now = deadline
+					s.advance(deadline, deadline.UnixNano())
 				}
-				s.mu.Unlock()
 				return nil
 			}
 			if s.mode == RealTime && tm.when.After(s.now) {
@@ -507,101 +521,85 @@ func (s *Scheduler) run(deadline time.Time) error {
 				target := wallBase.Add(time.Duration(float64(tm.when.Sub(virtBase)) * s.factor))
 				dt := time.Until(target)
 				if dt > 0 {
-					s.mu.Unlock()
 					select {
 					case <-time.After(dt):
-					case <-s.inject:
+					case <-s.wakeup:
 					}
 					continue // re-evaluate: injection may have added work
 				}
 			}
 			s.timers.pop()
 			if tm.when.After(s.now) {
-				s.now = tm.when
+				s.advance(tm.when, tm.whenNS)
 			}
 			if !tm.stopped {
-				s.fired++
+				s.fired.Add(1)
 				s.m.fired.Inc()
 				s.m.queueLen.Set(int64(s.timers.Len()))
-				s.observeVtimeLagLocked(wallBase, virtBase)
+				s.observeVtimeLag(wallBase, virtBase)
 				switch {
 				case tm.eventFn != nil:
-					// Inline event: runs on the controller goroutine
-					// after releasing the lock. The timer is recycled
-					// first — event timers are never exposed to callers.
+					// Inline event: runs on the controller goroutine. The
+					// timer is recycled first — event timers are never
+					// exposed to callers.
 					fn, arg := tm.eventFn, tm.eventArg
-					now := s.now
-					s.releaseTimerLocked(tm)
-					s.mu.Unlock()
-					s.runEvent(fn, now, arg)
-					continue
+					s.releaseTimer(tm)
+					s.runEvent(fn, s.now, arg)
 				case tm.wake != nil:
-					s.makeRunnableLocked(tm.wake)
+					s.makeRunnable(tm.wake)
 				case tm.spawnFn != nil:
-					t, fresh := s.startTaskLocked(tm.spawnName, tm.spawnFn)
-					s.runnable = append(s.runnable, runnableItem{t: t})
+					fn := tm.spawnFn
 					tm.spawnFn = nil
-					if fresh {
-						s.mu.Unlock()
-						go s.workerBody(t)
-						continue
-					}
+					s.Go(tm.spawnName, fn)
 				default:
-					// Runs with s.mu held; only queue manipulation.
+					// Only queue manipulation.
 					tm.fire()
 				}
 			}
-			s.mu.Unlock()
 			continue
 		}
 
-		// 3. Nothing runnable, no timers. The system is finished when no
-		// task is left — unless keep-alive mode holds the scheduler open
-		// for external injections (an RPC serving host).
+		// 3. Nothing runnable, no timers. Injected work may be waiting in
+		// the inbox; otherwise the system is finished when no task is
+		// left — unless keep-alive mode holds the scheduler open for
+		// external injections (an RPC serving host).
+		if s.pending.Load() {
+			continue
+		}
 		if len(s.tasks) == 0 {
 			if s.keepAlive && s.mode == RealTime {
-				s.mu.Unlock()
 				select {
-				case <-s.inject:
+				case <-s.wakeup:
 				case <-time.After(50 * time.Millisecond):
 				}
 				continue
 			}
-			s.mu.Unlock()
 			return nil
 		}
 		if s.mode == RealTime {
 			// Live tasks are blocked waiting for external input.
-			s.mu.Unlock()
 			select {
-			case <-s.inject:
+			case <-s.wakeup:
 			case <-time.After(10 * time.Millisecond):
 			}
 			continue
 		}
-		blocked := s.blockedNamesLocked()
-		now := s.now
-		s.mu.Unlock()
-		return &DeadlockError{Now: now, Blocked: blocked}
+		return &DeadlockError{Now: s.now, Blocked: s.blockedNames()}
 	}
 }
 
-// runEvent executes one inline event on the controller goroutine, without
-// the scheduler lock, converting an escaped panic into a PanicError.
+// runEvent executes one inline event on the controller goroutine,
+// converting an escaped panic into a PanicError.
 func (s *Scheduler) runEvent(fn func(time.Time, any), now time.Time, arg any) {
 	defer func() {
-		if r := recover(); r != nil {
-			s.mu.Lock()
-			if s.panicked == nil {
-				s.panicked = &PanicError{Task: "event", Value: r, Stack: string(debug.Stack())}
-			}
-			s.mu.Unlock()
+		if r := recover(); r != nil && s.panicked == nil {
+			s.panicked = &PanicError{Task: "event", Value: r, Stack: string(debug.Stack())}
 		}
 	}()
 	fn(now, arg)
 }
 
-func (s *Scheduler) blockedNamesLocked() []string {
+func (s *Scheduler) blockedNames() []string {
 	var names []string
 	for _, t := range s.tasks {
 		if t.state == stateBlocked {
@@ -616,9 +614,9 @@ func (s *Scheduler) blockedNamesLocked() []string {
 	return names
 }
 
-// block parks the current task. The caller must have already registered the
-// task with whatever will later make it runnable again (a timer or a cond
-// waiter list), while holding s.mu; block is called after releasing s.mu.
+// block parks the current task, handing the baton back to the controller.
+// The caller must have already registered the task with whatever will later
+// make it runnable again (a timer, a cond waiter list or the runnable FIFO).
 func (s *Scheduler) block(t *task) {
 	s.ctrl <- struct{}{}
 	<-t.wake
@@ -628,7 +626,7 @@ func (s *Scheduler) block(t *task) {
 // is not running on the scheduler. All blocking primitives require task
 // context — inline events (ScheduleEvent, PostEvent) and packet handlers
 // invoked from them must not block.
-func (s *Scheduler) mustCurrentLocked(op string) *task {
+func (s *Scheduler) mustCurrent(op string) *task {
 	t := s.current
 	if t == nil || t.state != stateRunning {
 		panic("sched: " + op + " called outside a scheduler task")
@@ -636,8 +634,8 @@ func (s *Scheduler) mustCurrentLocked(op string) *task {
 	return t
 }
 
-// makeRunnableLocked transitions a blocked task to the runnable queue.
-func (s *Scheduler) makeRunnableLocked(t *task) {
+// makeRunnable transitions a blocked task to the runnable queue.
+func (s *Scheduler) makeRunnable(t *task) {
 	if t.state != stateBlocked {
 		panic("sched: makeRunnable on non-blocked task")
 	}
@@ -649,8 +647,7 @@ func (s *Scheduler) makeRunnableLocked(t *task) {
 // Sleep suspends the current task for d of virtual time. Non-positive
 // durations yield the processor but do not advance time.
 func (s *Scheduler) Sleep(d time.Duration) {
-	s.mu.Lock()
-	t := s.mustCurrentLocked("Sleep")
+	t := s.mustCurrent("Sleep")
 	t.state = stateBlocked
 	t.blockedOn = "sleep"
 	t.blockedFor = d
@@ -658,25 +655,22 @@ func (s *Scheduler) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	s.addSleepTimerLocked(s.now.Add(d), t)
-	s.mu.Unlock()
+	s.addSleepTimer(s.now.Add(d), t)
 	s.block(t)
 }
 
 // Yield moves the current task to the back of the runnable queue, letting
 // other runnable tasks execute at the same virtual instant.
 func (s *Scheduler) Yield() {
-	s.mu.Lock()
-	t := s.mustCurrentLocked("Yield")
+	t := s.mustCurrent("Yield")
 	t.state = stateRunnable
 	s.current = nil
 	s.runnable = append(s.runnable, runnableItem{t: t})
-	s.mu.Unlock()
 	s.block(t)
 }
 
-// Timer is a cancelable scheduled callback. Its fire function runs with the
-// scheduler lock held and must restrict itself to queue manipulation; user
+// Timer is a cancelable scheduled callback. Its fire function runs on the
+// controller and must restrict itself to queue manipulation; user
 // callbacks are wrapped in fresh tasks by ScheduleFunc.
 type Timer struct {
 	s       *Scheduler
@@ -694,17 +688,15 @@ type Timer struct {
 	spawnFn   func()
 	spawnName string
 	// eventFn/eventArg, when set, replace fire: the timer runs eventFn
-	// inline on the controller goroutine, outside the scheduler lock.
-	// Event timers are pooled and never escape the scheduler.
+	// inline on the controller goroutine. Event timers are pooled and
+	// never escape the scheduler.
 	eventFn  func(now time.Time, arg any)
 	eventArg any
 }
 
 // Stop cancels the timer. It reports whether the timer was still pending.
-// Safe to call multiple times and from any task.
+// Safe to call multiple times, from any task or event.
 func (t *Timer) Stop() bool {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
 	if t.stopped {
 		return false
 	}
@@ -712,16 +704,16 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-func (s *Scheduler) addTimerLocked(when time.Time, fire func()) *Timer {
+func (s *Scheduler) addTimer(when time.Time, fire func()) *Timer {
 	s.seq++
 	tm := &Timer{s: s, when: when, whenNS: when.UnixNano(), seq: s.seq, fire: fire}
 	s.timers.push(tm)
 	return tm
 }
 
-// addSleepTimerLocked schedules the task's embedded wake timer: no
-// allocation, and no wake closure a fire func would cost.
-func (s *Scheduler) addSleepTimerLocked(when time.Time, t *task) {
+// addSleepTimer schedules the task's embedded wake timer: no allocation,
+// and no wake closure a fire func would cost.
+func (s *Scheduler) addSleepTimer(when time.Time, t *task) {
 	s.seq++
 	tm := &t.sleep
 	tm.s = s
@@ -740,23 +732,7 @@ func (s *Scheduler) ScheduleFunc(d time.Duration, name string, fn func()) *Timer
 	if d < 0 {
 		d = 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addSpawnTimerLocked(s.now.Add(d), name, fn)
-}
-
-// ScheduleAt is ScheduleFunc with an absolute firing time.
-func (s *Scheduler) ScheduleAt(when time.Time, name string, fn func()) *Timer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if when.Before(s.now) {
-		when = s.now
-	}
-	return s.addSpawnTimerLocked(when, name, fn)
-}
-
-// addSpawnTimerLocked schedules a timer that starts fn as a fresh task.
-func (s *Scheduler) addSpawnTimerLocked(when time.Time, name string, fn func()) *Timer {
+	when := s.now.Add(d)
 	s.seq++
 	tm := &Timer{s: s, when: when, whenNS: when.UnixNano(), seq: s.seq, spawnFn: fn, spawnName: name}
 	s.timers.push(tm)
@@ -766,7 +742,7 @@ func (s *Scheduler) addSpawnTimerLocked(when time.Time, name string, fn func()) 
 // ScheduleEvent runs fn(now, arg) inline on the controller goroutine after
 // d of virtual time. Events are the allocation-free fast path for per-packet
 // work: the timer comes from a free list and fn is expected to be a static
-// function with its state in arg. fn runs without the scheduler lock but
+// function with its state in arg. fn runs on the controller goroutine
 // outside any task, so it must not block on scheduler primitives; it may
 // schedule further events, post events, spawn tasks and signal conds.
 // Events are not cancelable.
@@ -774,7 +750,6 @@ func (s *Scheduler) ScheduleEvent(d time.Duration, fn func(now time.Time, arg an
 	if d < 0 {
 		d = 0
 	}
-	s.mu.Lock()
 	when := s.now.Add(d)
 	s.seq++
 	var tm *Timer
@@ -792,11 +767,10 @@ func (s *Scheduler) ScheduleEvent(d time.Duration, fn func(now time.Time, arg an
 	tm.eventFn = fn
 	tm.eventArg = arg
 	s.timers.push(tm)
-	s.mu.Unlock()
 }
 
-// releaseTimerLocked returns a fired event timer to the free list.
-func (s *Scheduler) releaseTimerLocked(tm *Timer) {
+// releaseTimer returns a fired event timer to the free list.
+func (s *Scheduler) releaseTimer(tm *Timer) {
 	tm.eventFn = nil
 	tm.eventArg = nil
 	if len(s.timerFree) < maxFreeTimers {
@@ -809,9 +783,7 @@ func (s *Scheduler) releaseTimerLocked(tm *Timer) {
 // timer fires — the same position a task woken by Cond.Signal would get.
 // The same non-blocking rules as for ScheduleEvent apply.
 func (s *Scheduler) PostEvent(fn func(now time.Time, arg any), arg any) {
-	s.mu.Lock()
 	s.runnable = append(s.runnable, runnableItem{fn: fn, arg: arg})
-	s.mu.Unlock()
 }
 
 // timerHeap orders timers by (whenNS, seq) so simultaneous timers fire in

@@ -294,20 +294,6 @@ func TestScheduleFuncAndStop(t *testing.T) {
 	}
 }
 
-func TestScheduleAtClampsPast(t *testing.T) {
-	s := NewVirtual()
-	past := s.Now().Add(-time.Hour)
-	var at time.Time
-	s.ScheduleAt(past, "p", func() { at = s.Now() })
-	start := s.Now()
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !at.Equal(start) {
-		t.Fatalf("fired at %v, want clamped to %v", at, start)
-	}
-}
-
 func TestNestedGo(t *testing.T) {
 	s := NewVirtual()
 	sum := 0

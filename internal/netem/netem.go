@@ -210,8 +210,8 @@ func (nw *Network) freePacket(p *Packet) {
 }
 
 // edge is one precomputed outgoing link of a node: the resolved target node
-// and the link parameters, so the flood fan-out and the contention model
-// touch no maps. Rebuilt only on topology mutation.
+// and the link parameters, so the flood fan-out, the contention model and
+// the unicast hop touch no maps. Rebuilt only on topology mutation.
 type edge struct {
 	n  *Node
 	lp *LinkParams
@@ -232,14 +232,18 @@ type Network struct {
 	order  []NodeID // sorted, for deterministic iteration
 	links  map[NodeID]map[NodeID]*LinkParams
 	groups map[string]map[NodeID]bool
-	routes map[NodeID]map[NodeID]NodeID // routes[src][dst] = next hop
-	// edgesDirty/routesDirty mark the per-node edge snapshots and the
-	// next-hop tables stale after a topology mutation. Both rebuild
+	// edgesDirty/routesDirty mark the per-node edge snapshots and next-hop
+	// tables (Node.hops) stale after a topology mutation. Both rebuild
 	// lazily.
 	edgesDirty  bool
 	routesDirty bool
-	ruleSeq     int
-	seed        int64
+	// linkGen counts link-table mutations (addDirected, RemoveLink). A
+	// queued unicast transmission carries the generation its hop was
+	// resolved at; if it moved by transmit time, the hop's link is looked
+	// up again.
+	linkGen uint64
+	ruleSeq int
+	seed    int64
 	// obs, when non-nil, makes nodes and rules resolve per-node/per-rule
 	// instruments (see metrics.go). Nil leaves the data path bare.
 	obs *obs.Registry
@@ -342,6 +346,7 @@ func (nw *Network) addDirected(from, to NodeID, p LinkParams) {
 	cp := p
 	nw.links[from][to] = &cp
 	nw.edgesDirty, nw.routesDirty = true, true
+	nw.linkGen++
 }
 
 // Link returns the parameters of the directed link from->to, or nil.
@@ -356,6 +361,7 @@ func (nw *Network) RemoveLink(a, b NodeID) {
 	delete(nw.links[a], b)
 	delete(nw.links[b], a)
 	nw.edgesDirty, nw.routesDirty = true, true
+	nw.linkGen++
 }
 
 // Join adds a node to a multicast group. The node's membership snapshot is
@@ -399,33 +405,35 @@ func (nw *Network) ensureEdges() {
 	nw.edgesDirty = false
 }
 
-// recomputeRoutes rebuilds the next-hop tables with a BFS per source over
-// operational nodes (interface up, process not killed).
+// recomputeRoutes rebuilds every node's next-hop table with a BFS per
+// source over operational nodes (interface up, process not killed).
 func (nw *Network) recomputeRoutes() {
 	nw.ensureEdges()
-	nw.routes = make(map[NodeID]map[NodeID]NodeID, len(nw.order))
 	for _, src := range nw.order {
-		nw.routes[src] = nw.bfsFrom(src)
+		n := nw.nodes[src]
+		n.hops = nw.bfsFrom(n)
 	}
 	nw.routesDirty = false
 }
 
-func (nw *Network) bfsFrom(src NodeID) map[NodeID]NodeID {
-	next := make(map[NodeID]NodeID)
-	if !nw.nodes[src].operational() {
+// bfsFrom maps every destination reachable from src to its first hop: the
+// edge from src to the relay, target node and link parameters resolved.
+func (nw *Network) bfsFrom(src *Node) map[NodeID]edge {
+	next := make(map[NodeID]edge)
+	if !src.operational() {
 		return next
 	}
 	type qe struct {
 		node  *Node
-		first NodeID // first hop on the path from src
+		first edge // first hop on the path from src
 	}
-	visited := map[NodeID]bool{src: true}
+	visited := map[NodeID]bool{src.id: true}
 	var queue []qe
-	for _, e := range nw.nodes[src].edges {
+	for _, e := range src.edges {
 		if e.n.operational() {
 			visited[e.n.id] = true
-			next[e.n.id] = e.n.id
-			queue = append(queue, qe{e.n, e.n.id})
+			next[e.n.id] = e
+			queue = append(queue, qe{e.n, e})
 		}
 	}
 	for len(queue) > 0 {
@@ -443,14 +451,28 @@ func (nw *Network) bfsFrom(src NodeID) map[NodeID]NodeID {
 	return next
 }
 
-// NextHop returns the first hop on the route src->dst, recomputing routes
-// if the topology changed. ok is false when dst is unreachable.
-func (nw *Network) NextHop(src, dst NodeID) (NodeID, bool) {
+// hop returns n's first hop towards dst, recomputing routes if the
+// topology changed. ok is false when dst is unreachable.
+func (nw *Network) hop(n *Node, dst NodeID) (edge, bool) {
 	if nw.routesDirty {
 		nw.recomputeRoutes()
 	}
-	hop, ok := nw.routes[src][dst]
-	return hop, ok
+	h, ok := n.hops[dst]
+	return h, ok
+}
+
+// NextHop returns the first hop on the route src->dst, recomputing routes
+// if the topology changed. ok is false when dst is unreachable.
+func (nw *Network) NextHop(src, dst NodeID) (NodeID, bool) {
+	n := nw.nodes[src]
+	if n == nil {
+		return "", false
+	}
+	h, ok := nw.hop(n, dst)
+	if !ok {
+		return "", false
+	}
+	return h.n.id, true
 }
 
 // HopCount returns the number of hops on the shortest path a->b, 0 for
@@ -459,17 +481,17 @@ func (nw *Network) HopCount(a, b NodeID) int {
 	if a == b {
 		return 0
 	}
-	if nw.routesDirty {
-		nw.recomputeRoutes()
+	cur := nw.nodes[a]
+	if cur == nil {
+		return -1
 	}
 	hops := 0
-	cur := a
-	for cur != b {
-		next, ok := nw.routes[cur][b]
+	for cur.id != b {
+		h, ok := nw.hop(cur, b)
 		if !ok {
 			return -1
 		}
-		cur = next
+		cur = h.n
 		hops++
 		if hops > len(nw.order) {
 			return -1 // routing loop guard; cannot happen with BFS tables

@@ -24,6 +24,9 @@ type nodeMetrics struct {
 	// cleared (the high-water mark of the runs so far).
 	captured     *obs.Counter
 	captureBytes *obs.Gauge
+	// staleRx counts receptions of packets sent before the node's last
+	// ResetRunState (packets that crossed a run boundary).
+	staleRx *obs.Counter
 }
 
 // ruleMetrics caches one installed rule's instruments (resolved at
@@ -70,6 +73,8 @@ func (n *Node) instrument(reg *obs.Registry) {
 		"packet occurrences captured (tx and rx)", "node", id)
 	n.m.captureBytes = reg.Gauge(obs.MNetemCaptureBufferBytes,
 		"bytes held by the node's recycled capture buffers", "node", id)
+	n.m.staleRx = reg.Counter(obs.MNetemStaleRx,
+		"receptions of packets sent before the node's last run reset", "node", id)
 	for r := DropReason(0); r < dropReasonCount; r++ {
 		n.m.dropped[r] = reg.Counter(obs.MNetemDropped,
 			"packets discarded, by reason", "node", id, "reason", r.String())

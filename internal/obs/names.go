@@ -84,6 +84,9 @@ const (
 	// Capture path (DESIGN.md §18), per node.
 	MNetemCaptured           MetricName = "excovery_netem_captured_total"
 	MNetemCaptureBufferBytes MetricName = "excovery_netem_capture_buffer_bytes"
+	// Packets that crossed a run boundary: received after the receiver's
+	// ResetRunState, sent before it. Per node.
+	MNetemStaleRx MetricName = "excovery_netem_stale_rx_total"
 
 	// Environment manipulations (internal/fault): the background traffic
 	// generator of Fig. 7.

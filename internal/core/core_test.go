@@ -400,6 +400,60 @@ func TestOnRunDoneCallback(t *testing.T) {
 	}
 }
 
+// TestRecordersHoldOnlyTheirRun: over a stored campaign, every node's
+// recorder holds the run it is recording and no earlier one, while the
+// level-2 store still gets every run's events — the harvest reads a run
+// before the next preparation releases it.
+func TestRecordersHoldOnlyTheirRun(t *testing.T) {
+	const runs = 40
+	e := desc.OneShot(10)
+	e.Repl.Count = runs
+	var x *Experiment
+	checked, stale := 0, 0
+	x, err := New(e, Options{StoreDir: t.TempDir(),
+		OnRunDone: func(run desc.Run, rr master.RunResult) {
+			checked++
+			for id, mgr := range x.Managers {
+				rec := mgr.Recorder()
+				if len(rec.RunEvents(run.ID)) == 0 {
+					t.Errorf("run %d: node %s holds none of the run's events", run.ID, id)
+				}
+				for prev := 0; prev < run.ID; prev++ {
+					if evs := rec.RunEvents(prev); len(evs) != 0 {
+						if stale == 0 {
+							t.Errorf("run %d: node %s still holds %d events of run %d", run.ID, id, len(evs), prev)
+						}
+						stale++
+					}
+				}
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := x.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != runs || checked != runs {
+		t.Fatalf("campaign: %d of %d runs completed, %d checked", rep.Completed, runs, checked)
+	}
+	if stale != 0 {
+		t.Fatalf("%d times a node recorder held an earlier run's events", stale)
+	}
+	for run := 0; run < runs; run++ {
+		for id := range x.Managers {
+			evs, err := x.Store().ReadEvents(run, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(evs) < 2 || evs[0].Type != eventlog.EvRunInit || evs[len(evs)-1].Type != eventlog.EvRunExit {
+				t.Fatalf("run %d, node %s: stored %v, want run_init ... run_exit", run, id, evs)
+			}
+		}
+	}
+}
+
 func TestHybridProtocolAdaptive(t *testing.T) {
 	// The hybrid architecture on the three-party description: the SCM
 	// exists, so discovery may complete over either path, exactly once.

@@ -32,7 +32,10 @@ type Event struct {
 	// Type names the state change, e.g. "sd_service_add".
 	Type string
 	// Params carries additional event parameters, e.g. the identifier of
-	// a discovered service.
+	// a discovered service. Copies of an event share the map — the
+	// recorder, the bus, the run report and OnEvent hooks all hold it — so
+	// it is read-only once emitted, and an emitter may pass one map to
+	// several events.
 	Params map[string]string
 	// Seq is the global arrival order at the master's Bus. It is assigned
 	// by the Bus, not the recorder.
@@ -128,33 +131,45 @@ func (m Match) Matches(ev Event) bool {
 	return true
 }
 
-// Recorder is a node's local event store. Events are timestamped with the
+// Recorder is a node's local event store (the paper's temporary storage
+// until the master collects a run, §IV-B1). Events are timestamped with the
 // node's local clock and optionally forwarded to the master's Bus via the
 // report hook (the dedicated control channel of §IV-A1).
+//
+// A recorder holds the events of the run it is recording plus the
+// experiment-scoped ones (run -1): moving to another run releases the
+// previous run's events. Both harvest sites read a run before the next
+// PrepareRun moves its recorder on.
 type Recorder struct {
 	node   string
 	clock  vclock.Clock
 	run    int
 	events []Event
 	report func(Event)
-
-	// segs holds, in order, the index of the first event of every maximal
-	// stretch of events recorded under one run id: a segment ends where the
-	// next begins. byRun lists each run's segments (several after a retried
-	// attempt, or for the experiment-scoped run -1), so RunEvents copies
-	// one run's events without looking at any other run's.
-	segs  []int
-	byRun map[int][]int
 }
 
 // NewRecorder creates a recorder for a node. report may be nil.
 func NewRecorder(node string, clock vclock.Clock, report func(Event)) *Recorder {
-	return &Recorder{node: node, clock: clock, run: -1, report: report, byRun: map[int][]int{}}
+	return &Recorder{node: node, clock: clock, run: -1, report: report}
 }
 
 // SetRun sets the run identifier stamped on subsequent events. Run -1 marks
-// experiment-scoped events.
-func (r *Recorder) SetRun(run int) { r.run = run }
+// experiment-scoped events and releases nothing. Any other run that is not
+// the current one releases the events of every run but -1; setting the
+// current run again (an in-place retry) keeps its earlier attempts.
+func (r *Recorder) SetRun(run int) {
+	if run >= 0 && run != r.run {
+		kept := r.events[:0]
+		for _, ev := range r.events {
+			if ev.Run == -1 {
+				kept = append(kept, ev)
+			}
+		}
+		clear(r.events[len(kept):])
+		r.events = kept
+	}
+	r.run = run
+}
 
 // Run returns the current run identifier.
 func (r *Recorder) Run() int { return r.run }
@@ -172,10 +187,6 @@ func (r *Recorder) Emit(typ string, params map[string]string) Event {
 		Type:   typ,
 		Params: params,
 	}
-	if n := len(r.events); n == 0 || r.events[n-1].Run != r.run {
-		r.byRun[r.run] = append(r.byRun[r.run], len(r.segs))
-		r.segs = append(r.segs, n)
-	}
 	r.events = append(r.events, ev)
 	if r.report != nil {
 		r.report(ev)
@@ -183,28 +194,26 @@ func (r *Recorder) Emit(typ string, params map[string]string) Event {
 	return ev
 }
 
-// Events returns all locally recorded events.
-func (r *Recorder) Events() []Event { return r.events }
-
-// RunEvents returns the locally recorded events of one run, in recording
-// order, as a copy. Its cost is that run's events, whatever was recorded
-// before: every node is harvested after every run of a campaign.
+// RunEvents returns the held events of one run, in recording order, as a
+// copy; a run the recorder has moved past returns none. Its cost is the
+// held log: one run plus the experiment-scoped events.
 func (r *Recorder) RunEvents(run int) []Event {
-	var out []Event
-	for _, i := range r.byRun[run] {
-		end := len(r.events)
-		if i+1 < len(r.segs) {
-			end = r.segs[i+1]
+	n := 0
+	for i := range r.events {
+		if r.events[i].Run == run {
+			n++
 		}
-		out = append(out, r.events[r.segs[i]:end]...)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
+	for _, ev := range r.events {
+		if ev.Run == run {
+			out = append(out, ev)
+		}
 	}
 	return out
-}
-
-// Reset discards all locally recorded events (used between experiments).
-func (r *Recorder) Reset() {
-	r.events, r.segs = nil, nil
-	r.byRun = map[int][]int{}
 }
 
 // Bus is the master-side aggregation of reported events. Processes block on
@@ -261,7 +270,8 @@ func (b *Bus) Publish(ev Event) Event {
 // (§IV-C2, wait_marker).
 func (b *Bus) Marker() uint64 { return b.seq }
 
-// Events returns all published events.
+// Events returns all published events. The slice is the bus's own backing
+// array, which the next run overwrites after Reset; keep a Snapshot instead.
 func (b *Bus) Events() []Event { return b.events }
 
 // Snapshot returns a copy of all published events, detached from the
@@ -281,9 +291,11 @@ func (b *Bus) Snapshot() []Event {
 // Len returns the number of published events.
 func (b *Bus) Len() int { return len(b.events) }
 
-// Reset discards all events and restarts sequence numbering.
+// Reset discards all events and restarts sequence numbering. The backing
+// array is cleared and kept, so the next run publishes without regrowing it.
 func (b *Bus) Reset() {
-	b.events = nil
+	clear(b.events)
+	b.events = b.events[:0]
 	b.seq = 0
 	b.mResets.Inc()
 	b.mLen.Set(0)

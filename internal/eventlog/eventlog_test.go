@@ -49,18 +49,14 @@ func TestRecorderRunScoping(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Events()) != 4 {
-		t.Fatalf("total events = %d", len(r.Events()))
-	}
 	if got := len(r.RunEvents(1)); got != 2 {
 		t.Fatalf("run 1 events = %d, want 2", got)
 	}
 	if got := len(r.RunEvents(-1)); got != 1 {
 		t.Fatalf("experiment events = %d, want 1", got)
 	}
-	r.Reset()
-	if len(r.Events()) != 0 {
-		t.Fatal("Reset did not clear events")
+	if got := r.RunEvents(0); len(got) != 0 {
+		t.Fatalf("run 0 still held after moving to run 1: %v", got)
 	}
 }
 
@@ -267,6 +263,56 @@ func TestBusReset(t *testing.T) {
 	}
 }
 
+// TestBusResetReusesArray: after Reset the next run publishes into the
+// same backing array, yet a Snapshot of the previous run stays as it was,
+// and markers and waits count from the restarted sequence.
+func TestBusResetReusesArray(t *testing.T) {
+	s := sched.NewVirtual()
+	b, r := newBusAndRecorder(s, "n")
+	var snap []Event
+	s.Go("t", func() {
+		r.SetRun(0)
+		for _, typ := range []string{"a", "b", "c"} {
+			r.Emit(typ, map[string]string{"run": "0"})
+		}
+		snap = b.Snapshot()
+		backing := &b.Events()[0]
+		b.Reset()
+		r.SetRun(1)
+		if m := b.Marker(); m != 0 {
+			t.Errorf("marker after Reset = %d, want 0", m)
+		}
+		r.Emit("x", nil)
+		marker := b.Marker()
+		s.Go("later", func() {
+			s.Sleep(time.Second)
+			r.Emit("b", nil)
+			r.Emit("y", nil)
+		})
+		ev, ok := b.WaitFor(Match{Type: "y"}, marker, time.Minute)
+		if !ok || ev.Seq != 3 || ev.Run != 1 {
+			t.Errorf("WaitFor after Reset = %v, %v; want run 1's y at seq 3", ev, ok)
+		}
+		if _, ok := b.WaitFor(Match{Type: "c"}, 0, time.Second); ok {
+			t.Error("WaitFor matched an event of the run before Reset")
+		}
+		if &b.Events()[0] != backing {
+			t.Error("Reset did not reuse the backing array")
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap) != 3 {
+		t.Fatalf("snapshot holds %d events, want 3", len(snap))
+	}
+	for i, typ := range []string{"a", "b", "c"} {
+		if ev := snap[i]; ev.Type != typ || ev.Run != 0 || ev.Seq != uint64(i+1) || ev.Param("run") != "0" {
+			t.Errorf("snapshot[%d] = %v after the next run published, want run 0's %s at seq %d", i, ev, typ, i+1)
+		}
+	}
+}
+
 func TestEventString(t *testing.T) {
 	ev := Event{Run: 3, Node: "A", Type: "sd_init_done",
 		Time:   time.Date(2014, 5, 19, 10, 0, 0, 0, time.UTC),
@@ -365,9 +411,11 @@ func TestCancelWaitersAbortsPendingWaits(t *testing.T) {
 	_ = r
 }
 
-// TestRunEventsInterleavedRuns holds the segment index to the scan it
-// replaced: run ids that come back (a retried attempt, the experiment-scoped
-// run -1 between runs), SetRun calls that record nothing, and a Reset.
+// TestRunEventsInterleavedRuns pins what a recorder holds as run ids come
+// and go: an in-place retry (the same run set again) accumulates its
+// attempts, the experiment-scoped run -1 is kept throughout, and moving to
+// another run releases the previous one. SetRun calls that record nothing
+// change nothing held.
 func TestRunEventsInterleavedRuns(t *testing.T) {
 	s := sched.NewVirtual()
 	r := NewRecorder("n1", vclock.Perfect{S: s}, nil)
@@ -377,53 +425,51 @@ func TestRunEventsInterleavedRuns(t *testing.T) {
 			r.Emit(typ, nil)
 		}
 	}
-	check := func() {
+	// check holds every run in [-2, 4] to want: the listed runs' types, in
+	// recording order, and nothing for the others.
+	check := func(want map[int][]string) {
 		t.Helper()
 		for run := -2; run <= 4; run++ {
-			var want []Event
-			for _, ev := range r.Events() {
-				if ev.Run == run {
-					want = append(want, ev)
-				}
-			}
 			got := r.RunEvents(run)
-			if len(got) != len(want) {
-				t.Fatalf("run %d: %d events, want %d", run, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Type != want[i].Type || got[i].Run != run {
-					t.Fatalf("run %d event %d = %v, want %v", run, i, got[i], want[i])
+			var types []string
+			for _, ev := range got {
+				if ev.Run != run {
+					t.Fatalf("run %d: holds %v", run, ev)
 				}
+				types = append(types, ev.Type)
+			}
+			if strings.Join(types, ",") != strings.Join(want[run], ",") {
+				t.Fatalf("run %d: %v, want %v", run, types, want[run])
 			}
 		}
 	}
 	emit(-1, "experiment_init")
 	emit(0, "a0", "b0")
+	check(map[int][]string{-1: {"experiment_init"}, 0: {"a0", "b0"}})
 	emit(1, "a1")
-	emit(2) // prepared, nothing recorded
-	emit(1, "a1-retry", "b1-retry")
-	emit(-1, "run_recovered")
+	check(map[int][]string{-1: {"experiment_init"}, 1: {"a1"}})
+	emit(1, "a1-retry", "b1-retry") // in-place retry: same run id
+	check(map[int][]string{-1: {"experiment_init"}, 1: {"a1", "a1-retry", "b1-retry"}})
+	emit(-1, "run_recovered") // run -1 releases nothing
+	check(map[int][]string{-1: {"experiment_init", "run_recovered"}, 1: {"a1", "a1-retry", "b1-retry"}})
+	emit(2) // prepared, nothing recorded: run 1 is released all the same
+	check(map[int][]string{-1: {"experiment_init", "run_recovered"}})
 	emit(3, "a3")
-	emit(3, "b3") // same run set twice: one segment
-	emit(0, "late0")
-	check()
-	if got := r.RunEvents(1); len(got) != 3 || got[1].Type != "a1-retry" {
-		t.Fatalf("retried run 1 = %v", got)
-	}
+	emit(3, "b3")
+	check(map[int][]string{-1: {"experiment_init", "run_recovered"}, 3: {"a3", "b3"}})
+	emit(0, "late0") // a run id that comes back starts empty
+	check(map[int][]string{-1: {"experiment_init", "run_recovered"}, 0: {"late0"}})
 	// The result is a copy: the recorder keeps recording into its own.
-	got := r.RunEvents(3)
+	got := r.RunEvents(0)
 	got[0].Type = "overwritten"
-	if r.RunEvents(3)[0].Type != "a3" {
+	if r.RunEvents(0)[0].Type != "late0" {
 		t.Fatal("RunEvents returned a view of the recorder's events")
 	}
-	r.Reset()
-	emit(1, "fresh")
-	check()
 }
 
 // BenchmarkRecorderRunEvents harvests the newest run of a recorder that
-// already holds the events of `prior` earlier runs: the cost must not
-// depend on prior (it grew linearly, so a campaign paid O(runs²)).
+// has recorded `prior` earlier runs: the cost must not depend on prior (it
+// grew linearly, so a campaign paid O(runs²)).
 func BenchmarkRecorderRunEvents(b *testing.B) {
 	const perRun = 12
 	for _, prior := range []int{0, 1000, 20000} {

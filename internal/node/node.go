@@ -42,6 +42,10 @@ type Manager struct {
 	faults  map[string][]activeFault // kind → active injections
 	plugins map[string]PluginFunc
 	extras  []store.ExtraMeasurement // plugin measurements of the run
+
+	// runParams is the {"run": paramsRun} map of the last run event.
+	runParams map[string]string
+	paramsRun int
 }
 
 // activeFault is one registered injection or scenario; cancel stops its
@@ -135,7 +139,7 @@ func (m *Manager) PrepareRun(run int) {
 	m.nd.ClearCaptures()
 	m.nd.SetCapture(true)
 	m.nd.SetTagging(true)
-	m.Emit(eventlog.EvRunInit, map[string]string{"run": strconv.Itoa(run)})
+	m.Emit(eventlog.EvRunInit, m.runParamsOf(run))
 }
 
 // CleanupRun terminates a run on this node (§IV-C1 clean-up phase).
@@ -144,7 +148,17 @@ func (m *Manager) CleanupRun(run int) {
 		m.agent.Exit()
 	}
 	m.StopAllFaults()
-	m.Emit(eventlog.EvRunExit, map[string]string{"run": strconv.Itoa(run)})
+	m.Emit(eventlog.EvRunExit, m.runParamsOf(run))
+}
+
+// runParamsOf returns the {"run": N} params of run's run_init and run_exit:
+// one map per run, which both events share (params are read-only once
+// emitted).
+func (m *Manager) runParamsOf(run int) map[string]string {
+	if m.runParams == nil || m.paramsRun != run {
+		m.runParams, m.paramsRun = map[string]string{"run": strconv.Itoa(run)}, run
+	}
+	return m.runParams
 }
 
 // HarvestRun returns and clears the packet captures of the current run. It

@@ -217,12 +217,14 @@ func TestFaultBadParams(t *testing.T) {
 func TestPrepareRunResetsState(t *testing.T) {
 	r := newRig(t)
 	a := r.mgrs["a"]
+	var run0 []eventlog.Event
 	r.run(t, func() {
 		a.PrepareRun(0)
 		must(t, a.Execute("fault_msg_delay", map[string]string{"delay_ms": "5"}))
 		a.Emit("custom", nil)
 		a.Node().Send(netem.Unicast("b"), "sd", []byte("x"))
 		r.s.Sleep(10 * time.Millisecond)
+		run0 = a.Recorder().RunEvents(0) // the harvest, before the next run
 		a.PrepareRun(1)
 		if a.ActiveFaults() != 0 {
 			t.Error("faults survived PrepareRun")
@@ -234,9 +236,12 @@ func TestPrepareRunResetsState(t *testing.T) {
 			t.Errorf("run id = %d", a.Recorder().Run())
 		}
 	})
-	// Events are scoped per run.
-	if evs := a.Recorder().RunEvents(0); len(evs) < 2 {
-		t.Fatalf("run 0 events = %d", len(evs))
+	// Events are scoped per run, and the node holds only the run it is in.
+	if len(run0) < 2 {
+		t.Fatalf("run 0 events = %d", len(run0))
+	}
+	if evs := a.Recorder().RunEvents(0); len(evs) != 0 {
+		t.Fatalf("run 0 still held after PrepareRun(1): %v", evs)
 	}
 	for _, ev := range a.Recorder().RunEvents(1) {
 		if ev.Type == "custom" {
@@ -263,6 +268,30 @@ func TestCleanupRunExitsAgentAndFaults(t *testing.T) {
 	}
 	if _, ok := r.bus.FindFirst(eventlog.Match{Type: "run_exit"}); !ok {
 		t.Fatal("no run_exit event")
+	}
+}
+
+// TestRunEventsNameTheirRun: run_init and run_exit carry the run they
+// belong to, also when a run is cleaned up that this node never prepared.
+func TestRunEventsNameTheirRun(t *testing.T) {
+	r := newRig(t)
+	a := r.mgrs["a"]
+	r.run(t, func() {
+		a.PrepareRun(3)
+		a.CleanupRun(3)
+		a.CleanupRun(4)
+		a.PrepareRun(5)
+		a.CleanupRun(5)
+	})
+	var got []string
+	for _, ev := range r.bus.Events() {
+		if ev.Node == "a" && (ev.Type == eventlog.EvRunInit || ev.Type == eventlog.EvRunExit) {
+			got = append(got, ev.Type+"="+ev.Param("run"))
+		}
+	}
+	want := "run_init=3 run_exit=3 run_exit=4 run_init=5 run_exit=5"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("run events %v, want %s", got, want)
 	}
 }
 

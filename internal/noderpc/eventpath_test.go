@@ -15,9 +15,9 @@ import (
 	"excovery/internal/failpoint"
 	"excovery/internal/master"
 	"excovery/internal/metrics"
-	"excovery/internal/netem"
 	"excovery/internal/obs"
 	"excovery/internal/sched"
+	"excovery/internal/sd"
 	"excovery/internal/store"
 	"excovery/internal/xmlrpc"
 )
@@ -32,13 +32,16 @@ type evKey struct {
 // loopbackCfg shapes one loopback campaign.
 type loopbackCfg struct {
 	speed float64
-	// linkDelay, when set, is the delay of every emulated link.
-	linkDelay time.Duration
 	// store keeps level-2 data, so the master harvests and can Finalize.
 	store bool
 	// masterDelay holds every request to the master's event endpoint
 	// before serving it.
 	masterDelay time.Duration
+	// holdAfter names an event type. Once the host records one, its
+	// emulation stands still until the reply of the call that recorded
+	// it has taken it, so what that event sets off is recorded between
+	// calls, however the wall-clock timing falls.
+	holdAfter string
 }
 
 // loopback is a campaign run over HTTP loopback, wired as excovery-node and
@@ -62,12 +65,14 @@ func runLoopback(t *testing.T, e *desc.Experiment, cfg loopbackCfg) *loopback {
 	x, err := core.New(e, core.Options{
 		RealTime: true,
 		Speed:    cfg.speed,
-		Link:     netem.LinkParams{Delay: cfg.linkDelay},
 		OnEvent: func(ev eventlog.Event) {
 			lb.mu.Lock()
 			lb.recorded[evKey{ev.Run, ev.Node, ev.Type}]++
 			lb.mu.Unlock()
 			lb.host.ForwardEvent(ev)
+			if ev.Type == cfg.holdAfter {
+				lb.host.x.S.Go("hold until replied", func() { lb.awaitReply(t) })
+			}
 		},
 	})
 	if err != nil {
@@ -134,6 +139,19 @@ func runLoopback(t *testing.T, e *desc.Experiment, cfg loopbackCfg) *loopback {
 		t.Fatalf("completed %d of %d runs", lb.rep.Completed, len(lb.rep.Results))
 	}
 	return lb
+}
+
+// awaitReply blocks the host's scheduler until its outbox is empty: the
+// call in flight has taken what it recorded into its reply. It polls,
+// because a reply is not the only way out of the outbox: with no call in
+// flight the pump takes it.
+func (lb *loopback) awaitReply(t *testing.T) {
+	for deadline := time.Now().Add(10 * time.Second); lb.host.Status().OutboxLen > 0; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Error("the host's outbox never emptied after the held event")
+			return
+		}
+	}
 }
 
 // checkSnapshots holds every run's RunResult.Events, less the master's own
@@ -226,16 +244,28 @@ func TestRunSnapshotsMatchHostRecord(t *testing.T) {
 // TestPushedEventsLandInTheirRun: events recorded between calls — SD
 // traffic while the master waits for an event — go by push, and the run's
 // clean-up is their barrier: even with the master's event endpoint slow,
-// each run's snapshot holds exactly that run's events. The links' delay,
-// 1 ms of wall time per hop, puts the SU's sd_service_add well after the
-// reply to its sd_start_search.
+// each run's snapshot holds exactly that run's events. The SU searches
+// before the SM publishes, so it can learn of the service only from the
+// SM's announcement, and the host's emulation holds still after
+// sd_start_publish until that call has replied: the SU's sd_service_add is
+// recorded with no call in flight in every run. (A real-time scheduler's
+// virtual clock stands still while it is idle and then catches up at full
+// speed, so on wall-clock timing alone the answer often beat the reply,
+// and the SU sometimes had the service cached before it searched.)
 func TestPushedEventsLandInTheirRun(t *testing.T) {
 	e := desc.OneShot(30)
 	e.Repl.Count = 6
+	sm, su := &e.NodeProcesses[0], &e.NodeProcesses[1]
+	// The SU drops its wait for the SM's publication; the SM waits for
+	// the SU's search instead.
+	su.Actions = su.Actions[2:]
+	awaitSearch := desc.Act("wait_for_event")
+	awaitSearch.Wait = &desc.WaitSpec{Event: sd.EvStartSearch, FromActor: su.Actor, FromInstance: "all"}
+	sm.Actions = append([]desc.Action{awaitSearch}, sm.Actions...)
 	lb := runLoopback(t, e, loopbackCfg{speed: 0.01,
-		linkDelay: 100 * time.Millisecond, masterDelay: 20 * time.Millisecond})
-	if n := lb.hostReg.CounterTotal(obs.MHostEventBatches); n == 0 {
-		t.Fatal("no event was pushed; the case needs events recorded between calls")
+		masterDelay: 20 * time.Millisecond, holdAfter: sd.EvStartPublish})
+	if n := lb.hostReg.CounterTotal(obs.MHostEventBatches); n < int64(e.Repl.Count) {
+		t.Fatalf("%d event batches pushed in %d runs; the case needs events recorded between calls in every run", n, e.Repl.Count)
 	}
 	if n := lb.checkSnapshots(t); n != 0 {
 		t.Errorf("%d of %d runs: the master's snapshot differs from the host's record", n, len(lb.rep.Results))

@@ -429,8 +429,13 @@ func (x *Experiment) Close() error {
 // Journal returns the open write-ahead journal (nil unless Options.Journal).
 func (x *Experiment) Journal() *store.Journal { return x.j }
 
-// Run executes the experiment to completion and returns the report.
+// Run executes the experiment to completion and returns the report. Its
+// nodes capture packets only if the master harvests them into the store
+// (DESIGN.md §23).
 func (x *Experiment) Run() (*master.Report, error) {
+	for _, mgr := range x.Managers {
+		mgr.Node().SetCapture(x.st != nil)
+	}
 	var rep *master.Report
 	var err error
 	x.S.Go("experimaster", func() {

@@ -454,6 +454,56 @@ func TestRecordersHoldOnlyTheirRun(t *testing.T) {
 	}
 }
 
+// TestOnlyStoredCampaignsCapture: nodes capture packets only for a master
+// that harvests them. A campaign without a store leaves every node's
+// captures empty at every OnRunDone; the same campaign with one still stores
+// packets for every run and node.
+func TestOnlyStoredCampaignsCapture(t *testing.T) {
+	const runs = 6
+	campaign := func(dir string) *Experiment {
+		e := desc.OneShot(10)
+		e.Repl.Count = runs
+		var x *Experiment
+		checked := 0
+		x, err := New(e, Options{StoreDir: dir,
+			OnRunDone: func(run desc.Run, _ master.RunResult) {
+				checked++
+				if dir != "" {
+					return
+				}
+				for id, mgr := range x.Managers {
+					if n := len(mgr.Node().Captures()); n != 0 {
+						t.Errorf("unstored run %d: node %s holds %d captures", run.ID, id, n)
+					}
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := x.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Completed != runs || checked != runs {
+			t.Fatalf("campaign: %d of %d runs completed, %d checked", rep.Completed, runs, checked)
+		}
+		return x
+	}
+	campaign("")
+	x := campaign(t.TempDir())
+	for run := 0; run < runs; run++ {
+		for id := range x.Managers {
+			pkts, err := x.Store().ReadPackets(run, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pkts) == 0 {
+				t.Errorf("stored run %d: node %s has no packets", run, id)
+			}
+		}
+	}
+}
+
 func TestHybridProtocolAdaptive(t *testing.T) {
 	// The hybrid architecture on the three-party description: the SCM
 	// exists, so discovery may complete over either path, exactly once.

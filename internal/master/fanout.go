@@ -151,8 +151,7 @@ func (m *Master) groupByHost() {
 func (m *Master) broadcast(parent uint64, label string, run, attempt int, op func(g *hostGroup)) {
 	if m.cfg.Fanout <= 1 || len(m.groups) < 2 {
 		for _, g := range m.groups {
-			sp := m.cfg.Tracer.Begin(parent, "master", "rpc",
-				label+" "+g.name, run, attempt, nil)
+			sp := m.rpcSpan(parent, label, g, run, attempt)
 			setTraceParent(g.handles[0], sp)
 			op(g)
 			m.cfg.Tracer.End(sp)
@@ -161,8 +160,7 @@ func (m *Master) broadcast(parent uint64, label string, run, attempt int, op fun
 	}
 	spans := make([]uint64, len(m.groups))
 	for i, g := range m.groups {
-		spans[i] = m.cfg.Tracer.Begin(parent, "master", "rpc",
-			label+" "+g.name, run, attempt, nil)
+		spans[i] = m.rpcSpan(parent, label, g, run, attempt)
 	}
 	fanOut(m.cfg.Fanout, len(m.groups), func(i int) {
 		g := m.groups[i]
@@ -170,4 +168,13 @@ func (m *Master) broadcast(parent uint64, label string, run, attempt int, op fun
 		op(g)
 		m.cfg.Tracer.End(spans[i])
 	})
+}
+
+// rpcSpan opens the master rpc span of one group call; without a tracer it
+// is 0 and its name is never built.
+func (m *Master) rpcSpan(parent uint64, label string, g *hostGroup, run, attempt int) uint64 {
+	if m.cfg.Tracer == nil {
+		return 0
+	}
+	return m.cfg.Tracer.Begin(parent, "master", "rpc", label+" "+g.name, run, attempt, nil)
 }

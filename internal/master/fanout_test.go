@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"excovery/internal/obs"
 	"excovery/internal/store"
@@ -180,5 +182,43 @@ func TestFanOutErrorAccountingMatchesSequential(t *testing.T) {
 	}
 	if seqB != fanB || fanB.ConsecutiveFailures != 4 {
 		t.Fatalf("node B health: sequential %+v fanout %+v, want 4 consecutive failures in both", seqB, fanB)
+	}
+}
+
+// idleNode is a plain handle whose preparation does nothing, so a
+// broadcast over it allocates only what the master itself builds.
+type idleNode struct {
+	NodeHandle
+	id string
+}
+
+func (n idleNode) ID() string     { return n.id }
+func (n idleNode) PrepareRun(int) {}
+
+// TestUntracedBroadcastAllocsFlat: without a tracer, a broadcast over
+// in-process groups builds no span names, so it allocates no more for 64
+// groups than for 2; with one, it allocates per group.
+func TestUntracedBroadcastAllocsFlat(t *testing.T) {
+	allocs := func(groups int, tr *obs.Tracer) float64 {
+		nodes := map[string]NodeHandle{}
+		for i := 0; i < groups; i++ {
+			id := fmt.Sprintf("N%03d", i)
+			nodes[id] = idleNode{id: id}
+		}
+		m := &Master{cfg: Config{Nodes: nodes, Tracer: tr}}
+		for id := range nodes {
+			m.order = append(m.order, id)
+		}
+		sort.Strings(m.order)
+		m.groupByHost()
+		op := func(g *hostGroup) { g.prepareRun(1) }
+		return testing.AllocsPerRun(50, func() { m.broadcast(0, "prepare", 1, 1, op) })
+	}
+	if few, many := allocs(2, nil), allocs(64, nil); many > few {
+		t.Errorf("untraced broadcast: %.0f allocs over 2 groups, %.0f over 64", few, many)
+	}
+	clock := func() time.Time { return time.Unix(0, 0) }
+	if few, many := allocs(2, obs.NewTracer(clock)), allocs(64, obs.NewTracer(clock)); many <= few {
+		t.Errorf("traced broadcast: %.0f allocs over 2 groups, %.0f over 64; the check cannot see span names", few, many)
 	}
 }

@@ -770,14 +770,17 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	m.counter(obs.MRunAttempts,
 		"run attempts, including in-place retries").Inc()
 	m.cfg.Status.RunStarted(run.ID, attempt, treat)
-	runArgs := map[string]string{
-		"seed": fmt.Sprint(desc.RunSeed(m.cfg.Exp.Seed, run.ID)),
+	var runSpan uint64
+	if m.cfg.Tracer != nil {
+		runArgs := map[string]string{
+			"seed": fmt.Sprint(desc.RunSeed(m.cfg.Exp.Seed, run.ID)),
+		}
+		for fid, v := range treat {
+			runArgs[fid] = v
+		}
+		runSpan = m.cfg.Tracer.Begin(m.expSpan, "master", "run",
+			fmt.Sprintf("run %d", run.ID), run.ID, attempt, runArgs)
 	}
-	for fid, v := range treat {
-		runArgs[fid] = v
-	}
-	runSpan := m.cfg.Tracer.Begin(m.expSpan, "master", "run",
-		fmt.Sprintf("run %d", run.ID), run.ID, attempt, runArgs)
 	endRun := func() {
 		if rr.Err != nil {
 			m.cfg.Tracer.EndWith(runSpan, map[string]string{"err": rr.Err.Error()})

@@ -1078,3 +1078,41 @@ func TestStaleReceptionCounted(t *testing.T) {
 		t.Fatalf("stale receptions at b = %d, want 1", got)
 	}
 }
+
+// TestResetForgetsFloodsInFlight pins what a reset does to flood duplicate
+// suppression: a flood packet a node sent before its reset and receives
+// back after it is unseen in the new run — delivered and reflooded — while
+// without the reset the same echo is suppressed as a duplicate.
+func TestResetForgetsFloodsInFlight(t *testing.T) {
+	for _, reset := range []bool{false, true} {
+		s := sched.NewVirtual()
+		nw := New(s, 1)
+		ids := BuildFull(nw, "n", 2, NodeParams{}, lossless(time.Millisecond))
+		a, b := nw.Node(ids[0]), nw.Node(ids[1])
+		var atA, atB int
+		a.SetHandler(func(*Packet) { atA++ })
+		// b's reflood of a's broadcast reaches a a link delay after b
+		// received it, so a reset here falls between a's send and the echo.
+		b.SetHandler(func(*Packet) {
+			atB++
+			if reset {
+				a.ResetRunState()
+			}
+		})
+		s.Go("send", func() { a.Send(Broadcast(), "t", nil) })
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		wantA := 0
+		if reset {
+			wantA = 1
+		}
+		if atA != wantA || atB != 1 {
+			t.Errorf("reset=%v: a received its own broadcast %d times (want %d), b %d (want 1)",
+				reset, atA, wantA, atB)
+		}
+		if got := nw.Stats().Duplicates; got != 1 {
+			t.Errorf("reset=%v: %d duplicates suppressed, want 1", reset, got)
+		}
+	}
+}

@@ -177,7 +177,8 @@ func (n *Node) drainPausedQ() {
 }
 
 // ResetRunState clears per-run transient state: flood duplicate suppression
-// and queued packets are discarded, reproducing the preparation-phase
+// is emptied in place (the map keeps its buckets for the next run) and
+// queued packets are discarded, reproducing the preparation-phase
 // requirement that "network packets generated in previous runs must be
 // dropped on all participants" (§IV-C1).
 //
@@ -187,7 +188,7 @@ func (n *Node) drainPausedQ() {
 // excovery_netem_stale_rx_total.
 func (n *Node) ResetRunState() {
 	n.resetAt = n.net.s.Now()
-	n.seen = make(map[uint64]bool)
+	clear(n.seen)
 	n.drainRing()
 	n.drainPausedQ()
 	n.paused = false

@@ -72,8 +72,11 @@ var faultEvents = map[string]struct{ start, stop eventlog.Name }{
 }
 
 // New creates a manager for a netem node. agent may be nil for pure
-// environment nodes. The recorder should report to the master's bus.
+// environment nodes. The recorder should report to the master's bus. The
+// node captures packets; a campaign that harvests none switches that off
+// on the netem node (DESIGN.md §23).
 func New(s *sched.Scheduler, nd *netem.Node, rec *eventlog.Recorder, agent sd.Agent) *Manager {
+	nd.SetCapture(true)
 	return &Manager{
 		s: s, nd: nd, rec: rec, agent: agent,
 		faults:  make(map[string][]activeFault),
@@ -131,13 +134,13 @@ func (m *Manager) RegisterPlugin(name string, fn PluginFunc) {
 // PrepareRun resets per-run state: the run id on the recorder, leftover
 // packets and rules in the network, pending faults, and packet captures
 // (§IV-C1: "the whole environment of the experiment process must be reset
-// to a defined initial working condition").
+// to a defined initial working condition"). Whether the run captures is
+// left as it was set.
 func (m *Manager) PrepareRun(run int) {
 	m.rec.SetRun(run)
 	m.StopAllFaults()
 	m.nd.ResetRunState()
 	m.nd.ClearCaptures()
-	m.nd.SetCapture(true)
 	m.nd.SetTagging(true)
 	m.Emit(eventlog.EvRunInit, m.runParamsOf(run))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -597,6 +598,83 @@ func TestGeometricTopologyConnected(t *testing.T) {
 	}
 	if rep.Completed != 1 {
 		t.Fatalf("completed = %d", rep.Completed)
+	}
+}
+
+// TestTopologyRoutesPinned pins the routes of every topology kind: for each
+// ordered pair of nodes, the hop count and the first hop. Unicast routes
+// break ties by link order, so a change in the order links are added shows
+// here even when every hop count stays put. The node ids are deliberately
+// out of sorted order: full and geometric wire the sorted ids, chain and
+// grid the description order, and the grid's last row is partial.
+func TestTopologyRoutesPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		opts Options
+		want string
+	}{
+		{"full", Options{Topology: TopoFull}, `r2: A=1/A r0=1/r0 n5=1/n5 B=1/B r1=1/r1 n3=1/n3
+A: r2=1/r2 r0=1/r0 n5=1/n5 B=1/B r1=1/r1 n3=1/n3
+r0: r2=1/r2 A=1/A n5=1/n5 B=1/B r1=1/r1 n3=1/n3
+n5: r2=1/r2 A=1/A r0=1/r0 B=1/B r1=1/r1 n3=1/n3
+B: r2=1/r2 A=1/A r0=1/r0 n5=1/n5 r1=1/r1 n3=1/n3
+r1: r2=1/r2 A=1/A r0=1/r0 n5=1/n5 B=1/B n3=1/n3
+n3: r2=1/r2 A=1/A r0=1/r0 n5=1/n5 B=1/B r1=1/r1
+`},
+		{"chain", Options{Topology: TopoChain}, `r2: A=1/A r0=2/A n5=3/A B=4/A r1=5/A n3=6/A
+A: r2=1/r2 r0=1/r0 n5=2/r0 B=3/r0 r1=4/r0 n3=5/r0
+r0: r2=2/A A=1/A n5=1/n5 B=2/n5 r1=3/n5 n3=4/n5
+n5: r2=3/r0 A=2/r0 r0=1/r0 B=1/B r1=2/B n3=3/B
+B: r2=4/n5 A=3/n5 r0=2/n5 n5=1/n5 r1=1/r1 n3=2/r1
+r1: r2=5/B A=4/B r0=3/B n5=2/B B=1/B n3=1/n3
+n3: r2=6/r1 A=5/r1 r0=4/r1 n5=3/r1 B=2/r1 r1=1/r1
+`},
+		{"grid", Options{Topology: TopoGrid, GridWidth: 3}, `r2: A=1/A r0=2/A n5=1/n5 B=2/A r1=3/A n3=2/n5
+A: r2=1/r2 r0=1/r0 n5=2/B B=1/B r1=2/B n3=3/B
+r0: r2=2/A A=1/A n5=3/A B=2/A r1=1/r1 n3=4/A
+n5: r2=1/r2 A=2/B r0=3/B B=1/B r1=2/B n3=1/n3
+B: r2=2/A A=1/A r0=2/A n5=1/n5 r1=1/r1 n3=2/n5
+r1: r2=3/B A=2/B r0=1/r0 n5=2/B B=1/B n3=3/B
+n3: r2=2/n5 A=3/n5 r0=4/n5 n5=1/n5 B=2/n5 r1=3/n5
+`},
+		{"geometric", Options{Topology: TopoGeometric, Seed: 7}, `r2: A=1/A r0=2/B n5=1/n5 B=1/B r1=3/B n3=1/n3
+A: r2=1/r2 r0=2/B n5=1/n5 B=1/B r1=3/B n3=1/n3
+r0: r2=2/B A=2/B n5=1/n5 B=1/B r1=1/r1 n3=1/n3
+n5: r2=1/r2 A=1/A r0=1/r0 B=1/B r1=2/r0 n3=1/n3
+B: r2=1/r2 A=1/A r0=1/r0 n5=1/n5 r1=2/r0 n3=1/n3
+r1: r2=3/r0 A=3/r0 r0=1/r0 n5=2/r0 B=2/r0 n3=2/r0
+n3: r2=1/r2 A=1/A r0=1/r0 n5=1/n5 B=1/B r1=2/r0
+`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := desc.OneShot(30)
+			e.AbstractNodes = []string{"r2", "A", "r0", "n5", "B", "r1", "n3"}
+			e.SetEEParam("geo_radius", "0.3")
+			x, err := New(e, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hops := x.Net.HopMatrix()
+			var b strings.Builder
+			for _, src := range e.AbstractNodes {
+				b.WriteString(src + ":")
+				for _, dst := range e.AbstractNodes {
+					if src == dst {
+						continue
+					}
+					next, ok := x.Net.NextHop(netem.NodeID(src), netem.NodeID(dst))
+					if !ok {
+						next = "-"
+					}
+					fmt.Fprintf(&b, " %s=%d/%s", dst, hops[netem.NodeID(src)][netem.NodeID(dst)], next)
+				}
+				b.WriteString("\n")
+			}
+			if got := b.String(); got != c.want {
+				t.Errorf("routes changed:\n%s\nwant:\n%s", got, c.want)
+			}
+		})
 	}
 }
 

@@ -19,10 +19,13 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# fmt fails when any file is not gofmt-clean, printing the offenders.
+# fmt fails when any file is not gofmt-clean, printing the offenders. Like
+# the go tool and lint.Load it skips directories whose names start with "."
+# or "_" (.bench_build/ holds generated files of interrupted benchmark
+# builds), but it checks testdata/.
 fmt:
-	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
-		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@out="$$(gofmt -l $$(find . -type d \( -name '.?*' -o -name '_*' \) -prune -o -name '*.go' -print))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # lint runs the repo's invariant linter (DESIGN.md §10, §15): the driver
 # type-checks the module's packages serially in dependency order and runs

@@ -11,6 +11,7 @@
 //	excovery-report -group fact_pairs,fact_bw -deadlines 1,5 exp1.xcdb
 //	excovery-report -events -run 3 exp1.xcdb
 //	excovery-report -trace trace3.json -run 3 exp1.xcdb
+//	excovery-report -repo experiments/
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -303,24 +305,34 @@ func exportTrace(db *store.ExperimentDB, run int, path string, opened obs.Span, 
 	return nil
 }
 
-// reportRepository summarizes a level-4 repository: one line per stored
-// experiment with run counts and overall responsiveness — the
-// cross-experiment comparison level the paper leaves to future work.
+// reportRepository summarizes a directory of saved experiments, the
+// paper's level 4 (§IV-F): one line per *.xcdb file in name order with run
+// counts and overall responsiveness — the cross-experiment comparison the
+// paper leaves to future work.
 func reportRepository(dir string, stdout io.Writer) error {
-	r, err := store.OpenRepository(dir)
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
 	}
-	names, err := r.List()
-	if err != nil {
-		return err
+	var names []string
+	for _, e := range entries {
+		if name, ok := strings.CutSuffix(e.Name(), ".xcdb"); ok && !e.IsDir() {
+			names = append(names, name)
+		}
 	}
+	// ReadDir sorts file names, which is not the order of the names without
+	// their extension ("a-b.xcdb" < "a.xcdb" but "a" < "a-b").
+	sort.Strings(names)
 	if len(names) == 0 {
 		fmt.Fprintln(stdout, "repository is empty")
 		return nil
 	}
 	fmt.Fprintf(stdout, "%-24s %-8s %-10s %-10s %-8s\n", "experiment", "runs", "t_R mean", "t_R p90", "R(1s)")
-	return r.ForEach(func(name string, db *store.ExperimentDB) error {
+	for _, name := range names {
+		db, err := store.OpenExperimentDB(filepath.Join(dir, name+".xcdb"))
+		if err != nil {
+			return fmt.Errorf("open %q: %w", name, err)
+		}
 		ms, err := metrics.FromDB(db, "", "")
 		if err != nil {
 			return err
@@ -330,6 +342,6 @@ func reportRepository(dir string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-24s %-8d %-10s %-10s %-8.3f\n", name, len(ms),
 			fmt.Sprintf("%.4fs", sum.Mean), fmt.Sprintf("%.4fs", sum.P90),
 			metrics.Responsiveness(ms, time.Second))
-		return nil
-	})
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -210,5 +211,53 @@ func TestReportTraceCarriesStoreOpen(t *testing.T) {
 	}
 	if !seen["store.open"] || !seen["run 0"] {
 		t.Errorf("trace has spans %v, want the run's and store.open", seen)
+	}
+}
+
+// TestReportRepository: -repo summarizes every saved experiment of a
+// directory, one line each in name order, and skips files that are not
+// experiment databases. The names sort differently with and without their
+// extension ("a-b.xcdb" < "a.xcdb", "a" < "a-b"); the report orders by name.
+func TestReportRepository(t *testing.T) {
+	dir := t.TempDir()
+	three := desc.OneShot(30)
+	three.Repl.Count = 3
+	for name, src := range map[string]string{
+		"a.xcdb":   buildFixtureDB(t),
+		"a-b.xcdb": buildDB(t, three),
+	} {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("not an experiment\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-repo", dir}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	want := "experiment               runs     t_R mean   t_R p90    R(1s)   \n" +
+		"a                        1        0.0413s    0.0413s    1.000   \n" +
+		"a-b                      3        0.0757s    0.1027s    1.000   \n"
+	if out.String() != want {
+		t.Errorf("output:\n%s\nwant:\n%s", out.String(), want)
+	}
+}
+
+// TestReportRepositoryMissingDir: a -repo directory that does not exist is
+// an error, and the report does not create it.
+func TestReportRepositoryMissingDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "typo")
+	var out bytes.Buffer
+	if code := run([]string{"-repo", dir}, &out, &out); code != 1 {
+		t.Errorf("exit %d, want 1:\n%s", code, out.String())
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("report created %s (stat: %v)", dir, err)
 	}
 }

@@ -19,7 +19,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -426,9 +426,6 @@ func (x *Experiment) Close() error {
 	return x.j.Close()
 }
 
-// Journal returns the open write-ahead journal (nil unless Options.Journal).
-func (x *Experiment) Journal() *store.Journal { return x.j }
-
 // Run executes the experiment to completion and returns the report. Its
 // nodes capture packets only if the master harvests them into the store
 // (DESIGN.md §23).
@@ -479,32 +476,22 @@ func wireTopology(nw *netem.Network, ids []string, opts Options, geoRadius float
 	if lp == (netem.LinkParams{}) {
 		lp = netem.DefaultLink()
 	}
-	sorted := append([]string(nil), ids...)
-	sort.Strings(sorted)
+	nodes := make([]netem.NodeID, len(ids))
+	for i, id := range ids {
+		nodes[i] = netem.NodeID(id)
+	}
+	sorted := append([]netem.NodeID(nil), nodes...)
+	slices.Sort(sorted)
 	switch opts.Topology {
 	case TopoFull, "":
-		for i := range sorted {
-			for j := i + 1; j < len(sorted); j++ {
-				nw.AddLink(netem.NodeID(sorted[i]), netem.NodeID(sorted[j]), lp)
-			}
-		}
+		netem.WireFull(nw, sorted, lp)
 	case TopoChain:
-		for i := 0; i+1 < len(ids); i++ {
-			nw.AddLink(netem.NodeID(ids[i]), netem.NodeID(ids[i+1]), lp)
-		}
+		netem.WireChain(nw, nodes, lp)
 	case TopoGrid:
-		w := opts.GridWidth
-		if w <= 0 {
+		if opts.GridWidth <= 0 {
 			return fmt.Errorf("core: grid topology needs GridWidth")
 		}
-		for i := range ids {
-			if (i+1)%w != 0 && i+1 < len(ids) {
-				nw.AddLink(netem.NodeID(ids[i]), netem.NodeID(ids[i+1]), lp)
-			}
-			if i+w < len(ids) {
-				nw.AddLink(netem.NodeID(ids[i]), netem.NodeID(ids[i+w]), lp)
-			}
-		}
+		netem.WireGrid(nw, nodes, opts.GridWidth, lp)
 	case TopoGeometric:
 		r := geoRadius
 		if r == 0 {
@@ -521,8 +508,8 @@ func wireTopology(nw *netem.Network, ids []string, opts Options, geoRadius float
 			for i := range sorted {
 				for j := i + 1; j < len(sorted); j++ {
 					dx, dy := xs[i]-xs[j], ys[i]-ys[j]
-					if dx*dx+dy*dy <= r*r && nw.Link(netem.NodeID(sorted[i]), netem.NodeID(sorted[j])) == nil {
-						nw.AddLink(netem.NodeID(sorted[i]), netem.NodeID(sorted[j]), lp)
+					if dx*dx+dy*dy <= r*r && nw.Link(sorted[i], sorted[j]) == nil {
+						nw.AddLink(sorted[i], sorted[j], lp)
 					}
 				}
 			}
@@ -537,9 +524,9 @@ func wireTopology(nw *netem.Network, ids []string, opts Options, geoRadius float
 	return nil
 }
 
-func connected(nw *netem.Network, ids []string) bool {
+func connected(nw *netem.Network, ids []netem.NodeID) bool {
 	for _, b := range ids[1:] {
-		if nw.HopCount(netem.NodeID(ids[0]), netem.NodeID(b)) < 0 {
+		if nw.HopCount(ids[0], b) < 0 {
 			return false
 		}
 	}

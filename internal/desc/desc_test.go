@@ -77,7 +77,7 @@ func TestFig5Factors(t *testing.T) {
 	if fn == nil || fn.Type != TypeActorNodeMap || fn.Usage != UsageBlocking {
 		t.Fatalf("fact_nodes = %+v", fn)
 	}
-	if got := ActorNodes(fn.Levels[0], "actor1"); len(got) != 1 || got[0] != "B" {
+	if got := fn.Levels[0].ActorMap["actor1"]; len(got) != 1 || got[0] != "B" {
 		t.Fatalf("actor1 nodes = %v", got)
 	}
 	fp := e.Factor("fact_pairs")

@@ -347,12 +347,6 @@ func (e *Experiment) EEParam(key, def string) string {
 	return def
 }
 
-// ActorNodes resolves the node binding of an actor role from an
-// actor_node_map level: the list of abstract node ids, by instance index.
-func ActorNodes(l Level, actor string) []string {
-	return l.ActorMap[actor]
-}
-
 // unquote strips one pair of surrounding double quotes; the paper's
 // listings quote literal values ("done", "30").
 func unquote(s string) string {

@@ -47,15 +47,6 @@ func (r Run) Level(factorID string) (Level, bool) {
 	return l, ok
 }
 
-// Int returns the applied level of a factor parsed as int.
-func (r Run) Int(factorID string) (int, error) {
-	l, ok := r.Treatment[factorID]
-	if !ok {
-		return 0, fmt.Errorf("desc: run %d has no factor %q", r.ID, factorID)
-	}
-	return l.Int()
-}
-
 // String returns the applied level of a factor as string, or def.
 func (r Run) String(factorID, def string) string {
 	if l, ok := r.Treatment[factorID]; ok {

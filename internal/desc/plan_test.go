@@ -224,14 +224,11 @@ func TestRunAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := p.Runs[0]
-	if v, err := r.Int("f1"); err != nil || v != 1 {
-		t.Fatalf("Int = %d, %v", v, err)
+	if l, ok := r.Level("f1"); !ok || l.Raw != "1" {
+		t.Fatalf("Level(f1) = %+v, %v", l, ok)
 	}
-	if _, err := r.Int("missing"); err == nil {
-		t.Fatal("Int on missing factor succeeded")
-	}
-	if _, ok := r.Level("f2"); !ok {
-		t.Fatal("Level lookup failed")
+	if _, ok := r.Level("missing"); ok {
+		t.Fatal("Level lookup of a missing factor succeeded")
 	}
 	if got := r.String("missing", "dflt"); got != "dflt" {
 		t.Fatalf("String default = %q", got)

@@ -386,9 +386,6 @@ func New(cfg Config) (*Master, error) {
 	return m, nil
 }
 
-// Plan returns the generated treatment plan.
-func (m *Master) Plan() *desc.Plan { return m.plan }
-
 // RunAll executes the whole experiment. It must be called from scheduler
 // task context (the facade spawns it as a task).
 //

@@ -326,23 +326,6 @@ func DurationsToSeconds(ds []time.Duration) []float64 {
 	return out
 }
 
-// ECDFPoint is one point of an empirical CDF.
-type ECDFPoint struct {
-	X float64
-	P float64
-}
-
-// ECDF computes the empirical CDF of a sample.
-func ECDF(xs []float64) []ECDFPoint {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]ECDFPoint, len(sorted))
-	for i, x := range sorted {
-		out[i] = ECDFPoint{X: x, P: float64(i+1) / float64(len(sorted))}
-	}
-	return out
-}
-
 // PacketStats are packet-level connection parameters derived from captures
 // (§IV-B2: "derive statistical connection parameters during later
 // analysis").
@@ -463,19 +446,6 @@ func QueryPairs(pkts []store.PacketRecord, node string) []QueryPair {
 			}
 		}
 	}
-	return out
-}
-
-// QueryRTTs extracts the round-trip times of answered queries, sorted
-// ascending.
-func QueryRTTs(pairs []QueryPair) []time.Duration {
-	var out []time.Duration
-	for _, q := range pairs {
-		if q.Answered {
-			out = append(out, q.RTT())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

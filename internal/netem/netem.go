@@ -275,14 +275,8 @@ func New(s *sched.Scheduler, seed int64) *Network {
 	}
 }
 
-// Scheduler returns the scheduler the network runs on.
-func (nw *Network) Scheduler() *sched.Scheduler { return nw.s }
-
 // Stats returns a snapshot of the network counters.
 func (nw *Network) Stats() Stats { return nw.stats }
-
-// ResetStats zeroes the network counters.
-func (nw *Network) ResetStats() { nw.stats = Stats{} }
 
 // AddNode creates a node. Adding an existing node panics: node identifiers
 // are host names and must be unique (§IV-E).

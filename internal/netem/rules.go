@@ -110,9 +110,6 @@ type Rule struct {
 	m ruleMetrics
 }
 
-// ID returns the rule identifier assigned at installation.
-func (r *Rule) ID() int { return r.id }
-
 // appliesTo reports whether the rule matches packet p moving in direction c
 // at node n.
 func (r *Rule) appliesTo(p *Packet, c CaptureDir) bool {

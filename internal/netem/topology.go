@@ -1,41 +1,48 @@
 package netem
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-)
+import "fmt"
 
-// Topology constructors. They create nodes named <prefix>0, <prefix>1, …
-// and wire them with uniform parameters. Experiments use them to reproduce
-// the DES testbed's mesh structures: chains isolate hop-count effects,
-// grids approximate the dense office deployment, and random geometric
-// graphs model irregular radio reach.
+// Topology wiring. Each Wire function links a given id slice into one
+// shape with uniform link parameters; the order of ids fixes which node
+// sits where and the order links are added in. The Build functions create
+// nodes named <prefix>0, <prefix>1, … and wire them. Experiments use the
+// shapes to reproduce the DES testbed's mesh structures: chains isolate
+// hop-count effects, grids approximate the dense office deployment and the
+// full mesh is a one-hop WLAN.
+
+// WireFull links every pair of ids: a single collision domain.
+func WireFull(nw *Network, ids []NodeID, lp LinkParams) {
+	for i := range ids {
+		for j := i + 1; j < len(ids); j++ {
+			nw.AddLink(ids[i], ids[j], lp)
+		}
+	}
+}
+
+// WireChain links each id to the next: a linear multi-hop path.
+func WireChain(nw *Network, ids []NodeID, lp LinkParams) {
+	for i := 0; i+1 < len(ids); i++ {
+		nw.AddLink(ids[i], ids[i+1], lp)
+	}
+}
+
+// WireGrid lays ids out row-major, w to a row, and links 4-neighbours. The
+// last row may be partial.
+func WireGrid(nw *Network, ids []NodeID, w int, lp LinkParams) {
+	for i := range ids {
+		if (i+1)%w != 0 && i+1 < len(ids) {
+			nw.AddLink(ids[i], ids[i+1], lp)
+		}
+		if i+w < len(ids) {
+			nw.AddLink(ids[i], ids[i+w], lp)
+		}
+	}
+}
 
 // BuildChain creates a linear multi-hop topology of n nodes.
 func BuildChain(nw *Network, prefix string, n int, np NodeParams, lp LinkParams) []NodeID {
 	ids := addNodes(nw, prefix, n, np)
-	for i := 0; i+1 < n; i++ {
-		nw.AddLink(ids[i], ids[i+1], lp)
-	}
-	return ids
-}
-
-// BuildRing creates a cycle of n nodes.
-func BuildRing(nw *Network, prefix string, n int, np NodeParams, lp LinkParams) []NodeID {
-	ids := BuildChain(nw, prefix, n, np, lp)
-	if n > 2 {
-		nw.AddLink(ids[n-1], ids[0], lp)
-	}
-	return ids
-}
-
-// BuildStar creates a hub-and-spoke topology: node 0 is the hub.
-func BuildStar(nw *Network, prefix string, spokes int, np NodeParams, lp LinkParams) []NodeID {
-	ids := addNodes(nw, prefix, spokes+1, np)
-	for i := 1; i <= spokes; i++ {
-		nw.AddLink(ids[0], ids[i], lp)
-	}
+	WireChain(nw, ids, lp)
 	return ids
 }
 
@@ -43,11 +50,7 @@ func BuildStar(nw *Network, prefix string, spokes int, np NodeParams, lp LinkPar
 // every node hears every other — a one-hop WLAN.
 func BuildFull(nw *Network, prefix string, n int, np NodeParams, lp LinkParams) []NodeID {
 	ids := addNodes(nw, prefix, n, np)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			nw.AddLink(ids[i], ids[j], lp)
-		}
-	}
+	WireFull(nw, ids, lp)
 	return ids
 }
 
@@ -55,59 +58,8 @@ func BuildFull(nw *Network, prefix string, n int, np NodeParams, lp LinkParams) 
 // mesh-testbed layout.
 func BuildGrid(nw *Network, prefix string, w, h int, np NodeParams, lp LinkParams) []NodeID {
 	ids := addNodes(nw, prefix, w*h, np)
-	at := func(x, y int) NodeID { return ids[y*w+x] }
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			if x+1 < w {
-				nw.AddLink(at(x, y), at(x+1, y), lp)
-			}
-			if y+1 < h {
-				nw.AddLink(at(x, y), at(x, y+1), lp)
-			}
-		}
-	}
+	WireGrid(nw, ids, w, lp)
 	return ids
-}
-
-// BuildRandomGeometric places n nodes uniformly in the unit square and
-// links pairs closer than radius, retrying with a growing radius until the
-// graph is connected. The placement derives from seed only.
-func BuildRandomGeometric(nw *Network, prefix string, n int, radius float64, seed int64, np NodeParams, lp LinkParams) []NodeID {
-	rng := rand.New(rand.NewSource(seed))
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = rng.Float64()
-		ys[i] = rng.Float64()
-	}
-	ids := addNodes(nw, prefix, n, np)
-	r := radius
-	for {
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				d := math.Hypot(xs[i]-xs[j], ys[i]-ys[j])
-				if d <= r && nw.Link(ids[i], ids[j]) == nil {
-					nw.AddLink(ids[i], ids[j], lp)
-				}
-			}
-		}
-		if isConnected(nw, ids) {
-			return ids
-		}
-		r *= 1.25
-	}
-}
-
-func isConnected(nw *Network, ids []NodeID) bool {
-	if len(ids) == 0 {
-		return true
-	}
-	for _, b := range ids[1:] {
-		if nw.HopCount(ids[0], b) < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func addNodes(nw *Network, prefix string, n int, np NodeParams) []NodeID {

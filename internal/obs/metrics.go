@@ -69,14 +69,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add applies a delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Value returns the current value (0 on a nil receiver).
 func (g *Gauge) Value() int64 {
 	if g == nil {

@@ -143,13 +143,6 @@ func (wg *WaitGroup) Add(delta int) {
 // Done decrements the counter by one.
 func (wg *WaitGroup) Done() { wg.Add(-1) }
 
-// Wait blocks until the counter reaches zero.
-func (wg *WaitGroup) Wait() {
-	for wg.n > 0 {
-		wg.cond.Wait()
-	}
-}
-
 // WaitTimeout blocks until the counter reaches zero or d elapses; it
 // reports true if the counter reached zero.
 func (wg *WaitGroup) WaitTimeout(d time.Duration) bool {

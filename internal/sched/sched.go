@@ -435,12 +435,9 @@ var ErrStopped = fmt.Errorf("sched: stopped")
 // *PanicError if a task panicked, or ErrStopped.
 func (s *Scheduler) Run() error { return s.run(time.Time{}) }
 
-// RunUntil drives the scheduler until virtual time reaches deadline (or any
+// RunFor drives the scheduler until virtual time has advanced by d (or any
 // of the Run termination conditions occurs first). Reaching the deadline is
-// a normal return: timers at or after the deadline stay pending.
-func (s *Scheduler) RunUntil(deadline time.Time) error { return s.run(deadline) }
-
-// RunFor is RunUntil(Now().Add(d)).
+// a normal return: timers at or after it stay pending.
 func (s *Scheduler) RunFor(d time.Duration) error {
 	return s.run(s.now.Add(d))
 }

@@ -101,7 +101,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 		}
 	})
 	deadline := s.Now().Add(10*time.Second + 500*time.Millisecond)
-	if err := s.RunUntil(deadline); err != nil {
+	if err := s.RunFor(10*time.Second + 500*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if ran != 10 {
@@ -352,7 +352,9 @@ func TestWaitGroup(t *testing.T) {
 	var joinedAt time.Time
 	start := s.Now()
 	s.Go("joiner", func() {
-		wg.Wait()
+		if !wg.WaitTimeout(time.Minute) {
+			t.Error("WaitTimeout expired")
+		}
 		joinedAt = s.Now()
 	})
 	if err := s.Run(); err != nil {

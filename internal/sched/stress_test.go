@@ -145,7 +145,7 @@ func TestManyTasks(t *testing.T) {
 }
 
 // TestRunUntilRepeatedSlices verifies that slicing one program into many
-// RunUntil windows is equivalent to a single Run.
+// RunFor windows is equivalent to a single Run.
 func TestRunUntilRepeatedSlices(t *testing.T) {
 	mk := func() (*Scheduler, *int) {
 		s := NewVirtual()
@@ -156,10 +156,8 @@ func TestRunUntilRepeatedSlices(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2, d2 := mk()
-	deadline := s2.Now()
 	for i := 0; i < 1000; i++ {
-		deadline = deadline.Add(777 * time.Microsecond)
-		if err := s2.RunUntil(deadline); err != nil {
+		if err := s2.RunFor(777 * time.Microsecond); err != nil {
 			t.Fatal(err)
 		}
 		if *d2 == *d1 {

@@ -9,8 +9,8 @@
 //	          Table I, filled by the conditioning step that unifies all
 //	          timestamps onto the master's reference time base;
 //	level 4 — a repository integrating multiple experiments (the paper
-//	          leaves this to future work; a basic implementation is
-//	          provided here).
+//	          leaves this to future work): a directory of saved level-3
+//	          files, summarized by excovery-report -repo.
 package store
 
 import (

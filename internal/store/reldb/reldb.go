@@ -496,16 +496,3 @@ func (db *DB) SelectOne(q Query) (Row, bool, error) {
 	}
 	return rows[0], true, nil
 }
-
-// Col extracts a named column value from a row of the given table.
-func (db *DB) Col(tableName string, row Row, col string) (any, error) {
-	t, ok := db.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("reldb: no table %q", tableName)
-	}
-	ci, ok := t.colIdx[col]
-	if !ok {
-		return nil, fmt.Errorf("reldb: table %q has no column %q", tableName, col)
-	}
-	return row[ci], nil
-}

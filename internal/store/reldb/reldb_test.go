@@ -237,18 +237,6 @@ func TestSelectOne(t *testing.T) {
 	}
 }
 
-func TestColAccessor(t *testing.T) {
-	db := sampleDB(t)
-	row, _, _ := db.SelectOne(Query{Table: "Events"})
-	v, err := db.Col("Events", row, "EventType")
-	if err != nil || v != "ev0" {
-		t.Fatalf("Col = %v, %v", v, err)
-	}
-	if _, err := db.Col("Events", row, "nope"); err == nil {
-		t.Error("missing column succeeded")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db := New()
 	db.CreateTable(Schema{Name: "All", Columns: []Column{

@@ -256,57 +256,6 @@ func TestDecodeParams(t *testing.T) {
 	}
 }
 
-func TestRepository(t *testing.T) {
-	repo, err := OpenRepository(t.TempDir() + "/repo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := fillStore(t, t.TempDir())
-	e, err := Condition(rs, Meta{Name: "exp1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Add("exp1", e); err != nil {
-		t.Fatal(err)
-	}
-	if err := repo.Add("exp1", e); err == nil {
-		t.Fatal("duplicate Add succeeded")
-	}
-	if err := repo.Add("bad/name", e); err == nil {
-		t.Fatal("invalid name accepted")
-	}
-	if err := repo.Add("exp2", e); err != nil {
-		t.Fatal(err)
-	}
-	names, err := repo.List()
-	if err != nil || strings.Join(names, ",") != "exp1,exp2" {
-		t.Fatalf("List = %v, %v", names, err)
-	}
-	opened, err := repo.Open("exp1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := opened.DB.Count("Events"); n != 4 {
-		t.Fatalf("opened Events = %d", n)
-	}
-	visited := 0
-	err = repo.ForEach(func(name string, e *ExperimentDB) error {
-		visited++
-		_, err := e.RunIDs()
-		return err
-	})
-	if err != nil || visited != 2 {
-		t.Fatalf("ForEach visited %d, %v", visited, err)
-	}
-	if err := repo.Remove("exp2"); err != nil {
-		t.Fatal(err)
-	}
-	names, _ = repo.List()
-	if len(names) != 1 {
-		t.Fatalf("after remove: %v", names)
-	}
-}
-
 func TestEventsQueryByTypeViaDB(t *testing.T) {
 	rs := fillStore(t, t.TempDir())
 	e, err := Condition(rs, Meta{Name: "exp1"})

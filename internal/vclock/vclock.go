@@ -57,16 +57,3 @@ func (c *Skewed) Now() time.Time {
 	drift := time.Duration(float64(t.Sub(c.base)) * c.driftPPM * 1e-6)
 	return t.Add(c.offset + drift)
 }
-
-// Offset returns the configured constant offset.
-func (c *Skewed) Offset() time.Duration { return c.offset }
-
-// DriftPPM returns the configured drift in parts per million.
-func (c *Skewed) DriftPPM() float64 { return c.driftPPM }
-
-// OffsetAt returns the total deviation local(t)−t at global time t; tests
-// and the timesync error quantification use it as ground truth.
-func (c *Skewed) OffsetAt(t time.Time) time.Duration {
-	drift := time.Duration(float64(t.Sub(c.base)) * c.driftPPM * 1e-6)
-	return c.offset + drift
-}

@@ -75,32 +75,6 @@ func TestSkewedNegativeDrift(t *testing.T) {
 	}
 }
 
-func TestOffsetAtMatchesNow(t *testing.T) {
-	s := sched.NewVirtual()
-	c := NewSkewed(s, -3*time.Millisecond, 77)
-	s.Go("t", func() {
-		for i := 0; i < 5; i++ {
-			s.Sleep(1234 * time.Millisecond)
-			g := s.Now()
-			want := g.Add(c.OffsetAt(g))
-			if !c.Now().Equal(want) {
-				t.Errorf("Now() = %v, OffsetAt predicts %v", c.Now(), want)
-			}
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAccessors(t *testing.T) {
-	s := sched.NewVirtual()
-	c := NewSkewed(s, 5*time.Millisecond, 12.5)
-	if c.Offset() != 5*time.Millisecond || c.DriftPPM() != 12.5 {
-		t.Fatalf("accessors: %v %v", c.Offset(), c.DriftPPM())
-	}
-}
-
 // Property: local clocks are monotone as long as drift > -1e6 ppm (i.e. the
 // clock does not run backwards), for arbitrary offsets.
 func TestSkewedMonotoneProperty(t *testing.T) {

@@ -8,6 +8,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"excovery/internal/core"
+	"excovery/internal/desc"
+	"excovery/internal/eventlog"
+	"excovery/internal/noderpc"
+	"excovery/internal/obs"
 )
 
 // TestRefusedBeforeAnyDial: invocations the master cannot carry out exit
@@ -50,5 +56,73 @@ func TestRefusedBeforeAnyDial(t *testing.T) {
 	}
 	if n := hits.Load(); n != 0 {
 		t.Fatalf("the node host saw %d requests", n)
+	}
+}
+
+// serveNodeHost serves the oneshot platform over HTTP the way excovery-node
+// builds its host: real-time emulation at the given speed, recorded events
+// forwarded to the bound master, the host's metric registry instrumented.
+func serveNodeHost(t *testing.T, speed float64) (*noderpc.Host, string) {
+	t.Helper()
+	e, err := desc.Load("oneshot", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	var host *noderpc.Host
+	x, err := core.New(e, core.Options{
+		RealTime: true,
+		Speed:    speed,
+		OnEvent:  func(ev eventlog.Event) { host.ForwardEvent(ev) },
+		Metrics:  reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host = noderpc.NewHost(x)
+	x.S.SetKeepAlive(true)
+	host.Instrument(reg)
+	ts := httptest.NewServer(host.Server())
+	done := make(chan error, 1)
+	go func() { done <- x.S.Run() }()
+	t.Cleanup(func() {
+		host.Close()
+		x.S.Stop()
+		<-done
+		ts.Close()
+	})
+	return host, ts.URL
+}
+
+// TestStaticWiringRunsTheCampaign: given a node host by -host, the master
+// pings it, binds its event endpoint there — by a sessionless
+// host.set_master with -lease-ttl 0, under a session lease by default —
+// and runs every run of the experiment on the host's nodes.
+func TestStaticWiringRunsTheCampaign(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		session bool
+	}{
+		{"sessionless", []string{"-lease-ttl", "0"}, false},
+		{"leased", nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			host, url := serveNodeHost(t, 0.002)
+			args := append([]string{"-host", url, "-listen", "127.0.0.1:0", "-builtin", "oneshot",
+				"-reps", "2", "-speed", "0.002"}, tc.args...)
+			var out, errb bytes.Buffer
+			if code := run(args, &out, &errb); code != 0 {
+				t.Fatalf("exit %d, stderr %q", code, errb.String())
+			}
+			if !strings.Contains(out.String(), "2/2 runs completed (0 skipped, 0 failed") {
+				t.Errorf("stdout %q, want both runs completed", out.String())
+			}
+			st := host.Status()
+			if !st.MasterSet || st.Adoptions != 1 || (st.Session != "") != tc.session {
+				t.Errorf("host status: master set %v, %d adoptions, session %q; want bound once, session %v",
+					st.MasterSet, st.Adoptions, st.Session, tc.session)
+			}
+		})
 	}
 }

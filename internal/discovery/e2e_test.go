@@ -21,7 +21,8 @@ import (
 )
 
 // fleetHost is one live node host: emulated platform, RPC server (with a
-// failpoint registry so tests can partition it), and registry agent.
+// failpoint registry so tests can partition it), and registry agent. With
+// no registry URL there is no agent: the test registers the host itself.
 type fleetHost struct {
 	host  *noderpc.Host
 	http  *httptest.Server
@@ -50,24 +51,28 @@ func startFleetHost(t *testing.T, regURL, hostID string, seed int64) *fleetHost 
 	hostDone := make(chan error, 1)
 	go func() { hostDone <- x.S.Run() }()
 
-	ids := make([]string, 0, len(x.Managers))
-	for id := range x.Managers {
-		ids = append(ids, id)
+	fh := &fleetHost{host: host, http: ts, fp: fp}
+	if regURL != "" {
+		ids := make([]string, 0, len(x.Managers))
+		for id := range x.Managers {
+			ids = append(ids, id)
+		}
+		fh.agent = &discovery.Agent{
+			C:         xmlrpc.NewClient(regURL),
+			HostID:    hostID,
+			URL:       ts.URL,
+			Nodes:     ids,
+			Heartbeat: 100 * time.Millisecond,
+			Epoch:     host.FenceEpoch,
+		}
+		if err := fh.agent.Start(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	agent := &discovery.Agent{
-		C:         xmlrpc.NewClient(regURL),
-		HostID:    hostID,
-		URL:       ts.URL,
-		Nodes:     ids,
-		Heartbeat: 100 * time.Millisecond,
-		Epoch:     host.FenceEpoch,
-	}
-	if err := agent.Start(); err != nil {
-		t.Fatal(err)
-	}
-	fh := &fleetHost{host: host, http: ts, fp: fp, agent: agent}
 	fh.stop = func() {
-		agent.Stop()
+		if fh.agent != nil {
+			fh.agent.Stop()
+		}
 		host.Close()
 		x.S.Stop()
 		<-hostDone

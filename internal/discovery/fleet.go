@@ -52,9 +52,10 @@ type Fleet struct {
 	lease  *noderpc.Lease
 }
 
-// Connect claims hosts from the registry and adopts the first as the
-// campaign's backing host; the remaining claims stay as warm spares for
-// failover. It fails when the registry has no usable host.
+// Connect claims hosts from the registry and adopts the first usable one
+// as the campaign's backing host; the claims after it stay as warm spares
+// for failover, and each host it could not adopt is released, so another
+// master can claim it. It fails when the registry has no usable host.
 func (f *Fleet) Connect() error {
 	claimed, err := f.claim()
 	if err != nil {
@@ -64,6 +65,7 @@ func (f *Fleet) Connect() error {
 	for i, h := range claimed {
 		if err := f.adopt(h, claimed[i+1:]); err != nil {
 			errs = append(errs, fmt.Sprintf("%s: %v", h.ID, err))
+			f.Reg.Call("registry.release", f.MasterID, h.ID)
 			continue
 		}
 		if f.OnHostChange != nil {

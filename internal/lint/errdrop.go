@@ -285,3 +285,8 @@ func nestedBlocks(st ast.Stmt) [][]ast.Stmt {
 	}
 	return out
 }
+
+func isBlank(e ast.Expr) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == "_"
+}

@@ -13,11 +13,11 @@
 // type-check is isolated — its dependents are skipped with a driver
 // diagnostic instead of a panic, and it contributes nothing to analysis.
 // Each analyzer has up to two hooks over the healthy files: Run checks one
-// file at a time, RunModule checks the whole module at once (RPC contract
-// verification and lock-order cycle detection, which cross package
-// boundaries). Every finding of either hook passes one suppression filter.
+// file at a time, RunModule checks the whole module at once (lock-order
+// cycle detection, which crosses package boundaries). Every finding of
+// either hook passes one suppression filter.
 //
-// Ten repo-specific analyzers run over every non-test file of the module:
+// Nine repo-specific analyzers run over every non-test file of the module:
 //
 //	walltime      — no time.Now() outside the allowlisted wall-clock
 //	                sites; deterministic paths read an injected
@@ -39,9 +39,6 @@
 //	                staged-write contract).
 //	mutexheldio   — no network call or blocking file I/O between Lock()
 //	                and Unlock() of a mutex within a function.
-//	rpccontract   — every Client.Call / CallMeta("x.y", …) site
-//	                module-wide matches a registered XML-RPC handler's
-//	                name and positional arity.
 //	lockorder     — the cross-package lock-acquisition graph (keyed on
 //	                type.field mutex identity) is cycle-free.
 //	maporder      — no range over a map whose body reaches a
@@ -107,7 +104,7 @@ type Analyzer struct {
 	RunModule func(m *Module) []Diagnostic
 }
 
-// All returns the full ten-analyzer suite in stable order.
+// All returns the full nine-analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Walltime(),
@@ -116,7 +113,6 @@ func All() []*Analyzer {
 		Metricnames(),
 		Durablerename(),
 		Mutexheldio(),
-		Rpccontract(),
 		Lockorder(),
 		Maporder(),
 		Errdrop(),

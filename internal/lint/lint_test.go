@@ -150,28 +150,6 @@ func TestSuppressionRequiresReason(t *testing.T) {
 	}
 }
 
-func TestRpccontractGolden(t *testing.T) {
-	// The fixture is loaded AS excovery/internal/xmlrpc so the mini
-	// Client/Server carry the qualified names the analyzer keys on.
-	mod := loadFixture(t, "rpccontract", "excovery/internal/xmlrpc")
-	diags := checkGolden(t, mod, Rpccontract())
-	var sawArity, sawUnknown bool
-	for _, d := range diags {
-		if strings.Contains(d.Message, "passes") && strings.Contains(d.Message, "takes") {
-			sawArity = true
-		}
-		if strings.Contains(d.Message, "unregistered XML-RPC method") {
-			sawUnknown = true
-		}
-	}
-	if !sawArity {
-		t.Error("no arity-mismatch finding in golden output")
-	}
-	if !sawUnknown {
-		t.Error("no unknown-method finding in golden output")
-	}
-}
-
 func TestLockorderGolden(t *testing.T) {
 	mod := loadFixture(t, "lockorder", "excovery/internal/core/testcase")
 	diags := checkGolden(t, mod, Lockorder())

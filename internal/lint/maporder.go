@@ -108,7 +108,7 @@ func (f *File) sinkOf(call *ast.CallExpr) string {
 			return recv + ".Publish"
 		}
 	case "Call":
-		if recv == rpcClientType {
+		if recv == "excovery/internal/xmlrpc.Client" {
 			return "Client.Call"
 		}
 	case "Set", "Observe":

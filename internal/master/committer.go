@@ -36,7 +36,7 @@ type harvestData struct {
 // collectHarvest snapshots one run's measurements from the node handles
 // (fanned out under the same bound as the other broadcast sites), the
 // master's own recorder and the tracer. Must run in task context.
-func (m *Master) collectHarvest(run desc.Run, rr *RunResult, partial bool) *harvestData {
+func (m *Master) collectHarvest(run desc.Run, rr *RunResult) *harvestData {
 	hd := &harvestData{run: run, nodes: make([]nodeHarvest, len(m.order))}
 	fanOut(m.cfg.Fanout, len(m.order), func(slot int) {
 		h := m.cfg.Nodes[m.order[slot]]
@@ -68,13 +68,6 @@ func (m *Master) collectHarvest(run desc.Run, rr *RunResult, partial bool) *harv
 	hd.campaign = m.fanInMetrics(run.ID).encode()
 	hd.info = store.RunInfo{Run: run.ID, Start: rr.Start, Offsets: rr.Offsets,
 		Attempts: rr.Attempts}
-	if partial {
-		hd.info.Partial = true
-		hd.info.Aborted = rr.Aborted
-		if rr.Err != nil {
-			hd.info.Err = rr.Err.Error()
-		}
-	}
 	return hd
 }
 

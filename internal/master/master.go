@@ -439,6 +439,7 @@ func (m *Master) RunAll() (*Report, error) {
 				"run": fmt.Sprint(run.ID), "attempts": fmt.Sprint(replay.Attempts[run.ID])})
 		}
 		var rr RunResult
+		var hd *harvestData
 		for attempt := 1; attempt <= maxAttempts; attempt++ {
 			if attempt > 1 {
 				// Re-attempt barrier: pending commits of earlier runs
@@ -458,6 +459,19 @@ func (m *Master) RunAll() (*Report, error) {
 				return rep, ErrCrashed
 			}
 			rr = m.executeRun(run, attempt)
+			hd = nil
+			if m.cfg.Store != nil && rr.Err == nil && !rr.Aborted {
+				// Collection happens here, in task context, before the
+				// next PrepareRun resets node state; only the disk commit
+				// is pipelined onto the committer. The harvest calls
+				// account their errors in the run's window, which was
+				// clean when executeRun read it: a failed one fails the
+				// attempt, so the run is retried, or recorded failed with
+				// what was collected, never committed as done without its
+				// measurements.
+				hd = m.collectHarvest(run, &rr)
+				m.noteNodeErrs(run, &rr, "harvest from node")
+			}
 			m.journalAppend(m.cfg.Journal.End(run.ID, attempt, outcomeOf(rr), errStringOf(rr)))
 			if rr.Err == nil && !rr.Aborted {
 				break
@@ -479,11 +493,8 @@ func (m *Master) RunAll() (*Report, error) {
 			// Commit the run durably: staged harvest and done marker
 			// renamed into place together, then the journal's completion
 			// record.
-			// Collection happens here, in task context, before the next
-			// run's PrepareRun resets node state; the disk commit itself
-			// is pipelined onto the committer.
 			if m.cfg.Store != nil {
-				m.commits.enqueue(m.collectHarvest(run, &rr, false))
+				m.commits.enqueue(hd)
 			} else {
 				// No store, no artifact — the campaign fan-in still feeds
 				// the live /metrics and /status surfaces, but its document
@@ -499,7 +510,7 @@ func (m *Master) RunAll() (*Report, error) {
 			// harvest so its store writes cannot interleave with a
 			// pending commit.
 			m.drainCommits()
-			m.harvestPartial(run, &rr)
+			m.harvestPartial(run, &rr, hd)
 			rep.Failed++
 			m.counter(obs.MRunsFailed,
 				"runs that failed all attempts").Inc()
@@ -992,25 +1003,7 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	// transport errors (lost emits, failed harvest preludes) did not
 	// produce trustworthy measurements — surface that as a run error so
 	// the retry layer re-executes it.
-	for _, id := range m.nodeOrder() {
-		re, ok := m.cfg.Nodes[id].(runErrorer)
-		if !ok {
-			continue
-		}
-		if nerr := re.Err(); nerr != nil {
-			if rr.NodeErrs == nil {
-				rr.NodeErrs = map[string]string{}
-			}
-			rr.NodeErrs[id] = nerr.Error()
-			m.cfg.Status.NodeFailed(id, nerr.Error())
-			if rr.Err == nil {
-				rr.Err = fmt.Errorf("master: run %d: control channel to node %s: %w",
-					run.ID, id, nerr)
-			}
-		} else {
-			m.cfg.Status.NodeHealthy(id)
-		}
-	}
+	m.noteNodeErrs(run, &rr, "control channel to node")
 	// The environment's proxy keeps the same per-run window: a failed
 	// reset may have left the previous run's traffic or drop rules active.
 	if re, ok := m.cfg.Env.(runErrorer); ok {
@@ -1031,6 +1024,30 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	// staged level-2 commit and journal completion are sequenced.
 	endRun()
 	return rr
+}
+
+// noteNodeErrs reads the per-run error window of every node handle that
+// keeps one (runErrorer) into rr: each failed node into NodeErrs and
+// /status, the first as the run's error, prefixed by what failed.
+func (m *Master) noteNodeErrs(run desc.Run, rr *RunResult, what string) {
+	for _, id := range m.nodeOrder() {
+		re, ok := m.cfg.Nodes[id].(runErrorer)
+		if !ok {
+			continue
+		}
+		if nerr := re.Err(); nerr != nil {
+			if rr.NodeErrs == nil {
+				rr.NodeErrs = map[string]string{}
+			}
+			rr.NodeErrs[id] = nerr.Error()
+			m.cfg.Status.NodeFailed(id, nerr.Error())
+			if rr.Err == nil {
+				rr.Err = fmt.Errorf("master: run %d: %s %s: %w", run.ID, what, id, nerr)
+			}
+		} else {
+			m.cfg.Status.NodeHealthy(id)
+		}
+	}
 }
 
 // publishCarried publishes the node events that h's calls carried back
@@ -1063,13 +1080,22 @@ func (m *Master) publishNodesCarried(barrier bool) {
 // harvestPartial salvages measurements of a run that failed all its
 // attempts: events and packets are written with a partial marker in
 // RunInfo so post-mortems are possible, but the run is NOT marked done —
-// a resumed session re-executes it. Unlike the success path this commits
-// synchronously (the caller already drained the pipeline).
-func (m *Master) harvestPartial(run desc.Run, rr *RunResult) {
+// a resumed session re-executes it. hd is what the last attempt's harvest
+// collected, nil when the attempt failed before it. Unlike the success
+// path this commits synchronously (the caller already drained the
+// pipeline).
+func (m *Master) harvestPartial(run desc.Run, rr *RunResult, hd *harvestData) {
 	if m.cfg.Store == nil {
 		return
 	}
-	hd := m.collectHarvest(run, rr, true)
+	if hd == nil {
+		hd = m.collectHarvest(run, rr)
+	}
+	hd.info.Partial = true
+	hd.info.Aborted = rr.Aborted
+	if rr.Err != nil {
+		hd.info.Err = rr.Err.Error()
+	}
 	if err := m.commitHarvest(hd); err != nil {
 		m.rec.Emit(eventlog.EvRunHarvestFailed, map[string]string{
 			"run": fmt.Sprint(run.ID), "err": err.Error()})

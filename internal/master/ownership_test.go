@@ -102,7 +102,7 @@ func TestQueuedHarvestsSurviveLaterRuns(t *testing.T) {
 				t.Errorf("run %d: %+v", run.ID, rr)
 				return
 			}
-			hd := m.collectHarvest(run, &rr, false)
+			hd := m.collectHarvest(run, &rr)
 			held = append(held, hd)
 			collected = append(collected, packetsOf(hd))
 		}

@@ -246,27 +246,22 @@ func TestQueryPairsFromRealRunPackets(t *testing.T) {
 	if rtt < 0 {
 		t.Fatal("no answered queries")
 	}
-	// The packet-level RTT of the answered query must roughly match the
-	// event-level t_R (both measure query → response on the SU).
-	ms := FromReport(e, mustReport(t, e), "", "")
-	_ = ms
 	if rtt < 20*time.Millisecond || rtt > 200*time.Millisecond {
 		t.Fatalf("query RTT = %v", rtt)
 	}
-}
-
-// mustReport reruns a fresh experiment for comparison data.
-func mustReport(t *testing.T, e *desc.Experiment) *master.Report {
-	t.Helper()
-	x, err := core.New(e, core.Options{})
+	// The event-level t_R of the same stored run spans the SU's search up
+	// to the response it acted on, so it holds at least one full query
+	// round trip: the quickest answered query cannot take longer.
+	ms, err := FromDB(db, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := x.Run()
-	if err != nil {
-		t.Fatal(err)
+	if len(ms) != 1 || ms[0].RunID != 0 || !ms[0].Complete {
+		t.Fatalf("FromDB = %+v, want run 0 complete", ms)
 	}
-	return rep
+	if rtt > ms[0].TR {
+		t.Fatalf("quickest answered query RTT %v exceeds the run's t_R %v", rtt, ms[0].TR)
+	}
 }
 
 func TestQueryPairsSynthetic(t *testing.T) {

@@ -42,6 +42,15 @@ type loopbackCfg struct {
 	// it has taken it, so what that event sets off is recorded between
 	// calls, however the wall-clock timing falls.
 	holdAfter string
+	// hostSetup, if set, prepares the host before it serves: it may
+	// register plugin actions on the platform, and it returns the
+	// handler that serves in place of the host's method table.
+	hostSetup func(x *core.Experiment, srv http.Handler) http.Handler
+	// attempts is the master's Retry.MaxAttempts.
+	attempts int
+	// failed is the number of runs the campaign fails; every other run
+	// must complete.
+	failed int
 }
 
 // loopback is a campaign run over HTTP loopback, wired as excovery-node and
@@ -54,6 +63,7 @@ type loopback struct {
 	hostReg *obs.Registry
 	m       *master.Master
 	rep     *master.Report
+	st      *store.RunStore // with loopbackCfg.store
 
 	mu       sync.Mutex
 	recorded map[evKey]int // every event the host recorded, as OnEvent saw it
@@ -81,7 +91,11 @@ func runLoopback(t *testing.T, e *desc.Experiment, cfg loopbackCfg) *loopback {
 	lb.host = NewHost(x)
 	lb.host.Instrument(lb.hostReg)
 	defer lb.host.Close()
-	hostHTTP := httptest.NewServer(lb.host.Server())
+	var hostSrv http.Handler = lb.host.Server()
+	if cfg.hostSetup != nil {
+		hostSrv = cfg.hostSetup(x, hostSrv)
+	}
+	hostHTTP := httptest.NewServer(hostSrv)
 	defer hostHTTP.Close()
 	x.S.SetKeepAlive(true)
 	hostDone := make(chan error, 1)
@@ -118,11 +132,13 @@ func runLoopback(t *testing.T, e *desc.Experiment, cfg loopbackCfg) *loopback {
 		handles[id] = &RemoteNode{NodeID: id, C: dial()}
 	}
 	mc := master.Config{Exp: e, S: ms, Bus: bus, Nodes: handles,
-		Env: &RemoteEnv{C: dial()}, Fanout: 2}
+		Env: &RemoteEnv{C: dial()}, Fanout: 2,
+		Retry: master.RetryPolicy{MaxAttempts: cfg.attempts}}
 	if cfg.store {
-		if mc.Store, err = store.NewRunStore(t.TempDir()); err != nil {
+		if lb.st, err = store.NewRunStore(t.TempDir()); err != nil {
 			t.Fatal(err)
 		}
+		mc.Store = lb.st
 	}
 	if lb.m, err = master.New(mc); err != nil {
 		t.Fatal(err)
@@ -135,8 +151,9 @@ func runLoopback(t *testing.T, e *desc.Experiment, cfg loopbackCfg) *loopback {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if lb.rep.Completed != len(lb.rep.Results) {
-		t.Fatalf("completed %d of %d runs", lb.rep.Completed, len(lb.rep.Results))
+	if lb.rep.Failed != cfg.failed || lb.rep.Completed != len(lb.rep.Results)-cfg.failed {
+		t.Fatalf("completed %d and failed %d of %d runs, want %d failed",
+			lb.rep.Completed, lb.rep.Failed, len(lb.rep.Results), cfg.failed)
 	}
 	return lb
 }

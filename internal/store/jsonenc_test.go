@@ -69,6 +69,7 @@ func TestPacketLineMatchesMarshal(t *testing.T) {
 			Dst: "mdns", Data: []byte{0x00, 0xff, '<', '&'}, Path: []netem.NodeID{"a", "b"}},
 		{Time: ts.Add(time.Microsecond), Dir: "tx", ID: 8, Src: "b", Dst: "c"},
 		{Time: ts, Dir: "tx", Node: "n2", ID: 9, Src: "x", Dst: "y", Data: []byte{}},
+		{Time: ts, Dir: "tx", Node: "n2", ID: 10, Src: "x", Dst: "y", Data: make([]byte, 512)},
 	}
 	if err := rs.WritePackets(4, "n1", pkts); err != nil {
 		t.Fatal(err)

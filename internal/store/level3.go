@@ -234,10 +234,11 @@ func (e *ExperimentDB) ingest(rs *RunStore, meta Meta, st *readStats) error {
 				return err
 			}
 			// The stored line is byte-identical to re-marshaling the decoded
-			// record (both sides are encoding/json output of PacketRecord;
+			// record (json.Marshal of a PacketRecord is the line encoder;
 			// TestPacketLineMatchesMarshal pins this), so the raw bytes feed
-			// the Data column directly and the payload is never re-encoded —
-			// nor copied: the rows keep the file's one buffer alive.
+			// the Data column directly, all-zero payloads still as their
+			// length, and the payload is never re-encoded — nor copied: the
+			// rows keep the file's one buffer alive.
 			runID, nodeID := any(int64(run)), any(node)
 			err = rs.forEachPacketLine(run, node, st, func(t time.Time, src string, line []byte) error {
 				return e.DB.Insert("Packets", reldb.Row{

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"os"
@@ -14,27 +15,46 @@ import (
 	"excovery/internal/netem"
 )
 
-// encodeLine is what json.Encoder writes for one record, less the newline.
+// wireOf is p in the form encoding/json writes for a stored line: the
+// payload as "zeros" when it is 1 to maxZeros bytes that are all zero, as
+// "data" otherwise.
+func wireOf(p PacketRecord) packetJSON {
+	w := packetJSON{Time: p.Time, Dir: p.Dir, Node: p.Node, ID: p.ID, Tag: p.Tag,
+		Src: p.Src, Dst: p.Dst, Data: &p.Data, Path: p.Path}
+	if n := len(p.Data); n > 0 && n <= maxZeros && bytes.Count(p.Data, []byte{0}) == n {
+		w.Data, w.Zeros = nil, &n
+	}
+	return w
+}
+
+// encodeLine is what json.Encoder writes for one record's wire form, less
+// the newline: the reference the line encoder is held to.
 func encodeLine(t testing.TB, p PacketRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(&p); err != nil {
+	if err := json.NewEncoder(&buf).Encode(wireOf(p)); err != nil {
 		t.Fatal(err)
 	}
 	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
 }
 
 // checkLine holds the packet-line decoder to encoding/json on one line:
-// same error or not, same record, same capture time and source.
+// same error or not, same record, same capture time and source — and
+// json.Unmarshal, through PacketRecord's method, gives what the decoder
+// gives.
 func checkLine(t *testing.T, line []byte) (fallback bool) {
 	t.Helper()
 	var want PacketRecord
-	wantErr := json.Unmarshal(line, &want)
+	wantErr := unmarshalPacketLine(line, &want)
 
 	var got PacketRecord
 	fallback, err := decodePacketLine(line, &got)
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("line %q: decoder error %v, encoding/json error %v", line, err, wantErr)
+	}
+	var viaJSON PacketRecord
+	if jerr := json.Unmarshal(line, &viaJSON); (jerr != nil) != (err != nil) || err == nil && !reflect.DeepEqual(viaJSON, got) {
+		t.Fatalf("line %q: json.Unmarshal gives %#v, %v; the decoder %#v, %v", line, viaJSON, jerr, got, err)
 	}
 	if err != nil {
 		return fallback
@@ -50,6 +70,12 @@ func checkLine(t *testing.T, line []byte) (fallback bool) {
 	return fallback
 }
 
+// zeros is an all-zero payload of n bytes.
+func zeros(n int) []byte { return make([]byte, n) }
+
+// lastByteSet is a 512-byte payload whose last byte alone is not zero.
+var lastByteSet = append(zeros(511), 1)
+
 var lineSeeds = []PacketRecord{
 	{Time: time.Unix(3, 141592653).UTC(), Dir: "rx", Node: "n1", ID: 7, Tag: 65535, Src: "a",
 		Dst: "mdns", Data: []byte{0x00, 0xff, '<', '&'}, Path: []netem.NodeID{"a", "b"}},
@@ -60,6 +86,12 @@ var lineSeeds = []PacketRecord{
 	{Time: time.Date(2016, 2, 29, 0, 0, 0, 100, time.FixedZone("", 2*3600)), Dir: "rx", Src: "héllo", Dst: "実験", Data: []byte("x")},
 	{Time: time.Date(9999, 12, 31, 23, 59, 59, 0, time.UTC), Dir: "", Src: "", Dst: "", Node: "bad\xffutf8"},
 	{Time: time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), Dir: "tx", Src: "\x7f", Dst: "-", Path: []netem.NodeID{""}},
+	// All-zero payloads are stored by their length; one set byte is not.
+	{Time: time.Unix(1400500800, 5).UTC(), Dir: "tx", Node: "t1", ID: 3, Src: "t1", Dst: "t2", Data: zeros(1)},
+	{Time: time.Unix(1400500800, 6).UTC(), Dir: "rx", Node: "t2", ID: 3, Src: "t1", Dst: "t2", Data: zeros(7), Path: []netem.NodeID{"t1", "t2"}},
+	{Time: time.Unix(1400500800, 7).UTC(), Dir: "tx", ID: 4, Src: "t1", Dst: "t2", Data: zeros(8)},
+	{Time: time.Unix(1400500800, 8).UTC(), Dir: "tx", Node: "t1", ID: 5, Src: "t1", Dst: "t2", Data: zeros(512)},
+	{Time: time.Unix(1400500800, 9).UTC(), Dir: "tx", Node: "t1", ID: 6, Src: "t1", Dst: "t2", Data: lastByteSet},
 }
 
 // TestPacketLineDecoder checks the seeds both ways: everything json.Encoder
@@ -118,6 +150,90 @@ var foreignLines = []string{
 	`{"time":"2014-05-19T12:00:00-00:00","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
 	`{"time":null,"dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null}`,
 	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":null,"dst":"b","data":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":0}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":-1}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":01}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":1e3}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":"3"}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":null}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":65536}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":65537}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":18446744073709551616}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":3,"path":["a"]}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":null,"zeros":3}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","data":"","zeros":3}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":3,"data":"AA=="}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","zeros":3,"zeros":4}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b"}`,
+	`{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b","ZEROS":2}`,
+	legacyZeros512,
+}
+
+// legacyZeros512 is a line as the store wrote a 512-byte all-zero payload
+// before such payloads were stored by their length.
+var legacyZeros512 = `{"time":"2014-05-19T12:00:00Z","dir":"tx","node":"a","id":1,"tag":2,"src":"a","dst":"b","data":"` +
+	base64.StdEncoding.EncodeToString(zeros(512)) + `"}`
+
+// TestLegacyZeroPayloadLine: a payload of zeros written as base64, before
+// the zeros form existed, and the same record written now decode to one
+// record in both decoders; a nil, an empty and an all-zero payload each
+// keep their own form and decode back to themselves.
+func TestLegacyZeroPayloadLine(t *testing.T) {
+	want := PacketRecord{Time: time.Date(2014, 5, 19, 12, 0, 0, 0, time.UTC), Dir: "tx", Node: "a",
+		ID: 1, Tag: 2, Src: "a", Dst: "b", Data: zeros(512)}
+	line, err := appendPacketLine(nil, &want, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line = bytes.TrimSuffix(line, []byte("\n"))
+	if !bytes.Contains(line, []byte(`,"zeros":512}`)) {
+		t.Fatalf("line %s does not store the payload by its length", line)
+	}
+	for _, l := range [][]byte{[]byte(legacyZeros512), line} {
+		var scanned, unmarshaled PacketRecord
+		if !scanPacketLine(l, &scanned, false) {
+			t.Fatalf("scanner refuses %s", l)
+		}
+		if err := unmarshalPacketLine(l, &unmarshaled); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(scanned, want) || !reflect.DeepEqual(unmarshaled, want) {
+			t.Fatalf("line %.80s…: scanner %+v, encoding/json %+v, want %+v", l, scanned, unmarshaled, want)
+		}
+	}
+	for _, payload := range []string{`"zeros":0`, `"zeros":-1`, `"zeros":65537`, `"zeros":1.5`,
+		`"data":"","zeros":3`, `"zeros":3,"data":"AA=="`} {
+		l := `{"time":"2014-05-19T12:00:00Z","dir":"tx","id":1,"tag":2,"src":"a","dst":"b",` + payload + `}`
+		var p PacketRecord
+		if _, err := decodePacketLine([]byte(l), &p); err == nil {
+			t.Errorf("%s decodes to %d bytes, want an error", payload, len(p.Data))
+		}
+	}
+	for _, c := range []struct {
+		data    []byte
+		payload string
+	}{
+		{nil, `"data":null`},
+		{[]byte{}, `"data":""`},
+		{zeros(1), `"zeros":1`},
+		{zeros(maxZeros), `"zeros":65536`},
+		{zeros(maxZeros + 1), `"data":"AAAA`},
+	} {
+		p := want
+		p.Data = c.data
+		line, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(line, []byte(`"dst":"b",`+c.payload)) {
+			t.Errorf("%d-byte payload (nil %v): line %.120s…, want %s", len(c.data), c.data == nil, line, c.payload)
+		}
+		var back PacketRecord
+		if err := json.Unmarshal(line, &back); err != nil || !reflect.DeepEqual(back, p) {
+			t.Errorf("%d-byte payload (nil %v) decodes to %d bytes (nil %v), %v",
+				len(c.data), c.data == nil, len(back.Data), back.Data == nil, err)
+		}
+	}
 }
 
 // FuzzPacketLine feeds arbitrary lines to the decoder: whatever it is
@@ -168,15 +284,20 @@ func FuzzPacketRecord(f *testing.F) {
 
 // checkEncode holds the packet-line encoder to encoding/json on one record:
 // same error or not, the same bytes after whatever the buffer already held,
-// and a line the decoder takes back — by the scanner, unless the line
-// carries an escape or a zone offset.
+// the same bytes again from json.Marshal through PacketRecord's method, and
+// a line the decoder takes back — by the scanner, unless the line carries
+// an escape or a zone offset.
 func checkEncode(t *testing.T, p PacketRecord) {
 	t.Helper()
-	want, wantErr := json.Marshal(&p)
+	want, wantErr := json.Marshal(wireOf(p))
 	const held = "held\n"
 	got, err := appendPacketLine([]byte(held), &p, &payloadMemo{})
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("record %+v: encoder error %v, encoding/json error %v", p, err, wantErr)
+	}
+	viaMethod, methodErr := json.Marshal(p)
+	if (methodErr != nil) != (err != nil) || err == nil && !bytes.Equal(viaMethod, want) {
+		t.Fatalf("record %+v: json.Marshal gives %q, %v; want %q", p, viaMethod, methodErr, want)
 	}
 	if err != nil {
 		if string(got) != held {
@@ -210,6 +331,9 @@ var encodeSeeds = []PacketRecord{
 	{Time: time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC), Dir: "tx", Src: "a", Dst: "b"},
 	{Time: time.Time{}, Dir: "<>&", Node: "\u2028\u2029", Src: "\xff\xfe", Dst: "\x00\x1f\n\r\t\"\\",
 		Data: bytes.Repeat([]byte{0xfb, 0xff}, 50), Path: []netem.NodeID{"<", "\u2028", "\xc3"}},
+	{Time: time.Unix(1400500800, 0).In(time.FixedZone("", 3600)), Dir: "tx", Src: "a", Dst: "b", Data: zeros(512)},
+	{Time: time.Unix(1400500800, 0).UTC(), Dir: "tx", Src: "<a>", Dst: "b", Data: zeros(maxZeros)},
+	{Time: time.Unix(1400500800, 0).UTC(), Dir: "tx", Src: "a", Dst: "b", Data: zeros(maxZeros + 1)},
 }
 
 // TestPacketLineEncoderMatchesMarshal: what WritePackets puts on disk is,
@@ -275,8 +399,9 @@ func TestSpecialFlagsExactly(t *testing.T) {
 
 // TestWritePacketsPayloadMemo: reusing the last payload's base64 changes
 // no byte — for repeated, equal, alternating, overlapping, nil and empty
-// payloads, and for a buffer edited in place between two writes. The file
-// is one json.Marshal per line.
+// payloads, for base64 payloads with all-zero ones between them, and for a
+// buffer edited in place between two writes. The file is one encoding/json
+// line per record.
 func TestWritePacketsPayloadMemo(t *testing.T) {
 	rs, err := NewRunStore(t.TempDir())
 	if err != nil {
@@ -292,6 +417,7 @@ func TestWritePacketsPayloadMemo(t *testing.T) {
 		{rec(a), rec(a), rec(bytes.Clone(a)), rec(b), rec(a), rec(b), rec(b)},
 		{rec(nil), rec([]byte{}), rec(nil), rec(b), rec([]byte{}), rec([]byte{}), rec(nil)},
 		{rec(slab[:4]), rec(slab[1:5]), rec(slab[:4]), rec(slab[:5]), rec(slab[:0])},
+		{rec(a), rec(zeros(512)), rec(a), rec(zeros(3)), rec(lastByteSet), rec(zeros(512)), rec(lastByteSet)},
 		{rec(edited), rec(edited)},
 		{rec(edited)}, // after the edit below
 	}
@@ -301,11 +427,7 @@ func TestWritePacketsPayloadMemo(t *testing.T) {
 			edited[0] = 'E'
 		}
 		for j := range pkts {
-			line, err := json.Marshal(&pkts[j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(append(want, line...), '\n')
+			want = append(append(want, encodeLine(t, pkts[j])...), '\n')
 		}
 		if err := rs.WritePackets(0, "A", pkts); err != nil {
 			t.Fatal(err)

@@ -109,6 +109,30 @@ func TestFailoverReportsDeadHostAndReleasesFailedSpare(t *testing.T) {
 	c.wantClaims(t, "after Failover", "h-bbb", "", "h-ccc", c.fleet.MasterID)
 }
 
+// TestFailoverGivesUpAtItsDeadline: with only a dead spare, a failover
+// returns its error once ReplaceTimeout has passed — not after one full
+// adoption per poll it could have made — and leaves the spare unclaimed.
+func TestFailoverGivesUpAtItsDeadline(t *testing.T) {
+	c := newClaimTest(t, []string{"h-aaa", "h-bbb"}, map[string]bool{"h-bbb": true})
+	c.fleet.ReplaceTimeout = 50 * time.Millisecond
+	if err := c.fleet.Connect(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.fleet.Close()
+	start := time.Now()
+	_, err := c.fleet.Failover(1, map[string]string{"A": "connection refused"})
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("failover adopted a host nothing serves")
+	}
+	// The timeout, plus one refused call and the registry's loopback
+	// round trips: far below one adoption's 400 ms of retry backoff.
+	if elapsed > c.fleet.ReplaceTimeout+300*time.Millisecond {
+		t.Errorf("failover gave up after %v; ReplaceTimeout is %v", elapsed, c.fleet.ReplaceTimeout)
+	}
+	c.wantClaims(t, "after the failover", "h-bbb", "")
+}
+
 // TestAgentHeartbeatsRenew: an agent's heartbeats renew its registration;
 // none falls back to a full re-registration.
 func TestAgentHeartbeatsRenew(t *testing.T) {

@@ -35,7 +35,6 @@ var contract = []struct{ method, tests string }{
 	{"host.renew_lease", "internal/noderpc TestLeaseLifecycleAndTakeover"},
 	{"host.set_master", "cmd/excovery-master TestStaticWiringRunsTheCampaign"},
 	{"master.events", "internal/noderpc TestPushedEventsLandInTheirRun"},
-	{"master.ping", "internal/noderpc TestMasterServerRejectsBadPayload"},
 	{"node.cleanup_run", "internal/noderpc TestDistributedOneShot"},
 	{"node.emit", "internal/noderpc TestDistributedOneShot"},
 	{"node.execute", "internal/noderpc TestDistributedOneShot"},

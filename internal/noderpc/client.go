@@ -467,9 +467,6 @@ func MasterServer(s *sched.Scheduler, bus *eventlog.Bus) *xmlrpc.Server {
 		})
 		return true, nil
 	})
-	srv.Register("master.ping", func(params []any) (any, error) {
-		return "pong", nil
-	})
 	return srv
 }
 

@@ -95,7 +95,6 @@ func wireDocs(t testing.TB) []wireDoc {
 		{"system.listMethods", nil, []any{"host.nodes", "host.ping", "system.listMethods"}},
 		// Master.
 		{"master.events", []any{lines(ev("B", "sd_service_add", map[string]string{"name": tricky}, 4))}, true},
-		{"master.ping", nil, "pong"},
 		// Registry.
 		{"registry.ping", nil, "pong"},
 		{"registry.register", []any{"h1", "http://127.0.0.1:18800/RPC2", []string{"A", "B"}, "eu", 15000, 3}, 15000},

@@ -1,7 +1,6 @@
 GO ?= go
-DATE := $(shell date +%Y%m%d)
 
-.PHONY: build test check vet race bench bench-smoke bench-gate bench-gate-zero bench-campaign bench-campaign-smoke bench-pairs fmt lint
+.PHONY: build test check vet race science bench-campaign bench-campaign-smoke bench-pairs fmt lint
 
 build:
 	$(GO) build ./...
@@ -18,6 +17,13 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# science is the science gate (science_test.go): R and t_R of every result
+# series EXPERIMENTS.md reports, at fixed seeds, against
+# testdata/science.golden. The race build leaves the file out, so it runs
+# here without the detector.
+science:
+	$(GO) test -run '^TestSciencePinned$$' .
 
 # fmt fails when any file is not gofmt-clean, printing the offenders. Like
 # the go tool and lint.Load it skips directories whose names start with "."
@@ -37,47 +43,11 @@ lint:
 	$(GO) run ./cmd/excovery-lint ./...
 
 # check is the tier-1 gate (see ROADMAP.md): formatting, static analysis
-# (go vet plus the invariant linter) and the full suite under the race
-# detector. Every shipped description is validated, planned, assembled and
-# round-tripped by TestShippedDescriptions in internal/desc.
-check: fmt vet lint race
-
-# bench records all benchmarks (with allocations) as a dated JSON stream
-# of go test events, comparable across sessions with excovery-bench or
-# plain jq. It also appends a one-line Fig. 3 allocs/op delta against the
-# newest prior BENCH_*.json to CHANGES.md.
-bench:
-	$(GO) test -json -run='^$$' -bench=. -benchmem ./... | tee BENCH_$(DATE).json
-	@$(GO) run ./cmd/excovery-bench -changes BENCH_$(DATE).json >> CHANGES.md && tail -1 CHANGES.md
-
-# bench-gate replays the gate CI runs: a fresh recording checked against
-# bench-thresholds.json vs the newest committed BENCH_*.json. 20
-# iterations amortize per-benchmark setup so allocs/op and B/op are
-# comparable with the committed full-length recordings (-benchtime=1x
-# would charge the whole setup to a single op); timing units are not
-# gated.
-bench-gate:
-	$(GO) test -json -run='^$$' -bench=. -benchtime=20x -benchmem ./... > BENCH_gate.json
-	@$(GO) run ./cmd/excovery-bench -check bench-thresholds.json BENCH_gate.json; \
-		rc=$$?; rm -f BENCH_gate.json; exit $$rc
-
-# bench-gate-zero is the hard part of the gate: the benchmarks whose ceiling
-# in bench-thresholds.json is zero growth from zero — the allocation-free
-# hot paths (steady-state delivery with capture off and on, registry
-# heartbeat) — at an iteration count that amortizes their one-off set-up to
-# below 1 B/op, which 20 iterations do not. Allocation counts do not depend
-# on the runner, so CI fails on a breach.
-bench-gate-zero:
-	$(GO) test -json -run='^$$' -benchtime=200000x -benchmem \
-		-bench='^(BenchmarkEmulatorDeliverySteadyState|BenchmarkRegistryHeartbeat)$$' \
-		. ./internal/discovery > BENCH_gate.json
-	@$(GO) run ./cmd/excovery-bench -check bench-thresholds.json BENCH_gate.json; \
-		rc=$$?; rm -f BENCH_gate.json; exit $$rc
-
-# bench-smoke runs every benchmark exactly once — no timings, just proof
-# that none of them panic or fail. Wired into CI.
-bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+# (go vet plus the invariant linter), the full suite under the race
+# detector and the science gate. Every shipped description is validated,
+# planned, assembled and round-tripped by TestShippedDescriptions in
+# internal/desc.
+check: fmt vet lint race science
 
 # bench-campaign runs the repository's campaign benchmark (BENCHMARK.json,
 # bench/README.md): every workload, untraced then traced, end-to-end and

@@ -22,6 +22,7 @@
 //	rep, _ := x.Run()
 //	db, _ := x.Finalize()
 //
-// This root package carries the benchmark harness (bench_test.go) that
-// regenerates every figure and table artifact of the paper.
+// This root package carries the science gate (science_test.go): R and t_R
+// of every result series EXPERIMENTS.md reports, at fixed seeds, pinned in
+// testdata/science.golden.
 package excovery

@@ -524,36 +524,3 @@ func TestFiredTimersCounter(t *testing.T) {
 		t.Fatalf("FiredTimers = %d, want 7", got)
 	}
 }
-
-func BenchmarkSleepSwitch(b *testing.B) {
-	s := NewVirtual()
-	s.Go("bench", func() {
-		for i := 0; i < b.N; i++ {
-			s.Sleep(time.Microsecond)
-		}
-	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkCondSignal(b *testing.B) {
-	s := NewVirtual()
-	c := s.NewCond("bench")
-	s.Go("waiter", func() {
-		for i := 0; i < b.N; i++ {
-			c.Wait()
-		}
-	})
-	s.Go("signaler", func() {
-		for i := 0; i < b.N; i++ {
-			c.Signal()
-			s.Yield()
-		}
-	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -266,6 +266,32 @@ func TestConditionCountsDecoderFallbacks(t *testing.T) {
 	}
 }
 
+// TestConditionRejectsUndecodablePayloads: conditioning fails on a capture
+// line whose payload PacketsOfRun could not decode — bad base64 on the
+// scanner's path, a zero "zeros" on encoding/json's — instead of storing it
+// as a Packets row.
+func TestConditionRejectsUndecodablePayloads(t *testing.T) {
+	for _, line := range []string{
+		`{"time":"2014-05-19T12:00:02Z","dir":"tx","id":2,"tag":0,"src":"A","dst":"B","data":"Q Q=="}`,
+		`{"time":"2014-05-19T12:00:02Z","dir":"tx","id":2,"tag":0,"src":"A","dst":"B","zeros":0}`,
+	} {
+		rs := fillStore(t, t.TempDir())
+		f, err := os.OpenFile(filepath.Join(rs.runDir(0, "A"), "packets.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(line + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Condition(rs, Meta{}); err == nil {
+			t.Errorf("Condition accepted %s", line)
+		}
+	}
+}
+
 // TestConditionCountsEventFallbacks: an events file with one hand-edited
 // line goes through encoding/json as a whole, is counted once under
 // record=event, and conditions to the same rows as the file it was.

@@ -16,7 +16,7 @@ import (
 
 // Encoding and decoding of stored packet lines. Every packet of an
 // experiment is written once, scanned by conditioning (capture time and
-// source are built, the rest only checked for shape) and decoded in full
+// source are kept, the rest only checked) and decoded in full
 // once more by PacketsOfRun; encoding/json's reflection was most of all
 // three. A stored line is what encoding/json writes for a PacketRecord —
 // its MarshalJSON is this encoder, so level 2, the level-3 Packets.Data
@@ -224,18 +224,15 @@ func decodePacketLine(line []byte, p *PacketRecord) (fallback bool, err error) {
 
 // decodePacketMeta decodes only the capture time and the source of one
 // stored line: conditioning stores the line itself as the Packets.Data
-// blob, so the other fields are checked for shape but never built.
+// blob, so the other fields are only checked: it fails on exactly the
+// lines decodePacketLine fails on.
 func decodePacketMeta(line []byte) (t time.Time, src string, fallback bool, err error) {
 	var p PacketRecord
 	if scanPacketLine(line, &p, true) {
 		return p.Time, p.Src, false, nil
 	}
-	var m struct {
-		Time time.Time `json:"time"`
-		Src  string    `json:"src"`
-	}
-	err = json.Unmarshal(line, &m)
-	return m.Time, m.Src, true, err
+	err = unmarshalPacketLine(line, &p)
+	return p.Time, p.Src, true, err
 }
 
 // scanPacketLine parses a line of the fixed shape into p; with metaOnly
@@ -296,14 +293,14 @@ func scanPacketLine(line []byte, p *PacketRecord, metaOnly bool) bool {
 		if !ok {
 			return false
 		}
-		if !metaOnly {
-			data = make([]byte, base64.StdEncoding.DecodedLen(len(enc)))
-			n, err := base64.StdEncoding.Decode(data, enc)
-			if err != nil {
-				return false
-			}
-			data = data[:n]
+		// Decoded with metaOnly too: conditioning refuses what
+		// PacketsOfRun would.
+		data = make([]byte, base64.StdEncoding.DecodedLen(len(enc)))
+		n, err := base64.StdEncoding.Decode(data, enc)
+		if err != nil {
+			return false
 		}
+		data = data[:n]
 	}
 	var path []netem.NodeID
 	if s.lit(`,"path":[`) {

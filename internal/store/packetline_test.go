@@ -56,16 +56,19 @@ func checkLine(t *testing.T, line []byte) (fallback bool) {
 	if jerr := json.Unmarshal(line, &viaJSON); (jerr != nil) != (err != nil) || err == nil && !reflect.DeepEqual(viaJSON, got) {
 		t.Fatalf("line %q: json.Unmarshal gives %#v, %v; the decoder %#v, %v", line, viaJSON, jerr, got, err)
 	}
+	tm, src, metaFallback, metaErr := decodePacketMeta(line)
+	if (metaErr != nil) != (err != nil) {
+		t.Fatalf("line %q: meta decoder error %v, decoder error %v", line, metaErr, err)
+	}
 	if err != nil {
 		return fallback
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("line %q (fallback=%v):\n got %#v\nwant %#v", line, fallback, got, want)
 	}
-	tm, src, metaFallback, err := decodePacketMeta(line)
-	if err != nil || tm != want.Time || src != want.Src || metaFallback != fallback {
-		t.Fatalf("line %q: meta (%v, %q, fallback=%v, %v), want (%v, %q, fallback=%v)",
-			line, tm, src, metaFallback, err, want.Time, want.Src, fallback)
+	if tm != want.Time || src != want.Src || metaFallback != fallback {
+		t.Fatalf("line %q: meta (%v, %q, fallback=%v), want (%v, %q, fallback=%v)",
+			line, tm, src, metaFallback, want.Time, want.Src, fallback)
 	}
 	return fallback
 }

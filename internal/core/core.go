@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strconv"
 	"time"
@@ -35,6 +34,7 @@ import (
 	"excovery/internal/sd/hybrid"
 	"excovery/internal/sd/scmdir"
 	"excovery/internal/sd/zeroconf"
+	"excovery/internal/seeds"
 	"excovery/internal/store"
 	"excovery/internal/vclock"
 )
@@ -289,7 +289,7 @@ func New(e *desc.Experiment, opts Options) (*Experiment, error) {
 	}
 
 	// Create nodes, optionally with skewed clocks.
-	skewRng := rand.New(rand.NewSource(seed ^ 0x51c3))
+	skewRng := seeds.Key{Tag: seeds.Skew, Seed: seed}.Rand()
 	for _, id := range all {
 		np := opts.Node
 		nd := nw.AddNode(netem.NodeID(id), np)
@@ -316,7 +316,7 @@ func New(e *desc.Experiment, opts Options) (*Experiment, error) {
 		Managers: map[string]*node.Manager{}, opts: opts}
 
 	mkAgent := func(id string, nd *netem.Node, sink sd.EventSink) (sd.Agent, error) {
-		aseed := seed ^ int64(len(id))*7919 ^ int64(id[0])<<13 ^ int64(id[len(id)-1])
+		aseed := seeds.Derive(seeds.Key{Tag: seeds.AgentSeed, Seed: seed, ID: id})
 		switch proto {
 		case "zeroconf":
 			return zeroconf.New(s, nd, zeroconf.Config{Scheme: scheme}, sink, aseed), nil
@@ -497,7 +497,7 @@ func wireTopology(nw *netem.Network, ids []string, opts Options, geoRadius float
 		if r == 0 {
 			r = 0.4
 		}
-		rng := rand.New(rand.NewSource(seed ^ 0x6e0))
+		rng := seeds.Key{Tag: seeds.Geometric, Seed: seed}.Rand()
 		xs := make([]float64, len(sorted))
 		ys := make([]float64, len(sorted))
 		for i := range sorted {

@@ -2,7 +2,8 @@ package desc
 
 import (
 	"fmt"
-	"math/rand"
+
+	"excovery/internal/seeds"
 )
 
 // PlanKind selects how treatments are ordered over the runs (§II-A2/3,
@@ -104,10 +105,10 @@ func GeneratePlan(e *Experiment) (*Plan, error) {
 	// Per-factor deterministic RNG streams for level-order
 	// randomization, derived from the experiment seed and the factor
 	// position so streams are independent.
-	rngs := make([]*rand.Rand, len(factors))
+	rngs := make([]*seeds.Rand, len(factors))
 	perms := make([][]int, len(factors))
 	for i, f := range factors {
-		rngs[i] = rand.New(rand.NewSource(e.Seed*31 + int64(i) + int64(len(f.ID))))
+		rngs[i] = seeds.Key{Tag: seeds.Factor, Seed: e.Seed, ID: f.ID, Index: int64(i)}.Rand()
 		perms[i] = identity(len(f.Levels))
 	}
 	reshuffle := func(i int) {
@@ -170,7 +171,7 @@ func GeneratePlan(e *Experiment) (*Plan, error) {
 	case PlanOFAT:
 		// Enumeration order is already OFAT.
 	case PlanRandomized:
-		rng := rand.New(rand.NewSource(e.Seed ^ 0x5DEECE66D))
+		rng := seeds.Key{Tag: seeds.Order, Seed: e.Seed}.Rand()
 		rng.Shuffle(len(p.Runs), func(a, b int) {
 			p.Runs[a], p.Runs[b] = p.Runs[b], p.Runs[a]
 		})
@@ -204,7 +205,7 @@ func shuffleWithinBlocks(e *Experiment, p *Plan) {
 		}
 		return key
 	}
-	rng := rand.New(rand.NewSource(e.Seed ^ 0x1B10C4ED))
+	rng := seeds.Key{Tag: seeds.Blocks, Seed: e.Seed}.Rand()
 	start := 0
 	for start < len(p.Runs) {
 		end := start + 1
@@ -228,16 +229,4 @@ func identity(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-// RunSeed derives a per-run random seed from the experiment seed and the
-// run's identity. Manipulations that should randomize identically across
-// replications (Fig. 7's comment: "this causes identical randomization in
-// replications") instead derive their seed from a referenced factor level
-// such as the replication index.
-func RunSeed(expSeed int64, runID int) int64 {
-	h := uint64(expSeed) * 0x9E3779B97F4A7C15
-	h ^= uint64(runID) + 0x632BE59BD9B4E019
-	h *= 0xD1B54A32D192ED03
-	return int64(h)
 }

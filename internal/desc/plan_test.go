@@ -235,20 +235,6 @@ func TestRunAccessors(t *testing.T) {
 	}
 }
 
-func TestRunSeedDistinct(t *testing.T) {
-	seen := map[int64]bool{}
-	for run := 0; run < 1000; run++ {
-		s := RunSeed(42, run)
-		if seen[s] {
-			t.Fatalf("duplicate run seed at run %d", run)
-		}
-		seen[s] = true
-	}
-	if RunSeed(1, 0) == RunSeed(2, 0) {
-		t.Fatal("different experiment seeds should differ")
-	}
-}
-
 func TestNoFactorsPlan(t *testing.T) {
 	e := &Experiment{Name: "min", Seed: 1, Repl: Replication{ID: "r", Count: 4}}
 	p, err := GeneratePlan(e)

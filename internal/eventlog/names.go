@@ -9,13 +9,13 @@ type Name = string
 // framework itself emits — run lifecycle, retry and node-health accounting,
 // durability failures — must use a constant from this block: level-3
 // conditioning and the EventsOfRun queries select on these exact strings,
-// so a typo at an Emit site silently corrupts analysis instead of failing.
-// The eventnames analyzer (internal/lint) rejects string literals at Emit
-// call sites; add new event types here, never inline.
+// so a typo at an Emit site silently drops events from analysis. Behaviour
+// tests catch it: the pinned level-2/3 bytes, the science golden or the
+// tests of the emitting path move (DESIGN.md §10.3). Add new event types
+// here, never inline.
 //
 // Service-discovery case-study events (sd_service_add, scm_found, …) live
-// in their own registry, internal/sd (sd.Ev*), which the analyzer accepts
-// the same way.
+// in their own registry, internal/sd (sd.Ev*).
 const (
 	// Experiment lifecycle (§IV-C1 experiment_init / experiment_exit).
 	EvExperimentInit Name = "experiment_init"

@@ -12,10 +12,10 @@
 package failpoint
 
 import (
-	"hash/fnv"
-	"math/rand"
 	"sync"
 	"time"
+
+	"excovery/internal/seeds"
 )
 
 // Action is what happens when a rule fires.
@@ -99,7 +99,7 @@ type Decision struct {
 }
 
 type site struct {
-	rng     *rand.Rand
+	rng     *seeds.Rand
 	rules   []Rule
 	fired   []int // per-rule firing count
 	skipped []int // per-rule matches suppressed by Rule.Skip
@@ -124,9 +124,7 @@ func New(seed int64) *Registry {
 func (r *Registry) site(name string) *site {
 	s := r.sites[name]
 	if s == nil {
-		h := fnv.New64a()
-		h.Write([]byte(name))
-		s = &site{rng: rand.New(rand.NewSource(r.seed ^ int64(h.Sum64())))}
+		s = &site{rng: seeds.Key{Tag: seeds.Failpoint, Seed: r.seed, ID: name}.Rand()}
 		r.sites[name] = s
 	}
 	return s

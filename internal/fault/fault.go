@@ -20,11 +20,11 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"excovery/internal/netem"
 	"excovery/internal/sched"
+	"excovery/internal/seeds"
 )
 
 // Direction of a fault, mirroring §IV-D1. DirRandom resolves to receive or
@@ -44,7 +44,7 @@ const (
 
 // resolve maps a fault direction to a netem rule direction, resolving
 // DirRandom with rng.
-func (d Direction) resolve(rng *rand.Rand) (netem.Direction, error) {
+func (d Direction) resolve(rng *seeds.Rand) (netem.Direction, error) {
 	switch d {
 	case DirRx:
 		return netem.DirRx, nil
@@ -106,7 +106,7 @@ func (f *ruleFault) Stop() {
 // feeds the rule's probabilistic draws (the fault's randomness is fully
 // determined by its seed, independent of the node stream).
 func newRuleFault(kind string, node *netem.Node, dir Direction, seed int64, rule netem.Rule) (Injection, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeds.Key{Tag: seeds.Fault, Seed: seed}.Rand()
 	d, err := dir.resolve(rng)
 	if err != nil {
 		return nil, err
@@ -164,7 +164,7 @@ func NewMessageCorrupt(node *netem.Node, prob float64, dir Direction, proto stri
 	if prob <= 0 || prob > 1 {
 		return nil, fmt.Errorf("fault: corrupt probability %v out of range", prob)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := seeds.Key{Tag: seeds.Fault, Seed: seed}.Rand()
 	d, err := dir.resolve(rng)
 	if err != nil {
 		return nil, err
@@ -285,7 +285,7 @@ type ifaceFault struct {
 
 // NewInterfaceFault blocks the node's interface in the given direction.
 func NewInterfaceFault(node *netem.Node, dir Direction, seed int64) (Injection, error) {
-	d, err := dir.resolve(rand.New(rand.NewSource(seed)))
+	d, err := dir.resolve(seeds.Key{Tag: seeds.Fault, Seed: seed}.Rand())
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +380,7 @@ func Apply(s *sched.Scheduler, inj Injection, tm Timing, onEvent func(string)) *
 	}
 	active := time.Duration(float64(tm.Duration) * rate)
 	slack := tm.Duration - active
-	rng := rand.New(rand.NewSource(tm.Seed))
+	rng := seeds.Key{Tag: seeds.Timing, Seed: tm.Seed}.Rand()
 	var offset time.Duration
 	if slack > 0 {
 		offset = time.Duration(rng.Int63n(int64(slack) + 1))

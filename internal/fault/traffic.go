@@ -2,12 +2,12 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
 	"excovery/internal/netem"
 	"excovery/internal/sched"
+	"excovery/internal/seeds"
 )
 
 // TrafficProto is the netem protocol label of generated background
@@ -79,8 +79,8 @@ func pickPairs(candidates []netem.NodeID, cfg TrafficConfig) ([][2]netem.NodeID,
 	}
 	sorted := append([]netem.NodeID(nil), candidates...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	draw := func(r *rand.Rand) [2]netem.NodeID {
+	rng := seeds.Key{Tag: seeds.Pairs, Seed: cfg.Seed}.Rand()
+	draw := func(r *seeds.Rand) [2]netem.NodeID {
 		a := r.Intn(len(sorted))
 		b := r.Intn(len(sorted) - 1)
 		if b >= a {
@@ -93,7 +93,7 @@ func pickPairs(candidates []netem.NodeID, cfg TrafficConfig) ([][2]netem.NodeID,
 		pairs[i] = draw(rng)
 	}
 	if cfg.SwitchAmount > 0 && cfg.Run > 0 {
-		srng := rand.New(rand.NewSource(cfg.SwitchSeed))
+		srng := seeds.Key{Tag: seeds.Switch, Seed: cfg.SwitchSeed}.Rand()
 		for step := 0; step < cfg.Run*cfg.SwitchAmount; step++ {
 			idx := srng.Intn(len(pairs))
 			a := srng.Intn(len(sorted))

@@ -17,20 +17,13 @@
 // cycle detection, which crosses package boundaries). Every finding of
 // either hook passes one suppression filter.
 //
-// Nine repo-specific analyzers run over every non-test file of the module:
+// Seven repo-specific analyzers run over every non-test file of the module:
 //
 //	walltime      — no time.Now() outside the allowlisted wall-clock
 //	                sites; deterministic paths read an injected
-//	                vclock.Clock.
-//	seededrand    — no global math/rand functions and no wall-clock PRNG
-//	                seeds. It does not check where a seed comes from:
-//	                fault injections are seeded from a constant default
-//	                and the per-run seed seeds nothing yet (ROADMAP items
-//	                1 and 12).
-//	eventnames    — event types at Emit sites and journal record
-//	                constructors come from the central registries
-//	                (eventlog.Ev*, sd.Ev*, store.Rec*), never string
-//	                literals.
+//	                vclock.Clock. That also keeps wall time out of PRNG
+//	                seeds; a test in internal/seeds holds that no other
+//	                package builds or draws from a math/rand PRNG.
 //	metricnames   — metric names at Counter/Gauge/Histogram factory
 //	                sites come from the obs.M* registry constants
 //	                (internal/obs/names.go), never string literals.
@@ -104,12 +97,10 @@ type Analyzer struct {
 	RunModule func(m *Module) []Diagnostic
 }
 
-// All returns the full nine-analyzer suite in stable order.
+// All returns the full seven-analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Walltime(),
-		Seededrand(),
-		Eventnames(),
 		Metricnames(),
 		Durablerename(),
 		Mutexheldio(),
@@ -691,6 +682,17 @@ func (f *File) qualifiedCall(call *ast.CallExpr) (pkgPath, name string, ok bool)
 		return "", "", false
 	}
 	return path, sel.Sel.Name, true
+}
+
+// calleeName extracts the called function or method name from a call.
+func calleeName(call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
 }
 
 // typeOf returns the fully-qualified type string of an expression with any

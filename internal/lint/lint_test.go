@@ -100,16 +100,6 @@ func TestWalltimeAllowlist(t *testing.T) {
 	}
 }
 
-func TestSeededrandGolden(t *testing.T) {
-	mod := loadFixture(t, "seededrand", "excovery/internal/core/testcase")
-	checkGolden(t, mod, Seededrand())
-}
-
-func TestEventnamesGolden(t *testing.T) {
-	mod := loadFixture(t, "eventnames", "excovery/internal/core/testcase")
-	checkGolden(t, mod, Eventnames())
-}
-
 func TestMetricnamesGolden(t *testing.T) {
 	mod := loadFixture(t, "metricnames", "excovery/internal/core/testcase")
 	checkGolden(t, mod, Metricnames())

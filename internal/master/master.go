@@ -32,6 +32,7 @@ import (
 	"excovery/internal/obs"
 	"excovery/internal/process"
 	"excovery/internal/sched"
+	"excovery/internal/seeds"
 	"excovery/internal/store"
 	"excovery/internal/timesync"
 	"excovery/internal/vclock"
@@ -448,7 +449,7 @@ func (m *Master) RunAll() (*Report, error) {
 				m.drainCommits()
 			}
 			m.journalAppend(m.cfg.Journal.Begin(run.ID, attempt,
-				desc.RunSeed(m.cfg.Exp.Seed, run.ID), run.TreatmentIndex))
+				seeds.Derive(seeds.Key{Tag: seeds.Run, Seed: m.cfg.Exp.Seed, Index: int64(run.ID)}), run.TreatmentIndex))
 			if d := m.cfg.Failpoints.Eval(failpoint.SiteMasterAttempt); d.Act == failpoint.Crash {
 				// Crash barrier: a simulated kill must observe a settled
 				// pipeline, exactly like the sequential master at this
@@ -781,7 +782,7 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	var runSpan uint64
 	if m.cfg.Tracer != nil {
 		runArgs := map[string]string{
-			"seed": fmt.Sprint(desc.RunSeed(m.cfg.Exp.Seed, run.ID)),
+			"seed": fmt.Sprint(seeds.Derive(seeds.Key{Tag: seeds.Run, Seed: m.cfg.Exp.Seed, Index: int64(run.ID)})),
 		}
 		for fid, v := range treat {
 			runArgs[fid] = v

@@ -31,12 +31,12 @@ package netem
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
 	"excovery/internal/obs"
 	"excovery/internal/sched"
+	"excovery/internal/seeds"
 	"excovery/internal/vclock"
 )
 
@@ -290,7 +290,7 @@ func (nw *Network) AddNode(id NodeID, params NodeParams) *Node {
 		net:    nw,
 		params: params,
 		clock:  params.Clock,
-		rng:    rand.New(rand.NewSource(nw.seed ^ int64(hashID(id)))),
+		rng:    seeds.Key{Tag: seeds.Netem, Seed: nw.seed, ID: string(id)}.Rand(),
 		seen:   make(map[uint64]bool),
 		member: make(map[string]bool),
 		up:     true,
@@ -505,14 +505,4 @@ func (nw *Network) HopMatrix() map[NodeID]map[NodeID]int {
 		}
 	}
 	return m
-}
-
-func hashID(id NodeID) uint64 {
-	// FNV-1a; stable across runs and platforms.
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return h
 }

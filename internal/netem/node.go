@@ -1,10 +1,10 @@
 package netem
 
 import (
-	"math/rand"
 	"time"
 	"unsafe"
 
+	"excovery/internal/seeds"
 	"excovery/internal/vclock"
 )
 
@@ -22,7 +22,7 @@ type Node struct {
 	net    *Network
 	params NodeParams
 	clock  vclock.Clock
-	rng    *rand.Rand
+	rng    *seeds.Rand
 
 	handler Handler
 

@@ -1,8 +1,9 @@
 package netem
 
 import (
-	"math/rand"
 	"time"
+
+	"excovery/internal/seeds"
 )
 
 // Direction selects which packet flows a manipulation rule applies to
@@ -94,7 +95,7 @@ type Rule struct {
 	// Rng, if non-nil, supplies the rule's probabilistic draws; nil falls
 	// back to the node's stream. Fault injections set it so a fault's
 	// randomness is fully determined by its own seed.
-	Rng *rand.Rand
+	Rng *seeds.Rand
 	// Modify, if non-nil, replaces the packet payload (content
 	// manipulation, §IV-A2). It must not retain the packet.
 	Modify func(p *Packet)

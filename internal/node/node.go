@@ -21,6 +21,7 @@ import (
 	"excovery/internal/netem"
 	"excovery/internal/sched"
 	"excovery/internal/sd"
+	"excovery/internal/seeds"
 	"excovery/internal/store"
 )
 
@@ -301,7 +302,7 @@ func (m *Manager) newInjection(kind string, params map[string]string) (fault.Inj
 	if proto == "" {
 		proto = "sd"
 	}
-	seed := int64(atoiDefault(params["randomseed"], 1))
+	seed := int64(atoiDefault(params["randomseed"], seeds.DefaultRandomSeed))
 	switch kind {
 	case "fault_interface":
 		return fault.NewInterfaceFault(m.nd, dir, seed)
@@ -359,7 +360,7 @@ func (m *Manager) startFault(kind string, params map[string]string) error {
 	tm := fault.Timing{
 		Duration: time.Duration(atofDefault(params["duration_s"], 0) * float64(time.Second)),
 		Rate:     atofDefault(params["rate"], 0),
-		Seed:     int64(atoiDefault(params["randomseed"], 1)),
+		Seed:     int64(atoiDefault(params["randomseed"], seeds.DefaultRandomSeed)),
 	}
 	applied := fault.Apply(m.s, inj, tm, m.emitTransition(kind))
 	m.faults[kind] = append(m.faults[kind], activeFault{cancel: func() { applied.Cancel(inj) }})

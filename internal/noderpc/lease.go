@@ -3,12 +3,11 @@ package noderpc
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"hash/fnv"
-	mrand "math/rand"
 	"sync"
 	"time"
 
 	"excovery/internal/obs"
+	"excovery/internal/seeds"
 	"excovery/internal/xmlrpc"
 )
 
@@ -126,7 +125,7 @@ func (l *Lease) Start() {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	rng := mrand.New(mrand.NewSource(l.jitterSeed()))
+	rng := seeds.Key{Tag: seeds.Lease, Seed: l.Seed, ID: l.Session}.Rand()
 	go func() {
 		defer close(l.done)
 		for {
@@ -140,20 +139,8 @@ func (l *Lease) Start() {
 	}()
 }
 
-// jitterSeed derives the heartbeat jitter seed: the explicit Seed, or a
-// hash of the session id so every lease in a fleet gets its own stream
-// without any wall-clock entropy.
-func (l *Lease) jitterSeed() int64 {
-	if l.Seed != 0 {
-		return l.Seed
-	}
-	h := fnv.New64a()
-	h.Write([]byte(l.Session))
-	return int64(h.Sum64())
-}
-
 // jitter spreads one heartbeat period by ±20%.
-func jitter(interval time.Duration, rng *mrand.Rand) time.Duration {
+func jitter(interval time.Duration, rng *seeds.Rand) time.Duration {
 	f := 0.8 + 0.4*rng.Float64()
 	return time.Duration(f * float64(interval))
 }

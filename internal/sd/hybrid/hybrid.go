@@ -18,6 +18,7 @@ import (
 	"excovery/internal/sd"
 	"excovery/internal/sd/scmdir"
 	"excovery/internal/sd/zeroconf"
+	"excovery/internal/seeds"
 )
 
 // Config bundles the sub-protocol configurations.
@@ -55,8 +56,10 @@ func New(s *sched.Scheduler, node *netem.Node, cfg Config, emit sd.EventSink, se
 		present: make(map[string]map[int]bool),
 		insts:   make(map[string]sd.Instance),
 	}
-	a.zc = zeroconf.New(s, node, cfg.Zeroconf, a.childSink(childZC), seed^0x2c)
-	a.dir = scmdir.New(s, node, cfg.Directory, a.childSink(childDir), seed^0xd1)
+	a.zc = zeroconf.New(s, node, cfg.Zeroconf, a.childSink(childZC),
+		seeds.Derive(seeds.Key{Tag: seeds.HybridZC, Seed: seed}))
+	a.dir = scmdir.New(s, node, cfg.Directory, a.childSink(childDir),
+		seeds.Derive(seeds.Key{Tag: seeds.HybridDir, Seed: seed}))
 	return a
 }
 

@@ -22,12 +22,12 @@ package scmdir
 
 import (
 	"encoding/json"
-	"math/rand"
 	"time"
 
 	"excovery/internal/netem"
 	"excovery/internal/sched"
 	"excovery/internal/sd"
+	"excovery/internal/seeds"
 )
 
 // Proto is the netem protocol label of scmdir packets.
@@ -117,7 +117,7 @@ type Agent struct {
 	node *netem.Node
 	cfg  Config
 	emit sd.EventSink
-	rng  *rand.Rand
+	rng  *seeds.Rand
 
 	running bool
 	epoch   int
@@ -145,7 +145,7 @@ func New(s *sched.Scheduler, node *netem.Node, cfg Config, emit sd.EventSink, se
 	}
 	a := &Agent{
 		s: s, node: node, cfg: cfg, emit: emit,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       seeds.Key{Tag: seeds.Agent, Seed: seed}.Rand(),
 		subs:      make(map[sd.ServiceType]map[netem.NodeID]bool),
 		published: make(map[string]sd.Instance),
 		searches:  make(map[sd.ServiceType]bool),

@@ -22,12 +22,12 @@ package zeroconf
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"excovery/internal/netem"
 	"excovery/internal/sched"
 	"excovery/internal/sd"
+	"excovery/internal/seeds"
 )
 
 // Proto is the netem protocol label of zeroconf packets; fault injections
@@ -135,7 +135,7 @@ type Agent struct {
 	node *netem.Node
 	cfg  Config
 	emit sd.EventSink
-	rng  *rand.Rand
+	rng  *seeds.Rand
 
 	running   bool
 	epoch     int // invalidates scheduled callbacks from earlier lifecycles
@@ -157,7 +157,7 @@ func New(s *sched.Scheduler, node *netem.Node, cfg Config, emit sd.EventSink, se
 	}
 	a := &Agent{
 		s: s, node: node, cfg: cfg, emit: emit,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       seeds.Key{Tag: seeds.Agent, Seed: seed}.Rand(),
 		published: make(map[string]sd.Instance),
 		searches:  make(map[sd.ServiceType]*search),
 		queries:   make(map[uint32]*QueryRecord),

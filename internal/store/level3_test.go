@@ -1,6 +1,8 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -356,5 +358,56 @@ func TestRunWithoutOffsetsIsListed(t *testing.T) {
 	}
 	if evs, err := e.EventsOfRun(0); err != nil || len(evs) != 2 {
 		t.Fatalf("run 0 events = %v, %v", evs, err)
+	}
+}
+
+// TestLogsIngestInNodeOrder pins the level-3 file of a stored campaign
+// with logs on many nodes. Conditioning gathers each node's logs in a map,
+// so only the sort before the Logs ingest makes the rows, and the file,
+// repeatable. Twelve nodes, conditioned three times, make a map order that
+// happens to come out sorted too rare to hide a missing sort.
+func TestLogsIngestInNodeOrder(t *testing.T) {
+	const (
+		pinnedSize   = 1784
+		pinnedSHA256 = "59989739259159146a205738eba49102030e13c15eca55c775ae98b1056a1911"
+	)
+	rs := fillStore(t, t.TempDir())
+	for run := 0; run < 2; run++ {
+		// A already has a log; B also records events, C to L only log.
+		for node := 'B'; node <= 'L'; node++ {
+			if err := rs.AppendLog(run, string(node), "run "+strconv.Itoa(run)+": up\n"); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for pass := 0; pass < 3; pass++ {
+		e, err := Condition(rs, Meta{Name: "logs"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := e.DB.Select(reldb.Query{Table: "Logs"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var nodes []string
+		for _, r := range rows {
+			nodes = append(nodes, r[0].(string))
+		}
+		if want := "A B C D E F G H I J K L"; strings.Join(nodes, " ") != want {
+			t.Fatalf("pass %d: Logs rows in node order %v, want %s", pass, nodes, want)
+		}
+		path := filepath.Join(t.TempDir(), "logs.xcdb")
+		if err := e.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(raw)
+		if got := hex.EncodeToString(sum[:]); got != pinnedSHA256 || len(raw) != pinnedSize {
+			t.Fatalf("pass %d: level-3 file is %d bytes, sha256 %s; pinned %d bytes, %s",
+				pass, len(raw), got, pinnedSize, pinnedSHA256)
+		}
 	}
 }

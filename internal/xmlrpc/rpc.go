@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"sort"
@@ -20,6 +19,7 @@ import (
 
 	"excovery/internal/failpoint"
 	"excovery/internal/obs"
+	"excovery/internal/seeds"
 )
 
 // encBuf pools the encoders' scratch buffers: every RPC of every run
@@ -551,7 +551,7 @@ type Client struct {
 	seq atomic.Int64
 
 	mu  sync.Mutex
-	rng *rand.Rand
+	rng *seeds.Rand
 
 	calls, attempts, retries, failures atomic.Int64
 }
@@ -610,11 +610,7 @@ func (c *Client) backoff(attempt int) time.Duration {
 	}
 	c.mu.Lock()
 	if c.rng == nil {
-		seed := c.Retry.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		c.rng = rand.New(rand.NewSource(seed))
+		c.rng = seeds.Key{Tag: seeds.Retry, Seed: c.Retry.Seed}.Rand()
 	}
 	jit := time.Duration(c.rng.Int63n(int64(d)/2 + 1))
 	c.mu.Unlock()

@@ -64,7 +64,9 @@ bench-campaign-smoke:
 # bench-pairs is the protocol behind a performance claim (bench/README.md):
 # alternating parent/change pairs of one campaign workload, untraced, the
 # side going first switched every pair. Prints every run, medians and
-# quartiles of the four end-to-end metrics, pairs won and failed counts.
+# quartiles of the four end-to-end metrics, pairs won, a verdict per metric
+# (gain, worse or unresolved, by the rule in scripts/bench-pairs.sh) and
+# failed counts.
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=sweep-emu [PAIRS=10] [SEED=1]
 PAIRS ?= 10
 SEED ?= 1

@@ -49,9 +49,9 @@ func errdropRun(f *File) []Diagnostic {
 }
 
 // writtenFiles collects the local *os.File variables the function opens
-// for writing (os.Create, or os.OpenFile with a write flag): Close errors
-// matter for these — the kernel may surface a failed delayed write only
-// at close time — while a read-side Close is harmless.
+// for writing (os.Create, or os.OpenFile or fsio.OpenFile with a write
+// flag): Close errors matter for these — the kernel may surface a failed
+// delayed write only at close time — while a read-side Close is harmless.
 func (f *File) writtenFiles(body *ast.BlockStmt) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -63,12 +63,13 @@ func (f *File) writtenFiles(body *ast.BlockStmt) map[types.Object]bool {
 		if !ok {
 			return true
 		}
-		pkg, name, ok := f.qualifiedCall(call)
-		if !ok || pkg != "os" {
+		fn := f.calleeFunc(call)
+		if fn == nil {
 			return true
 		}
-		writes := name == "Create"
-		if name == "OpenFile" && len(call.Args) == 3 {
+		name := fn.FullName()
+		writes := name == "os.Create"
+		if (name == "os.OpenFile" || name == "excovery/internal/store/fsio.OpenFile") && len(call.Args) == 3 {
 			flags := exprText(call.Args[1])
 			writes = strings.Contains(flags, "O_WRONLY") || strings.Contains(flags, "O_RDWR") ||
 				strings.Contains(flags, "O_APPEND")

@@ -1,7 +1,9 @@
 package master
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"excovery/internal/desc"
@@ -76,10 +78,10 @@ func (m *Master) collectHarvest(run desc.Run, rr *RunResult) *harvestData {
 // included, lands in a staging directory and is renamed into the level-2
 // hierarchy in one step, so a crash mid-harvest can never leave a
 // half-written run directory for conditioning to ingest, nor a committed
-// run without its marker. The first write the store refuses — a full or
-// read-only disk — aborts the stage, so a truncated harvest is never
-// committed. Safe to call from the committer goroutine: it touches only
-// the store and the job's own data.
+// run without its marker. A write the store refuses — a full or read-only
+// disk — aborts the stage, so a truncated harvest is never committed.
+// Safe to call from the committer goroutine: it touches only the store
+// and the job's own data.
 func (m *Master) commitHarvest(hd *harvestData) error {
 	sr, err := m.cfg.Store.StageRun(hd.run.ID)
 	if err != nil {
@@ -97,44 +99,51 @@ func (m *Master) commitHarvest(hd *harvestData) error {
 }
 
 // stageHarvest writes one run's measurements into the staging store, and
-// the done marker unless the harvest is partial, and returns the first
-// error.
+// the done marker unless the harvest is partial. Each file is a job of its
+// own (a node's extras are one job, in the order the node recorded them),
+// and the jobs run under fanOut bounded by GOMAXPROCS, not Config.Fanout:
+// they touch no node handle, only the store and the job's own data, and
+// encoding and fsyncing are what they spend. It returns once every job
+// has returned, with the error of the lowest job that failed, so the
+// caller's Abort never races a writer. With GOMAXPROCS 1 the jobs run in
+// order on the caller's goroutine.
 func (m *Master) stageHarvest(st *store.RunStore, hd *harvestData) error {
 	run := hd.run.ID
+	var jobs []func() error
 	for slot, id := range m.order {
-		nh := hd.nodes[slot]
-		if err := st.WriteEvents(run, id, nh.events); err != nil {
-			return err
-		}
-		if err := st.WritePackets(run, id, nh.packets); err != nil {
-			return err
-		}
-		for _, x := range nh.extras {
-			if err := st.WriteExtra(run, x.Node, x.Name, x.Content); err != nil {
-				return err
-			}
+		nh := &hd.nodes[slot]
+		jobs = append(jobs,
+			func() error { return st.WriteEvents(run, id, nh.events) },
+			func() error { return st.WritePackets(run, id, nh.packets) })
+		if len(nh.extras) > 0 {
+			jobs = append(jobs, func() error {
+				for _, x := range nh.extras {
+					if err := st.WriteExtra(run, x.Node, x.Name, x.Content); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
 		}
 	}
-	if err := st.WriteEvents(run, "env", hd.env); err != nil {
-		return err
-	}
+	jobs = append(jobs, func() error { return st.WriteEvents(run, "env", hd.env) })
 	if len(hd.trace) > 0 {
-		if err := st.WriteExtra(run, "master", "trace.json", hd.trace); err != nil {
-			return err
-		}
+		jobs = append(jobs, func() error {
+			return st.WriteExtra(run, "master", "trace.json", hd.trace)
+		})
 	}
 	if len(hd.campaign) > 0 {
-		if err := st.WriteExtra(run, "master", "campaign_metrics.json", hd.campaign); err != nil {
-			return err
-		}
+		jobs = append(jobs, func() error {
+			return st.WriteExtra(run, "master", "campaign_metrics.json", hd.campaign)
+		})
 	}
-	if err := st.WriteRunInfo(hd.info); err != nil {
-		return err
+	jobs = append(jobs, func() error { return st.WriteRunInfo(hd.info) })
+	if !hd.info.Partial {
+		jobs = append(jobs, func() error { return st.MarkRunDone(run) })
 	}
-	if hd.info.Partial {
-		return nil
-	}
-	return st.MarkRunDone(run)
+	errs := make([]error, len(jobs))
+	fanOut(runtime.GOMAXPROCS(0), len(jobs), func(i int) { errs[i] = jobs[i]() })
+	return cmp.Or(errs...)
 }
 
 // commitQueueDepth bounds how many committed-but-unwritten runs the

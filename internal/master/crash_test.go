@@ -5,16 +5,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"excovery/internal/desc"
 	"excovery/internal/failpoint"
+	"excovery/internal/obs"
 	"excovery/internal/store"
 )
 
 // crashFixture assembles a journaled, store-backed master over the stub
 // platform, optionally resuming and optionally armed with failpoints.
-func crashFixture(t *testing.T, dir string, reps int, resume bool, fp *failpoint.Registry) (*Master, *fixture, *store.Journal) {
+func crashFixture(t *testing.T, dir string, reps int, resume bool, fp *failpoint.Registry, muts ...func(*Config)) (*Master, *fixture, *store.Journal) {
 	t.Helper()
 	st, err := store.NewRunStore(dir)
 	if err != nil {
@@ -30,6 +34,9 @@ func crashFixture(t *testing.T, dir string, reps int, resume bool, fp *failpoint
 		c.Journal = j
 		c.Resume = resume
 		c.Failpoints = fp
+		for _, mut := range muts {
+			mut(c)
+		}
 	})
 	return m, f, j
 }
@@ -291,56 +298,146 @@ func (n refusedExtras) HarvestExtras() []store.ExtraMeasurement {
 	return []store.ExtraMeasurement{{Run: n.rec.Run(), Node: n.id, Name: name, Content: []byte("x")}}
 }
 
+// unencodablePackets is a node whose packet capture of run badRun the
+// store cannot encode while *bad is set.
+type unencodablePackets struct {
+	*stubNode
+	bad    *bool
+	badRun int
+}
+
+func (n unencodablePackets) HarvestPackets() []store.PacketRecord {
+	if *n.bad && n.rec.Run() == n.badRun {
+		return []store.PacketRecord{unencodable}
+	}
+	return nil
+}
+
+// unencodable is a packet record no packets.jsonl line can hold: its time
+// lies past the year 9999.
+var unencodable = store.PacketRecord{Time: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), Dir: "tx"}
+
+// sixNodes adds the idle nodes C to F to a master's configuration; node C,
+// the third of six, cannot have its packets of run 1 stored while *bad is
+// set. Its packets.jsonl is in the middle of a staged run's job list.
+func sixNodes(bad *bool) func(*Config) {
+	return func(c *Config) {
+		for _, id := range []string{"C", "D", "E", "F"} {
+			c.Nodes[id] = newStub(id, c.S, c.Bus)
+		}
+		c.Nodes["C"] = unencodablePackets{stubNode: c.Nodes["C"].(*stubNode), bad: bad, badRun: 1}
+	}
+}
+
 // TestRefusedHarvestWriteLeavesRunReexecutable: a write the store refuses
 // in the middle of a run's harvest (full or read-only disk) must abort the
 // stage — no run directory, no done marker, no journal completion — and be
 // reported as run_harvest_failed; the resumed session re-executes exactly
-// that run, once.
+// that run, once. The staged files are written concurrently, so the
+// refused write may be any of them: node A's extra, among the first jobs,
+// or node C's packets.jsonl, the third node's of six.
 func TestRefusedHarvestWriteLeavesRunReexecutable(t *testing.T) {
-	dir := t.TempDir()
-	bad := true
-	withFault := func(m *Master, f *fixture) {
-		m.cfg.Nodes["A"] = refusedExtras{stubNode: f.a, bad: &bad, badRun: 1}
-	}
-
-	m1, f1, _ := crashFixture(t, dir, 3, false, nil)
-	withFault(m1, f1)
-	runMaster(t, m1, f1.s)
-	failed := 0
-	for _, ev := range f1.bus.Snapshot() {
-		if ev.Type == "run_harvest_failed" {
-			failed++
-			if ev.Params["run"] != "1" || !strings.Contains(ev.Params["err"], "probe.txt") {
-				t.Fatalf("run_harvest_failed params = %v", ev.Params)
+	for _, tc := range []struct {
+		name    string
+		mut     func(bad *bool) func(*Config)
+		errPart string
+	}{
+		{"extra", func(bad *bool) func(*Config) {
+			return func(c *Config) {
+				c.Nodes["A"] = refusedExtras{stubNode: c.Nodes["A"].(*stubNode), bad: bad, badRun: 1}
 			}
-		}
-	}
-	if failed != 1 {
-		t.Fatalf("run_harvest_failed events = %d, want 1", failed)
-	}
-	for run := 0; run < 3; run++ {
-		if got, want := m1.cfg.Store.RunDone(run), run != 1; got != want {
-			t.Fatalf("run %d done marker = %v, want %v", run, got, want)
-		}
-	}
-	for _, leftover := range []string{"1", ".staging-1"} {
-		if _, err := os.Stat(filepath.Join(dir, "runs", leftover)); !os.IsNotExist(err) {
-			t.Fatalf("runs/%s exists after the aborted stage (%v)", leftover, err)
-		}
-	}
+		}, "probe.txt"},
+		{"packets of node 3 of 6", sixNodes, "year outside of range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			bad := true
+			m1, f1, _ := crashFixture(t, dir, 3, false, nil, tc.mut(&bad))
+			runMaster(t, m1, f1.s)
+			failed := 0
+			for _, ev := range f1.bus.Snapshot() {
+				if ev.Type == "run_harvest_failed" {
+					failed++
+					if ev.Params["run"] != "1" || !strings.Contains(ev.Params["err"], tc.errPart) {
+						t.Fatalf("run_harvest_failed params = %v, want the error naming %q", ev.Params, tc.errPart)
+					}
+				}
+			}
+			if failed != 1 {
+				t.Fatalf("run_harvest_failed events = %d, want 1", failed)
+			}
+			for run := 0; run < 3; run++ {
+				if got, want := m1.cfg.Store.RunDone(run), run != 1; got != want {
+					t.Fatalf("run %d done marker = %v, want %v", run, got, want)
+				}
+			}
+			for _, leftover := range []string{"1", ".staging-1"} {
+				if _, err := os.Stat(filepath.Join(dir, "runs", leftover)); !os.IsNotExist(err) {
+					t.Fatalf("runs/%s exists after the aborted stage (%v)", leftover, err)
+				}
+			}
 
-	// Session 2: the fault cleared. Runs 0 and 2 skip, run 1 is in doubt
-	// (attempt ended, never completed) and re-executes.
-	bad = false
-	m2, f2, j2 := crashFixture(t, dir, 3, true, nil)
-	withFault(m2, f2)
-	if rp := j2.Replay(); !rp.Done[0] || rp.Done[1] || !rp.Done[2] || !rp.InDoubt(1) {
-		t.Fatalf("journal replay = %+v", rp)
+			// Session 2: the fault cleared. Runs 0 and 2 skip, run 1 is in
+			// doubt (attempt ended, never completed) and re-executes.
+			bad = false
+			m2, f2, j2 := crashFixture(t, dir, 3, true, nil, tc.mut(&bad))
+			if rp := j2.Replay(); !rp.Done[0] || rp.Done[1] || !rp.Done[2] || !rp.InDoubt(1) {
+				t.Fatalf("journal replay = %+v", rp)
+			}
+			rep2 := runMaster(t, m2, f2.s)
+			if rep2.Skipped != 2 || rep2.Recovered != 1 || rep2.Completed != 1 {
+				t.Fatalf("session 2: skipped=%d recovered=%d completed=%d",
+					rep2.Skipped, rep2.Recovered, rep2.Completed)
+			}
+			checkExactlyOnce(t, m2, 3)
+		})
 	}
-	rep2 := runMaster(t, m2, f2.s)
-	if rep2.Skipped != 2 || rep2.Recovered != 1 || rep2.Completed != 1 {
-		t.Fatalf("session 2: skipped=%d recovered=%d completed=%d",
-			rep2.Skipped, rep2.Recovered, rep2.Completed)
+}
+
+// TestAbortedStageOutlivesNoWriter: when a write in the middle of a staged
+// run's job list fails while the other jobs still write, commitHarvest
+// returns that error only after every job returned, so the staging
+// directory it aborted stays gone. With four writers, all six nodes'
+// packets.jsonl jobs (the failed one included) have recorded themselves
+// when it returns; a stage that returned at the first error would leave
+// writers behind and record fewer.
+func TestAbortedStageOutlivesNoWriter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	m, _ := newFixture(t, twoNodeExp(1), sixNodes(new(bool)))
+	reg := obs.NewRegistry()
+	st, err := store.NewRunStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkExactlyOnce(t, m2, 3)
+	st.Obs.Metrics = reg
+	m.cfg.Store = st
+
+	// Every node but C has enough captures that its packets job is still
+	// encoding when C's fails on its one record.
+	many := make([]store.PacketRecord, 20000)
+	for i := range many {
+		many[i] = store.PacketRecord{Time: time.Unix(int64(i), 0).UTC(), Dir: "rx", ID: uint64(i), Data: []byte("payload")}
+	}
+	hd := &harvestData{run: desc.Run{ID: 1}, nodes: make([]nodeHarvest, len(m.order)),
+		info: store.RunInfo{Run: 1}}
+	for slot, id := range m.order {
+		hd.nodes[slot].packets = many
+		if id == "C" {
+			hd.nodes[slot].packets = []store.PacketRecord{unencodable}
+		}
+	}
+	err = m.commitHarvest(hd)
+	if err == nil || !strings.Contains(err.Error(), "year outside of range") {
+		t.Fatalf("commitHarvest error = %v, want node C's", err)
+	}
+	if n := reg.HistogramTotal(obs.MStoreOpSeconds); n != 6 {
+		t.Fatalf("%d packets.jsonl jobs had returned with commitHarvest, want all 6", n)
+	}
+	entries, err := os.ReadDir(filepath.Join(st.Dir, "runs"))
+	if err != nil || len(entries) != 0 {
+		t.Fatalf("runs/ after the aborted stage: %v, %v", entries, err)
+	}
+	if st.RunDone(1) {
+		t.Fatal("done marker after the aborted stage")
+	}
 }

@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"excovery/internal/store/fsio"
@@ -114,93 +116,115 @@ type StagedRun struct {
 	done  bool
 }
 
-// stagedTree is what a staging store wrote below its run directory: the
-// directories it made, the run directory first and every directory after
-// its parent, and the bytes of its files, each fsynced as it was closed.
+// stagedTree is what a staging store wrote below its run directory root,
+// the staging directory runs/.staging-<run>: the directories it made, root
+// first and every directory after its parent, and the bytes of its files,
+// each fsynced as it was closed. Writers of distinct files of the run may
+// use it concurrently.
 type stagedTree struct {
-	dirs  []string
-	bytes int64
+	run   int
+	root  string
+	mu    sync.Mutex
+	dirs  []string // guarded by mu
+	bytes atomic.Int64
 }
 
 // mkdir makes dir and the missing directories above it, up to the run
 // directory, with one os.Mkdir each, and records them.
 func (t *stagedTree) mkdir(dir string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if slices.Contains(t.dirs, dir) {
 		return nil
 	}
-	if !strings.HasPrefix(dir, t.dirs[0]+string(filepath.Separator)) {
-		return fmt.Errorf("store: %s is outside the staged run directory %s", dir, t.dirs[0])
+	if !strings.HasPrefix(dir, t.root+string(filepath.Separator)) {
+		return fmt.Errorf("store: %s is outside the staged run directory %s", dir, t.root)
 	}
-	if err := t.mkdir(filepath.Dir(dir)); err != nil {
-		return err
+	var missing []string // deepest first
+	for d := dir; !slices.Contains(t.dirs, d); d = filepath.Dir(d) {
+		missing = append(missing, d)
 	}
-	if err := os.Mkdir(dir, 0o755); err != nil {
-		return err
+	for i := len(missing) - 1; i >= 0; i-- {
+		//lint:ignore mutexheldio the lock is the staged run's own: a writer that needs a directory another is making waits for it
+		if err := os.Mkdir(missing[i], 0o755); err != nil {
+			return err
+		}
+		t.dirs = append(t.dirs, missing[i])
 	}
-	t.dirs = append(t.dirs, dir)
 	return nil
 }
 
-// StageRun opens a staging area for one run's harvest. Leftover staging
-// directories of earlier crashed harvests for the same run are discarded.
-// The staging store takes writes for this run only.
+// StageRun opens a staging area for one run's harvest: the directory
+// runs/.staging-<run>, which Commit renames to runs/<run>. A leftover
+// staging directory of an earlier crashed harvest for the same run is
+// discarded. The staging store takes writes for this run only.
 func (rs *RunStore) StageRun(run int) (*StagedRun, error) {
 	start := rs.Obs.writeStart()
-	root := filepath.Join(rs.Dir, "runs", ".staging-"+strconv.Itoa(run))
-	if err := os.RemoveAll(root); err != nil {
+	dir := rs.stagingDir(run)
+	if err := os.RemoveAll(dir); err != nil {
 		return nil, err
 	}
-	dir := filepath.Join(root, "runs", strconv.Itoa(run))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	err := os.Mkdir(dir, 0o755)
+	if os.IsNotExist(err) { // the store's first run: no runs/ yet
+		if err = os.MkdirAll(filepath.Dir(dir), 0o755); err == nil {
+			err = os.Mkdir(dir, 0o755)
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
-	tmp := &RunStore{Dir: root, Obs: rs.Obs, staged: &stagedTree{dirs: []string{dir}}}
+	tmp := &RunStore{Dir: rs.Dir, Obs: rs.Obs, staged: &stagedTree{run: run, root: dir, dirs: []string{dir}}}
 	return &StagedRun{rs: rs, run: run, tmp: tmp, start: start}, nil
 }
 
+// stagingDir is where StageRun stages run; its name is no run id, so Runs
+// does not list it.
+func (rs *RunStore) stagingDir(run int) string {
+	return filepath.Join(rs.Dir, "runs", ".staging-"+strconv.Itoa(run))
+}
+
 // Store returns the staging store; write the run's measurements through it
-// with the normal RunStore API.
+// with the normal RunStore API. Writes to distinct files may run
+// concurrently.
 func (sr *StagedRun) Store() *RunStore { return sr.tmp }
 
 // Commit renames the staged run into place, superseding any partial
-// directory a previous attempt (or crashed session) left behind. Every
-// file was fsynced when it was written; Commit fsyncs the directories,
-// deepest first, before the rename and the level-2 runs directory after
-// it.
+// directory a previous attempt (or crashed session) left behind. It must
+// not run concurrently with a write to the staging store. Every file was
+// fsynced when it was written; Commit fsyncs the directories, up to
+// GOMAXPROCS at a time (deepest first with one), and every fsync has
+// returned before the rename. After the rename it fsyncs the level-2 runs
+// directory.
 func (sr *StagedRun) Commit() error {
 	if sr.done {
 		return nil
 	}
 	t := sr.tmp.staged
-	for i := len(t.dirs) - 1; i >= 0; i-- {
-		if err := syncDir(t.dirs[i]); err != nil {
-			return err
-		}
+	deepestFirst := slices.Clone(t.dirs)
+	slices.Reverse(deepestFirst)
+	if err := fsio.SyncDirs(deepestFirst); err != nil {
+		return err
 	}
 	dst := filepath.Join(sr.rs.Dir, "runs", strconv.Itoa(sr.run))
 	if err := os.RemoveAll(dst); err != nil {
 		return err
 	}
-	if err := os.Rename(t.dirs[0], dst); err != nil {
+	if err := os.Rename(t.root, dst); err != nil {
 		return err
 	}
 	if err := syncDir(filepath.Dir(dst)); err != nil {
 		return err
 	}
 	sr.done = true
-	// What is left of the staging area is two empty directories.
-	err := os.Remove(filepath.Dir(t.dirs[0]))
-	if err == nil {
-		err = os.Remove(sr.tmp.Dir)
-	}
-	sr.rs.Obs.wrote("commit_run", sr.start, t.bytes)
-	return err
+	sr.rs.Obs.wrote("commit_run", sr.start, t.bytes.Load())
+	return nil
 }
 
-// Abort discards the staged harvest.
+// Abort discards the staged harvest. It must not run concurrently with a
+// write to the staging store.
 func (sr *StagedRun) Abort() {
 	if !sr.done {
-		os.RemoveAll(sr.tmp.Dir)
+		os.RemoveAll(sr.tmp.staged.root)
 		sr.done = true
 	}
 }
@@ -213,7 +237,9 @@ func (rs *RunStore) DiscardRun(run int) error {
 	if rs.RunDone(run) {
 		return fmt.Errorf("store: refusing to discard completed run %d", run)
 	}
-	if err := os.RemoveAll(filepath.Join(rs.Dir, "runs", ".staging-"+strconv.Itoa(run))); err != nil {
+	// A leftover staging directory holds the run directory itself, or, as
+	// stores of earlier versions staged it, runs/<run> below it.
+	if err := os.RemoveAll(rs.stagingDir(run)); err != nil {
 		return err
 	}
 	dir := filepath.Join(rs.Dir, "runs", strconv.Itoa(run))

@@ -8,9 +8,15 @@
 package fsio
 
 import (
+	"cmp"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"syscall"
 )
 
 // WriteAtomic hands write a sibling temp file, fsyncs what it wrote,
@@ -20,7 +26,7 @@ import (
 // path is left as it was. The containing directory must exist.
 func WriteAtomic(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
@@ -53,13 +59,53 @@ func WriteFileAtomic(path string, data []byte) error {
 	})
 }
 
+// OpenFile is os.OpenFile for a regular file or a directory, opened in
+// blocking mode and never registered with the runtime's network poller.
+// os.OpenFile tries to register every file it opens, which Linux refuses
+// for regular files and directories: it switches the descriptor to
+// non-blocking mode, fails to add it to epoll and switches it back, four
+// system calls more than os.NewFile makes for a blocking descriptor. Reads
+// and writes block the calling thread either way. A failure is an
+// *fs.PathError with Op "open", as os.OpenFile's.
+func OpenFile(name string, flag int, perm fs.FileMode) (*os.File, error) {
+	for {
+		fd, err := syscall.Open(name, flag|syscall.O_CLOEXEC, uint32(perm.Perm()))
+		if err == nil {
+			return os.NewFile(uintptr(fd), name), nil
+		}
+		if err != syscall.EINTR {
+			return nil, &fs.PathError{Op: "open", Path: name, Err: err}
+		}
+	}
+}
+
 // SyncDir fsyncs a directory so a preceding rename/create in it is
 // durable.
 func SyncDir(dir string) error {
-	d, err := os.Open(dir)
+	d, err := OpenFile(dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
 	return d.Sync()
+}
+
+// SyncDirs fsyncs every directory of dirs, up to GOMAXPROCS at a time (in
+// order with one), and returns once every fsync has returned: the error of
+// the lowest index, or nil.
+func SyncDirs(dirs []string) error {
+	errs := make([]error, len(dirs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(dirs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(dirs)); i = next.Add(1) - 1 {
+				errs[i] = SyncDir(dirs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"excovery/internal/eventlog"
@@ -360,5 +361,122 @@ func TestStagedStoreRecordsEveryDirectory(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(filepath.Join(rs.Dir, "runs")); err != nil || len(entries) != 1 {
 		t.Fatalf("runs/ after commit: %v, %v", entries, err)
+	}
+}
+
+// TestStagedStoreTakesConcurrentWrites: writers of distinct files of one
+// staged run, several per directory, may run at once. Each directory is
+// made and recorded once, after its parent, and the bytes counted are
+// those of the committed files.
+func TestStagedStoreTakesConcurrentWrites(t *testing.T) {
+	rs, err := NewRunStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := rs.StageRun(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := sr.Store()
+	var writes []func() error
+	for _, node := range []string{"A", "B", "C", "D"} {
+		writes = append(writes,
+			func() error { return st.WriteEvents(2, node, []eventlog.Event{{Node: node, Type: "ev"}}) },
+			func() error { return st.WritePackets(2, node, []PacketRecord{{Dir: "tx", Node: node}}) },
+			func() error { return st.WriteExtra(2, node, "x.json", []byte("{}")) },
+			func() error { return st.WriteExtra(2, node, "y.json", []byte("[]")) })
+	}
+	writes = append(writes,
+		func() error { return st.WriteRunInfo(RunInfo{Run: 2}) },
+		func() error { return st.MarkRunDone(2) })
+	errs := make(chan error, len(writes))
+	var wg sync.WaitGroup
+	for _, w := range writes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- w()
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	recorded := st.staged.dirs
+	for i, dir := range recorded[1:] {
+		if !slices.Contains(recorded[:i+1], filepath.Dir(dir)) {
+			t.Errorf("%s recorded before its parent: %v", dir, recorded)
+		}
+	}
+	if len(recorded) != 1+4*2 {
+		t.Errorf("recorded %d directories, want the run's, 4 nodes' and their extra/: %v", len(recorded), recorded)
+	}
+	staged := st.staged.bytes.Load()
+	if err := sr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	var size int64
+	err = filepath.WalkDir(filepath.Join(rs.Dir, "runs", "2"), func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		size += info.Size()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size != staged {
+		t.Errorf("staged %d bytes, committed %d", staged, size)
+	}
+	if !rs.RunDone(2) {
+		t.Error("no done marker after commit")
+	}
+}
+
+// TestLeftoverStagingOfEitherLayoutIsRemoved: a crashed harvest leaves
+// runs/.staging-<run> holding the run's files, or, as earlier versions
+// staged them, runs/<run> below it. DiscardRun and a new StageRun remove
+// either.
+func TestLeftoverStagingOfEitherLayoutIsRemoved(t *testing.T) {
+	for _, layout := range []string{"", filepath.Join("runs", "4")} {
+		rs, err := NewRunStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plant := func() {
+			dir := filepath.Join(rs.Dir, "runs", ".staging-4", layout, "A")
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "events.jsonl"), []byte("torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		plant()
+		if err := rs.DiscardRun(4); err != nil {
+			t.Fatal(err)
+		}
+		if entries, err := os.ReadDir(filepath.Join(rs.Dir, "runs")); err != nil || len(entries) != 0 {
+			t.Fatalf("layout %q: runs/ after DiscardRun: %v, %v", layout, entries, err)
+		}
+		plant()
+		sr, err := rs.StageRun(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sr.Store().WriteRunInfo(RunInfo{Run: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sr.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if nodes, err := rs.RunNodes(4); err != nil || len(nodes) != 0 {
+			t.Fatalf("layout %q: committed run holds the leftover's nodes %v (%v)", layout, nodes, err)
+		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 
 	"excovery/internal/eventlog"
 	"excovery/internal/netem"
+	"excovery/internal/store/fsio"
 	"excovery/internal/timesync"
 )
 
@@ -60,8 +61,17 @@ func NewRunStore(dir string) (*RunStore, error) {
 	return &RunStore{Dir: dir}, nil
 }
 
+// runRoot is the directory of one run: runs/<run> below the experiment
+// directory, or, on a staging store, its staging directory for its own run.
+func (rs *RunStore) runRoot(run int) string {
+	if rs.staged != nil && run == rs.staged.run {
+		return rs.staged.root
+	}
+	return filepath.Join(rs.Dir, "runs", strconv.Itoa(run))
+}
+
 func (rs *RunStore) runDir(run int, node string) string {
-	return filepath.Join(rs.Dir, "runs", strconv.Itoa(run), node)
+	return filepath.Join(rs.runRoot(run), node)
 }
 
 // WriteDescription stores the level-1 document alongside the raw data.
@@ -345,7 +355,7 @@ type ExtraMeasurement struct {
 
 // ListExtras returns all plugin measurements of a run.
 func (rs *RunStore) ListExtras(run int) ([]ExtraMeasurement, error) {
-	runRoot := filepath.Join(rs.Dir, "runs", strconv.Itoa(run))
+	runRoot := rs.runRoot(run)
 	nodes, err := os.ReadDir(runRoot)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -448,13 +458,13 @@ func (rs *RunStore) WriteRunInfo(info RunInfo) error {
 	if err != nil {
 		return err
 	}
-	return rs.writeFile(filepath.Join(rs.Dir, "runs", strconv.Itoa(info.Run)), "runinfo.json", os.O_TRUNC, b)
+	return rs.writeFile(rs.runRoot(info.Run), "runinfo.json", os.O_TRUNC, b)
 }
 
 // ReadRunInfo loads a run's metadata.
 func (rs *RunStore) ReadRunInfo(run int) (RunInfo, error) {
 	var info RunInfo
-	b, err := os.ReadFile(filepath.Join(rs.Dir, "runs", strconv.Itoa(run), "runinfo.json"))
+	b, err := os.ReadFile(filepath.Join(rs.runRoot(run), "runinfo.json"))
 	if err != nil {
 		return info, err
 	}
@@ -486,7 +496,7 @@ func (rs *RunStore) Runs() ([]int, error) {
 
 // RunNodes lists the node directories of a run, sorted.
 func (rs *RunStore) RunNodes(run int) ([]string, error) {
-	entries, err := os.ReadDir(filepath.Join(rs.Dir, "runs", strconv.Itoa(run)))
+	entries, err := os.ReadDir(rs.runRoot(run))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
@@ -503,12 +513,12 @@ func (rs *RunStore) RunNodes(run int) ([]string, error) {
 	return out, nil
 }
 
-// openFile opens the file name in dir, a directory of a run, for writing:
-// appending with flag os.O_APPEND, from empty with os.O_TRUNC. A staging
-// store makes each missing directory with one os.Mkdir and records it for
-// Commit to fsync (atomic.go). A plain store opens first and makes the
-// directories only when that fails: the second and later files of a
-// directory cost no stat.
+// openFile opens the file name in dir, a directory of a run, for writing
+// (fsio.OpenFile): appending with flag os.O_APPEND, from empty with
+// os.O_TRUNC. A staging store makes each missing directory with one
+// os.Mkdir and records it for Commit to fsync (atomic.go). A plain store
+// opens first and makes the directories only when that fails: the second
+// and later files of a directory cost no stat.
 func (rs *RunStore) openFile(dir, name string, flag int) (*os.File, error) {
 	path := filepath.Join(dir, name)
 	flag |= os.O_CREATE | os.O_WRONLY
@@ -516,14 +526,14 @@ func (rs *RunStore) openFile(dir, name string, flag int) (*os.File, error) {
 		if err := rs.staged.mkdir(dir); err != nil {
 			return nil, err
 		}
-		return os.OpenFile(path, flag, 0o644)
+		return fsio.OpenFile(path, flag, 0o644)
 	}
-	f, err := os.OpenFile(path, flag, 0o644)
+	f, err := fsio.OpenFile(path, flag, 0o644)
 	if err != nil && os.IsNotExist(err) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
-		f, err = os.OpenFile(path, flag, 0o644)
+		f, err = fsio.OpenFile(path, flag, 0o644)
 	}
 	return f, err
 }
@@ -535,7 +545,7 @@ func (rs *RunStore) openFile(dir, name string, flag int) (*os.File, error) {
 func (rs *RunStore) closeFile(f *os.File, n int, err error) error {
 	if err == nil && rs.staged != nil {
 		err = f.Sync()
-		rs.staged.bytes += int64(n)
+		rs.staged.bytes.Add(int64(n))
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -569,7 +579,7 @@ func (rs *RunStore) writeFile(dir, name string, flag int, data []byte) error {
 // On a staging store the marker is a plain fsynced file of the staged run:
 // Commit's rename publishes it together with the data.
 func (rs *RunStore) MarkRunDone(run int) error {
-	dir := filepath.Join(rs.Dir, "runs", strconv.Itoa(run))
+	dir := rs.runRoot(run)
 	if rs.staged != nil {
 		return rs.writeFile(dir, "done", os.O_TRUNC, []byte(doneMarker))
 	}
@@ -584,6 +594,6 @@ const doneMarker = "done\n"
 
 // RunDone reports whether a run was marked done.
 func (rs *RunStore) RunDone(run int) bool {
-	_, err := os.Stat(filepath.Join(rs.Dir, "runs", strconv.Itoa(run), "done"))
+	_, err := os.Stat(filepath.Join(rs.runRoot(run), "done"))
 	return err == nil
 }

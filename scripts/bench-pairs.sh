@@ -11,10 +11,15 @@
 # `bench/run.sh --workload W --seed S --trace 0` once per side at the
 # benchmark's own run length, and the side that goes first switches every
 # pair. Prints every run, each side's median and quartiles for the four
-# end-to-end metrics, the pairs the change won, the failed operations and
-# each side's sim_digest (one value per side when every run simulated the
-# same thing; equal across sides when the change moved no simulated output).
-# Exits 1 if any invocation reported failed != 0 or an incorrect result.
+# end-to-end metrics, the pairs the change won, a verdict per metric, the
+# failed operations and each side's sim_digest (one value per side when
+# every run simulated the same thing; equal across sides when the change
+# moved no simulated output). The verdict is "gain" when the change is ahead
+# in at least nine tenths of the pairs (ties count for neither side) and its
+# median is better than the parent's by more than the parent's
+# inter-quartile range, "worse" in the mirrored case, and "unresolved"
+# otherwise. Exits 1 if any invocation reported failed != 0 or an incorrect
+# result; the verdicts do not change the exit status.
 set -euo pipefail
 
 parent_ref=${1:?usage: bench-pairs.sh <parent-ref> <workload> [pairs] [seed]}
@@ -103,6 +108,10 @@ END {
 			q2 = quantile(tmp, n[side], 0.5)
 			q3 = quantile(tmp, n[side], 0.75)
 			printf "\n         median %.4g, quartiles %.4g – %.4g\n", q2, q1, q3
+			if (side == "parent") {
+				iqr = q3 - q1
+				parent_median = q2
+			}
 		}
 		for (i = 1; i <= pairs; i++) {
 			p = val["parent", m, i]
@@ -111,6 +120,12 @@ END {
 			else if (c != p) lost++
 		}
 		printf "  change ahead in %d of %d pairs, behind in %d\n", won, pairs, lost
+		# gap > 0: the median of the change is the better one.
+		gap = (m in higher) ? q2 - parent_median : parent_median - q2
+		verdict = "unresolved"
+		if (10 * won >= 9 * pairs && gap > iqr) verdict = "gain"
+		else if (10 * lost >= 9 * pairs && -gap > iqr) verdict = "worse"
+		printf "  verdict: %s (medians %.4g -> %.4g, parent IQR %.4g)\n", verdict, parent_median, q2, iqr
 	}
 	for (s = 1; s <= 2; s++) {
 		side = s == 1 ? "parent" : "change"

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	excovery-discovery -listen :8799
-//	excovery-discovery -listen :8799 -ttl 10s -obs-addr :9099
+//	excovery-discovery -listen :8799 -obs-addr :9099
 package main
 
 import (
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"time"
 
 	"excovery/internal/discovery"
 	"excovery/internal/obs"
@@ -25,7 +24,6 @@ import (
 func main() {
 	var (
 		listen  = flag.String("listen", ":8799", "XML-RPC listen address")
-		ttl     = flag.Duration("ttl", 15*time.Second, "default registration lease for hosts that do not request their own")
 		obsAddr = flag.String("obs-addr", "", "serve /metrics, /healthz, /status and pprof on this address (empty disables)")
 	)
 	flag.Usage = func() {
@@ -35,7 +33,7 @@ func main() {
 	flag.Parse()
 
 	reg := obs.NewRegistry()
-	r := discovery.NewRegistry(*ttl)
+	r := discovery.NewRegistry()
 	r.Instrument(reg)
 	r.Start()
 	defer r.Close()
@@ -56,7 +54,7 @@ func main() {
 
 	srv := r.Server()
 	srv.Obs = reg
-	fmt.Printf("excovery-discovery: registry on %s (default ttl %s)\n", *listen, *ttl)
+	fmt.Printf("excovery-discovery: registry on %s\n", *listen)
 	if err := http.ListenAndServe(*listen, srv); err != nil {
 		fatal(err)
 	}

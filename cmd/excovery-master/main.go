@@ -137,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// its derived seed.
 		fleet := &discovery.Fleet{
 			Reg:       dial(*registry),
-			MasterID:  noderpc.NewSessionID(),
+			MasterID:  noderpc.NewID("m-"),
 			MasterURL: selfURL,
 			Region:    *region,
 			LeaseTTL:  *leaseTTL,
@@ -177,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// triggers re-registration.
 		if *leaseTTL > 0 {
 			lease := &noderpc.Lease{C: hostClient, MasterURL: selfURL,
-				Session: noderpc.NewSessionID(), TTL: *leaseTTL, Obs: reg}
+				Session: noderpc.NewID("m-"), TTL: *leaseTTL, Obs: reg}
 			if err := lease.Register(); err != nil {
 				return fail(err)
 			}

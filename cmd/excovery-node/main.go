@@ -33,7 +33,6 @@ func main() {
 		builtin   = flag.String("builtin", "", "host an embedded description: "+strings.Join(desc.Builtins(), ", "))
 		speed     = flag.Float64("speed", 0.01, "real-time pacing factor (wall seconds per virtual second)")
 		seed      = flag.Int64("seed", 0, "override the experiment seed")
-		leaseTTL  = flag.Duration("lease-ttl", 0, "lease imposed on session-aware masters that register without a TTL; a silent master is dropped at the deadline (0 disables)")
 		registry  = flag.String("registry", "", "discovery registry XML-RPC endpoint: register this host for claiming by masters (empty: static wiring only)")
 		region    = flag.String("region", "", "placement region tag reported to -registry")
 		heartbeat = flag.Duration("heartbeat", 5*time.Second, "registry heartbeat period; the registration lease is three heartbeats")
@@ -69,7 +68,6 @@ func main() {
 		fatal(err)
 	}
 	host = noderpc.NewHost(x)
-	host.SetDefaultLeaseTTL(*leaseTTL)
 	x.S.SetKeepAlive(true)
 
 	host.Instrument(reg)
@@ -96,7 +94,7 @@ func main() {
 		sort.Strings(ids)
 		id := *hostID
 		if id == "" {
-			id = discovery.NewHostID()
+			id = noderpc.NewID("h-")
 		}
 		agent := &discovery.Agent{
 			C:         xmlrpc.NewRetryingClient(*registry, xmlrpc.DefaultRetryPolicy()),

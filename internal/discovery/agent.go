@@ -1,8 +1,6 @@
 package discovery
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -10,15 +8,6 @@ import (
 	"excovery/internal/obs"
 	"excovery/internal/xmlrpc"
 )
-
-// NewHostID returns a fresh node-host identity for registry registration.
-// Hosts that want a stable identity across restarts pass their own id
-// instead (excovery-node -host-id).
-func NewHostID() string {
-	var b [6]byte
-	rand.Read(b[:])
-	return "h-" + hex.EncodeToString(b[:])
-}
 
 // Agent keeps one node host registered: it announces the host's
 // capabilities to the registry and renews the lease from a jittered
@@ -30,7 +19,8 @@ func NewHostID() string {
 type Agent struct {
 	// C is the registry's XML-RPC endpoint.
 	C *xmlrpc.Client
-	// HostID identifies this host (NewHostID or a stable operator id).
+	// HostID identifies this host: noderpc.NewID("h-"), or a stable
+	// operator id that survives restarts (excovery-node -host-id).
 	HostID string
 	// URL is the advertised control endpoint masters should dial.
 	URL string

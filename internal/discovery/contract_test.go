@@ -64,7 +64,7 @@ func TestEveryServedMethodIsDriven(t *testing.T) {
 	ms := sched.New(sched.RealTime, time.Unix(0, 0))
 	masterHTTP := httptest.NewServer(noderpc.MasterServer(ms, eventlog.NewBus(ms)))
 	defer masterHTTP.Close()
-	reg := discovery.NewRegistry(time.Hour)
+	reg := discovery.NewRegistry()
 	reg.Register("h-contract", host.http.URL, []string{"A", "B"}, "", time.Hour, 0)
 	regHTTP := httptest.NewServer(reg.Server())
 	defer regHTTP.Close()

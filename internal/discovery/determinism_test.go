@@ -219,9 +219,9 @@ func runVirtualCampaign(t *testing.T, kill bool) campaignResult {
 	}
 	sort.Strings(nodeIDs)
 
-	reg := discovery.NewRegistry(time.Hour)
-	reg.Register("h-a", "mem://a", nodeIDs, "", 0, 0)
-	reg.Register("h-b", "mem://b", nodeIDs, "", 0, 0)
+	reg := discovery.NewRegistry()
+	reg.Register("h-a", "mem://a", nodeIDs, "", time.Hour, 0)
+	reg.Register("h-b", "mem://b", nodeIDs, "", time.Hour, 0)
 	vf := &vfleet{reg: reg, masterID: "m-det", byID: map[string]*vhost{"h-a": a, "h-b": b}}
 	vf.connect(t)
 	if vf.active() != a {

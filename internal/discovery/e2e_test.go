@@ -91,7 +91,7 @@ func startFleetHost(t *testing.T, regURL, hostID string, seed int64) *fleetHost 
 // run, and the displaced host's fencing epoch must keep refusing the
 // stale master after the heal.
 func TestCampaignSurvivesHostDeath(t *testing.T) {
-	reg := discovery.NewRegistry(2 * time.Second)
+	reg := discovery.NewRegistry()
 	regHTTP := httptest.NewServer(reg.Server())
 	defer regHTTP.Close()
 
@@ -114,7 +114,7 @@ func TestCampaignSurvivesHostDeath(t *testing.T) {
 	mreg := obs.NewRegistry()
 	fleet := &discovery.Fleet{
 		Reg:            xmlrpc.NewClient(regHTTP.URL),
-		MasterID:       noderpc.NewSessionID(),
+		MasterID:       noderpc.NewID("m-"),
 		MasterURL:      masterHTTP.URL,
 		LeaseTTL:       time.Hour,
 		NewClient:      func(url string) *xmlrpc.Client { return xmlrpc.NewRetryingClient(url, policy) },
@@ -274,7 +274,7 @@ func TestCampaignSurvivesHostDeath(t *testing.T) {
 // registry's fleet view must rebuild, and the host must be claimable
 // again — all without restarting anything.
 func TestRegistryPartitionHealRebuild(t *testing.T) {
-	reg := discovery.NewRegistry(time.Second)
+	reg := discovery.NewRegistry()
 	srv := reg.Server()
 	fp := failpoint.New(3)
 	srv.FP = fp

@@ -54,8 +54,8 @@ type Fleet struct {
 
 // Connect claims hosts from the registry and adopts the first usable one
 // as the campaign's backing host; the claims after it stay as warm spares
-// for failover, and each host it could not adopt is released, so another
-// master can claim it. It fails when the registry has no usable host.
+// for failover, and each host it could not adopt goes back to the registry
+// (adopt). It fails when the registry has no usable host.
 func (f *Fleet) Connect() error {
 	claimed, err := f.claim()
 	if err != nil {
@@ -65,7 +65,6 @@ func (f *Fleet) Connect() error {
 	for i, h := range claimed {
 		if err := f.adopt(h, claimed[i+1:], adoptAttempts); err != nil {
 			errs = append(errs, fmt.Sprintf("%s: %v", h.ID, err))
-			f.Reg.Call("registry.release", f.MasterID, h.ID)
 			continue
 		}
 		if f.OnHostChange != nil {
@@ -103,15 +102,16 @@ const (
 // adopt makes h the active host: verify it serves the node set of the
 // placement it replaces (asking at most attempts times), register the
 // master session under the claim's fencing epoch, build the placement's
-// proxies and start the lease heartbeat.
+// proxies and start the lease heartbeat. A host it cannot adopt goes back
+// to the registry. One whose control endpoint did not answer is reported
+// down, so no claim returns it until it registers again; one that answered
+// is released, because another master's experiment may need it.
 func (f *Fleet) adopt(h Host, spares []Host, attempts int) error {
 	c := f.NewClient(h.URL)
 	nodes, err := noderpc.FetchNodes(c, attempts, adoptBackoff)
 	if err != nil {
+		f.Reg.Call("registry.report_down", f.MasterID, h.ID)
 		return err
-	}
-	if missing := missingNodes(sortedNodeIDs(f.Placement().Nodes), nodes); len(missing) > 0 {
-		return fmt.Errorf("adopt %s: host does not serve node %q", h.URL, missing[0])
 	}
 	lease := &noderpc.Lease{
 		C:         c,
@@ -121,8 +121,14 @@ func (f *Fleet) adopt(h Host, spares []Host, attempts int) error {
 		Epoch:     h.Epoch,
 		Obs:       f.Obs,
 	}
-	if err := lease.Register(); err != nil {
-		return fmt.Errorf("adopt %s: %w", h.URL, err)
+	if missing := missingNodes(sortedNodeIDs(f.Placement().Nodes), nodes); len(missing) > 0 {
+		err = fmt.Errorf("adopt %s: host does not serve node %q", h.URL, missing[0])
+	} else if err = lease.Register(); err != nil {
+		err = fmt.Errorf("adopt %s: %w", h.URL, err)
+	}
+	if err != nil {
+		f.Reg.Call("registry.release", f.MasterID, h.ID)
+		return err
 	}
 
 	p := master.Placement{
@@ -231,7 +237,6 @@ func (f *Fleet) Failover(run int, nodeErrs map[string]string) (master.Placement,
 			spares = spares[1:]
 			attempts := min(adoptAttempts, 1+int(time.Until(deadline)/adoptBackoff))
 			if err := f.adopt(h, spares, attempts); err != nil {
-				f.Reg.Call("registry.release", f.MasterID, h.ID)
 				continue
 			}
 			if f.OnHostChange != nil {

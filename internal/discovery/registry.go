@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"excovery/internal/noderpc"
 	"excovery/internal/obs"
 )
 
@@ -49,25 +50,22 @@ type Host struct {
 // entry is the registry's mutable record of one host.
 type entry struct {
 	Host
-	ttl     time.Duration
-	expires time.Time
+	lease noderpc.LeaseRecord
 }
 
 // Registry is the in-memory fleet registry. All methods are safe for
 // concurrent use; expiry is checked lazily on every operation and by an
 // optional watchdog (Start) so dead hosts are detected even while the
-// registry is idle.
+// registry is idle. Every host names its own lease TTL; there is no
+// default.
 type Registry struct {
-	defaultTTL time.Duration
-	now        func() time.Time // wall clock; overridable in tests
+	now func() time.Time // wall clock; overridable in tests
 
 	mu    sync.Mutex
 	hosts map[string]*entry
 	epoch int64
 
-	stop     chan struct{}
-	done     chan struct{}
-	watching bool
+	stop, done chan struct{} // the watchdog's; done is made by Start
 
 	// Instrumentation (nil-safe without Instrument).
 	mAlive    *obs.Gauge
@@ -83,18 +81,12 @@ type Registry struct {
 	mDown     *obs.Counter
 }
 
-// NewRegistry creates a registry granting defaultTTL to registrations
-// that do not name their own lease duration (15s when zero).
-func NewRegistry(defaultTTL time.Duration) *Registry {
-	if defaultTTL <= 0 {
-		defaultTTL = 15 * time.Second
-	}
+// NewRegistry creates an empty registry.
+func NewRegistry() *Registry {
 	return &Registry{
-		defaultTTL: defaultTTL,
-		now:        time.Now,
-		hosts:      map[string]*entry{},
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		now:   time.Now,
+		hosts: map[string]*entry{},
+		stop:  make(chan struct{}),
 	}
 }
 
@@ -124,15 +116,16 @@ func (r *Registry) Instrument(reg *obs.Registry) {
 		"hosts reported dead by their claiming master")
 }
 
-// Register upserts a host under a fresh lease and returns the granted TTL.
-// A dead host registering again is resurrected (its stale claim, whose
-// master has long failed over, is dissolved). The host echoes the highest
-// fencing epoch it has accepted, so a restarted registry re-learns the
-// fleet's epoch high-water mark from ordinary re-registration traffic and
-// can never hand out an epoch that a host would consider stale.
-func (r *Registry) Register(id, url string, nodes []string, region string, ttl time.Duration, epoch int64) time.Duration {
+// Register upserts a host under a fresh lease of the TTL it names; a
+// registration without one is refused. A dead host registering again is
+// resurrected (its stale claim, whose master has long failed over, is
+// dissolved). The host echoes the highest fencing epoch it has accepted,
+// so a restarted registry re-learns the fleet's epoch high-water mark from
+// ordinary re-registration traffic and can never hand out an epoch that a
+// host would consider stale.
+func (r *Registry) Register(id, url string, nodes []string, region string, ttl time.Duration, epoch int64) error {
 	if ttl <= 0 {
-		ttl = r.defaultTTL
+		return fmt.Errorf("registry: host %q registers without a lease TTL", id)
 	}
 	r.mu.Lock()
 	r.expireLocked()
@@ -150,8 +143,7 @@ func (r *Registry) Register(id, url string, nodes []string, region string, ttl t
 	sort.Strings(e.Nodes)
 	e.Region = region
 	e.Alive = true
-	e.ttl = ttl
-	e.expires = r.now().Add(ttl)
+	e.lease.Grant(r.now(), ttl)
 	if epoch > r.epoch {
 		r.epoch = epoch
 	}
@@ -161,7 +153,7 @@ func (r *Registry) Register(id, url string, nodes []string, region string, ttl t
 	r.gaugesLocked()
 	r.mu.Unlock()
 	r.mRegister.Inc()
-	return ttl
+	return nil
 }
 
 // Heartbeat renews a registered host's lease. An unknown or expired host
@@ -177,10 +169,7 @@ func (r *Registry) Heartbeat(id string, ttl time.Duration) error {
 		r.mUnknown.Inc()
 		return fmt.Errorf("registry: unknown host %q (re-register)", id)
 	}
-	if ttl > 0 {
-		e.ttl = ttl
-	}
-	e.expires = r.now().Add(e.ttl)
+	e.lease.Renew(r.now(), ttl)
 	r.mu.Unlock()
 	r.mBeats.Inc()
 	return nil
@@ -279,43 +268,26 @@ func (r *Registry) Epoch() int64 {
 	return r.epoch
 }
 
-// Start launches the expiry watchdog so hosts are marked dead on schedule
-// even while no master polls the registry. Close tears it down.
+// Start launches the expiry watchdog (noderpc.Sweep, paced from the TTLs
+// of the live hosts) so hosts are marked dead on schedule even while no
+// master polls the registry. Call it at most once, before serving.
 func (r *Registry) Start() {
-	r.mu.Lock()
-	if r.watching {
-		r.mu.Unlock()
-		return
-	}
-	r.watching = true
-	r.mu.Unlock()
+	r.done = make(chan struct{})
 	go func() {
 		defer close(r.done)
-		interval := r.defaultTTL / 3
-		if interval <= 0 {
-			interval = time.Second
-		}
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-time.After(interval):
-			}
+		noderpc.Sweep(r.stop, func() time.Duration {
 			r.mu.Lock()
-			r.expireLocked()
-			r.mu.Unlock()
-		}
+			defer r.mu.Unlock()
+			return r.expireLocked()
+		})
 	}()
 }
 
-// Close stops the watchdog.
+// Close stops the watchdog, if started, and waits for it to exit. Call it
+// once.
 func (r *Registry) Close() {
-	r.mu.Lock()
-	watching := r.watching
-	r.watching = false
-	r.mu.Unlock()
-	if watching {
-		close(r.stop)
+	close(r.stop)
+	if r.done != nil {
 		<-r.done
 	}
 }
@@ -323,21 +295,28 @@ func (r *Registry) Close() {
 // expireLocked sweeps lapsed leases: the host is marked dead and its claim
 // dissolved, so the next Claim no longer sees it and the claiming master's
 // own failure detection (lease errors, RPC failures) converges with the
-// registry view. Callers hold r.mu.
-func (r *Registry) expireLocked() {
+// registry view. It returns the shortest TTL of a live host (0 for none).
+// Callers hold r.mu.
+func (r *Registry) expireLocked() (shortest time.Duration) {
 	now := r.now()
 	changed := false
 	for _, e := range r.hosts {
-		if e.Alive && !now.Before(e.expires) {
+		if !e.Alive {
+			continue
+		}
+		if e.lease.Lapse(now) {
 			e.Alive = false
 			e.ClaimedBy = ""
 			r.mExpiries.Inc()
 			changed = true
+		} else if ttl := e.lease.TTL(); shortest == 0 || ttl < shortest {
+			shortest = ttl
 		}
 	}
 	if changed {
 		r.gaugesLocked()
 	}
+	return shortest
 }
 
 // snapLocked copies an entry into its public snapshot.
@@ -345,7 +324,7 @@ func (r *Registry) snapLocked(e *entry) Host {
 	h := e.Host
 	h.Nodes = append([]string(nil), e.Nodes...)
 	if e.Alive {
-		h.ExpiresIn = e.expires.Sub(r.now()).Seconds()
+		h.ExpiresIn = e.lease.Remaining(r.now()).Seconds()
 	}
 	return h
 }

@@ -2,11 +2,13 @@ package discovery
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
 
 	"excovery/internal/obs"
+	"excovery/internal/xmlrpc"
 )
 
 // fakeClock drives the registry's failure detection deterministically.
@@ -14,18 +16,18 @@ type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newTestRegistry(ttl time.Duration) (*Registry, *fakeClock) {
-	r := NewRegistry(ttl)
+func newTestRegistry() (*Registry, *fakeClock) {
+	r := NewRegistry()
 	c := &fakeClock{t: time.Unix(1400000000, 0)}
 	r.now = c.now
 	return r, c
 }
 
 func TestRegisterClaimLifecycle(t *testing.T) {
-	r, _ := newTestRegistry(time.Second)
+	r, _ := newTestRegistry()
 	r.Instrument(obs.NewRegistry())
-	r.Register("h-b", "http://b", []string{"A", "B"}, "eu", 0, 0)
-	r.Register("h-a", "http://a", []string{"A", "B"}, "us", 0, 0)
+	r.Register("h-b", "http://b", []string{"A", "B"}, "eu", time.Second, 0)
+	r.Register("h-a", "http://a", []string{"A", "B"}, "us", time.Second, 0)
 
 	got := r.Claim("m-1", 1, "")
 	if len(got) != 1 || got[0].ID != "h-a" {
@@ -58,10 +60,10 @@ func TestRegisterClaimLifecycle(t *testing.T) {
 }
 
 func TestClaimPrefersRegionButDegrades(t *testing.T) {
-	r, _ := newTestRegistry(time.Second)
-	r.Register("h-a", "http://a", nil, "us", 0, 0)
-	r.Register("h-b", "http://b", nil, "eu", 0, 0)
-	r.Register("h-c", "http://c", nil, "eu", 0, 0)
+	r, _ := newTestRegistry()
+	r.Register("h-a", "http://a", nil, "us", time.Second, 0)
+	r.Register("h-b", "http://b", nil, "eu", time.Second, 0)
+	r.Register("h-c", "http://c", nil, "eu", time.Second, 0)
 
 	got := r.Claim("m-1", 2, "eu")
 	if len(got) != 2 || got[0].ID != "h-b" || got[1].ID != "h-c" {
@@ -76,8 +78,8 @@ func TestClaimPrefersRegionButDegrades(t *testing.T) {
 }
 
 func TestExpiryAndResurrection(t *testing.T) {
-	r, clk := newTestRegistry(time.Second)
-	r.Register("h-a", "http://a", nil, "", 0, 0)
+	r, clk := newTestRegistry()
+	r.Register("h-a", "http://a", nil, "", time.Second, 0)
 	if got := r.Claim("m-1", 0, ""); len(got) != 1 {
 		t.Fatalf("claim = %+v", got)
 	}
@@ -106,7 +108,7 @@ func TestExpiryAndResurrection(t *testing.T) {
 	}
 
 	// Re-registration resurrects; the next claim epoch stays monotonic.
-	r.Register("h-a", "http://a", nil, "", 0, 0)
+	r.Register("h-a", "http://a", nil, "", time.Second, 0)
 	got := r.Claim("m-2", 0, "")
 	if len(got) != 1 || got[0].Epoch != 2 {
 		t.Fatalf("post-resurrection claim = %+v, want epoch 2", got)
@@ -114,8 +116,8 @@ func TestExpiryAndResurrection(t *testing.T) {
 }
 
 func TestReportDown(t *testing.T) {
-	r, _ := newTestRegistry(time.Minute)
-	r.Register("h-a", "http://a", nil, "", 0, 0)
+	r, _ := newTestRegistry()
+	r.Register("h-a", "http://a", nil, "", time.Minute, 0)
 	r.Claim("m-1", 0, "")
 	if err := r.ReportDown("m-2", "h-a"); err == nil {
 		t.Fatal("non-claimer may not report a host down")
@@ -127,7 +129,7 @@ func TestReportDown(t *testing.T) {
 		t.Fatalf("reported-down host still alive: %+v", snap[0])
 	}
 	// The host's own re-registration brings it back.
-	r.Register("h-a", "http://a", nil, "", 0, 0)
+	r.Register("h-a", "http://a", nil, "", time.Minute, 0)
 	if snap := r.Snapshot(); !snap[0].Alive || snap[0].ClaimedBy != "" {
 		t.Fatalf("re-registered host: %+v", snap[0])
 	}
@@ -138,9 +140,9 @@ func TestReportDown(t *testing.T) {
 // hosts' re-registrations, so it can never grant a claim a host would
 // refuse as stale.
 func TestEpochRebuildAfterRegistryCrash(t *testing.T) {
-	r1, _ := newTestRegistry(time.Second)
-	r1.Register("h-a", "http://a", nil, "", 0, 0)
-	r1.Register("h-b", "http://b", nil, "", 0, 0)
+	r1, _ := newTestRegistry()
+	r1.Register("h-a", "http://a", nil, "", time.Second, 0)
+	r1.Register("h-b", "http://b", nil, "", time.Second, 0)
 	var last int64
 	for i := 0; i < 5; i++ {
 		got := r1.Claim(fmt.Sprintf("m-%d", i), 1, "")
@@ -150,9 +152,9 @@ func TestEpochRebuildAfterRegistryCrash(t *testing.T) {
 
 	// "Restart": a brand-new registry; the hosts re-register, echoing the
 	// epochs their noderpc fencing state has accepted.
-	r2, _ := newTestRegistry(time.Second)
-	r2.Register("h-a", "http://a", nil, "", 0, last)
-	r2.Register("h-b", "http://b", nil, "", 0, last-1)
+	r2, _ := newTestRegistry()
+	r2.Register("h-a", "http://a", nil, "", time.Second, last)
+	r2.Register("h-b", "http://b", nil, "", time.Second, last-1)
 	got := r2.Claim("m-9", 1, "")
 	if len(got) != 1 || got[0].Epoch <= last {
 		t.Fatalf("post-crash claim epoch = %+v, want > %d", got, last)
@@ -168,11 +170,11 @@ func TestHeartbeatAllocatesNothing(t *testing.T) {
 		hosts      = 64
 		heartbeats = 200_000
 	)
-	r, _ := newTestRegistry(time.Minute)
+	r, _ := newTestRegistry()
 	ids := make([]string, hosts)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("h-%03d", i)
-		r.Register(ids[i], "http://h", []string{"A", "B"}, "eu", 0, 0)
+		r.Register(ids[i], "http://h", []string{"A", "B"}, "eu", time.Minute, 0)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -186,5 +188,84 @@ func TestHeartbeatAllocatesNothing(t *testing.T) {
 	t.Logf("%d allocations, %d B over %d heartbeats", allocs, bytes, heartbeats)
 	if allocs/heartbeats != 0 || bytes/heartbeats != 0 {
 		t.Errorf("%d allocs/op, %d B/op; want 0 and 0", allocs/heartbeats, bytes/heartbeats)
+	}
+}
+
+// leaseCases are the rules of the registry's lease record
+// (noderpc.LeaseRecord), the rows internal/noderpc runs through a node
+// host. Each registers a host under a 1 s lease at time 0, heartbeats at
+// renewAt (if set) naming renewTTL, and says whether the host is dead at
+// time at.
+var leaseCases = []struct {
+	name              string
+	renewAt, renewTTL time.Duration
+	at                time.Duration
+	lapsed            bool
+}{
+	{"1ns before the deadline", 0, 0, time.Second - 1, false},
+	{"at the deadline", 0, 0, time.Second, true},
+	{"renewal naming no TTL keeps it", 400 * time.Millisecond, 0, 1400*time.Millisecond - 1, false},
+	{"kept TTL lapses a TTL after the renewal", 400 * time.Millisecond, 0, 1400 * time.Millisecond, true},
+	{"renewal naming a TTL replaces it", 400 * time.Millisecond, 2 * time.Second, 2400*time.Millisecond - 1, false},
+}
+
+func TestLeaseRecordRules(t *testing.T) {
+	for _, c := range leaseCases {
+		t.Run(c.name, func(t *testing.T) {
+			r, clk := newTestRegistry()
+			if err := r.Register("h-a", "http://a", nil, "", time.Second, 0); err != nil {
+				t.Fatal(err)
+			}
+			if c.renewAt > 0 {
+				clk.advance(c.renewAt)
+				if err := r.Heartbeat("h-a", c.renewTTL); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clk.advance(c.at - c.renewAt)
+			h := r.Snapshot()[0]
+			if h.Alive == c.lapsed {
+				t.Errorf("alive %v, want lapsed %v", h.Alive, c.lapsed)
+			}
+			if want := (time.Second - c.at).Seconds(); c.renewAt == 0 && !c.lapsed && h.ExpiresIn != want {
+				t.Errorf("expires in %vs, want %vs", h.ExpiresIn, want)
+			}
+		})
+	}
+}
+
+// TestRegisterNeedsATTL: the registry grants no default lease, so a
+// registration naming none is refused as malformed and leaves no host.
+func TestRegisterNeedsATTL(t *testing.T) {
+	r, _ := newTestRegistry()
+	ts := httptest.NewServer(r.Server())
+	defer ts.Close()
+	_, err := xmlrpc.NewClient(ts.URL).Call("registry.register", "h-a", "http://a", []any{"A"}, "", 0, 0)
+	if err == nil {
+		t.Fatal("registry.register with ttl_ms 0 accepted")
+	}
+	if snap := r.Snapshot(); len(snap) != 0 {
+		t.Fatalf("refused registration left %+v", snap)
+	}
+}
+
+// TestStartSweepsIdleRegistry: with no operation arriving to check leases
+// lazily, the watchdog Start launches still marks a silent host dead,
+// paced from the live hosts' TTLs.
+func TestStartSweepsIdleRegistry(t *testing.T) {
+	r := NewRegistry()
+	reg := obs.NewRegistry()
+	r.Instrument(reg)
+	if err := r.Register("h-a", "http://a", nil, "", 30*time.Millisecond, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	defer r.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.CounterValue(obs.MRegistryExpiries) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the watchdog never expired the silent host")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -27,44 +27,46 @@ func (r *Registry) Server() *xmlrpc.Server {
 		return "pong", nil
 	})
 	srv.Register("registry.register", func(params []any) (any, error) {
-		id, ok := argAt[string](params, 0)
-		url, ok2 := argAt[string](params, 1)
+		id, ok := xmlrpc.Arg[string](params, 0)
+		url, ok2 := xmlrpc.Arg[string](params, 1)
 		if !ok || !ok2 || id == "" {
 			return nil, fmt.Errorf("registry.register: want (host_id, url, nodes, region, ttl_ms, epoch)")
 		}
 		var nodes []string
-		if raw, ok := argAt[[]any](params, 2); ok {
+		if raw, ok := xmlrpc.Arg[[]any](params, 2); ok {
 			for _, n := range raw {
 				if s, ok := n.(string); ok {
 					nodes = append(nodes, s)
 				}
 			}
 		}
-		region, _ := argAt[string](params, 3)
-		ttlMS, _ := argAt[int](params, 4)
-		epoch, _ := argAt[int](params, 5)
-		granted := r.Register(id, url, nodes, region,
-			time.Duration(ttlMS)*time.Millisecond, int64(epoch))
-		return int(granted / time.Millisecond), nil
+		region, _ := xmlrpc.Arg[string](params, 3)
+		ttlMS, _ := xmlrpc.Arg[int](params, 4)
+		epoch, _ := xmlrpc.Arg[int](params, 5)
+		if err := r.Register(id, url, nodes, region,
+			time.Duration(ttlMS)*time.Millisecond, int64(epoch)); err != nil {
+			return nil, err
+		}
+		return ttlMS, nil
 	})
 	srv.Register("registry.heartbeat", func(params []any) (any, error) {
-		id, ok := argAt[string](params, 0)
+		id, ok := xmlrpc.Arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("registry.heartbeat: want (host_id, ttl_ms)")
 		}
-		ttlMS, _ := argAt[int](params, 1)
+		ttlMS, _ := xmlrpc.Arg[int](params, 1)
 		if err := r.Heartbeat(id, time.Duration(ttlMS)*time.Millisecond); err != nil {
 			return nil, err
 		}
 		return true, nil
 	})
 	srv.Register("registry.claim", func(params []any) (any, error) {
-		masterID, ok := argAt[string](params, 0)
+		masterID, ok := xmlrpc.Arg[string](params, 0)
 		if !ok || masterID == "" {
 			return nil, fmt.Errorf("registry.claim: want (master_id, count, region)")
 		}
-		want, _ := argAt[int](params, 1)
-		region, _ := argAt[string](params, 2)
+		want, _ := xmlrpc.Arg[int](params, 1)
+		region, _ := xmlrpc.Arg[string](params, 2)
 		data, err := json.Marshal(r.Claim(masterID, want, region))
 		if err != nil {
 			return nil, err
@@ -72,8 +74,8 @@ func (r *Registry) Server() *xmlrpc.Server {
 		return string(data), nil
 	})
 	srv.Register("registry.release", func(params []any) (any, error) {
-		masterID, ok := argAt[string](params, 0)
-		hostID, ok2 := argAt[string](params, 1)
+		masterID, ok := xmlrpc.Arg[string](params, 0)
+		hostID, ok2 := xmlrpc.Arg[string](params, 1)
 		if !ok || !ok2 {
 			return nil, fmt.Errorf("registry.release: want (master_id, host_id)")
 		}
@@ -81,8 +83,8 @@ func (r *Registry) Server() *xmlrpc.Server {
 		return true, nil
 	})
 	srv.Register("registry.report_down", func(params []any) (any, error) {
-		masterID, ok := argAt[string](params, 0)
-		hostID, ok2 := argAt[string](params, 1)
+		masterID, ok := xmlrpc.Arg[string](params, 0)
+		hostID, ok2 := xmlrpc.Arg[string](params, 1)
 		if !ok || !ok2 {
 			return nil, fmt.Errorf("registry.report_down: want (master_id, host_id)")
 		}
@@ -99,16 +101,4 @@ func (r *Registry) Server() *xmlrpc.Server {
 		return string(data), nil
 	})
 	return srv
-}
-
-func argAt[T any](params []any, i int) (T, bool) {
-	var zero T
-	if i >= len(params) {
-		return zero, false
-	}
-	v, ok := params[i].(T)
-	if !ok {
-		return zero, false
-	}
-	return v, true
 }

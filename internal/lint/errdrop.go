@@ -20,7 +20,8 @@ import (
 // error position is blank (`_ = f.Sync()`, `n, _ := …`). One allowlist is
 // built in: a discarded call is exempt when a later statement on the same
 // path (the rest of its enclosing block, or of any enclosing block within
-// the function) returns a non-nil error — cleanup on an already-failing
+// the function) returns a non-nil error — an err variable or a freshly
+// built error, not any call's result — cleanup on an already-failing
 // path cannot mask the first cause, and forcing `_ =` noise onto
 // `f.Close(); os.Remove(tmp); return err` sequences would teach people to
 // ignore the check. Everything else needs an explicit //lint:ignore with
@@ -102,7 +103,7 @@ func (f *File) identObj(id *ast.Ident) types.Object {
 func (f *File) scanDiscards(stmts []ast.Stmt, written map[types.Object]bool, errPath bool) []Diagnostic {
 	var out []Diagnostic
 	for i, st := range stmts {
-		ep := errPath || errReturnIn(stmts[i+1:])
+		ep := errPath || f.errReturnIn(stmts[i+1:])
 		switch v := st.(type) {
 		case *ast.ExprStmt:
 			if call, ok := v.X.(*ast.CallExpr); ok {
@@ -228,9 +229,11 @@ func isErrorType(t types.Type) bool {
 }
 
 // errReturnIn reports whether the statement list contains, at its top
-// level, a return carrying a non-nil error expression (an identifier or
-// call, not the literal nil).
-func errReturnIn(stmts []ast.Stmt) bool {
+// level, a return carrying a non-nil error: an err identifier, or a call
+// that builds an error (fmt.Errorf, errors.New, errors.Join). Any other
+// call may return nil on success — `return SyncDir(dir)` ends the success
+// path too — so it does not make the path a failing one.
+func (f *File) errReturnIn(stmts []ast.Stmt) bool {
 	for _, st := range stmts {
 		ret, ok := st.(*ast.ReturnStmt)
 		if !ok || len(ret.Results) == 0 {
@@ -240,8 +243,11 @@ func errReturnIn(stmts []ast.Stmt) bool {
 		if id, ok := last.(*ast.Ident); ok && id.Name != "nil" && strings.Contains(id.Name, "err") {
 			return true
 		}
-		if _, ok := last.(*ast.CallExpr); ok {
-			return true
+		if call, ok := last.(*ast.CallExpr); ok {
+			switch pkg, name, _ := f.qualifiedCall(call); pkg + "." + name {
+			case "fmt.Errorf", "errors.New", "errors.Join":
+				return true
+			}
 		}
 	}
 	return false

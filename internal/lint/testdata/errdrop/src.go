@@ -2,11 +2,16 @@
 // "excovery/internal/store" so the mini Journal carries the qualified
 // name the analyzer keys on. Hits: discarded Sync, discarded and deferred
 // Close on a write-opened file, discarded Journal appends and RunStore
-// writes, blank-error assignments. Misses: checked errors, read-side closes, and cleanup
-// discards on a path that already returns an error.
+// writes, blank-error assignments, and a discard followed by a return of
+// a call that may succeed. Misses: checked errors, read-side closes, and
+// cleanup discards on a path that already returns an error.
 package store
 
-import "os"
+import (
+	"errors"
+	"fmt"
+	"os"
+)
 
 // Journal stands in for the store's write-ahead journal.
 type Journal struct{}
@@ -74,6 +79,42 @@ func checkedOK(path string, j *Journal) error {
 	if err := f.Sync(); err != nil {
 		f.Close() // no finding: this path already returns an error
 		return err
+	}
+	return f.Close()
+}
+
+// syncDir stands in for fsio.SyncDir: nil on success.
+func syncDir(dir string) error { return nil }
+
+// closeThenSync returns a call's result after the discard, but that call
+// returns nil on success: the success path dropped the Close error.
+func closeThenSync(path, dir string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	f.Close() // want errdrop
+	return syncDir(dir)
+}
+
+// builtErrorsOK returns freshly built errors after each discard: those
+// paths fail already.
+func builtErrorsOK(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if len(path) > 3 {
+		f.Close() // no finding: this path returns fmt.Errorf
+		return fmt.Errorf("path %s too long", path)
+	}
+	if len(path) > 2 {
+		f.Close() // no finding: this path returns errors.New
+		return errors.New("path too long")
+	}
+	if len(path) > 1 {
+		f.Close() // no finding: this path returns errors.Join
+		return errors.Join(err, errors.New("path too long"))
 	}
 	return f.Close()
 }

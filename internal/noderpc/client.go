@@ -449,7 +449,7 @@ func FetchNodes(c *xmlrpc.Client, attempts int, backoff time.Duration) ([]string
 func MasterServer(s *sched.Scheduler, bus *eventlog.Bus) *xmlrpc.Server {
 	srv := xmlrpc.NewServer()
 	srv.Register("master.events", func(params []any) (any, error) {
-		data, ok := arg[string](params, 0)
+		data, ok := xmlrpc.Arg[string](params, 0)
 		if !ok {
 			return nil, errBadArgs("master.events", "event lines string")
 		}

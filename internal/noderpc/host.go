@@ -59,14 +59,12 @@ type Host struct {
 	// tracks which master session owns it and until when. A master that
 	// stops renewing loses the binding at the deadline; a new (or
 	// restarted) master re-adopts the host by registering again.
-	session      string
-	leaseTTL     time.Duration
-	leaseExpires time.Time
-	adoptions    int
-	expiries     int
-	watching     bool
-	defaultTTL   time.Duration
-	now          func() time.Time // wall clock; overridable in tests
+	session   string
+	lease     LeaseRecord
+	adoptions int
+	expiries  int
+	watching  bool
+	now       func() time.Time // wall clock; overridable in tests
 
 	// Fencing (DESIGN.md §14): the highest registry claim epoch accepted
 	// on host.set_master. A set_master or fenced data-path RPC carrying an
@@ -118,12 +116,6 @@ func NewHost(x *core.Experiment) *Host {
 
 // Tracer returns the host's span tracer (never nil).
 func (h *Host) Tracer() *obs.Tracer { return h.tracer }
-
-// SetDefaultLeaseTTL makes the host impose a lease on session-aware
-// masters that register without one (excovery-node -lease-ttl). Sessionless
-// legacy registrations stay unleased — they have no heartbeat to renew
-// with. Call before serving.
-func (h *Host) SetDefaultLeaseTTL(ttl time.Duration) { h.defaultTTL = ttl }
 
 // Instrument registers the host's event-pump metrics in reg and passes the
 // registry on to clients the host creates (the master-push client). Call
@@ -201,9 +193,7 @@ func (h *Host) Status() HostStatus {
 		FenceEpoch:       h.epoch,
 		FencedRejections: h.fencedRejects,
 		OutboxLen:        len(h.outbox),
-	}
-	if h.leaseTTL > 0 {
-		st.LeaseRemaining = h.leaseExpires.Sub(h.now()).Seconds()
+		LeaseRemaining:   h.lease.Remaining(h.now()).Seconds(),
 	}
 	h.mu.Unlock()
 	st.Nodes = sortedKeys(h.x.Managers)
@@ -217,34 +207,23 @@ func (h *Host) Status() HostStatus {
 // retained and delivered to whichever master registers next. Callers
 // hold h.mu.
 func (h *Host) checkLeaseLocked() {
-	if h.leaseTTL <= 0 || h.master == nil || h.now().Before(h.leaseExpires) {
+	if !h.lease.Lapse(h.now()) {
 		return
 	}
 	h.master = nil
 	h.session = ""
-	h.leaseTTL = 0
 	h.expiries++
 	h.mExpire.Inc()
 }
 
-// watchLease expires silent masters even while the host is idle. One
-// goroutine per host, started with the first leased registration.
-func (h *Host) watchLease() {
-	for {
-		h.mu.Lock()
-		h.checkLeaseLocked()
-		ttl := h.leaseTTL
-		h.mu.Unlock()
-		interval := ttl / 3
-		if interval <= 0 {
-			interval = 100 * time.Millisecond
-		}
-		select {
-		case <-h.stop:
-			return
-		case <-time.After(interval):
-		}
-	}
+// expireLease is the host's part of the lease Sweep, which expires a
+// silent master even while the host is idle: one goroutine per host,
+// started with the first host.set_master.
+func (h *Host) expireLease() time.Duration {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.checkLeaseLocked()
+	return h.lease.TTL()
 }
 
 // ForwardEvent queues an event for the master. While an event-carrying
@@ -436,7 +415,7 @@ func (h *Host) checkEpoch(method string, epoch int64) error {
 // packet and extra harvests, env actions) fall back to the run of the last
 // prepare_run.
 func (h *Host) spanRun(params []any) int {
-	if run, ok := arg[int](params, 1); ok {
+	if run, ok := xmlrpc.Arg[int](params, 1); ok {
 		return run
 	}
 	h.mu.Lock()
@@ -473,19 +452,20 @@ func (h *Host) Server() *xmlrpc.Server {
 	})
 	// host.set_master registers the master's event endpoint and starts
 	// the push pump. The optional (session, ttl_ms) pair opens a lease:
-	// the registration expires unless host.renew_lease keeps it alive. A
+	// the registration expires unless host.renew_lease keeps it alive;
+	// without a TTL it stays unleased, session or not. A
 	// later registration — same master restarted under a new session id,
 	// or a different master — adopts the host, superseding the old
 	// binding; queued events flow to the adopter. The call's fence epoch is
 	// the registry claim epoch: a registration older than one already
 	// accepted is refused, a newer one raises the host's epoch.
 	srv.RegisterMeta("host.set_master", func(meta xmlrpc.Meta, params []any) (any, error) {
-		url, ok := arg[string](params, 0)
+		url, ok := xmlrpc.Arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("host.set_master: want url string")
 		}
-		session, _ := arg[string](params, 1)
-		ttlMS, _ := arg[int](params, 2)
+		session, _ := xmlrpc.Arg[string](params, 1)
+		ttlMS, _ := xmlrpc.Arg[int](params, 2)
 		if err := h.checkEpoch("host.set_master", meta.FenceEpoch); err != nil {
 			return nil, err
 		}
@@ -498,13 +478,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		h.master = xmlrpc.NewRetryingClient(url, xmlrpc.DefaultRetryPolicy())
 		h.master.Obs = h.obs
 		h.session = session
-		h.leaseTTL = time.Duration(ttlMS) * time.Millisecond
-		if h.leaseTTL == 0 && session != "" {
-			h.leaseTTL = h.defaultTTL
-		}
-		if h.leaseTTL > 0 {
-			h.leaseExpires = h.now().Add(h.leaseTTL)
-		}
+		h.lease.Grant(h.now(), time.Duration(ttlMS)*time.Millisecond)
 		if meta.FenceEpoch > h.epoch {
 			h.epoch = meta.FenceEpoch
 		}
@@ -513,7 +487,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		h.mAdopt.Inc()
 		if !pumpStarted {
 			go h.pump()
-			go h.watchLease()
+			go Sweep(h.stop, h.expireLease)
 		}
 		// Wake the pump: a re-adopting master must receive events queued
 		// while no master was bound.
@@ -525,21 +499,18 @@ func (h *Host) Server() *xmlrpc.Server {
 	// or another master adopted it — is refused, telling the caller to
 	// re-register with host.set_master.
 	srv.Register("host.renew_lease", func(params []any) (any, error) {
-		session, ok := arg[string](params, 0)
+		session, ok := xmlrpc.Arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("host.renew_lease: want (session, ttl_ms)")
 		}
-		ttlMS, _ := arg[int](params, 1)
+		ttlMS, _ := xmlrpc.Arg[int](params, 1)
 		h.mu.Lock()
 		defer h.mu.Unlock()
 		h.checkLeaseLocked()
 		if h.session == "" || h.session != session {
 			return nil, fmt.Errorf("host.renew_lease: unknown session %q", session)
 		}
-		if ttlMS > 0 {
-			h.leaseTTL = time.Duration(ttlMS) * time.Millisecond
-		}
-		h.leaseExpires = h.now().Add(h.leaseTTL)
+		h.lease.Renew(h.now(), time.Duration(ttlMS)*time.Millisecond)
 		h.mRenew.Inc()
 		return true, nil
 	})
@@ -562,7 +533,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		if err != nil {
 			return err
 		}
-		run, ok := arg[int](params, 1)
+		run, ok := xmlrpc.Arg[int](params, 1)
 		if !ok {
 			return fmt.Errorf("node.prepare_run: want (nodes, run int)")
 		}
@@ -579,7 +550,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		if err != nil {
 			return err
 		}
-		run, ok := arg[int](params, 1)
+		run, ok := xmlrpc.Arg[int](params, 1)
 		if !ok {
 			return fmt.Errorf("node.cleanup_run: want (nodes, run int)")
 		}
@@ -591,13 +562,13 @@ func (h *Host) Server() *xmlrpc.Server {
 		return nil
 	})))
 	srv.RegisterMeta("node.execute", dataPath("node.execute", h.carrying(func(params []any) error {
-		id, ok := arg[string](params, 0)
-		action, ok2 := arg[string](params, 1)
+		id, ok := xmlrpc.Arg[string](params, 0)
+		action, ok2 := xmlrpc.Arg[string](params, 1)
 		if !ok || !ok2 {
 			return fmt.Errorf("node.execute: want (node, action, params)")
 		}
 		pm := map[string]string{}
-		if raw, ok := arg[map[string]any](params, 2); ok {
+		if raw, ok := xmlrpc.Arg[map[string]any](params, 2); ok {
 			for k, v := range raw {
 				pm[k] = fmt.Sprint(v)
 			}
@@ -611,13 +582,13 @@ func (h *Host) Server() *xmlrpc.Server {
 		return execErr
 	})))
 	srv.RegisterMeta("node.emit", dataPath("node.emit", h.carrying(func(params []any) error {
-		id, ok := arg[string](params, 0)
-		typ, ok2 := arg[string](params, 1)
+		id, ok := xmlrpc.Arg[string](params, 0)
+		typ, ok2 := xmlrpc.Arg[string](params, 1)
 		if !ok || !ok2 {
 			return fmt.Errorf("node.emit: want (node, type, params)")
 		}
 		pm := map[string]string{}
-		if raw, ok := arg[map[string]any](params, 2); ok {
+		if raw, ok := xmlrpc.Arg[map[string]any](params, 2); ok {
 			for k, v := range raw {
 				pm[k] = fmt.Sprint(v)
 			}
@@ -668,7 +639,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		return string(buf), nil
 	}))
 	srv.RegisterMeta("node.harvest_packets", dataPath("node.harvest_packets", func(params []any) (any, error) {
-		id, ok := arg[string](params, 0)
+		id, ok := xmlrpc.Arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("node.harvest_packets: want node")
 		}
@@ -688,7 +659,7 @@ func (h *Host) Server() *xmlrpc.Server {
 		return string(data), nil
 	}))
 	srv.RegisterMeta("node.harvest_extras", dataPath("node.harvest_extras", func(params []any) (any, error) {
-		id, ok := arg[string](params, 0)
+		id, ok := xmlrpc.Arg[string](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("node.harvest_extras: want node")
 		}
@@ -707,12 +678,12 @@ func (h *Host) Server() *xmlrpc.Server {
 		return string(data), nil
 	}))
 	srv.RegisterMeta("env.execute", dataPath("env.execute", h.carrying(func(params []any) error {
-		action, ok := arg[string](params, 0)
+		action, ok := xmlrpc.Arg[string](params, 0)
 		if !ok {
 			return fmt.Errorf("env.execute: want (action, params)")
 		}
 		pm := map[string]string{}
-		if raw, ok := arg[map[string]any](params, 1); ok {
+		if raw, ok := xmlrpc.Arg[map[string]any](params, 1); ok {
 			for k, v := range raw {
 				pm[k] = fmt.Sprint(v)
 			}
@@ -729,7 +700,7 @@ func (h *Host) Server() *xmlrpc.Server {
 	// as a trace.json document; the master merges them (dedup'd by span id)
 	// into the per-run level-2 trace artifact.
 	srv.RegisterMeta("host.harvest_trace", h.fenced("host.harvest_trace", func(params []any) (any, error) {
-		run, ok := arg[int](params, 0)
+		run, ok := xmlrpc.Arg[int](params, 0)
 		if !ok {
 			return nil, fmt.Errorf("host.harvest_trace: want run")
 		}
@@ -752,7 +723,7 @@ func (h *Host) Server() *xmlrpc.Server {
 // The call is refused as a whole, before any node is touched, when the
 // list is empty or names an unknown or repeated id; the error names it.
 func (h *Host) nodesArg(params []any) ([]*node.Manager, error) {
-	ids, ok := arg[[]any](params, 0)
+	ids, ok := xmlrpc.Arg[[]any](params, 0)
 	if !ok || len(ids) == 0 {
 		return nil, fmt.Errorf("want a list of node ids first")
 	}
@@ -772,24 +743,12 @@ func (h *Host) nodesArg(params []any) ([]*node.Manager, error) {
 }
 
 func nodeRunArgs(params []any) (string, int, error) {
-	id, ok := arg[string](params, 0)
-	run, ok2 := arg[int](params, 1)
+	id, ok := xmlrpc.Arg[string](params, 0)
+	run, ok2 := xmlrpc.Arg[int](params, 1)
 	if !ok || !ok2 {
 		return "", 0, fmt.Errorf("want (node string, run int)")
 	}
 	return id, run, nil
-}
-
-func arg[T any](params []any, i int) (T, bool) {
-	var zero T
-	if i >= len(params) {
-		return zero, false
-	}
-	v, ok := params[i].(T)
-	if !ok {
-		return zero, false
-	}
-	return v, true
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -11,13 +11,74 @@ import (
 	"excovery/internal/xmlrpc"
 )
 
-// NewSessionID returns a fresh master session identifier. Every master
-// process start gets its own id, so a host can tell a restarted master
-// (new session, re-adoption) from the one it already serves.
-func NewSessionID() string {
+// NewID returns a fresh random id: prefix and 12 hex digits. Masters name
+// each process's session NewID("m-"), so a host tells a restarted master
+// from the one it serves; hosts without -host-id register as NewID("h-").
+func NewID(prefix string) string {
 	var b [6]byte
 	rand.Read(b[:])
-	return "m-" + hex.EncodeToString(b[:])
+	return prefix + hex.EncodeToString(b[:])
+}
+
+// LeaseRecord is the server side of a lease, for a node host's master
+// session and a registry entry alike: the granted TTL and the deadline.
+// The zero value holds no lease. Callers serialize access.
+type LeaseRecord struct {
+	ttl     time.Duration
+	expires time.Time
+}
+
+// Grant opens a lease of ttl from now; ttl <= 0 holds none.
+func (l *LeaseRecord) Grant(now time.Time, ttl time.Duration) {
+	*l = LeaseRecord{}
+	l.Renew(now, ttl)
+}
+
+// Renew moves the deadline one TTL on from now; ttl <= 0 keeps the TTL.
+func (l *LeaseRecord) Renew(now time.Time, ttl time.Duration) {
+	if ttl > 0 {
+		l.ttl = ttl
+	}
+	l.expires = now.Add(l.ttl)
+}
+
+// Lapse ends a held lease once now is not before its deadline, and reports
+// whether it did.
+func (l *LeaseRecord) Lapse(now time.Time) bool {
+	if l.ttl <= 0 || now.Before(l.expires) {
+		return false
+	}
+	*l = LeaseRecord{}
+	return true
+}
+
+// TTL returns the granted TTL, 0 without a lease.
+func (l *LeaseRecord) TTL() time.Duration { return l.ttl }
+
+// Remaining returns the time left to the deadline, 0 without a lease.
+func (l *LeaseRecord) Remaining(now time.Time) time.Duration {
+	if l.ttl <= 0 {
+		return 0
+	}
+	return l.expires.Sub(now)
+}
+
+// Sweep lapses leases between the lazy checks their holders make, until
+// stop closes: expire lapses what is due and returns the shortest TTL
+// still held (0 for none), and the next call comes a third of it later,
+// at most a second (so a lease granted meanwhile is seen in time).
+func Sweep(stop <-chan struct{}, expire func() time.Duration) {
+	for {
+		pause := time.Second
+		if ttl := expire(); ttl > 0 {
+			pause = min(ttl/3, pause)
+		}
+		select {
+		case <-stop:
+			return
+		case <-time.After(pause):
+		}
+	}
 }
 
 // Lease maintains one master session's claim on a node host: it registers
@@ -31,7 +92,7 @@ type Lease struct {
 	C *xmlrpc.Client
 	// MasterURL is this master's event endpoint, registered on the host.
 	MasterURL string
-	// Session identifies this master process (NewSessionID).
+	// Session identifies this master process (NewID("m-")).
 	Session string
 	// TTL is the lease duration granted per renewal.
 	TTL time.Duration
@@ -39,12 +100,11 @@ type Lease struct {
 	// registry's claim; it rides on host.set_master as call metadata so the
 	// host can refuse a registration older than one it already accepted.
 	Epoch int64
-	// Interval overrides the heartbeat period (default TTL/3).
+	// Interval overrides the heartbeat period (default TTL/3). Each beat
+	// is jittered by ±20% from a stream keyed by Session, so a large
+	// fleet's renewals spread out instead of synchronizing into a
+	// thundering herd.
 	Interval time.Duration
-	// Seed seeds the heartbeat jitter PRNG; 0 derives a seed from Session.
-	// Each beat is jittered by ±20% so a large fleet's renewals spread out
-	// instead of synchronizing into a thundering herd.
-	Seed int64
 	// RegisterFn and RenewFn, when set, replace the host.set_master /
 	// host.renew_lease wire calls. The discovery registry agent reuses the
 	// heartbeat/rebind loop this way: RenewFn is registry.heartbeat and
@@ -125,7 +185,7 @@ func (l *Lease) Start() {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	rng := seeds.Key{Tag: seeds.Lease, Seed: l.Seed, ID: l.Session}.Rand()
+	rng := seeds.Key{Tag: seeds.Lease, ID: l.Session}.Rand()
 	go func() {
 		defer close(l.done)
 		for {

@@ -31,7 +31,7 @@ const (
 	Pairs                // traffic's initial pairs: Seed (random_seed)
 	Switch               // traffic's pair switches: Seed (random_switch_seed)
 	Failpoint            // a failpoint site's draws: Seed (registry), ID (site)
-	Lease                // a lease's heartbeat jitter: Seed (Lease.Seed), ID (session)
+	Lease                // a lease's heartbeat jitter: ID (session)
 	Retry                // an XML-RPC client's retry back-off: Seed (RetryPolicy.Seed)
 )
 

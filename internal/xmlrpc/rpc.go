@@ -185,6 +185,17 @@ type Handler func(params []any) (any, error)
 // metadata.
 type MetaHandler func(meta Meta, params []any) (any, error)
 
+// Arg returns a handler's i-th parameter as a T, and false when the call
+// has no such parameter or it is of another type.
+func Arg[T any](params []any, i int) (T, bool) {
+	if i >= len(params) {
+		var zero T
+		return zero, false
+	}
+	v, ok := params[i].(T)
+	return v, ok
+}
+
 // helpDecodeFallbacks describes obs.MRPCDecodeFallbacks.
 const helpDecodeFallbacks = "XML-RPC documents decoded by encoding/xml because they were not of the shape " +
 	"this package writes, by document (call or response)"

@@ -57,15 +57,15 @@ func Derive(k Key) int64 {
 		return k.Seed ^ int64(len(k.ID))*7919 ^ int64(k.ID[0])<<13 ^ int64(k.ID[len(k.ID)-1])
 	case Netem, Failpoint:
 		return k.Seed ^ int64(fnv1a(k.ID))
+	case Lease:
+		return int64(fnv1a(k.ID))
 	case Factor:
 		return k.Seed*31 + k.Index + int64(len(k.ID))
 	case Run:
 		h := uint64(k.Seed)*0x9E3779B97F4A7C15 ^ (uint64(k.Index) + 0x632BE59BD9B4E019)
 		return int64(h * 0xD1B54A32D192ED03)
-	case Lease, Retry:
-		if k.Seed == 0 && k.Tag == Lease {
-			return int64(fnv1a(k.ID))
-		} else if k.Seed == 0 {
+	case Retry:
+		if k.Seed == 0 {
 			return 1
 		}
 	}

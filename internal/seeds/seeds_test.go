@@ -68,11 +68,8 @@ var legacy = map[seeds.Tag]func(seed int64, id string, i int64) int64{
 		h.Write([]byte(id))
 		return seed ^ int64(h.Sum64())
 	},
-	// lease.go, jitterSeed: l.Seed, or the FNV-1a of the session when 0.
-	seeds.Lease: func(seed int64, id string, _ int64) int64 {
-		if seed != 0 {
-			return seed
-		}
+	// lease.go, jitterSeed: the FNV-1a of the session.
+	seeds.Lease: func(_ int64, id string, _ int64) int64 {
 		h := fnv.New64a()
 		h.Write([]byte(id))
 		return int64(h.Sum64())

@@ -264,6 +264,12 @@ type readStats struct {
 	eventFallbacks  int64
 }
 
+func (st *readStats) add(o readStats) {
+	st.bytes += o.bytes
+	st.packetFallbacks += o.packetFallbacks
+	st.eventFallbacks += o.eventFallbacks
+}
+
 // ForEachPacketLine streams a node's packet captures of one run, yielding
 // each record's capture time, source node, and the raw stored line. The
 // line is a view into a shared buffer, valid only during the call.

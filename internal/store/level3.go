@@ -3,7 +3,10 @@ package store
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"excovery/internal/eventlog"
@@ -172,7 +175,7 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 	e.Obs = rs.Obs
 	op := rs.Obs.begin("condition")
 	var st readStats
-	err = e.ingest(rs, meta, &st)
+	err = e.ingest(rs, meta, &op, &st)
 	op.end(e.DB, st, err)
 	if err != nil {
 		return nil, err
@@ -180,8 +183,9 @@ func Condition(rs *RunStore, meta Meta) (*ExperimentDB, error) {
 	return e, nil
 }
 
-// ingest fills an empty database from the level-2 store.
-func (e *ExperimentDB) ingest(rs *RunStore, meta Meta, st *readStats) error {
+// ingest fills an empty database from the level-2 store: the runs are
+// loaded by loadRuns and inserted here, table by table, in run order.
+func (e *ExperimentDB) ingest(rs *RunStore, meta Meta, op *op, st *readStats) error {
 	if err := e.DB.Insert("ExperimentInfo", reldb.Row{
 		meta.ExpXML, EEVersion, meta.Name, meta.Comment,
 	}); err != nil {
@@ -198,73 +202,31 @@ func (e *ExperimentDB) ingest(rs *RunStore, meta Meta, st *readStats) error {
 		return err
 	}
 	logsByNode := map[string]string{}
-	for _, run := range runs {
-		info, err := rs.ReadRunInfo(run)
-		if err != nil {
-			return fmt.Errorf("store: run %d has no runinfo: %w", run, err)
+	err = loadRuns(rs, runs, op, func(r *runRows) error {
+		st.add(r.st)
+		if r.err != nil {
+			return r.err
 		}
-		offsets := map[string]timesync.Measurement{}
-		for _, m := range info.Offsets {
-			offsets[m.Node] = m
-			if err := e.DB.Insert("RunInfos", reldb.Row{
-				int64(run), m.Node, info.Start.UTC(), m.Offset.Seconds(),
-			}); err != nil {
-				return err
+		for _, t := range [...]struct {
+			name string
+			rows []reldb.Row
+		}{
+			{"RunInfos", r.infos}, {"Events", r.events},
+			{"Packets", r.packets}, {"ExtraRunMeasurements", r.extras},
+		} {
+			for _, row := range t.rows {
+				if err := e.DB.Insert(t.name, row); err != nil {
+					return err
+				}
 			}
 		}
-		correct := func(node string, local time.Time) time.Time {
-			if m, ok := offsets[node]; ok {
-				return timesync.Correct(local, m).UTC()
-			}
-			return local.UTC()
+		for _, l := range r.logs {
+			logsByNode[l.node] += l.text
 		}
-
-		nodes, err := rs.RunNodes(run)
-		if err != nil {
-			return err
-		}
-		for _, node := range nodes {
-			err := rs.forEachEvent(run, node, st, func(ev *eventlog.Event) error {
-				return e.DB.Insert("Events", reldb.Row{
-					int64(run), ev.Node, correct(ev.Node, ev.Time),
-					ev.Type, encodeParams(ev.Params),
-				})
-			})
-			if err != nil {
-				return err
-			}
-			// The stored line is byte-identical to re-marshaling the decoded
-			// record (json.Marshal of a PacketRecord is the line encoder;
-			// TestPacketLineMatchesMarshal pins this), so the raw bytes feed
-			// the Data column directly, all-zero payloads still as their
-			// length, and the payload is never re-encoded — nor copied: the
-			// rows keep the file's one buffer alive.
-			runID, nodeID := any(int64(run)), any(node)
-			err = rs.forEachPacketLine(run, node, st, func(t time.Time, src string, line []byte) error {
-				return e.DB.Insert("Packets", reldb.Row{
-					runID, nodeID, correct(node, t), src, line[:len(line):len(line)],
-				})
-			})
-			if err != nil {
-				return err
-			}
-			if log, err := rs.ReadLog(run, node); err != nil {
-				return err
-			} else if log != "" {
-				logsByNode[node] += log
-			}
-		}
-		extras, err := rs.ListExtras(run)
-		if err != nil {
-			return err
-		}
-		for _, x := range extras {
-			if err := e.DB.Insert("ExtraRunMeasurements", reldb.Row{
-				int64(x.Run), x.Node, x.Name, x.Content,
-			}); err != nil {
-				return err
-			}
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	nodes := make([]string, 0, len(logsByNode))
@@ -288,6 +250,174 @@ func (e *ExperimentDB) ingest(rs *RunStore, meta Meta, st *readStats) error {
 		}); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// runRows is one level-2 run loaded for the database: its rows table by
+// table, its nodes' logs in node order, what reading it counted, and the
+// error that ended the load early.
+type runRows struct {
+	infos, events, packets, extras []reldb.Row
+	logs                           []nodeLog
+	st                             readStats
+	err                            error
+}
+
+type nodeLog struct{ node, text string }
+
+// loadRun reads one run of level 2 and builds its rows on the common time
+// base. It touches no shared state, so runs load concurrently.
+func loadRun(rs *RunStore, run int) (r runRows) {
+	r.err = r.load(rs, run)
+	return r
+}
+
+func (r *runRows) load(rs *RunStore, run int) error {
+	info, err := rs.ReadRunInfo(run)
+	if err != nil {
+		return fmt.Errorf("store: run %d has no runinfo: %w", run, err)
+	}
+	// Every row of the run shares one boxed run id.
+	runID := any(int64(run))
+	start := info.Start.UTC()
+	offsets := map[string]timesync.Measurement{}
+	for _, m := range info.Offsets {
+		offsets[m.Node] = m
+		r.infos = append(r.infos, reldb.Row{runID, m.Node, start, m.Offset.Seconds()})
+	}
+	correct := func(node string, local time.Time) time.Time {
+		if m, ok := offsets[node]; ok {
+			return timesync.Correct(local, m).UTC()
+		}
+		return local.UTC()
+	}
+
+	nodes, err := rs.RunNodes(run)
+	if err != nil {
+		return err
+	}
+	var slab rowSlab
+	for _, node := range nodes {
+		nodeID := any(node)
+		err := rs.forEachEvent(run, node, &r.st, func(ev *eventlog.Event) error {
+			r.events = append(r.events, reldb.Row{
+				runID, ev.Node, correct(ev.Node, ev.Time), ev.Type, encodeParams(ev.Params),
+			})
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		// The stored line is byte-identical to re-marshaling the decoded
+		// record (json.Marshal of a PacketRecord is the line encoder;
+		// TestPacketLineMatchesMarshal pins this), so the raw bytes feed
+		// the Data column directly, all-zero payloads still as their
+		// length, and the payload is never re-encoded — nor copied: the
+		// rows keep the file's one buffer alive.
+		err = rs.forEachPacketLine(run, node, &r.st, func(t time.Time, src string, line []byte) error {
+			row := slab.row(5)
+			row[0], row[1], row[2], row[3], row[4] = runID, nodeID, correct(node, t), src, line[:len(line):len(line)]
+			r.packets = append(r.packets, row)
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		if log, err := rs.ReadLog(run, node); err != nil {
+			return err
+		} else if log != "" {
+			r.logs = append(r.logs, nodeLog{node, log})
+		}
+	}
+	extras, err := rs.ListExtras(run)
+	if err != nil {
+		return err
+	}
+	for _, x := range extras {
+		r.extras = append(r.extras, reldb.Row{runID, x.Node, x.Name, x.Content})
+	}
+	return nil
+}
+
+// rowSlab hands out rows carved from shared arrays of values: one
+// allocation per 128 packet rows instead of one per row. Each row is
+// capped at its own length, so an append to one cannot reach the next.
+type rowSlab []any
+
+func (s *rowSlab) row(n int) reldb.Row {
+	if len(*s)+n > cap(*s) {
+		*s = make([]any, 0, 128*n)
+	}
+	i := len(*s)
+	*s = (*s)[:i+n]
+	return reldb.Row((*s)[i : i+n : i+n])
+}
+
+// loadRuns loads every run of runs and hands each to insert, in run order
+// and on the caller's goroutine, until insert returns an error, which it
+// returns. Up to GOMAXPROCS readers load ahead of insert: they claim runs
+// in order through one counter, and at most 2×GOMAXPROCS claimed runs wait
+// for insert, so a run that fails stops the pass with its own error
+// whatever the later runs did. No reader outlives the call. With
+// GOMAXPROCS 1 each run is loaded, then inserted, on the caller's
+// goroutine alone. op accumulates the time insert waited for a run's rows,
+// which on one P is the time the run took to load.
+func loadRuns(rs *RunStore, runs []int, op *op, insert func(*runRows) error) error {
+	procs := runtime.GOMAXPROCS(0)
+	if procs == 1 || len(runs) < 2 {
+		for _, run := range runs {
+			t := op.clock()
+			r := loadRun(rs, run)
+			op.waited(t)
+			if err := insert(&r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// A claim takes a token and the insert of the run returns it, so the
+	// claimed run i and i+window never share a slot.
+	window := 2 * procs
+	slots := make([]chan runRows, window)
+	tokens := make(chan struct{}, window)
+	for i := range slots {
+		slots[i] = make(chan runRows, 1)
+		tokens <- struct{}{}
+	}
+	quit := make(chan struct{})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	// On return quit closes first, then every reader is waited for: one
+	// loading a run past a failed one finishes it and leaves.
+	defer wg.Wait()
+	defer close(quit)
+	for w := min(procs, len(runs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-quit:
+					return
+				case <-tokens:
+				}
+				i := next.Add(1) - 1
+				if i >= int64(len(runs)) {
+					return
+				}
+				slots[i%int64(window)] <- loadRun(rs, runs[i])
+			}
+		}()
+	}
+	for i := range runs {
+		t := op.clock()
+		r := <-slots[i%window]
+		op.waited(t)
+		if err := insert(&r); err != nil {
+			return err
+		}
+		tokens <- struct{}{}
 	}
 	return nil
 }

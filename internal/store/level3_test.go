@@ -1,15 +1,20 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
+	"excovery/internal/eventlog"
 	"excovery/internal/obs"
 	"excovery/internal/store/reldb"
 	"excovery/internal/timesync"
@@ -167,7 +172,8 @@ func TestOpenRefusesDamagedLevel3(t *testing.T) {
 
 // TestLevel3OperationsAreObserved: Condition, Save and Open each leave one
 // span and one round of counter updates — rows by table, bytes, decoder
-// fallbacks — and a failed open says so in its span.
+// fallbacks — a failed open says so in its span, and the condition span
+// says how long its inserter waited for rows.
 func TestLevel3OperationsAreObserved(t *testing.T) {
 	o := Obs{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(nil)}
 	_, path := conditioned(t, o)
@@ -208,6 +214,18 @@ func TestLevel3OperationsAreObserved(t *testing.T) {
 	if spans[0].Args["bytes"] == "0" || spans[3].Args["err"] == "" || spans[2].Args["err"] != "" {
 		t.Errorf("condition bytes %q, failed open err %q, good open err %q",
 			spans[0].Args["bytes"], spans[3].Args["err"], spans[2].Args["err"])
+	}
+	// The inserter's wait for rows is part of the condition's wall time,
+	// and only the condition has one.
+	wait, werr := strconv.ParseFloat(spans[0].Args["wait_ms"], 64)
+	wall, _ := strconv.ParseFloat(spans[0].Args["wall_ms"], 64)
+	if werr != nil || wait < 0 || wait > wall {
+		t.Errorf("condition wait_ms %q, wall_ms %q", spans[0].Args["wait_ms"], spans[0].Args["wall_ms"])
+	}
+	for _, sp := range spans[1:] {
+		if w, ok := sp.Args["wait_ms"]; ok {
+			t.Errorf("%s has wait_ms %q", sp.Name, w)
+		}
 	}
 
 	reg := o.Metrics
@@ -408,6 +426,210 @@ func TestLogsIngestInNodeOrder(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != pinnedSHA256 || len(raw) != pinnedSize {
 			t.Fatalf("pass %d: level-3 file is %d bytes, sha256 %s; pinned %d bytes, %s",
 				pass, len(raw), got, pinnedSize, pinnedSHA256)
+		}
+	}
+}
+
+// manyRunStore builds an n-run level-2 store on three skewed nodes: every
+// run has events and packets on each node, logs on two, an extra on one;
+// run 17 (when there is one) carries a capture line of a shape only
+// encoding/json reads, and the store an experiment measurement.
+func manyRunStore(t *testing.T, n int) *RunStore {
+	t.Helper()
+	rs, err := NewRunStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []string{"A", "B", "C"}
+	for run := 0; run < n; run++ {
+		start := base.Add(time.Duration(run) * time.Minute)
+		info := RunInfo{Run: run, Start: start}
+		for i, node := range nodes {
+			info.Offsets = append(info.Offsets, timesync.Measurement{Node: node, Offset: time.Duration(i*40-30) * time.Millisecond})
+		}
+		if err := rs.WriteRunInfo(info); err != nil {
+			t.Fatal(err)
+		}
+		for i, node := range nodes {
+			at := start.Add(time.Duration(i+1) * 100 * time.Millisecond)
+			if err := rs.WriteEvents(run, node, []eventlog.Event{
+				{Run: run, Node: node, Time: at, Type: "sd_init_done"},
+				{Run: run, Node: node, Time: at.Add(time.Second), Type: "sd_service_add",
+					Params: map[string]string{"service": "s", "run": strconv.Itoa(run)}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var pkts []PacketRecord
+			for id := 0; id < 30; id++ {
+				pkts = append(pkts, PacketRecord{Time: at.Add(time.Duration(id) * time.Millisecond),
+					Dir: "tx", Node: node, ID: uint64(run*1000 + id), Src: node, Dst: "mcast:mdns",
+					Data: []byte("query " + strconv.Itoa(id))})
+			}
+			if err := rs.WritePackets(run, node, pkts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, node := range []string{"C", "A"} {
+			if err := rs.AppendLog(run, node, "run "+strconv.Itoa(run)+" on "+node+"\n"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rs.WriteExtra(run, "B", "cpu.txt", []byte(strconv.Itoa(run)+"%")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n > 17 {
+		f, err := os.OpenFile(filepath.Join(rs.runDir(17, "B"), "packets.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(`{"src": "A", "time": "2014-05-19T12:17:02Z", "dir": "rx", "id": 17002, "tag": 0, "dst": "B", "data": null}` + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rs.WriteExperimentMeasurement("master", "topology.txt", []byte("A-B-C")); err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+// TestConditionIdenticalAcrossGOMAXPROCS: conditioning loads runs on as
+// many readers as there are Ps and inserts them in run order, so the
+// level-3 file, and what the condition span counted, are the same on any
+// number of Ps.
+func TestConditionIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	rs := manyRunStore(t, 40)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []byte
+	var wantArgs map[string]string
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		rs.Obs = Obs{Tracer: obs.NewTracer(nil)}
+		e, err := Condition(rs, Meta{ExpXML: "<x/>", Name: "many"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "many.xcdb")
+		if err := e.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := map[string]string{}
+		for k, v := range rs.Obs.Tracer.Spans()[0].Args {
+			if k == "bytes" || k == "decoder_fallbacks" || strings.HasPrefix(k, "rows_") {
+				args[k] = v
+			}
+		}
+		if want == nil {
+			want, wantArgs = raw, args
+			if args["decoder_fallbacks"] != "1" || args["rows_Packets"] != "3601" || args["rows_Logs"] != "2" {
+				t.Fatalf("GOMAXPROCS 1: condition counted %v", args)
+			}
+			continue
+		}
+		if !bytes.Equal(raw, want) {
+			t.Errorf("GOMAXPROCS %d: level-3 file differs from GOMAXPROCS 1's (%d vs %d bytes)", procs, len(raw), len(want))
+		}
+		if !reflect.DeepEqual(args, wantArgs) {
+			t.Errorf("GOMAXPROCS %d: condition counted %v, GOMAXPROCS 1 %v", procs, args, wantArgs)
+		}
+	}
+}
+
+// holdOpen opens the FIFO at path for reading and writing, which does not
+// wait for a reader, and closes it after d: a reader of the FIFO blocks
+// until then and reads end-of-file after. The returned func ends the hold
+// now if it still runs, and returns once the FIFO is closed.
+func holdOpen(t *testing.T, path string, d time.Duration) (end func()) {
+	t.Helper()
+	w, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	hold := time.AfterFunc(d, func() { w.Close(); close(closed) })
+	return func() {
+		if hold.Stop() {
+			w.Close()
+			return
+		}
+		<-closed
+	}
+}
+
+// TestConditionFailsAtFirstBrokenRun: run 3 lacks its runinfo and run 7
+// has a capture line whose payload does not decode. Conditioning fails
+// with run 3's error, the one the run-by-run pass gives, on any number of
+// Ps, and no reader is left running when it returns. The logs of runs 2
+// and 4 are FIFOs, held open for 50 and 200 ms: while run 2 loads, readers
+// claim run 4 and block on it, so a Condition that returned without
+// waiting for its readers leaves one behind for 150 ms.
+func TestConditionFailsAtFirstBrokenRun(t *testing.T) {
+	rs := manyRunStore(t, 10)
+	if err := os.Remove(filepath.Join(rs.runRoot(3), "runinfo.json")); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(rs.runDir(7, "A"), "packets.jsonl"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"time":"2014-05-19T12:07:02Z","dir":"tx","id":2,"tag":0,"src":"A","dst":"B","data":"Q Q=="}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	holds := map[string]time.Duration{}
+	for run, d := range map[int]time.Duration{2: 50 * time.Millisecond, 4: 200 * time.Millisecond} {
+		fifo := filepath.Join(rs.runDir(run, "A"), "log.txt")
+		if err := os.Remove(fifo); err != nil {
+			t.Fatal(err)
+		}
+		if err := syscall.Mkfifo(fifo, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		holds[fifo] = d
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want string
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		var ends []func()
+		for fifo, d := range holds {
+			ends = append(ends, holdOpen(t, fifo, d))
+		}
+		before := runtime.NumGoroutine()
+		_, err := Condition(rs, Meta{})
+		// A reader that returned its run may still be on its way out:
+		// allow it 50 ms, less than what is left of run 4's hold.
+		after := runtime.NumGoroutine()
+		for deadline := time.Now().Add(50 * time.Millisecond); after > before && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+			after = runtime.NumGoroutine()
+		}
+		for _, end := range ends {
+			end()
+		}
+		if err == nil {
+			t.Fatalf("GOMAXPROCS %d: a store without run 3's runinfo conditioned", procs)
+		}
+		if procs == 1 {
+			want = err.Error()
+			if !strings.HasPrefix(want, "store: run 3 has no runinfo: ") {
+				t.Fatalf("GOMAXPROCS 1: error %q is not run 3's", want)
+			}
+		} else if err.Error() != want {
+			t.Errorf("GOMAXPROCS %d: error %q, GOMAXPROCS 1 gave %q", procs, err, want)
+		}
+		if after > before {
+			t.Errorf("GOMAXPROCS %d: %d goroutines after Condition returned, %d before", procs, after, before)
 		}
 	}
 }

@@ -60,6 +60,8 @@ type op struct {
 	name  string
 	span  uint64
 	start time.Time
+	// wait is the time conditioning's inserter waited for a run's rows.
+	wait time.Duration
 }
 
 // begin opens the span of one operation ("condition", "save", "open").
@@ -72,6 +74,23 @@ func (o Obs) begin(name string) op {
 		span: o.Tracer.Begin(0, "store", "store", "store."+name, 0, 0, nil),
 		//lint:ignore walltime operation duration is an operator metric measuring real elapsed time
 		start: time.Now(),
+	}
+}
+
+// clock reads the wall clock for an instrumented operation; an
+// uninstrumented one gets the zero time and reads no clock.
+func (p *op) clock() (t time.Time) {
+	if p.o != (Obs{}) {
+		//lint:ignore walltime operation duration is an operator metric measuring real elapsed time
+		t = time.Now()
+	}
+	return t
+}
+
+// waited adds the time since t, a clock reading, to the operation's wait.
+func (p *op) waited(t time.Time) {
+	if p.o != (Obs{}) {
+		p.wait += time.Since(t)
 	}
 }
 
@@ -103,6 +122,9 @@ func (p op) end(db *reldb.DB, st readStats, err error) {
 		// The tracer may run on a virtual clock, on which the span
 		// itself has no extent.
 		"wall_ms": strconv.FormatFloat(float64(wall.Microseconds())/1e3, 'f', 3, 64),
+	}
+	if p.name == "condition" {
+		args["wait_ms"] = strconv.FormatFloat(float64(p.wait.Microseconds())/1e3, 'f', 3, 64)
 	}
 	reg := p.o.Metrics
 	if err != nil {

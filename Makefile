@@ -35,7 +35,7 @@ fmt:
 
 # lint runs the repo's invariant linter (DESIGN.md §10, §15): the driver
 # type-checks the module's packages serially in dependency order and runs
-# all seven checks module-wide. Exit 1 on any finding, exit 2 when any
+# all six checks module-wide. Exit 1 on any finding, exit 2 when any
 # package fails to load (partial analysis never passes).
 # TestLoadTimingGuard in internal/lint keeps the whole-module load inside
 # its time budget and requires every package type-checked.

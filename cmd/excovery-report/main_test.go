@@ -138,6 +138,45 @@ func TestReportEventsAndCSV(t *testing.T) {
 	}
 }
 
+// TestReportPacketsInNodeOrder: with three searching nodes, -packets
+// prints each node's queries in node-id order, the same bytes every time.
+func TestReportPacketsInNodeOrder(t *testing.T) {
+	e, err := desc.Builtin("exp-e-meshwide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Repl.Count = 1
+	f := &e.Factors[0]
+	f.Levels = f.Levels[:1]
+	f.Levels[0].ActorMap["actor1"] = []string{"U", "R1", "R0"}
+	path := buildDB(t, e)
+	var first string
+	for i := 0; i < 16; i++ {
+		var out bytes.Buffer
+		if code := run([]string{"-packets", "-run", "0", path}, &out, &out); code != 0 {
+			t.Fatalf("-packets: exit %d: %s", code, out.String())
+		}
+		if i > 0 {
+			if out.String() != first {
+				t.Fatalf("-packets call %d differs:\n%s\nfirst:\n%s", i, out.String(), first)
+			}
+			continue
+		}
+		first = out.String()
+		var from []string
+		for _, l := range strings.Split(first, "\n") {
+			if _, rest, ok := strings.Cut(l, " from "); ok {
+				if node, _, _ := strings.Cut(rest, ":"); len(from) == 0 || from[len(from)-1] != node {
+					from = append(from, node)
+				}
+			}
+		}
+		if strings.Join(from, ",") != "R0,R1,U" {
+			t.Fatalf("querying nodes in order %v, want [R0 R1 U]:\n%s", from, first)
+		}
+	}
+}
+
 // TestReportBadUsage pins the CLI error paths: missing argument and a
 // nonexistent database exit non-zero without panicking.
 func TestReportBadUsage(t *testing.T) {

@@ -546,6 +546,49 @@ func TestFig6ProcessTemplates(t *testing.T) {
 // TestExperimentModelRoundTrip covers the Fig. 1 model end to end: an
 // experiment exercising every description feature encodes to XML and
 // parses back without loss.
+// TestEncodeIsByteStable: a description whose maps — an actor-map level,
+// an action's parameters and factor references, a wait's parameters —
+// hold keys in an order that no rotation sorts encodes to the same bytes
+// every time, with the keys in sorted order. The level-1 document is stored with every run, so its bytes are
+// part of the repeatability contract.
+func TestEncodeIsByteStable(t *testing.T) {
+	e := &Experiment{
+		Name:          "stable",
+		AbstractNodes: []string{"A", "B", "C"},
+		Factors: []Factor{ActorMapFactor("f_map", UsageBlocking, map[string][]string{
+			"actor1": {"B"}, "actor0": {"A"}, "actor2": {"C"},
+		})},
+		Repl: Replication{ID: "rep", Count: 1},
+	}
+	e.NodeProcesses = []NodeProcess{{Actor: "actor0", Name: "X", NodesRef: "f_map",
+		Actions: []Action{
+			Act("custom", "b", "2", "a", "1", "c", "3").
+				WithFactorRef("y", "f_map").WithFactorRef("x", "f_map").WithFactorRef("z", "f_map"),
+			WaitEvent(WaitSpec{Event: "ev", Params: map[string]string{"q": "2", "p": "1", "r": "3"}}),
+		}}}
+	first, err := EncodeString(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, keys := range [][]string{
+		{`<actor id="actor0">`, `<actor id="actor1">`, `<actor id="actor2">`},
+		{"<a>", "<b>", "<c>"},
+		{"<x><factorref", "<y><factorref", "<z><factorref"},
+		{`<param key="p">`, `<param key="q">`, `<param key="r">`},
+	} {
+		for i := 1; i < len(keys); i++ {
+			if prev := strings.Index(first, keys[i-1]); prev < 0 || prev > strings.Index(first, keys[i]) {
+				t.Fatalf("%s encoded after %s:\n%s", keys[i-1], keys[i], first)
+			}
+		}
+	}
+	for i := 0; i < 64; i++ {
+		if doc, err := EncodeString(e); err != nil || doc != first {
+			t.Fatalf("encode %d differs (err %v):\n%s\nfirst:\n%s", i, err, doc, first)
+		}
+	}
+}
+
 func TestExperimentModelRoundTrip(t *testing.T) {
 	e := &Experiment{
 		Name:             "full-model",

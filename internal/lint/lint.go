@@ -17,7 +17,7 @@
 // cycle detection, which crosses package boundaries). Every finding of
 // either hook passes one suppression filter.
 //
-// Seven repo-specific analyzers run over every non-test file of the module:
+// Six repo-specific analyzers run over every non-test file of the module:
 //
 //	walltime      — no time.Now() outside the allowlisted wall-clock
 //	                sites; deterministic paths read an injected
@@ -34,12 +34,13 @@
 //	                and Unlock() of a mutex within a function.
 //	lockorder     — the cross-package lock-acquisition graph (keyed on
 //	                type.field mutex identity) is cycle-free.
-//	maporder      — no range over a map whose body reaches a
-//	                determinism-sensitive sink (Emit, RPC fan-out,
-//	                journal append, encoder, gauge export).
 //	errdrop       — no discarded error returns from durability-critical
 //	                calls (fsio helpers, file Sync/Write, Close on
 //	                written files, journal appends).
+//
+// Map iteration order has no analyzer: tests hold it, the byte pins of
+// the encoders and of the stored levels 2 and 3, and order tests where
+// the order shows elsewhere (DESIGN.md §15.4).
 //
 // A finding is suppressed by the comment
 //
@@ -97,7 +98,7 @@ type Analyzer struct {
 	RunModule func(m *Module) []Diagnostic
 }
 
-// All returns the full seven-analyzer suite in stable order.
+// All returns the full six-analyzer suite in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Walltime(),
@@ -105,7 +106,6 @@ func All() []*Analyzer {
 		Durablerename(),
 		Mutexheldio(),
 		Lockorder(),
-		Maporder(),
 		Errdrop(),
 	}
 }
@@ -321,7 +321,7 @@ func (m *Module) typecheckAll(byPath map[string]*Package) {
 	sort.Slice(m.Pkgs, func(i, j int) bool { return m.Pkgs[i].Path < m.Pkgs[j].Path })
 	m.Stats.Packages = len(m.Pkgs)
 
-	imp := &stdImporter{gc: importer.Default(), src: importer.ForCompiler(m.Fset, "source", nil)}
+	imp := importer.Default()
 	const (
 		onStack = 1
 		done    = 2
@@ -576,20 +576,6 @@ func (im *modImporter) Import(path string) (*types.Package, error) {
 		return p.Types, nil
 	}
 	return im.std.Import(path)
-}
-
-// stdImporter imports the standard library from compiled export data when
-// available (fast), falling back to source for toolchains that ship no
-// precompiled standard library.
-type stdImporter struct {
-	gc, src types.Importer
-}
-
-func (im *stdImporter) Import(path string) (*types.Package, error) {
-	if p, err := im.gc.Import(path); err == nil {
-		return p, nil
-	}
-	return im.src.Import(path)
 }
 
 // modulePath extracts the module path from a go.mod file.

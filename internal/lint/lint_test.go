@@ -150,11 +150,6 @@ func TestLockorderGolden(t *testing.T) {
 	}
 }
 
-func TestMaporderGolden(t *testing.T) {
-	mod := loadFixture(t, "maporder", "excovery/internal/core/testcase")
-	checkGolden(t, mod, Maporder())
-}
-
 func TestErrdropGolden(t *testing.T) {
 	mod := loadFixture(t, "errdrop", "excovery/internal/store")
 	checkGolden(t, mod, Errdrop())

@@ -80,9 +80,11 @@ func (m *Master) fanInMetrics(run int) *campaignDoc {
 		Set(int64(len(sources)))
 	m.cfg.Status.FanIn(len(sources))
 
-	// Sorted iteration both times: gauge re-export order decides metric
-	// registration order, which must be seed-stable for the campaign
-	// artifact diffs (and the maporder analyzer holds us to it).
+	// Sources are summed in host-key order: float addition is not
+	// associative, so the order of the sum decides the fleet rollups'
+	// bytes in campaign_metrics.json (TestFanInRollupIsByteIdentical).
+	// Registration order does not matter: the registry sorts family
+	// names and label sets itself.
 	srcs := make([]string, 0, len(sources))
 	for src := range sources {
 		srcs = append(srcs, src)

@@ -80,6 +80,50 @@ func TestRegistryPrometheusFormat(t *testing.T) {
 	}
 }
 
+// TestRegistryExportsInNameOrder: families and series registered in an
+// order that no rotation sorts export sorted by name and label set, the
+// same every time — in the /metrics exposition and in the snapshot that
+// the campaign fan-in writes to campaign_metrics.json.
+func TestRegistryExportsInNameOrder(t *testing.T) {
+	r := NewRegistry()
+	for _, name := range []string{"x_b_total", "x_a_total", "x_c_total"} {
+		for _, v := range []string{"2", "1", "3"} {
+			r.Counter(name, "", "k", v).Inc()
+		}
+	}
+	var want []string
+	for _, name := range []string{"x_a_total", "x_b_total", "x_c_total"} {
+		for _, v := range []string{"1", "2", "3"} {
+			want = append(want, name+" k="+v)
+		}
+	}
+	var first string
+	for i := 0; i < 64; i++ {
+		var got []string
+		for _, p := range r.Snapshot() {
+			got = append(got, p.Name+" "+strings.Join(p.Labels, "="))
+		}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("snapshot %d order = %v, want %v", i, got, want)
+		}
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = b.String()
+			ia := strings.Index(first, "# HELP x_a_total")
+			ib := strings.Index(first, "# HELP x_b_total")
+			ic := strings.Index(first, "# HELP x_c_total")
+			if ia < 0 || ia > ib || ib > ic {
+				t.Fatalf("exposition not in name order:\n%s", first)
+			}
+		} else if b.String() != first {
+			t.Fatalf("exposition %d differs:\n%s\nfirst:\n%s", i, b.String(), first)
+		}
+	}
+}
+
 func TestRegistrySameSeriesSameInstrument(t *testing.T) {
 	r := NewRegistry()
 	a := r.Counter("x_total", "", "m", "1")

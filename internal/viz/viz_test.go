@@ -49,6 +49,31 @@ func TestTimelineBasics(t *testing.T) {
 	}
 }
 
+// TestTimelineLanesInNodeOrder: nodes first seen in an order that no
+// rotation sorts get their lanes in node order, the same every time.
+func TestTimelineLanesInNodeOrder(t *testing.T) {
+	events := []eventlog.Event{
+		ev("B", "sd_start_search", 0),
+		ev("A", "sd_start_publish", time.Second),
+		ev("C", "sd_service_add", 2*time.Second),
+	}
+	first := Timeline(events, 40)
+	var lanes []string
+	for _, l := range strings.Split(first, "\n") {
+		if name, _, ok := strings.Cut(strings.TrimSpace(l), "  |"); ok {
+			lanes = append(lanes, name)
+		}
+	}
+	if strings.Join(lanes, ",") != "A,B,C" {
+		t.Fatalf("lanes %v, want [A B C]:\n%s", lanes, first)
+	}
+	for i := 0; i < 64; i++ {
+		if got := Timeline(events, 40); got != first {
+			t.Fatalf("call %d differs:\n%s\nfirst:\n%s", i, got, first)
+		}
+	}
+}
+
 func TestTimelineEmptyAndZeroSpan(t *testing.T) {
 	if got := Timeline(nil, 40); !strings.Contains(got, "no events") {
 		t.Fatalf("empty = %q", got)

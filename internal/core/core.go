@@ -137,19 +137,6 @@ type Experiment struct {
 	j    *store.Journal
 }
 
-// handle adapts node.Manager to master.NodeHandle.
-type handle struct{ m *node.Manager }
-
-func (h handle) ID() string                                  { return h.m.ID() }
-func (h handle) PrepareRun(run int)                          { h.m.PrepareRun(run) }
-func (h handle) CleanupRun(run int)                          { h.m.CleanupRun(run) }
-func (h handle) Execute(a string, p map[string]string) error { return h.m.Execute(a, p) }
-func (h handle) Emit(t string, p map[string]string)          { h.m.Emit(t, p) }
-func (h handle) LocalTime() time.Time                        { return h.m.LocalTime() }
-func (h handle) HarvestEvents(run int) []eventlog.Event      { return h.m.Recorder().RunEvents(run) }
-func (h handle) HarvestPackets() []store.PacketRecord        { return h.m.HarvestRun() }
-func (h handle) HarvestExtras() []store.ExtraMeasurement     { return h.m.HarvestExtras() }
-
 // applyEEParams folds the description's EE-specific parameters (§IV-E:
 // "expose specific parameters used in the implementation to the
 // description file") into zero-valued options, so a document alone can
@@ -319,13 +306,11 @@ func New(e *desc.Experiment, opts Options) (*Experiment, error) {
 		aseed := seeds.Derive(seeds.Key{Tag: seeds.AgentSeed, Seed: seed, ID: id})
 		switch proto {
 		case "zeroconf":
-			return zeroconf.New(s, nd, zeroconf.Config{Scheme: scheme}, sink, aseed), nil
+			return zeroconf.New(s, nd, scheme, sink, aseed), nil
 		case "scmdir":
-			return scmdir.New(s, nd, scmdir.Config{}, sink, aseed), nil
+			return scmdir.New(s, nd, sink, aseed), nil
 		case "hybrid":
-			cfg := hybrid.Config{}
-			cfg.Zeroconf.Scheme = scheme
-			return hybrid.New(s, nd, cfg, sink, aseed), nil
+			return hybrid.New(s, nd, scheme, sink, aseed), nil
 		default:
 			return nil, fmt.Errorf("core: unknown sd_protocol %q", proto)
 		}
@@ -365,7 +350,7 @@ func New(e *desc.Experiment, opts Options) (*Experiment, error) {
 			}
 		})
 		x.Managers[id] = mgr
-		handles[id] = handle{mgr}
+		handles[id] = mgr
 	}
 
 	x.Env = NewEnvExec(s, nw, actorIDs, envIDs, func(typ string, params map[string]string) {

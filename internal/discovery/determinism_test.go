@@ -14,7 +14,6 @@ import (
 	"excovery/internal/discovery"
 	"excovery/internal/eventlog"
 	"excovery/internal/master"
-	"excovery/internal/node"
 	"excovery/internal/sched"
 	"excovery/internal/store"
 )
@@ -25,20 +24,6 @@ import (
 // registry-backed fleet places the campaign on replica A and — when A is
 // "killed" — re-places it on replica B, exactly like the distributed
 // failover path but with every source of nondeterminism pinned.
-
-// mgrHandle adapts node.Manager to master.NodeHandle (the in-process
-// shape of the control channel, cf. internal/core's adapter).
-type mgrHandle struct{ m *node.Manager }
-
-func (h mgrHandle) ID() string                                  { return h.m.ID() }
-func (h mgrHandle) PrepareRun(run int)                          { h.m.PrepareRun(run) }
-func (h mgrHandle) CleanupRun(run int)                          { h.m.CleanupRun(run) }
-func (h mgrHandle) Execute(a string, p map[string]string) error { return h.m.Execute(a, p) }
-func (h mgrHandle) Emit(t string, p map[string]string)          { h.m.Emit(t, p) }
-func (h mgrHandle) LocalTime() time.Time                        { return h.m.LocalTime() }
-func (h mgrHandle) HarvestEvents(run int) []eventlog.Event      { return h.m.Recorder().RunEvents(run) }
-func (h mgrHandle) HarvestPackets() []store.PacketRecord        { return h.m.HarvestRun() }
-func (h mgrHandle) HarvestExtras() []store.ExtraMeasurement     { return h.m.HarvestExtras() }
 
 // vhost is one virtual node host: a platform replica plus the fencing
 // state a real noderpc.Host keeps (accepted epoch high-water mark).
@@ -206,7 +191,7 @@ func runVirtualCampaign(t *testing.T, kill bool) campaignResult {
 		}
 		hnd := make(map[string]master.NodeHandle, len(x.Managers))
 		for nid, mgr := range x.Managers {
-			hnd[nid] = mgrHandle{mgr}
+			hnd[nid] = mgr
 		}
 		return &vhost{id: id, x: x, hnd: hnd}
 	}

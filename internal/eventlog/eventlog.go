@@ -78,12 +78,6 @@ type Match struct {
 	// Params are required parameter values; a parameter mapped to "" only
 	// requires presence. Events may carry additional parameters.
 	Params map[string]string
-	// ParamAnyOf, if non-empty, requires that the named parameter's value
-	// is one of the listed values (the paper's param_dependency against a
-	// node set, e.g. "sd_service_add with parameter in instances of
-	// actor0").
-	ParamKey   string
-	ParamAnyOf []string
 }
 
 // Matches reports whether ev satisfies the match.
@@ -109,22 +103,6 @@ func (m Match) Matches(ev Event) bool {
 			return false
 		}
 		if v != "" && got != v {
-			return false
-		}
-	}
-	if m.ParamKey != "" && len(m.ParamAnyOf) > 0 {
-		got, present := ev.Params[m.ParamKey]
-		if !present {
-			return false
-		}
-		ok := false
-		for _, v := range m.ParamAnyOf {
-			if got == v {
-				ok = true
-				break
-			}
-		}
-		if !ok {
 			return false
 		}
 	}

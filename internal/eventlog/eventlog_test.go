@@ -176,8 +176,6 @@ func TestMatchSemantics(t *testing.T) {
 		{"param wrong value", Match{Params: map[string]string{"service": "X"}}, false},
 		{"param any value (presence)", Match{Params: map[string]string{"extra": ""}}, true},
 		{"param missing", Match{Params: map[string]string{"nope": ""}}, false},
-		{"param any-of hit", Match{ParamKey: "service", ParamAnyOf: []string{"A", "B"}}, true},
-		{"param any-of miss", Match{ParamKey: "service", ParamAnyOf: []string{"C"}}, false},
 		{"combined", Match{Type: "sd_service_add", Nodes: []string{"A"}, Params: map[string]string{"service": "B"}}, true},
 	}
 	for _, c := range cases {

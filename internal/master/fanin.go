@@ -100,15 +100,10 @@ func (m *Master) fanInMetrics(run int) *campaignDoc {
 			fleet[name] += value
 		}
 	}
-	rollups := make([]string, 0, len(fleet))
-	for name := range fleet {
-		rollups = append(rollups, name)
-	}
-	sort.Strings(rollups)
-	for _, name := range rollups {
+	for name, value := range fleet {
 		m.cfg.Metrics.Gauge(obs.MFleetPrefix+name,
 			"fan-in rollup: the node-host series summed across all reporting hosts").
-			Set(int64(fleet[name]))
+			Set(int64(value))
 	}
 	return &campaignDoc{Run: run, Sources: sources, Fleet: fleet}
 }

@@ -205,9 +205,6 @@ type Config struct {
 	// Store receives level-2 data; nil keeps measurements in memory
 	// only (events remain available through the Report).
 	Store *store.RunStore
-	// Ref is the master's reference clock; nil means the scheduler
-	// clock.
-	Ref vclock.Clock
 	// MaxRunTime bounds one run's execution phase; 0 means 120 s.
 	MaxRunTime time.Duration
 	// Resume skips runs already marked done in the store.
@@ -258,9 +255,9 @@ type Config struct {
 type RunResult struct {
 	// Run is the plan entry.
 	Run desc.Run
-	// Start is the run's start on the reference clock.
+	// Start is the run's start on the reference clock (the scheduler's).
 	Start time.Time
-	// Duration is the wall (virtual) duration of the run.
+	// Duration is the run's length on the reference clock.
 	Duration time.Duration
 	// Timeouts counts expired waits across all processes.
 	Timeouts int
@@ -346,9 +343,6 @@ func New(cfg Config) (*Master, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Ref == nil {
-		cfg.Ref = vclock.Perfect{S: cfg.S}
-	}
 	if cfg.MaxRunTime == 0 {
 		cfg.MaxRunTime = 120 * time.Second
 	}
@@ -365,9 +359,9 @@ func New(cfg Config) (*Master, error) {
 		// tracer.
 		cfg.Store.Obs = store.Obs{Metrics: cfg.Metrics, Tracer: cfg.Tracer}
 	}
-	m := &Master{cfg: cfg, plan: plan,
-		est: &timesync.Estimator{Ref: cfg.Ref, Samples: 3},
-	}
+	// The master's reference clock is the scheduler's.
+	ref := vclock.Perfect{S: cfg.S}
+	m := &Master{cfg: cfg, plan: plan, est: &timesync.Estimator{Ref: ref}}
 	// Node order and the encoded description are fixed for the master's
 	// lifetime; compute them once instead of per use (the description is
 	// needed by the manifest, the level-2 store and conditioning, the
@@ -383,7 +377,7 @@ func New(cfg Config) (*Master, error) {
 		return nil, fmt.Errorf("master: encode description: %w", err)
 	}
 	m.expXML = xml
-	m.rec = eventlog.NewRecorder("env", cfg.Ref, func(ev eventlog.Event) { cfg.Bus.Publish(ev) })
+	m.rec = eventlog.NewRecorder("env", ref, func(ev eventlog.Event) { cfg.Bus.Publish(ev) })
 	return m, nil
 }
 
@@ -770,7 +764,7 @@ func rawTreatment(run desc.Run) map[string]string {
 // executeRun performs one run attempt's three phases.
 func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	s := m.cfg.S
-	rr := RunResult{Run: run, Start: m.cfg.Ref.Now(), Attempts: attempt}
+	rr := RunResult{Run: run, Start: s.Now(), Attempts: attempt}
 
 	// Observability: one span per attempt (experiment → run), annotated
 	// with the derived run seed and the applied treatment so a trace is
@@ -819,7 +813,7 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	if nodeErrs, err := m.preflight(run); err != nil {
 		rr.Err = err
 		rr.NodeErrs = nodeErrs
-		rr.Duration = m.cfg.Ref.Now().Sub(rr.Start)
+		rr.Duration = s.Now().Sub(rr.Start)
 		rr.Events = m.cfg.Bus.Snapshot()
 		m.cfg.Tracer.EndWith(prepSpan, map[string]string{"err": err.Error()})
 		endRun()
@@ -997,7 +991,7 @@ func (m *Master) executeRun(run desc.Run, attempt int) RunResult {
 	// recorded before them, carried or pushed, is published by now.
 	m.publishNodesCarried(true)
 	m.cfg.Tracer.End(cleanSpan)
-	rr.Duration = m.cfg.Ref.Now().Sub(rr.Start)
+	rr.Duration = s.Now().Sub(rr.Start)
 	rr.Events = m.cfg.Bus.Snapshot()
 
 	// Control-channel accounting: a run whose node proxies swallowed

@@ -23,6 +23,8 @@ type stubNode struct {
 	fail  map[string]bool
 	failN map[string]int // fail an action the first n times, then succeed
 	hang  map[string]bool
+	// preparedAt is the scheduler time of the last PrepareRun.
+	preparedAt time.Time
 }
 
 func newStub(id string, s *sched.Scheduler, bus *eventlog.Bus) *stubNode {
@@ -35,6 +37,7 @@ func newStub(id string, s *sched.Scheduler, bus *eventlog.Bus) *stubNode {
 
 func (n *stubNode) ID() string { return n.id }
 func (n *stubNode) PrepareRun(run int) {
+	n.preparedAt = n.s.Now()
 	n.rec.SetRun(run)
 	n.calls = append(n.calls, fmt.Sprintf("prepare:%d", run))
 }
@@ -202,6 +205,46 @@ func TestMaxRunTimeAborts(t *testing.T) {
 	}
 	if _, ok := f.bus.FindFirst(eventlog.Match{Type: "run_aborted"}); !ok {
 		t.Fatal("no run_aborted event")
+	}
+}
+
+// TestRunDurationIsVirtual pins RunResult.Duration to the scheduler clock:
+// from the run's preparation to its clean-up, both read in virtual time,
+// for a completed run that waits 2.5 s and for a run aborted by
+// MaxRunTime, whose hung task outlives the one-second grace the master
+// gives cancelled tasks. Nothing else in the stub runs takes virtual time.
+func TestRunDurationIsVirtual(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		aborted bool
+		want    time.Duration
+	}{
+		{"completed", false, 2500 * time.Millisecond},
+		{"aborted", true, 10*time.Second + time.Second},
+	} {
+		e := twoNodeExp(1)
+		e.NodeProcesses[0].Actions = []desc.Action{
+			desc.Act("alpha"),
+			desc.WaitTime(2.5),
+			desc.WaitEvent(desc.WaitSpec{Event: "go"}),
+			desc.Act("omega"),
+		}
+		var f *fixture
+		var end time.Time
+		m, f := newFixture(t, e, func(cfg *Config) {
+			cfg.MaxRunTime = 10 * time.Second
+			cfg.OnRunDone = func(_ desc.Run, _ RunResult) { end = f.s.Now() }
+		})
+		f.a.hang["omega"] = c.aborted
+		rep := runMaster(t, m, f.s)
+		rr := rep.Results[0]
+		if rr.Aborted != c.aborted || (!c.aborted && rr.Err != nil) {
+			t.Fatalf("%s: aborted=%v err=%v", c.name, rr.Aborted, rr.Err)
+		}
+		if got := end.Sub(f.a.preparedAt); rr.Duration != got || rr.Duration != c.want {
+			t.Errorf("%s: Duration = %v, want %v (prepare to run end on the scheduler clock: %v)",
+				c.name, rr.Duration, c.want, got)
+		}
 	}
 }
 

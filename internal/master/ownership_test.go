@@ -13,19 +13,31 @@ import (
 	"excovery/internal/store"
 )
 
-// emuNode adapts a node.Manager on an emulated network to NodeHandle, as
-// the in-process platform (internal/core) does.
-type emuNode struct{ m *node.Manager }
+// TestManagerIsAPlainHandle: the in-process node.Manager is the master's
+// NodeHandle as it is, with no adapter. It must implement none of the
+// optional extensions, whose presence switches the master onto the
+// control-channel paths (health probes, carried events, host groups).
+func TestManagerIsAPlainHandle(t *testing.T) {
+	var h NodeHandle = (*node.Manager)(nil)
+	for name, ok := range map[string]bool{
+		"HealthChecker":     is[HealthChecker](h),
+		"runErrorer":        is[runErrorer](h),
+		"eventCarrier":      is[eventCarrier](h),
+		"traceParentSetter": is[traceParentSetter](h),
+		"traceHarvester":    is[traceHarvester](h),
+		"metricSnapshotter": is[metricSnapshotter](h),
+		"hostMember":        is[hostMember](h),
+	} {
+		if ok {
+			t.Errorf("node.Manager implements %s", name)
+		}
+	}
+}
 
-func (h emuNode) ID() string                                  { return h.m.ID() }
-func (h emuNode) PrepareRun(run int)                          { h.m.PrepareRun(run) }
-func (h emuNode) CleanupRun(run int)                          { h.m.CleanupRun(run) }
-func (h emuNode) Execute(a string, p map[string]string) error { return h.m.Execute(a, p) }
-func (h emuNode) Emit(t string, p map[string]string)          { h.m.Emit(t, p) }
-func (h emuNode) LocalTime() time.Time                        { return h.m.LocalTime() }
-func (h emuNode) HarvestEvents(run int) []eventlog.Event      { return h.m.Recorder().RunEvents(run) }
-func (h emuNode) HarvestPackets() []store.PacketRecord        { return h.m.HarvestRun() }
-func (h emuNode) HarvestExtras() []store.ExtraMeasurement     { return h.m.HarvestExtras() }
+func is[T any](h NodeHandle) bool {
+	_, ok := h.(T)
+	return ok
+}
 
 // TestQueuedHarvestsSurviveLaterRuns is the ownership rule of the capture
 // path (DESIGN.md §18) at the place that depends on it: a collected harvest
@@ -72,7 +84,7 @@ func TestQueuedHarvestsSurviveLaterRuns(t *testing.T) {
 	runs := commitQueueDepth + 3
 	m, err := New(Config{
 		Exp: twoNodeExp(runs), S: s, Bus: bus, Store: st,
-		Nodes: map[string]NodeHandle{"A": emuNode{mgrs["A"]}, "B": emuNode{mgrs["B"]}},
+		Nodes: map[string]NodeHandle{"A": mgrs["A"], "B": mgrs["B"]},
 	})
 	if err != nil {
 		t.Fatal(err)

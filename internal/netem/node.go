@@ -130,7 +130,7 @@ func (n *Node) SetCapture(on bool) { n.capturing = on }
 // Captures returns the packets captured since the last ClearCaptures. The
 // result is a view of node-owned memory, valid until the next ClearCaptures:
 // the next run overwrites the records and the paths they point to. Whoever
-// keeps captures longer copies them out (node.Manager.HarvestRun).
+// keeps captures longer copies them out (node.Manager.HarvestPackets).
 func (n *Node) Captures() []Capture { return n.captures }
 
 // ClearCaptures discards the captured packets (between runs) and keeps the

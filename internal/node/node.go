@@ -165,12 +165,15 @@ func (m *Manager) runParamsOf(run int) map[string]string {
 	return m.runParams
 }
 
-// HarvestRun returns and clears the packet captures of the current run. It
-// is the one place captures leave node-owned memory: the records are a copy
-// (store.FromCaptures), so whoever holds them — the master's committer, an
-// RPC reply being encoded — is unaffected by the next run overwriting the
-// node's buffers.
-func (m *Manager) HarvestRun() []store.PacketRecord {
+// HarvestEvents returns the node's recorded events of the run.
+func (m *Manager) HarvestEvents(run int) []eventlog.Event { return m.rec.RunEvents(run) }
+
+// HarvestPackets returns and clears the packet captures of the current run.
+// It is the one place captures leave node-owned memory: the records are a
+// copy (store.FromCaptures), so whoever holds them — the master's
+// committer, an RPC reply being encoded — is unaffected by the next run
+// overwriting the node's buffers.
+func (m *Manager) HarvestPackets() []store.PacketRecord {
 	out := store.FromCaptures(m.nd.Captures())
 	m.nd.ClearCaptures()
 	return out

@@ -31,7 +31,7 @@ func newRig(t *testing.T) *rig {
 		id := id
 		nd := nw.AddNode(netem.NodeID(id), netem.NodeParams{})
 		rec := eventlog.NewRecorder(id, vclock.Perfect{S: s}, func(ev eventlog.Event) { bus.Publish(ev) })
-		agent := zeroconf.New(s, nd, zeroconf.Config{}, func(typ string, p map[string]string) {
+		agent := zeroconf.New(s, nd, "", func(typ string, p map[string]string) {
 			rec.Emit(typ, p)
 		}, int64(len(id)))
 		mgr := New(s, nd, rec, agent)
@@ -304,7 +304,7 @@ func TestHarvestRunPackets(t *testing.T) {
 		a.Node().Send(netem.Unicast("b"), "sd", []byte("ping"))
 		r.s.Sleep(10 * time.Millisecond)
 	})
-	pkts := a.HarvestRun()
+	pkts := a.HarvestPackets()
 	if len(pkts) != 1 || pkts[0].Dir != "tx" || string(pkts[0].Data) != "ping" {
 		t.Fatalf("a packets = %+v", pkts)
 	}
@@ -312,11 +312,11 @@ func TestHarvestRunPackets(t *testing.T) {
 	if pkts[0].Tag == 0 {
 		t.Fatal("packet tagger inactive")
 	}
-	if got := b.HarvestRun(); len(got) != 1 || got[0].Dir != "rx" {
+	if got := b.HarvestPackets(); len(got) != 1 || got[0].Dir != "rx" {
 		t.Fatalf("b packets = %+v", got)
 	}
 	// Harvest clears.
-	if len(a.HarvestRun()) != 0 {
+	if len(a.HarvestPackets()) != 0 {
 		t.Fatal("harvest did not clear captures")
 	}
 }

@@ -629,7 +629,7 @@ func (h *Host) Server() *xmlrpc.Server {
 			return nil, fmt.Errorf("no node %q", id)
 		}
 		var events []eventlog.Event
-		s.InjectWait("rpc harvest_events", func() { events = mgr.Recorder().RunEvents(run) })
+		s.InjectWait("rpc harvest_events", func() { events = mgr.HarvestEvents(run) })
 		var buf []byte
 		for i := range events {
 			if buf, err = store.AppendEventLine(buf, &events[i]); err != nil {
@@ -647,11 +647,11 @@ func (h *Host) Server() *xmlrpc.Server {
 		if mgr == nil {
 			return nil, fmt.Errorf("no node %q", id)
 		}
-		// The harvest owns its memory (node.Manager.HarvestRun), so it is
+		// The harvest owns its memory (node.Manager.HarvestPackets), so it is
 		// encoded here, off the scheduler: the emulation does not wait for
 		// encoding/json.
 		var pkts []store.PacketRecord
-		s.InjectWait("rpc harvest_packets", func() { pkts = mgr.HarvestRun() })
+		s.InjectWait("rpc harvest_packets", func() { pkts = mgr.HarvestPackets() })
 		data, err := json.Marshal(pkts)
 		if err != nil {
 			return nil, err

@@ -21,14 +21,6 @@ import (
 	"excovery/internal/seeds"
 )
 
-// Config bundles the sub-protocol configurations.
-type Config struct {
-	// Zeroconf configures the two-party path.
-	Zeroconf zeroconf.Config
-	// Directory configures the three-party path.
-	Directory scmdir.Config
-}
-
 const (
 	childZC = iota
 	childDir
@@ -46,8 +38,9 @@ type Agent struct {
 	insts   map[string]sd.Instance
 }
 
-// New creates a hybrid agent on a node.
-func New(s *sched.Scheduler, node *netem.Node, cfg Config, emit sd.EventSink, seed int64) *Agent {
+// New creates a hybrid agent on a node. scheme selects active or passive
+// discovery on the two-party path; "" means active.
+func New(s *sched.Scheduler, node *netem.Node, scheme sd.Scheme, emit sd.EventSink, seed int64) *Agent {
 	if emit == nil {
 		emit = func(string, map[string]string) {}
 	}
@@ -56,9 +49,9 @@ func New(s *sched.Scheduler, node *netem.Node, cfg Config, emit sd.EventSink, se
 		present: make(map[string]map[int]bool),
 		insts:   make(map[string]sd.Instance),
 	}
-	a.zc = zeroconf.New(s, node, cfg.Zeroconf, a.childSink(childZC),
+	a.zc = zeroconf.New(s, node, scheme, a.childSink(childZC),
 		seeds.Derive(seeds.Key{Tag: seeds.HybridZC, Seed: seed}))
-	a.dir = scmdir.New(s, node, cfg.Directory, a.childSink(childDir),
+	a.dir = scmdir.New(s, node, a.childSink(childDir),
 		seeds.Derive(seeds.Key{Tag: seeds.HybridDir, Seed: seed}))
 	return a
 }

@@ -29,7 +29,7 @@ func newRig(t *testing.T, n int) *rig {
 		sink := func(typ string, p map[string]string) {
 			r.events[id] = append(r.events[id], typ)
 		}
-		a := New(s, nw.Node(id), Config{}, sink, int64(300+i))
+		a := New(s, nw.Node(id), "", sink, int64(300+i))
 		nw.Node(id).SetHandler(func(p *netem.Packet) {
 			if p.Proto == "sd" {
 				a.HandlePacket(p)
@@ -110,9 +110,6 @@ func TestHybridDeduplicatesAcrossPaths(t *testing.T) {
 }
 
 func TestHybridDelOnlyWhenGoneFromBothPaths(t *testing.T) {
-	cfg := Config{}
-	cfg.Zeroconf.TTL = 8 * time.Second // zeroconf path expires quickly
-	cfg.Directory.RegTTL = 60 * time.Second
 	s := sched.NewVirtual()
 	nw := netem.New(s, 5)
 	ids := netem.BuildFull(nw, "h", 3, netem.NodeParams{}, netem.LinkParams{Delay: time.Millisecond})
@@ -120,7 +117,7 @@ func TestHybridDelOnlyWhenGoneFromBothPaths(t *testing.T) {
 	var agents []*Agent
 	for i, id := range ids {
 		id := id
-		a := New(s, nw.Node(id), cfg, func(typ string, p map[string]string) {
+		a := New(s, nw.Node(id), "", func(typ string, p map[string]string) {
 			events[id] = append(events[id], typ)
 		}, int64(400+i))
 		nw.Node(id).SetHandler(func(p *netem.Packet) { a.HandlePacket(p) })
@@ -133,11 +130,11 @@ func TestHybridDelOnlyWhenGoneFromBothPaths(t *testing.T) {
 		su.Init(sd.RoleSU)
 		sm.StartPublish(inst("svc1"))
 		su.StartSearch("_exp._udp")
-		// Run beyond the zeroconf TTL: announcements stop being
+		// Run beyond the zeroconf TTL (75 s): announcements stop being
 		// refreshed (only the initial burst is sent), so the zeroconf
 		// cache entry may expire, but the directory path keeps the
 		// instance alive via renewals — no sd_service_del may fire.
-		s.Sleep(40 * time.Second)
+		s.Sleep(100 * time.Second)
 	})
 	if err := s.RunFor(5 * time.Minute); err != nil {
 		t.Fatal(err)
@@ -258,9 +255,9 @@ func TestHybridVsDirAgentsInterop(t *testing.T) {
 	nw := netem.New(s, 9)
 	ids := netem.BuildFull(nw, "m", 3, netem.NodeParams{}, netem.LinkParams{Delay: time.Millisecond})
 	adds := 0
-	scm := scmdir.New(s, nw.Node(ids[0]), scmdir.Config{}, nil, 1)
-	sm := scmdir.New(s, nw.Node(ids[1]), scmdir.Config{}, nil, 2)
-	su := New(s, nw.Node(ids[2]), Config{}, func(typ string, p map[string]string) {
+	scm := scmdir.New(s, nw.Node(ids[0]), nil, 1)
+	sm := scmdir.New(s, nw.Node(ids[1]), nil, 2)
+	su := New(s, nw.Node(ids[2]), "", func(typ string, p map[string]string) {
 		if typ == sd.EvServiceAdd {
 			adds++
 		}

@@ -33,67 +33,33 @@ import (
 // Proto is the netem protocol label of scmdir packets.
 const Proto = "sd"
 
-// Config tunes protocol timing; the zero value is completed with defaults.
-type Config struct {
-	// Group is the SCM discovery multicast group; default "scmdisc".
-	Group string
-	// ProbeInterval is the first SCM probe backoff step; default 500 ms.
-	ProbeInterval time.Duration
-	// ProbeBackoff is the probe backoff multiplier; default 2.
-	ProbeBackoff float64
-	// ProbeMax caps the probe backoff; default 30 s.
-	ProbeMax time.Duration
-	// RegTTL is the registration lifetime on the SCM; renewals happen at
-	// half life. Default 60 s.
-	RegTTL time.Duration
-	// ResponseDelayMin/Max bound the SCM's random response delay for
-	// probe answers; default 5–25 ms.
-	ResponseDelayMin time.Duration
-	ResponseDelayMax time.Duration
-	// AckTimeout bounds how long an SM waits for a registration ack
-	// before considering the SCM lost; default 5 s.
-	AckTimeout time.Duration
-	// RequeryInterval is the first directed-requery backoff step; the
-	// SU repeats subscribe+query with exponential backoff while a search
-	// is active, so lost unicast queries or notifications are recovered.
-	// Default 1 s.
-	RequeryInterval time.Duration
-	// RequeryMax caps the requery backoff; default 30 s.
-	RequeryMax time.Duration
-}
-
-func (c *Config) fill() {
-	if c.Group == "" {
-		c.Group = "scmdisc"
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.ProbeBackoff == 0 {
-		c.ProbeBackoff = 2
-	}
-	if c.ProbeMax == 0 {
-		c.ProbeMax = 30 * time.Second
-	}
-	if c.RegTTL == 0 {
-		c.RegTTL = 60 * time.Second
-	}
-	if c.ResponseDelayMin == 0 {
-		c.ResponseDelayMin = 5 * time.Millisecond
-	}
-	if c.ResponseDelayMax == 0 {
-		c.ResponseDelayMax = 25 * time.Millisecond
-	}
-	if c.AckTimeout == 0 {
-		c.AckTimeout = 5 * time.Second
-	}
-	if c.RequeryInterval == 0 {
-		c.RequeryInterval = time.Second
-	}
-	if c.RequeryMax == 0 {
-		c.RequeryMax = 30 * time.Second
-	}
-}
+// Protocol timing. Every platform runs the directory protocol with these
+// values; the case study varies only its factors.
+const (
+	// group is the SCM discovery multicast group.
+	group = "scmdisc"
+	// probeInterval is the first SCM probe backoff step; each step
+	// multiplies it by probeBackoff, capped at probeMax.
+	probeInterval = 500 * time.Millisecond
+	probeBackoff  = 2
+	probeMax      = 30 * time.Second
+	// regTTL is the registration lifetime on the SCM; renewals happen at
+	// half life.
+	regTTL = 60 * time.Second
+	// responseDelayMin/Max bound the SCM's random response delay for
+	// probe answers.
+	responseDelayMin = 5 * time.Millisecond
+	responseDelayMax = 25 * time.Millisecond
+	// ackTimeout bounds how long an SM waits for a registration ack
+	// before considering the SCM lost.
+	ackTimeout = 5 * time.Second
+	// requeryInterval is the first directed-requery backoff step: the SU
+	// repeats subscribe+query with exponential backoff (doubling, capped
+	// at requeryMax) while a search is active, so lost unicast queries or
+	// notifications are recovered.
+	requeryInterval = time.Second
+	requeryMax      = 30 * time.Second
+)
 
 type record struct {
 	Inst   sd.Instance `json:"inst"`
@@ -115,7 +81,6 @@ type message struct {
 type Agent struct {
 	s    *sched.Scheduler
 	node *netem.Node
-	cfg  Config
 	emit sd.EventSink
 	rng  *seeds.Rand
 
@@ -138,13 +103,12 @@ type Agent struct {
 }
 
 // New creates an agent on a node.
-func New(s *sched.Scheduler, node *netem.Node, cfg Config, emit sd.EventSink, seed int64) *Agent {
-	cfg.fill()
+func New(s *sched.Scheduler, node *netem.Node, emit sd.EventSink, seed int64) *Agent {
 	if emit == nil {
 		emit = func(string, map[string]string) {}
 	}
 	a := &Agent{
-		s: s, node: node, cfg: cfg, emit: emit,
+		s: s, node: node, emit: emit,
 		rng:       seeds.Key{Tag: seeds.Agent, Seed: seed}.Rand(),
 		subs:      make(map[sd.ServiceType]map[netem.NodeID]bool),
 		published: make(map[string]sd.Instance),
@@ -189,7 +153,7 @@ func (a *Agent) Init(role sd.Role) error {
 			a.emit(sd.EvSCMRegDel, sd.InstParams(inst))
 			a.notify("notify_del", inst)
 		}
-		a.node.Net().Join(a.cfg.Group, a.node.ID())
+		a.node.Net().Join(group, a.node.ID())
 		a.emit(sd.EvSCMStarted, nil)
 		a.emit(sd.EvInitDone, map[string]string{"role": string(role)})
 		return nil
@@ -213,7 +177,7 @@ func (a *Agent) Exit() {
 		}
 	}
 	if a.role == sd.RoleSCM {
-		a.node.Net().Leave(a.cfg.Group, a.node.ID())
+		a.node.Net().Leave(group, a.node.ID())
 		a.registry.Flush()
 	}
 	a.published = make(map[string]sd.Instance)
@@ -307,18 +271,15 @@ func (a *Agent) startProbing() {
 		return
 	}
 	a.probing = true
-	a.probe(a.cfg.ProbeInterval)
+	a.probe(probeInterval)
 }
 
 func (a *Agent) probe(interval time.Duration) {
 	if !a.running || !a.probing || a.scm != "" {
 		return
 	}
-	a.send(netem.Multicast(a.cfg.Group), message{Kind: "scm_probe"})
-	next := time.Duration(float64(interval) * a.cfg.ProbeBackoff)
-	if next > a.cfg.ProbeMax {
-		next = a.cfg.ProbeMax
-	}
+	a.send(netem.Multicast(group), message{Kind: "scm_probe"})
+	next := min(interval*probeBackoff, probeMax)
 	epoch := a.epoch
 	a.s.ScheduleFunc(interval, "scm-probe", func() {
 		if a.epoch != epoch {
@@ -361,14 +322,14 @@ func (a *Agent) scmLost() {
 
 func (a *Agent) register(inst sd.Instance) {
 	a.sendToSCM(message{Kind: "register",
-		Records: []record{{Inst: inst, TTLSec: a.cfg.RegTTL.Seconds()}}})
+		Records: []record{{Inst: inst, TTLSec: regTTL.Seconds()}}})
 	a.scheduleRenew(inst.Name)
 	a.scheduleAckCheck()
 }
 
 func (a *Agent) scheduleRenew(name string) {
 	epoch := a.epoch
-	a.s.ScheduleFunc(a.cfg.RegTTL/2, "scm-renew", func() {
+	a.s.ScheduleFunc(regTTL/2, "scm-renew", func() {
 		if a.epoch != epoch || !a.running {
 			return
 		}
@@ -380,7 +341,7 @@ func (a *Agent) scheduleRenew(name string) {
 			return // re-registration happens on scmFound
 		}
 		a.sendToSCM(message{Kind: "renew",
-			Records: []record{{Inst: inst, TTLSec: a.cfg.RegTTL.Seconds()}}})
+			Records: []record{{Inst: inst, TTLSec: regTTL.Seconds()}}})
 		a.scheduleRenew(name)
 		a.scheduleAckCheck()
 	})
@@ -390,7 +351,7 @@ func (a *Agent) scheduleRenew(name string) {
 func (a *Agent) scheduleAckCheck() {
 	epoch := a.epoch
 	sentAt := a.s.Now()
-	a.s.ScheduleFunc(a.cfg.AckTimeout, "scm-ack-check", func() {
+	a.s.ScheduleFunc(ackTimeout, "scm-ack-check", func() {
 		if a.epoch != epoch || !a.running {
 			return
 		}
@@ -404,7 +365,7 @@ func (a *Agent) scheduleAckCheck() {
 // with exponential backoff while the search stays active, recovering lost
 // unicast queries and notifications.
 func (a *Agent) directedSearch(t sd.ServiceType) {
-	a.directedSearchStep(t, a.cfg.RequeryInterval)
+	a.directedSearchStep(t, requeryInterval)
 }
 
 func (a *Agent) directedSearchStep(t sd.ServiceType, interval time.Duration) {
@@ -414,10 +375,7 @@ func (a *Agent) directedSearchStep(t sd.ServiceType, interval time.Duration) {
 	a.qidSeq++
 	a.sendToSCM(message{Kind: "subscribe", Types: []sd.ServiceType{t}})
 	a.sendToSCM(message{Kind: "query", QID: a.qidSeq, Types: []sd.ServiceType{t}})
-	next := time.Duration(float64(interval) * 2)
-	if next > a.cfg.RequeryMax {
-		next = a.cfg.RequeryMax
-	}
+	next := min(interval*2, requeryMax)
 	epoch := a.epoch
 	a.s.ScheduleFunc(interval, "scm-requery", func() {
 		if a.epoch != epoch {
@@ -467,11 +425,7 @@ func (a *Agent) HandlePacket(p *netem.Packet) {
 func (a *Agent) handleAsSCM(m message) {
 	switch m.Kind {
 	case "scm_probe":
-		jitter := a.cfg.ResponseDelayMax - a.cfg.ResponseDelayMin
-		delay := a.cfg.ResponseDelayMin
-		if jitter > 0 {
-			delay += time.Duration(a.rng.Int63n(int64(jitter)))
-		}
+		delay := responseDelayMin + time.Duration(a.rng.Int63n(int64(responseDelayMax-responseDelayMin)))
 		from := m.From
 		epoch := a.epoch
 		a.s.ScheduleFunc(delay, "scm-here", func() {
@@ -509,7 +463,7 @@ func (a *Agent) handleAsSCM(m message) {
 		var recs []record
 		for _, t := range m.Types {
 			for _, inst := range a.registry.Lookup(t) {
-				recs = append(recs, record{Inst: inst, TTLSec: a.cfg.RegTTL.Seconds()})
+				recs = append(recs, record{Inst: inst, TTLSec: regTTL.Seconds()})
 			}
 		}
 		a.send(netem.Unicast(m.From), message{Kind: "query_resp", QID: m.QID, Records: recs})
@@ -531,7 +485,7 @@ func (a *Agent) handleAsSCM(m message) {
 func (a *Agent) notify(kind string, inst sd.Instance) {
 	subs := a.subs[inst.Type]
 	for _, n := range sortedNodes(subs) {
-		ttl := a.cfg.RegTTL.Seconds()
+		ttl := regTTL.Seconds()
 		if kind == "notify_del" {
 			ttl = 0
 		}

@@ -17,7 +17,7 @@ type rig struct {
 	events map[netem.NodeID][]string
 }
 
-func newRig(t *testing.T, n int, cfg Config, link netem.LinkParams) *rig {
+func newRig(t *testing.T, n int, link netem.LinkParams) *rig {
 	t.Helper()
 	s := sched.NewVirtual()
 	nw := netem.New(s, 11)
@@ -28,7 +28,7 @@ func newRig(t *testing.T, n int, cfg Config, link netem.LinkParams) *rig {
 		sink := func(typ string, p map[string]string) {
 			r.events[id] = append(r.events[id], typ)
 		}
-		a := New(s, nw.Node(id), cfg, sink, int64(200+i))
+		a := New(s, nw.Node(id), sink, int64(200+i))
 		nw.Node(id).SetHandler(func(p *netem.Packet) {
 			if p.Proto == Proto {
 				a.HandlePacket(p)
@@ -63,7 +63,7 @@ func inst(name string) sd.Instance {
 }
 
 func TestThreePartyDiscovery(t *testing.T) {
-	r := newRig(t, 3, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 3, netem.LinkParams{Delay: time.Millisecond})
 	scm, sm, su := r.agents[0], r.agents[1], r.agents[2]
 	r.s.Go("t", func() {
 		scm.Init(sd.RoleSCM)
@@ -93,7 +93,7 @@ func TestThreePartyDiscovery(t *testing.T) {
 }
 
 func TestPublishBeforeSCMFoundIsPended(t *testing.T) {
-	r := newRig(t, 3, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 3, netem.LinkParams{Delay: time.Millisecond})
 	scm, sm, su := r.agents[0], r.agents[1], r.agents[2]
 	r.s.Go("t", func() {
 		// SM and SU start before any SCM exists.
@@ -118,7 +118,7 @@ func TestPublishBeforeSCMFoundIsPended(t *testing.T) {
 func TestNotificationPush(t *testing.T) {
 	// SU subscribes first; a service registered later must be pushed
 	// without SU polling.
-	r := newRig(t, 3, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 3, netem.LinkParams{Delay: time.Millisecond})
 	scm, sm, su := r.agents[0], r.agents[1], r.agents[2]
 	var addAt, regAt time.Time
 	r.s.Go("t", func() {
@@ -144,7 +144,7 @@ func TestNotificationPush(t *testing.T) {
 }
 
 func TestDeregistrationNotifiesDel(t *testing.T) {
-	r := newRig(t, 3, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 3, netem.LinkParams{Delay: time.Millisecond})
 	scm, sm, su := r.agents[0], r.agents[1], r.agents[2]
 	r.s.Go("t", func() {
 		scm.Init(sd.RoleSCM)
@@ -170,8 +170,7 @@ func TestDeregistrationNotifiesDel(t *testing.T) {
 }
 
 func TestRegistrationExpiryWithoutRenewal(t *testing.T) {
-	cfg := Config{RegTTL: 10 * time.Second}
-	r := newRig(t, 3, cfg, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 3, netem.LinkParams{Delay: time.Millisecond})
 	scm, sm, su := r.agents[0], r.agents[1], r.agents[2]
 	r.s.Go("t", func() {
 		scm.Init(sd.RoleSCM)
@@ -195,8 +194,7 @@ func TestRegistrationExpiryWithoutRenewal(t *testing.T) {
 }
 
 func TestRenewalKeepsRegistrationAlive(t *testing.T) {
-	cfg := Config{RegTTL: 10 * time.Second}
-	r := newRig(t, 3, cfg, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 3, netem.LinkParams{Delay: time.Millisecond})
 	scm, sm, su := r.agents[0], r.agents[1], r.agents[2]
 	r.s.Go("t", func() {
 		scm.Init(sd.RoleSCM)
@@ -208,7 +206,8 @@ func TestRenewalKeepsRegistrationAlive(t *testing.T) {
 	if err := r.s.RunFor(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	// Renewals every 5s keep the registration alive for the whole run.
+	// Renewals every 30 s (half the 60 s registration TTL) keep the
+	// registration alive for the whole run.
 	if r.has(r.ids[2], sd.EvServiceDel) {
 		t.Fatal("service expired despite renewals")
 	}
@@ -218,8 +217,7 @@ func TestRenewalKeepsRegistrationAlive(t *testing.T) {
 }
 
 func TestSCMFailureTriggersReprobe(t *testing.T) {
-	cfg := Config{RegTTL: 10 * time.Second, AckTimeout: 2 * time.Second}
-	r := newRig(t, 4, cfg, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 4, netem.LinkParams{Delay: time.Millisecond})
 	scm1, scm2, sm, su := r.agents[0], r.agents[1], r.agents[2], r.agents[3]
 	r.s.Go("t", func() {
 		scm1.Init(sd.RoleSCM)
@@ -247,7 +245,7 @@ func TestSCMFailureTriggersReprobe(t *testing.T) {
 }
 
 func TestDirectedQueryReturnsExisting(t *testing.T) {
-	r := newRig(t, 4, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 4, netem.LinkParams{Delay: time.Millisecond})
 	scm, sm1, sm2, su := r.agents[0], r.agents[1], r.agents[2], r.agents[3]
 	r.s.Go("t", func() {
 		scm.Init(sd.RoleSCM)
@@ -272,7 +270,7 @@ func TestDirectedQueryReturnsExisting(t *testing.T) {
 }
 
 func TestUpdatePropagatesViaSCM(t *testing.T) {
-	r := newRig(t, 3, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 3, netem.LinkParams{Delay: time.Millisecond})
 	scm, sm, su := r.agents[0], r.agents[1], r.agents[2]
 	r.s.Go("t", func() {
 		scm.Init(sd.RoleSCM)
@@ -299,7 +297,7 @@ func TestUpdatePropagatesViaSCM(t *testing.T) {
 }
 
 func TestStopSearchUnsubscribes(t *testing.T) {
-	r := newRig(t, 3, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 3, netem.LinkParams{Delay: time.Millisecond})
 	scm, sm, su := r.agents[0], r.agents[1], r.agents[2]
 	r.s.Go("t", func() {
 		scm.Init(sd.RoleSCM)
@@ -323,7 +321,7 @@ func TestStopSearchUnsubscribes(t *testing.T) {
 }
 
 func TestExitDeregisters(t *testing.T) {
-	r := newRig(t, 3, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 3, netem.LinkParams{Delay: time.Millisecond})
 	scm, sm, su := r.agents[0], r.agents[1], r.agents[2]
 	r.s.Go("t", func() {
 		scm.Init(sd.RoleSCM)
@@ -352,7 +350,7 @@ func TestColdStartPenaltyVsWarmDirected(t *testing.T) {
 	// Three-party cold start pays SCM discovery; once the SCM is known,
 	// a directed query answers in about one round trip. This is the
 	// architecture trade-off Exp. D measures.
-	r := newRig(t, 3, Config{}, netem.LinkParams{Delay: 2 * time.Millisecond})
+	r := newRig(t, 3, netem.LinkParams{Delay: 2 * time.Millisecond})
 	scm, sm, su := r.agents[0], r.agents[1], r.agents[2]
 	var cold, warm time.Duration
 	r.s.Go("t", func() {

@@ -34,64 +34,28 @@ import (
 // targeting the experiment process select it.
 const Proto = "sd"
 
-// Config tunes protocol timing. The zero value is completed with defaults
-// resembling mDNS.
-type Config struct {
-	// Group is the multicast group; default "mdns".
-	Group string
-	// AnnounceCount is the number of unsolicited announcements sent when
-	// publishing starts; default 3.
-	AnnounceCount int
-	// AnnounceInterval spaces the announcement burst; default 1 s.
-	AnnounceInterval time.Duration
-	// QueryInterval is the first query backoff step; default 1 s.
-	QueryInterval time.Duration
-	// QueryBackoff is the backoff multiplier; default 2.
-	QueryBackoff float64
-	// QueryMax caps the backoff; default 60 s.
-	QueryMax time.Duration
-	// ResponseDelayMin/Max bound the random response delay; default
-	// 20–120 ms (mDNS shared-record response jitter).
-	ResponseDelayMin time.Duration
-	ResponseDelayMax time.Duration
-	// TTL is the record lifetime; default 75 s.
-	TTL time.Duration
-	// Scheme selects active or passive discovery; default active.
-	Scheme sd.Scheme
-}
-
-func (c *Config) fill() {
-	if c.Group == "" {
-		c.Group = "mdns"
-	}
-	if c.AnnounceCount == 0 {
-		c.AnnounceCount = 3
-	}
-	if c.AnnounceInterval == 0 {
-		c.AnnounceInterval = time.Second
-	}
-	if c.QueryInterval == 0 {
-		c.QueryInterval = time.Second
-	}
-	if c.QueryBackoff == 0 {
-		c.QueryBackoff = 2
-	}
-	if c.QueryMax == 0 {
-		c.QueryMax = 60 * time.Second
-	}
-	if c.ResponseDelayMin == 0 {
-		c.ResponseDelayMin = 20 * time.Millisecond
-	}
-	if c.ResponseDelayMax == 0 {
-		c.ResponseDelayMax = 120 * time.Millisecond
-	}
-	if c.TTL == 0 {
-		c.TTL = 75 * time.Second
-	}
-	if c.Scheme == "" {
-		c.Scheme = sd.SchemeActive
-	}
-}
+// Protocol timing, modeled on mDNS. Every platform runs the protocol with
+// these values, as the case study ran Avahi with fixed settings and varied
+// only its factors.
+const (
+	// group is the multicast group.
+	group = "mdns"
+	// announceCount unsolicited announcements are sent when publishing
+	// starts, spaced by announceInterval.
+	announceCount    = 3
+	announceInterval = time.Second
+	// queryInterval is the first query backoff step; each step multiplies
+	// it by queryBackoff, capped at queryMax.
+	queryInterval = time.Second
+	queryBackoff  = 2
+	queryMax      = 60 * time.Second
+	// responseDelayMin/Max bound the random response delay (mDNS
+	// shared-record response jitter).
+	responseDelayMin = 20 * time.Millisecond
+	responseDelayMax = 120 * time.Millisecond
+	// ttl is the record lifetime.
+	ttl = 75 * time.Second
+)
 
 // message is the wire format.
 type message struct {
@@ -133,9 +97,11 @@ type search struct {
 type Agent struct {
 	s    *sched.Scheduler
 	node *netem.Node
-	cfg  Config
 	emit sd.EventSink
 	rng  *seeds.Rand
+	// active selects active discovery (queries); passive only listens
+	// to announcements.
+	active bool
 
 	running   bool
 	epoch     int // invalidates scheduled callbacks from earlier lifecycles
@@ -148,15 +114,16 @@ type Agent struct {
 	qlog      []*QueryRecord
 }
 
-// New creates an agent on a node. All randomness (response jitter) derives
+// New creates an agent on a node. scheme selects active or passive
+// discovery; "" means active. All randomness (response jitter) derives
 // from seed.
-func New(s *sched.Scheduler, node *netem.Node, cfg Config, emit sd.EventSink, seed int64) *Agent {
-	cfg.fill()
+func New(s *sched.Scheduler, node *netem.Node, scheme sd.Scheme, emit sd.EventSink, seed int64) *Agent {
 	if emit == nil {
 		emit = func(string, map[string]string) {}
 	}
 	a := &Agent{
-		s: s, node: node, cfg: cfg, emit: emit,
+		s: s, node: node, emit: emit,
+		active:    scheme == "" || scheme == sd.SchemeActive,
 		rng:       seeds.Key{Tag: seeds.Agent, Seed: seed}.Rand(),
 		published: make(map[string]sd.Instance),
 		searches:  make(map[sd.ServiceType]*search),
@@ -201,7 +168,7 @@ func (a *Agent) Init(role sd.Role) error {
 	}
 	a.role = role
 	a.running = true
-	a.node.Net().Join(a.cfg.Group, a.node.ID())
+	a.node.Net().Join(group, a.node.ID())
 	a.emit(sd.EvInitDone, map[string]string{"role": string(role)})
 	return nil
 }
@@ -222,7 +189,7 @@ func (a *Agent) Exit() {
 	}
 	a.searches = make(map[sd.ServiceType]*search)
 	a.cache.Flush()
-	a.node.Net().Leave(a.cfg.Group, a.node.ID())
+	a.node.Net().Leave(group, a.node.ID())
 	a.running = false
 	a.epoch++
 	a.emit(sd.EvExitDone, nil)
@@ -233,7 +200,7 @@ func (a *Agent) StartSearch(t sd.ServiceType) {
 	if !a.running || a.searches[t] != nil {
 		return
 	}
-	se := &search{typ: t, interval: a.cfg.QueryInterval}
+	se := &search{typ: t, interval: queryInterval}
 	a.searches[t] = se
 	a.emit(sd.EvStartSearch, map[string]string{"type": string(t)})
 	// Instances already in the local cache count as discovered by this
@@ -241,7 +208,7 @@ func (a *Agent) StartSearch(t sd.ServiceType) {
 	for _, inst := range a.cache.Lookup(t) {
 		a.emit(sd.EvServiceAdd, sd.InstParams(inst))
 	}
-	if a.cfg.Scheme == sd.SchemeActive {
+	if a.active {
 		a.sendQuery(se)
 	}
 }
@@ -267,7 +234,7 @@ func (a *Agent) StartPublish(inst sd.Instance) {
 	inst.Node = a.node.ID()
 	a.published[inst.Name] = inst
 	a.emit(sd.EvStartPublish, sd.InstParams(inst))
-	a.announce(inst, a.cfg.AnnounceCount)
+	a.announce(inst, announceCount)
 }
 
 // StopPublish implements sd.Agent.
@@ -305,7 +272,7 @@ func (a *Agent) announce(inst sd.Instance, count int) {
 	epoch := a.epoch
 	a.sendRecords("announce", 0, []sd.Instance{inst})
 	for i := 1; i < count; i++ {
-		a.s.ScheduleFunc(time.Duration(i)*a.cfg.AnnounceInterval, "zc-announce", func() {
+		a.s.ScheduleFunc(time.Duration(i)*announceInterval, "zc-announce", func() {
 			if a.epoch != epoch || !a.running {
 				return
 			}
@@ -326,7 +293,7 @@ func (a *Agent) sendGoodbye(inst sd.Instance) {
 func (a *Agent) sendRecords(kind string, qid uint32, insts []sd.Instance) {
 	recs := make([]record, len(insts))
 	for i, inst := range insts {
-		recs[i] = record{Inst: inst, TTLSec: a.cfg.TTL.Seconds()}
+		recs[i] = record{Inst: inst, TTLSec: ttl.Seconds()}
 	}
 	a.send(message{Kind: kind, QID: qid, From: a.node.ID(), Records: recs})
 }
@@ -341,17 +308,14 @@ func (a *Agent) sendQuery(se *search) {
 	a.qlog = append(a.qlog, qr)
 	var known []knownAnswer
 	for _, inst := range a.cache.Lookup(se.typ) {
-		known = append(known, knownAnswer{Name: inst.Name, RemainingSec: a.cfg.TTL.Seconds() / 2})
+		known = append(known, knownAnswer{Name: inst.Name, RemainingSec: ttl.Seconds() / 2})
 	}
 	a.send(message{Kind: "query", QID: qid, From: a.node.ID(),
 		Types: []sd.ServiceType{se.typ}, Known: known})
 
 	epoch := a.epoch
 	interval := se.interval
-	se.interval = time.Duration(float64(se.interval) * a.cfg.QueryBackoff)
-	if se.interval > a.cfg.QueryMax {
-		se.interval = a.cfg.QueryMax
-	}
+	se.interval = min(se.interval*queryBackoff, queryMax)
 	se.timer = a.s.ScheduleFunc(interval, "zc-query", func() {
 		if a.epoch != epoch || !a.running || a.searches[se.typ] != se {
 			return
@@ -365,7 +329,7 @@ func (a *Agent) send(m message) {
 	if err != nil {
 		panic("zeroconf: marshal: " + err.Error())
 	}
-	a.node.Send(netem.Multicast(a.cfg.Group), Proto, payload)
+	a.node.Send(netem.Multicast(group), Proto, payload)
 }
 
 // HandlePacket processes one received SD packet. The node manager routes
@@ -414,7 +378,7 @@ func (a *Agent) handleQuery(m message) {
 			for _, ka := range m.Known {
 				// Suppress if the querier already knows the record
 				// with at least half its lifetime remaining.
-				if ka.Name == inst.Name && ka.RemainingSec >= a.cfg.TTL.Seconds()/2 {
+				if ka.Name == inst.Name && ka.RemainingSec >= ttl.Seconds()/2 {
 					suppressed = true
 					break
 				}
@@ -430,11 +394,7 @@ func (a *Agent) handleQuery(m message) {
 	// Sort for determinism: map iteration order must not leak into the
 	// simulation.
 	sortInstances(matches)
-	jitter := a.cfg.ResponseDelayMax - a.cfg.ResponseDelayMin
-	delay := a.cfg.ResponseDelayMin
-	if jitter > 0 {
-		delay += time.Duration(a.rng.Int63n(int64(jitter)))
-	}
+	delay := responseDelayMin + time.Duration(a.rng.Int63n(int64(responseDelayMax-responseDelayMin)))
 	epoch := a.epoch
 	qid := m.QID
 	a.s.ScheduleFunc(delay, "zc-respond", func() {

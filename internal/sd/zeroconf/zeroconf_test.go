@@ -20,7 +20,7 @@ type rig struct {
 	params map[netem.NodeID][]map[string]string
 }
 
-func newRig(t *testing.T, n int, cfg Config, link netem.LinkParams) *rig {
+func newRig(t *testing.T, n int, scheme sd.Scheme, link netem.LinkParams) *rig {
 	t.Helper()
 	s := sched.NewVirtual()
 	nw := netem.New(s, 7)
@@ -35,7 +35,7 @@ func newRig(t *testing.T, n int, cfg Config, link netem.LinkParams) *rig {
 			r.events[id] = append(r.events[id], typ)
 			r.params[id] = append(r.params[id], p)
 		}
-		a := New(s, nw.Node(id), cfg, sink, int64(100+i))
+		a := New(s, nw.Node(id), scheme, sink, int64(100+i))
 		nw.Node(id).SetHandler(func(p *netem.Packet) {
 			if p.Proto == Proto {
 				a.HandlePacket(p)
@@ -70,7 +70,7 @@ func inst(name string, typ sd.ServiceType) sd.Instance {
 }
 
 func TestActiveDiscoveryQueryResponse(t *testing.T) {
-	r := newRig(t, 2, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 2, "", netem.LinkParams{Delay: time.Millisecond})
 	sm, su := r.agents[0], r.agents[1]
 	var tR time.Duration
 	r.s.Go("sm", func() {
@@ -118,7 +118,7 @@ func TestActiveDiscoveryQueryResponse(t *testing.T) {
 }
 
 func TestPassiveDiscoveryViaAnnouncements(t *testing.T) {
-	r := newRig(t, 2, Config{Scheme: sd.SchemePassive}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 2, sd.SchemePassive, netem.LinkParams{Delay: time.Millisecond})
 	sm, su := r.agents[0], r.agents[1]
 	r.s.Go("su", func() {
 		su.Init(sd.RoleSU)
@@ -142,7 +142,7 @@ func TestPassiveDiscoveryViaAnnouncements(t *testing.T) {
 }
 
 func TestCachedInstanceDiscoveredImmediately(t *testing.T) {
-	r := newRig(t, 2, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 2, "", netem.LinkParams{Delay: time.Millisecond})
 	sm, su := r.agents[0], r.agents[1]
 	r.s.Go("t", func() {
 		su.Init(sd.RoleSU)
@@ -164,7 +164,7 @@ func TestCachedInstanceDiscoveredImmediately(t *testing.T) {
 }
 
 func TestGoodbyeRemovesAndEmitsDel(t *testing.T) {
-	r := newRig(t, 2, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 2, "", netem.LinkParams{Delay: time.Millisecond})
 	sm, su := r.agents[0], r.agents[1]
 	r.s.Go("t", func() {
 		su.Init(sd.RoleSU)
@@ -190,8 +190,7 @@ func TestGoodbyeRemovesAndEmitsDel(t *testing.T) {
 }
 
 func TestTTLExpiryEmitsDel(t *testing.T) {
-	cfg := Config{TTL: 5 * time.Second, AnnounceCount: 1}
-	r := newRig(t, 2, cfg, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 2, "", netem.LinkParams{Delay: time.Millisecond})
 	sm, su := r.agents[0], r.agents[1]
 	r.s.Go("t", func() {
 		su.Init(sd.RoleSU)
@@ -211,7 +210,7 @@ func TestTTLExpiryEmitsDel(t *testing.T) {
 }
 
 func TestKnownAnswerSuppression(t *testing.T) {
-	r := newRig(t, 2, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 2, "", netem.LinkParams{Delay: time.Millisecond})
 	sm, su := r.agents[0], r.agents[1]
 	r.s.Go("t", func() {
 		sm.Init(sd.RoleSM)
@@ -235,7 +234,7 @@ func TestKnownAnswerSuppression(t *testing.T) {
 func TestQueryBackoffSchedule(t *testing.T) {
 	// With no SM present, the searcher keeps querying with exponential
 	// backoff: 0, 1s, 3s, 7s, 15s, 31s, 91s... (cumulative with cap 60).
-	r := newRig(t, 1, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 1, "", netem.LinkParams{Delay: time.Millisecond})
 	su := r.agents[0]
 	r.s.Go("t", func() {
 		su.Init(sd.RoleSU)
@@ -269,7 +268,7 @@ func TestQueryBackoffSchedule(t *testing.T) {
 }
 
 func TestMultipleSMsAllDiscovered(t *testing.T) {
-	r := newRig(t, 5, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 5, "", netem.LinkParams{Delay: time.Millisecond})
 	r.s.Go("t", func() {
 		for i := 0; i < 4; i++ {
 			r.agents[i].Init(sd.RoleSM)
@@ -291,7 +290,7 @@ func TestMultipleSMsAllDiscovered(t *testing.T) {
 }
 
 func TestUpdatePublishPropagates(t *testing.T) {
-	r := newRig(t, 2, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 2, "", netem.LinkParams{Delay: time.Millisecond})
 	sm, su := r.agents[0], r.agents[1]
 	r.s.Go("t", func() {
 		su.Init(sd.RoleSU)
@@ -322,7 +321,7 @@ func TestUpdatePublishPropagates(t *testing.T) {
 }
 
 func TestExitSendsGoodbyesAndStopsTimers(t *testing.T) {
-	r := newRig(t, 2, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 2, "", netem.LinkParams{Delay: time.Millisecond})
 	sm, su := r.agents[0], r.agents[1]
 	var exitAt time.Time
 	r.s.Go("t", func() {
@@ -351,7 +350,7 @@ func TestExitSendsGoodbyesAndStopsTimers(t *testing.T) {
 }
 
 func TestSCMRoleRejected(t *testing.T) {
-	r := newRig(t, 1, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 1, "", netem.LinkParams{Delay: time.Millisecond})
 	r.s.Go("t", func() {
 		if err := r.agents[0].Init(sd.RoleSCM); err == nil {
 			t.Error("zeroconf accepted SCM role")
@@ -365,7 +364,7 @@ func TestSCMRoleRejected(t *testing.T) {
 func TestDiscoveryUnderLoss(t *testing.T) {
 	// With 30% loss, retransmissions (query backoff + announce burst)
 	// must still discover, only later.
-	r := newRig(t, 2, Config{}, netem.LinkParams{Delay: time.Millisecond, Loss: 0.3})
+	r := newRig(t, 2, "", netem.LinkParams{Delay: time.Millisecond, Loss: 0.3})
 	sm, su := r.agents[0], r.agents[1]
 	r.s.Go("t", func() {
 		sm.Init(sd.RoleSM)
@@ -383,7 +382,7 @@ func TestDiscoveryUnderLoss(t *testing.T) {
 }
 
 func TestCorruptedPacketIgnored(t *testing.T) {
-	r := newRig(t, 2, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 2, "", netem.LinkParams{Delay: time.Millisecond})
 	sm, su := r.agents[0], r.agents[1]
 	r.s.Go("t", func() {
 		su.Init(sd.RoleSU)
@@ -406,7 +405,7 @@ func TestCorruptedPacketIgnored(t *testing.T) {
 
 func TestDeterministicDiscoveryTimes(t *testing.T) {
 	run := func() time.Duration {
-		r := newRig(t, 3, Config{}, netem.LinkParams{Delay: time.Millisecond, Jitter: time.Millisecond, Loss: 0.05})
+		r := newRig(t, 3, "", netem.LinkParams{Delay: time.Millisecond, Jitter: time.Millisecond, Loss: 0.05})
 		var tR time.Duration
 		r.s.Go("t", func() {
 			r.agents[0].Init(sd.RoleSM)
@@ -435,7 +434,7 @@ func TestAnnounceBurstCarriesUpdatedDescription(t *testing.T) {
 	// An UpdatePublish landing between the ticks of the announce burst
 	// must not be shadowed: the remaining burst announcements carry the
 	// new description.
-	r := newRig(t, 2, Config{}, netem.LinkParams{Delay: time.Millisecond})
+	r := newRig(t, 2, "", netem.LinkParams{Delay: time.Millisecond})
 	sm, su := r.agents[0], r.agents[1]
 	r.s.Go("t", func() {
 		su.Init(sd.RoleSU)

@@ -2,8 +2,8 @@
 // ExCovery's third storage level (§IV-F, Table I). The paper's prototype
 // stores each experiment in a file-based SQLite database to "unify and
 // accelerate data access and extraction methods"; reldb provides the same
-// properties with the standard library only: typed tables, predicate
-// selection with ordering and limits, hash indexes for equality lookups,
+// properties with the standard library only: typed tables, equality
+// selection with ascending order, hash indexes for equality lookups,
 // and a checksummed single-file binary format so complete experiments can
 // be exchanged as one file.
 package reldb
@@ -228,33 +228,14 @@ func (db *DB) Count(tableName string) (int, error) {
 	return len(t.rows), nil
 }
 
-// Op is a predicate comparison operator.
-type Op int
-
-const (
-	// OpEq matches equal values.
-	OpEq Op = iota
-	// OpNe matches unequal values.
-	OpNe
-	// OpLt matches values less than the operand.
-	OpLt
-	// OpLe matches values less than or equal to the operand.
-	OpLe
-	// OpGt matches values greater than the operand.
-	OpGt
-	// OpGe matches values greater than or equal to the operand.
-	OpGe
-)
-
-// Pred is one column comparison; a query's predicates are conjunctive.
+// Pred is one column equality; a query's predicates are conjunctive.
 type Pred struct {
 	Col string
-	Op  Op
 	Val any
 }
 
 // Eq builds an equality predicate.
-func Eq(col string, val any) Pred { return Pred{Col: col, Op: OpEq, Val: val} }
+func Eq(col string, val any) Pred { return Pred{Col: col, Val: val} }
 
 // Query selects rows from a table.
 type Query struct {
@@ -263,11 +244,8 @@ type Query struct {
 	// Where predicates are ANDed; empty selects all rows.
 	Where []Pred
 	// OrderBy sorts ascending by this column ("" keeps insertion
-	// order); Desc reverses.
+	// order).
 	OrderBy string
-	Desc    bool
-	// Offset/Limit window the result; Limit 0 means unlimited.
-	Offset, Limit int
 }
 
 // compare orders two values of the same column type; nil sorts first.
@@ -373,35 +351,11 @@ func sameType(a, b any) bool {
 
 func (p Pred) match(v any) bool {
 	if v == nil || p.Val == nil {
-		if p.Op == OpEq {
-			return v == nil && p.Val == nil
-		}
-		if p.Op == OpNe {
-			return (v == nil) != (p.Val == nil)
-		}
-		return false
+		return v == nil && p.Val == nil
 	}
 	// Type mismatches never match rather than panicking: a query with a
 	// wrong-typed operand selects nothing.
-	if !sameType(v, p.Val) {
-		return false
-	}
-	c := compare(v, p.Val)
-	switch p.Op {
-	case OpEq:
-		return c == 0
-	case OpNe:
-		return c != 0
-	case OpLt:
-		return c < 0
-	case OpLe:
-		return c <= 0
-	case OpGt:
-		return c > 0
-	case OpGe:
-		return c >= 0
-	}
-	return false
+	return sameType(v, p.Val) && compare(v, p.Val) == 0
 }
 
 // Select runs a query and returns matching rows (copies).
@@ -427,14 +381,11 @@ func (db *DB) Select(q Query) ([]Row, error) {
 		cols[i] = t.colIdx[p.Col]
 	}
 
-	// Candidate rows: the ordinals of a hash index if an Eq predicate has
-	// one (read in place, never copied), else every row.
+	// Candidate rows: the ordinals of a hash index if a predicate's column
+	// has one (read in place, never copied), else every row.
 	var cands []int
 	indexed := false
 	for _, p := range q.Where {
-		if p.Op != OpEq {
-			continue
-		}
 		if idx, has := t.indexes[p.Col]; has {
 			cands, indexed = idx[indexKey(p.Val)], true
 			break
@@ -461,35 +412,15 @@ candidates:
 	}
 
 	if q.OrderBy != "" {
-		// Stable: rows with equal keys keep insertion order, in both
-		// directions.
+		// Stable: rows with equal keys keep insertion order.
 		ci := t.colIdx[q.OrderBy]
-		if q.Desc {
-			slices.SortStableFunc(out, func(a, b Row) int { return compare(b[ci], a[ci]) })
-		} else {
-			slices.SortStableFunc(out, func(a, b Row) int { return compare(a[ci], b[ci]) })
-		}
-	} else if q.Desc {
-		for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-			out[i], out[j] = out[j], out[i]
-		}
-	}
-
-	if q.Offset > 0 {
-		if q.Offset >= len(out) {
-			return nil, nil
-		}
-		out = out[q.Offset:]
-	}
-	if q.Limit > 0 && q.Limit < len(out) {
-		out = out[:q.Limit]
+		slices.SortStableFunc(out, func(a, b Row) int { return compare(a[ci], b[ci]) })
 	}
 	return out, nil
 }
 
 // SelectOne returns the first matching row; ok is false when none match.
 func (db *DB) SelectOne(q Query) (Row, bool, error) {
-	q.Limit = 1
 	rows, err := db.Select(q)
 	if err != nil || len(rows) == 0 {
 		return nil, false, err

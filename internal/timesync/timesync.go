@@ -52,12 +52,13 @@ func (m Measurement) String() string {
 	return fmt.Sprintf("%s: offset %v ± %v (%d samples)", m.Node, m.Offset, m.ErrorBound, m.Samples)
 }
 
+// samples is the number of probes per measurement.
+const samples = 3
+
 // Estimator measures node clock offsets against a reference clock.
 type Estimator struct {
 	// Ref is the reference clock (the master's).
 	Ref vclock.Clock
-	// Samples per measurement; default 5.
-	Samples int
 }
 
 // Measure estimates the clock offsets of the nodes one probe samples
@@ -66,13 +67,9 @@ type Estimator struct {
 // never wins; when no sample succeeded Measure returns nil, so the nodes
 // get no Measurement and conditioning keeps their local times.
 func (e *Estimator) Measure(nodes []string, probe Probe) []Measurement {
-	n := e.Samples
-	if n <= 0 {
-		n = 5
-	}
 	var best []Measurement
 	bestBound := time.Duration(1<<63 - 1)
-	for i := 0; i < n; i++ {
+	for i := 0; i < samples; i++ {
 		t0 := e.Ref.Now()
 		times, err := probe()
 		t1 := e.Ref.Now()
@@ -91,7 +88,7 @@ func (e *Estimator) Measure(nodes []string, probe Probe) []Measurement {
 		mid := t0.Add(bound)
 		for j, node := range nodes {
 			best[j] = Measurement{Node: node, Offset: times[j].Sub(mid),
-				ErrorBound: bound, Samples: n, MeasuredAt: mid}
+				ErrorBound: bound, Samples: samples, MeasuredAt: mid}
 		}
 	}
 	return best

@@ -67,7 +67,7 @@ func TestMeasureWithJitterWithinBound(t *testing.T) {
 	trueOffset := -40 * time.Millisecond
 	node := vclock.NewSkewed(s, trueOffset, 0)
 	rng := rand.New(rand.NewSource(7))
-	est := &Estimator{Ref: vclock.Perfect{S: s}, Samples: 9}
+	est := &Estimator{Ref: vclock.Perfect{S: s}}
 	s.Go("t", func() {
 		m := measureOne(t, est, jitteryProbe(s, node, rng, 5*time.Millisecond))
 		err := m.Offset - trueOffset
@@ -80,33 +80,12 @@ func TestMeasureWithJitterWithinBound(t *testing.T) {
 		if m.ErrorBound > 5*time.Millisecond {
 			t.Errorf("bound %v too loose for 5ms legs", m.ErrorBound)
 		}
-		if m.Samples != 9 {
-			t.Errorf("samples = %d", m.Samples)
+		if m.Samples != samples {
+			t.Errorf("samples = %d, want %d", m.Samples, samples)
 		}
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMoreSamplesTightenBound(t *testing.T) {
-	bound := func(samples int) time.Duration {
-		s := sched.NewVirtual()
-		node := vclock.NewSkewed(s, time.Millisecond, 0)
-		rng := rand.New(rand.NewSource(3))
-		est := &Estimator{Ref: vclock.Perfect{S: s}, Samples: samples}
-		var b time.Duration
-		s.Go("t", func() {
-			m := measureOne(t, est, jitteryProbe(s, node, rng, 10*time.Millisecond))
-			b = m.ErrorBound
-		})
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	if b1, b20 := bound(1), bound(20); b20 > b1 {
-		t.Errorf("20 samples bound %v worse than 1 sample %v", b20, b1)
 	}
 }
 
@@ -157,7 +136,7 @@ func TestMeasureHostGroup(t *testing.T) {
 	a := vclock.NewSkewed(s, 30*time.Millisecond, 0)
 	b := vclock.NewSkewed(s, -70*time.Millisecond, 0)
 	rng := rand.New(rand.NewSource(11))
-	est := &Estimator{Ref: vclock.Perfect{S: s}, Samples: 5}
+	est := &Estimator{Ref: vclock.Perfect{S: s}}
 	probes := 0
 	probe := func() ([]time.Time, error) {
 		probes++
@@ -184,8 +163,8 @@ func TestMeasureHostGroup(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if probes != 5 {
-		t.Errorf("%d requests for 5 samples of two nodes, want 5", probes)
+	if probes != samples {
+		t.Errorf("%d requests for %d samples of two nodes, want %d", probes, samples, samples)
 	}
 }
 
@@ -196,7 +175,7 @@ func TestMeasureHostGroup(t *testing.T) {
 func TestFailedSampleNeverWins(t *testing.T) {
 	s := sched.NewVirtual()
 	node := vclock.NewSkewed(s, 5*time.Millisecond, 0)
-	est := &Estimator{Ref: vclock.Perfect{S: s}, Samples: 3}
+	est := &Estimator{Ref: vclock.Perfect{S: s}}
 	calls := 0
 	flaky := func() ([]time.Time, error) {
 		calls++

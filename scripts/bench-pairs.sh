@@ -11,15 +11,18 @@
 # `bench/run.sh --workload W --seed S --trace 0` once per side at the
 # benchmark's own run length, and the side that goes first switches every
 # pair. Prints every run, each side's median and quartiles for the four
-# end-to-end metrics, the pairs the change won, a verdict per metric, the
-# failed operations and each side's sim_digest (one value per side when
-# every run simulated the same thing; equal across sides when the change
-# moved no simulated output). The verdict is "gain" when the change is ahead
-# in at least nine tenths of the pairs (ties count for neither side) and its
-# median is better than the parent's by more than the parent's
-# inter-quartile range, "worse" in the mirrored case, and "unresolved"
-# otherwise. Exits 1 if any invocation reported failed != 0 or an incorrect
-# result; the verdicts do not change the exit status.
+# end-to-end metrics, the pairs the change won, the change/parent
+# geometric-mean ratio with a 95 % t-interval of the paired log-ratios
+# ln(change/parent) (pairs where either side read <= 0 are left out of it),
+# a verdict per metric, the failed operations and each side's sim_digest
+# (one value per side when every run simulated the same thing; equal across
+# sides when the change moved no simulated output). The interval is printed
+# beside the verdict and does not enter it. The verdict is "gain" when the
+# change is ahead in at least nine tenths of the pairs (ties count for
+# neither side) and its median is better than the parent's by more than the
+# parent's inter-quartile range, "worse" in the mirrored case, and
+# "unresolved" otherwise. Exits 1 if any invocation reported failed != 0 or
+# an incorrect result; the verdicts do not change the exit status.
 set -euo pipefail
 
 parent_ref=${1:?usage: bench-pairs.sh <parent-ref> <workload> [pairs] [seed]}
@@ -79,7 +82,17 @@ function quantile(v, n, q,    i, j, t, h, lo) {
 	if (lo >= n) return v[n]
 	return v[lo] + (h - lo) * (v[lo + 1] - v[lo])
 }
+# tcrit is the two-sided 95 % critical value of Student t with df degrees
+# of freedom: a table to 30, then 1.96 + 2.5/df (within 0.002 of the exact
+# value for every df above 30).
+function tcrit(df) {
+	if (df <= 30) return tq[df]
+	return 1.96 + 2.5 / df
+}
 BEGIN {
+	split("12.706 4.303 3.182 2.776 2.571 2.447 2.365 2.306 2.262 2.228 " \
+		"2.201 2.179 2.160 2.145 2.131 2.120 2.110 2.101 2.093 2.086 " \
+		"2.080 2.074 2.069 2.064 2.060 2.056 2.052 2.048 2.045 2.042", tq, " ")
 	nm = split("runs_per_s run_ms_p50 run_ms_p95 setup_s", metric, " ")
 	higher["runs_per_s"] = 1
 }
@@ -120,6 +133,23 @@ END {
 			else if (c != p) lost++
 		}
 		printf "  change ahead in %d of %d pairs, behind in %d\n", won, pairs, lost
+		# Paired log-ratios: mean and sample deviation (two passes).
+		nr = sum = ss = 0
+		for (i = 1; i <= pairs; i++) {
+			p = val["parent", m, i]
+			c = val["change", m, i]
+			if (p != "nan" && c != "nan" && p > 0 && c > 0) lr[++nr] = log(c / p)
+		}
+		for (i = 1; i <= nr; i++) sum += lr[i]
+		if (nr >= 2) {
+			mean = sum / nr
+			for (i = 1; i <= nr; i++) ss += (lr[i] - mean) ^ 2
+			half = tcrit(nr - 1) * sqrt(ss / (nr - 1) / nr)
+			printf "  change/parent geometric mean %.4f, 95 %% t-interval %.4f – %.4f (%d paired log-ratios)\n", \
+				exp(mean), exp(mean - half), exp(mean + half), nr
+		} else {
+			printf "  change/parent geometric mean: fewer than 2 usable pairs\n"
+		}
 		# gap > 0: the median of the change is the better one.
 		gap = (m in higher) ? q2 - parent_median : parent_median - q2
 		verdict = "unresolved"
